@@ -2,6 +2,16 @@
 multiplier systems, and numerical verification of twisted functional
 equations for completed L-series."""
 
+import os
+
+# Computations are single-threaded by design (determinism contract);
+# WEILGAP_THREADS, when set, caps library-level BLAS parallelism underneath.
+# The libraries read these variables once, when numpy is first imported, so
+# this must run before any import below.
+if "WEILGAP_THREADS" in os.environ:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["WEILGAP_THREADS"])
+
 from .matrices import (
     IDENTITY,
     FrickeMat,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -74,7 +75,7 @@ class DirichletChar:
     def __post_init__(self):
         object.__setattr__(self, "t", self.t % (self.p - 1))
 
-    @property
+    @cached_property
     def g(self) -> int:
         return primitive_root(self.p)
 
@@ -85,7 +86,9 @@ class DirichletChar:
     def is_trivial(self) -> bool:
         return self.t == 0
 
+    @cached_property
     def _log_table(self) -> dict[int, int]:
+        """Discrete logarithm to base g of every unit mod p, built once."""
         table = {}
         x = 1
         g = self.g
@@ -99,7 +102,7 @@ class DirichletChar:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError(f"chi({x}) = 0 has no angle")
-        idx = self._log_table()[x]
+        idx = self._log_table[x]
         return Fraction(self.t * idx, self.p - 1) % 1
 
     def __call__(self, x: int) -> complex:

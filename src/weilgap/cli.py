@@ -15,12 +15,6 @@ import sys
 import time
 from fractions import Fraction
 
-# computations are single-threaded by design (determinism contract);
-# WEILGAP_THREADS, when set, caps library-level parallelism underneath
-if "WEILGAP_THREADS" in os.environ:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, os.environ["WEILGAP_THREADS"])
-
 from .characters import DirichletChar, primitive_characters
 from .matrices import Mat2
 from .presentation import build_presentation, compute_Q, decompose_gamma0, is_prime

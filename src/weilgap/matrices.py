@@ -238,26 +238,40 @@ def _reduce_tokens(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
     return out
 
 
+def euclid_quotients(c: int, d: int) -> list[int]:
+    """The quotients t_1, t_2, ... of the Euclidean walk on a bottom row.
+
+    Each step right-multiplies by S^{-t} T, which sends the bottom row
+    (c, d) to (d - t*c, -c) with d - t*c in [0, |c|); the walk stops at
+    c = 0.  The quotients depend on the bottom row alone.
+    """
+    quotients = []
+    while c != 0:
+        r = d % abs(c)
+        quotients.append((d - r) // c)
+        c, d = r, -c
+    return quotients
+
+
 def decompose_sl2(gamma: Mat2) -> STWord:
     """Write a determinant-1 integer matrix as a word in S and T.
 
-    Euclidean reduction on the bottom row: while c != 0, right-multiply by
-    S^{-t} T where t is chosen so the remainder d - t*c lies in [0, |c|)
-    (ties toward the nonnegative remainder).  The word length is
-    O(log max|entry|) and evaluating the word reproduces +-gamma; the
-    recovered sign is stored on the result.
+    Euclidean reduction on the bottom row (see :func:`euclid_quotients`):
+    while c != 0, right-multiply by S^{-t} T where t is chosen so the
+    remainder d - t*c lies in [0, |c|).  The word is short for typical
+    rows, but with nonnegative remainders its length can reach |c| (the
+    row (c, -1) takes |c| steps).  Evaluating the word reproduces +-gamma;
+    the recovered sign is stored on the result.
     """
     if gamma.det() != 1:
         raise ValueError("decompose_sl2 requires determinant 1")
     m = gamma
     applied: list[tuple[str, int]] = []  # right-multipliers, in application order
-    while m.c != 0:
-        r = m.d % abs(m.c)
-        t = (m.d - r) // m.c
-        # m * S^{-t}: bottom row (c, r)
-        m = Mat2(m.a, m.b - t * m.a, m.c, r)
+    for t in euclid_quotients(gamma.c, gamma.d):
+        # m * S^{-t}: bottom row (c, d - t*c)
+        m = Mat2(m.a, m.b - t * m.a, m.c, m.d - t * m.c)
         applied.append(("S", t))
-        # m * T: bottom row (r, -c)
+        # m * T: bottom row (d - t*c, -c)
         m = Mat2(m.b, -m.a, m.d, -m.c)
         applied.append(("T", 1))
     # now m = eps * S^(eps*b); T^{-1} = -T lets every T carry exponent +1,

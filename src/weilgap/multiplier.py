@@ -27,10 +27,12 @@ from typing import Optional
 
 from .characters import DirichletChar
 from .linalg import bareiss_echelon, nullspace
-from .matrices import Mat2, S, T
+from .matrices import Mat2, S, T, euclid_quotients
 from .presentation import (
+    COSET_INF,
     ExpVector,
     GenSet,
+    Word,
     abelianize,
     decompose_gamma0,
     _egcd,
@@ -98,7 +100,12 @@ ZERO_ANGLE = Angle()
 
 
 class MultiplierSystem:
-    """An exact angle per generator; extends to Gamma0(p) by word decomposition."""
+    """An exact angle per generator; extends to Gamma0(p) by word decomposition.
+
+    :meth:`evaluate` is the verified word path.  When upsilon(S) = 1,
+    :meth:`bottom_row_angle` computes the same angle from the bottom row
+    alone, without building a word.
+    """
 
     def __init__(self, gens: GenSet, angles: dict[str, Angle]):
         self.gens = gens
@@ -114,6 +121,7 @@ class MultiplierSystem:
             if a.s != 0 or (a.r * 3) % 1 != 0:
                 raise ValueError(f"angle on order-3 generator {lbl} must be a multiple of 1/3")
         self.angles = {lbl: angles[lbl].mod1() for lbl in gens.labels}
+        self._cocycle: Optional[tuple] = None  # bottom-row step tables, built on first use
 
     def angle_of_vector(self, vec: ExpVector) -> Angle:
         total = ZERO_ANGLE
@@ -132,6 +140,62 @@ class MultiplierSystem:
 
     def value(self, gamma: Mat2) -> complex:
         return self.evaluate(gamma).value()
+
+    def bottom_row_angle(self, c: int, d: int) -> Angle:
+        """Exact angle of upsilon(gamma) for every gamma in Gamma0(p) with
+        bottom row (c, d); requires upsilon(S) = 1.
+
+        Two such gamma differ by a power of S on the left, so upsilon(S) = 1
+        makes the angle a function of (c, d).  It is the sum, along the
+        Euclidean walk of decompose_sl2, of the Schreier rewriting of each
+        letter from its coset: a T step from coset r contributes the angle
+        of the raw generator V_r, and an S^t step contributes one angle of
+        T S^p T^{-1} per crossing of the p-1 -> 0 boundary.  These step
+        angles are tabulated once as integer numerators over a common
+        denominator, so each call does integer additions only.  Agrees
+        exactly with ``evaluate`` on any lift of (c, d); ``evaluate`` stays
+        the verified path.
+        """
+        p = self.p
+        if c % p != 0:
+            raise ValueError(f"bottom row ({c}, {d}) is not in Gamma0({p})")
+        if math.gcd(c, d) != 1:
+            raise ValueError(f"bottom row ({c}, {d}) is not unimodular")
+        if self._cocycle is None:
+            self._cocycle = self._bottom_row_tables()
+        den, steps, wrap_r, wrap_s = self._cocycle
+        # decompose_sl2 gives S^e T S^{t_k} T ... T S^{t_1}; the leading S^e
+        # sits at the identity coset, where S is a generator of angle 0
+        coset, r, s = COSET_INF, 0, 0
+        for t in reversed(euclid_quotients(c, d)):
+            dr, ds, coset = steps[coset]
+            r += dr
+            s += ds
+            if coset != COSET_INF:
+                wraps, coset = divmod(coset + t, p)
+                r += wraps * wrap_r
+                s += wraps * wrap_s
+        if coset != COSET_INF:
+            raise AssertionError(f"walk of ({c}, {d}) did not return to the identity coset")
+        return Angle(Fraction(r % den, den), Fraction(s, den))
+
+    def _bottom_row_tables(self) -> tuple:
+        """(den, coset -> (r, s, target) of the T step, r and s of one wrap)."""
+        if not self.angles["S"].is_zero_mod1():
+            raise ValueError("the bottom-row cocycle requires upsilon(S) = 1")
+        gens = self.gens
+        den = math.lcm(*(x.denominator for a in self.angles.values() for x in (a.r, a.s)))
+        num = {lbl: (int(a.r * den), int(a.s * den)) for lbl, a in self.angles.items()}
+
+        def numerators(word: Word) -> tuple[int, int]:
+            return (sum(num[lbl][0] * e for lbl, e in word), sum(num[lbl][1] * e for lbl, e in word))
+
+        steps = {}
+        for coset in [COSET_INF, *range(self.p)]:
+            word, target = gens._step(coset, "T", 1)
+            steps[coset] = (*numerators(word), target)
+        wrap_word, _ = gens._s_bulk(self.p - 1, 1)
+        return (den, steps, *numerators(wrap_word))
 
     def is_trivial(self) -> bool:
         return all(a.is_zero_mod1() for a in self.angles.values())

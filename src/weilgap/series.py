@@ -11,7 +11,9 @@ Gamma_infinity \\ Gamma0(p):
 
 where S_ups(m, c) = sum_{d mod c, (d, c) = 1} conj(upsilon(gamma_{c,d}))
 e(m d / c) is a multiplier-twisted Kloosterman-type sum; every coefficient
-carries the tail bound of the truncated c-sum.
+carries the tail bound of the truncated c-sum.  For each c the multiplier
+values come from MultiplierSystem.bottom_row_angle, and one inverse FFT of
+length c gives S_ups(m, c) for every residue of m at once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ class CoeffSeries:
     ``exact`` holds integer coefficients when the source is integral.
     ``sigma`` is the recorded polynomial growth exponent and ``growth_c``
     the constant max |a_m| / m^sigma over the stored prefix.
+    ``per_coeff_error`` holds a per-coefficient error bound when the source
+    states one, and ``c_max`` the Kloosterman modulus at which an
+    Eisenstein sum was truncated.
     """
 
     coeffs: list[complex]
@@ -47,6 +52,8 @@ class CoeffSeries:
     a0: complex = 0j
     exact: Optional[list[int]] = None
     error_bound: float = 0.0
+    per_coeff_error: Optional[list[float]] = None
+    c_max: Optional[int] = None
 
     def __post_init__(self):
         self.coeffs = [complex(c) for c in self.coeffs]
@@ -112,6 +119,8 @@ class CoeffSeries:
             a0=self.a0,
             exact=None if self.exact is None else list(self.exact),
             error_bound=self.error_bound,
+            per_coeff_error=None if self.per_coeff_error is None else list(self.per_coeff_error),
+            c_max=self.c_max,
         )
         data.update(kwargs)
         return CoeffSeries(**data)
@@ -139,35 +148,54 @@ class CoeffSeries:
 
     @classmethod
     def from_json_lines(cls, text: str) -> "CoeffSeries":
+        """Parse ``to_json_lines`` output; malformed input raises ValueError.
+
+        The header must carry label, weight, level, sigma and M, and the
+        records must give each m in 1..M (and optionally m = 0) exactly once.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("coefficient file is empty")
         header = json.loads(lines[0])
-        coeffs: dict[int, complex] = {}
-        a0 = 0j
-        exact: Optional[list[int]] = []
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise ValueError(f"coefficient file header lacks {', '.join(missing)}")
+        M = header["M"]
+        if not isinstance(M, int) or M < 0:
+            raise ValueError(f"coefficient file header has M = {M!r}, not a count")
+        records: dict[int, tuple] = {}
         for ln in lines[1:]:
             rec = json.loads(ln)
-            re, im = _num_parse(rec["re"]), _num_parse(rec["im"])
-            if rec["m"] == 0:
-                a0 = complex(re, im)
-                continue
-            coeffs[rec["m"]] = complex(re, im)
-            if not (isinstance(re, int) and im == 0):
-                exact = None
-            elif exact is not None:
-                exact.append(re)
-        ordered = [coeffs[m] for m in range(1, header["M"] + 1)]
-        if exact is not None and len(exact) != len(ordered):
-            exact = None
+            try:
+                m, re, im = rec["m"], _num_parse(rec["re"]), _num_parse(rec["im"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed coefficient record {ln.strip()!r}") from exc
+            if m in records:
+                raise ValueError(f"duplicate coefficient record for m = {m}")
+            if not 0 <= m <= M:
+                raise ValueError(f"coefficient record m = {m} outside 0..M = {M}")
+            records[m] = (re, im)
+        absent = [m for m in range(1, M + 1) if m not in records]
+        if absent:
+            raise ValueError(
+                f"coefficient file has {M - len(absent)} of the M = {M} records; "
+                f"a_{absent[0]} is missing"
+            )
+        ordered = [records[m] for m in range(1, M + 1)]
+        integral = all(isinstance(re, int) and im == 0 for re, im in ordered)
         return cls(
-            ordered,
+            [complex(re, im) for re, im in ordered],
             header["weight"],
             header["level"],
             header["sigma"],
             header["label"],
-            a0=a0,
-            exact=exact,
+            a0=complex(*records.get(0, (0, 0))),
+            exact=[re for re, _ in ordered] if integral else None,
             error_bound=header.get("error_bound", 0.0),
         )
+
+
+_HEADER_KEYS = ("label", "weight", "level", "sigma", "M")
 
 
 def _num_json(x: float):
@@ -378,35 +406,21 @@ def _ramanujan_sum(m: int, c: int) -> int:
     return total
 
 
-class _UpsilonCache:
-    """conj(upsilon(gamma_{c,d})) per (c, d), memoized across frequencies."""
+def _kloosterman_row(upsilon: MultiplierSystem, c: int) -> np.ndarray:
+    """S_ups(k, c) for k = 0..c-1 at once, for c > 1.
 
-    def __init__(self, upsilon: MultiplierSystem):
-        if not upsilon.angles["S"].is_zero_mod1():
-            raise ValueError("twisted Kloosterman sums require upsilon(S) = 1")
-        self.upsilon = upsilon
-        self._trivial = upsilon.is_trivial()
-        self._cache: dict[tuple[int, int], complex] = {}
-
-    def conj_value(self, c: int, d: int) -> complex:
-        if self._trivial:
-            return 1.0 + 0j
-        key = (c, d)
-        val = self._cache.get(key)
-        if val is None:
-            gamma = lift_bottom_row(c, d)
-            val = self.upsilon.value(gamma).conjugate()
-            self._cache[key] = val
-        return val
-
-    def row(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        ds = [d for d in range(1, c + 1) if math.gcd(d, c) == 1]
-        vals = np.array([self.conj_value(c, d) for d in ds], dtype=complex)
-        return np.array(ds), vals
+    v_d = conj(upsilon(gamma_{c,d})) for d coprime to c, else 0.  numpy's
+    inverse FFT is (1/c) sum_d v_d e(k d / c), so c times it gives every
+    frequency in O(c log c).
+    """
+    row = np.zeros(c, dtype=complex)
+    for d in range(1, c):
+        if math.gcd(c, d) == 1:
+            row[d] = upsilon.bottom_row_angle(c, d).value().conjugate()
+    return c * np.fft.ifft(row)
 
 
-def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int,
-                        _cache: Optional[_UpsilonCache] = None) -> KloostermanSum:
+def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int) -> KloostermanSum:
     """The multiplier-twisted sum S_ups(m, c) for p | c, c > 0.
 
     Well-defined because upsilon(S) = 1 makes the value independent of the
@@ -414,10 +428,7 @@ def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int,
     """
     if c <= 0 or c % p != 0:
         raise ValueError(f"modulus c = {c} must be a positive multiple of p = {p}")
-    cache = _cache if _cache is not None else _UpsilonCache(upsilon)
-    ds, vals = cache.row(c)
-    phases = np.exp(2j * np.pi * m * ds / c)
-    value = complex(np.sum(vals * phases))
+    value = complex(_kloosterman_row(upsilon, c)[m % c])
     if upsilon.is_trivial():
         exact = _ramanujan_sum(m, c)
         assert abs(value - exact) < 1e-6 * max(1.0, abs(exact)), (m, c, value, exact)
@@ -449,21 +460,17 @@ def eisenstein_multiplier_coeffs(
         raise ValueError("even weights only")
     if c_max is None:
         c_max = 200 * p
-    cache = _UpsilonCache(upsilon)
     ms = np.arange(1, M + 1)
     sums = np.zeros(M, dtype=complex)
     for c in range(p, c_max + 1, p):
-        ds, vals = cache.row(c)
-        # e(m d / c) for all m <= M at once
-        phase = np.exp(2j * np.pi / c * (ms[:, None] * ds[None, :] % c))
-        sums += (phase @ vals) * float(c) ** (-weight)
+        sums += _kloosterman_row(upsilon, c)[ms % c] * float(c) ** (-weight)
     front = (-2j * np.pi) ** weight / math.factorial(weight - 1)
     coeffs = front * ms ** (weight - 1) * sums
     tail = _eis_tail_sum(p, weight, c_max)
     per_coeff_bound = (
         (2 * np.pi) ** weight * ms ** (weight - 1) / math.factorial(weight - 1) * tail
     )
-    series = CoeffSeries(
+    return CoeffSeries(
         list(coeffs),
         weight=weight,
         level=p,
@@ -471,10 +478,9 @@ def eisenstein_multiplier_coeffs(
         label=f"eisenstein_p{p}_w{weight}",
         a0=1 + 0j,
         error_bound=float(np.max(per_coeff_bound)),
+        per_coeff_error=[float(b) for b in per_coeff_bound],
+        c_max=c_max,
     )
-    series.per_coeff_error = [float(b) for b in per_coeff_bound]
-    series.c_max = c_max
-    return series
 
 
 def eisenstein_tail_bound(p: int, weight: int, m: int, c_max: int) -> float:
@@ -548,9 +554,7 @@ def coeffs_via_fourier_extraction(
                 phase *= step
             total = total / N * mp.e ** (2 * mp.pi * m * y)
             coeffs.append(complex(total))
-    series = CoeffSeries(coeffs, k, level, growth_sigma, label, error_bound=worst)
-    series.per_coeff_error = errors
-    return series
+    return CoeffSeries(coeffs, k, level, growth_sigma, label, error_bound=worst, per_coeff_error=errors)
 
 
 def series_evaluator(series: CoeffSeries):

@@ -67,3 +67,25 @@ def test_residue_char_mod_8():
     for psi in prim:
         tau = sum(psi(a) * cmath.exp(2j * cmath.pi * a / 8) for a in range(8))
         assert abs(abs(tau) ** 2 - 8) < 1e-10
+
+
+@pytest.mark.parametrize("p", [5, 11, 29, 1009])
+def test_angle_against_bruteforce_log(p, monkeypatch):
+    import weilgap.characters as characters
+    from fractions import Fraction
+
+    # the smallest g of multiplicative order p - 1, by brute force
+    g = next(x for x in range(2, p) if len({pow(x, i, p) for i in range(p - 1)}) == p - 1)
+    calls = []
+    original = characters.primitive_root
+    monkeypatch.setattr(characters, "primitive_root", lambda q: calls.append(q) or original(q))
+    for t in (1, (p - 1) // 2):
+        chi = DirichletChar(p, t)
+        x = 1
+        for i in range(p - 1):
+            assert chi.angle(x) == Fraction(t * i, p - 1) % 1
+            x = x * g % p
+        with pytest.raises(ZeroDivisionError):
+            chi.angle(p)
+    # the primitive root and the log table are built once per character
+    assert calls == [p, p]

@@ -152,3 +152,42 @@ def test_reproduce_all_seeded_determinism(tmp_path):
         return doc
 
     assert normalize(out1) == normalize(out2)
+
+
+def test_truncated_coefficient_file_is_invalid_input(tmp_path):
+    from weilgap.series import delta_delta_p
+
+    f, _ = delta_delta_p(5, 40)
+    lines = f.to_json_lines().splitlines()
+    path = tmp_path / "short.jsonl"
+    path.write_text("\n".join(lines[:-10]) + "\n")
+    proc = run_cli("lambda", "--coeffs", str(path), "--s", "14,0")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert "a_31 is missing" in proc.stderr
+
+
+def test_weilgap_threads_caps_blas_before_numpy():
+    import os
+
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    # record the variables at the moment numpy is first looked up
+    probe = f"""
+import json, os, sys
+seen = {{}}
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{v: os.environ.get(v) for v in {variables!r}}})
+sys.meta_path.insert(0, Probe())
+import weilgap
+print(json.dumps([seen, {{v: os.environ.get(v) for v in {variables!r}}}]))
+"""
+    env = {k: v for k, v in os.environ.items() if k not in variables}
+    env["WEILGAP_THREADS"] = "3"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    at_numpy_import, after = json.loads(proc.stdout)
+    assert at_numpy_import == {v: "3" for v in variables}
+    assert after == {v: "3" for v in variables}

@@ -1,13 +1,17 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weilgap.characters import DirichletChar, quadratic_char
 from weilgap.matrices import IDENTITY, S, T
 from weilgap.multiplier import (
     Angle,
+    MultiplierSystem,
     char_multiplier,
     constraint_matrix,
     cusp_parameter,
@@ -22,8 +26,10 @@ from weilgap.presentation import (
     abelianize,
     build_presentation,
     decompose_gamma0,
+    is_prime,
     random_gamma0_element,
 )
+from weilgap.series import lift_bottom_row
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +254,89 @@ def test_multiplier_json_roundtrip(gens5):
     ups = char_multiplier(chi, gens5)
     again = MultiplierSystem.from_json(gens5, ups.to_json())
     assert again.angles == ups.angles
+
+
+# ---------------------------------------------------------------------------
+# The bottom-row cocycle against the word path
+
+PRIMES = [p for p in range(5, 200) if is_prime(p)]
+# from p = 17 on, the q_max = 1 pretend system has a nonzero kernel
+PRETEND_PRIMES = [p for p in PRIMES if p >= 17]
+
+
+@lru_cache(maxsize=None)
+def _gens(p):
+    return build_presentation(p)
+
+
+@lru_cache(maxsize=None)
+def _pretend(p):
+    chi = DirichletChar(p, 0)
+    cs = pretend_constraints(p, _gens(p), chi, 1, verify_b_dependence=False)
+    return solve_pretend(cs, chi, _gens(p)).upsilon
+
+
+def _random_multiplier(gens, data):
+    """upsilon(S) = 0, random exact angles elsewhere, irrational parts on free generators."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    angles = {}
+    for lbl in gens.labels:
+        order = gens.orders[lbl]
+        if lbl == "S":
+            angles[lbl] = Angle()
+        elif order == "inf":
+            angles[lbl] = Angle(data.draw(small), data.draw(small))
+        else:
+            angles[lbl] = Angle(Fraction(data.draw(st.integers(0, order - 1)), order))
+    return MultiplierSystem(gens, angles)
+
+
+# |c| stays below 300 p because the word path is linear in |c| at worst:
+# the walk of (c, -1) takes |c| steps.  d may be far larger, since its
+# first quotient is taken at the identity coset.
+bottom_rows = st.tuples(st.integers(-300, 300), st.integers(-10**30, 10**30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRETEND_PRIMES), row=bottom_rows)
+def test_bottom_row_angle_matches_evaluate_pretend(p, row):
+    k, d = row
+    c = p * k
+    assume(math.gcd(c, d) == 1)
+    ups = _pretend(p)
+    assert ups.bottom_row_angle(c, d) == ups.evaluate(lift_bottom_row(c, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), row=bottom_rows, data=st.data())
+def test_bottom_row_angle_matches_evaluate_random(p, row, data):
+    k, d = row
+    c = p * k
+    assume(math.gcd(c, d) == 1)
+    ups = _random_multiplier(_gens(p), data)
+    assert ups.bottom_row_angle(c, d) == ups.evaluate(lift_bottom_row(c, d))
+
+
+def test_bottom_row_angle_small_rows_exhaustive(gens29):
+    ups = _pretend(29)
+    for c in (29, -58, 87, 290):
+        for d in range(-2 * abs(c), 2 * abs(c) + 1):
+            if math.gcd(c, d) == 1:
+                assert ups.bottom_row_angle(c, d) == ups.evaluate(lift_bottom_row(c, d))
+    assert ups.bottom_row_angle(0, 1).is_zero_mod1()
+    assert ups.bottom_row_angle(0, -1).is_zero_mod1()
+
+
+def test_bottom_row_angle_rejects(gens13):
+    angles = {lbl: Angle() for lbl in gens13.labels}
+    angles["S"] = Angle(Fraction(1, 5))
+    with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
+        MultiplierSystem(gens13, angles).bottom_row_angle(13, 1)
+    angles["S"] = Angle(0, Fraction(1, 3))
+    with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
+        MultiplierSystem(gens13, angles).bottom_row_angle(13, 1)
+    ups = trivial_multiplier(gens13)
+    with pytest.raises(ValueError):
+        ups.bottom_row_angle(14, 1)  # not in Gamma0(13)
+    with pytest.raises(ValueError):
+        ups.bottom_row_angle(26, 4)  # not unimodular

@@ -282,3 +282,95 @@ def test_json_lines_roundtrip_exact_and_float():
     back2 = CoeffSeries.from_json_lines(eis.to_json_lines())
     assert back2.a0 == 1
     assert np.allclose(back2.as_array(), eis.as_array())
+
+
+# ---------------------------------------------------------------------------
+# The FFT Eisenstein sum against a direct phase-matrix sum on the word path
+
+
+def _direct_eisenstein(p, ups, weight, M, c_max):
+    """The sum term by term: upsilon from MultiplierSystem.value on a lift of
+    each bottom row, one e(m d / c) per (m, d).  Returns the coefficients and
+    the triangle-inequality scale of each one."""
+    ms = np.arange(1, M + 1)
+    sums = np.zeros(M, dtype=complex)
+    scale = 0.0
+    for c in range(p, c_max + 1, p):
+        ds = np.array([d for d in range(1, c + 1) if math.gcd(d, c) == 1])
+        vals = np.array([ups.value(lift_bottom_row(c, int(d))).conjugate() for d in ds])
+        phase = np.exp(2j * np.pi / c * (ms[:, None] * ds[None, :] % c))
+        sums += (phase @ vals) * float(c) ** (-weight)
+        scale += len(ds) * float(c) ** (-weight)
+    front = (-2j * np.pi) ** weight / math.factorial(weight - 1) * ms ** (weight - 1)
+    return front * sums, np.abs(front) * scale
+
+
+def _pretend29():
+    from weilgap.characters import DirichletChar
+    from weilgap.multiplier import pretend_constraints, solve_pretend
+
+    gens = build_presentation(29)
+    chi = DirichletChar(29, 0)
+    cs = pretend_constraints(29, gens, chi, 1, verify_b_dependence=False)
+    return solve_pretend(cs, chi, gens).upsilon
+
+
+@pytest.mark.parametrize("case", ["p5_quadratic", "p29_pretend"])
+def test_eisenstein_fft_matches_direct_sum(case):
+    if case == "p5_quadratic":
+        p, ups, M, c_max = 5, char_multiplier(quadratic_char(5), build_presentation(5)), 300, 60 * 5
+    else:
+        p, ups, M, c_max = 29, _pretend29(), 300, 10 * 29
+    eis = eisenstein_multiplier_coeffs(p, ups, 4, M=M, c_max=c_max)
+    direct, scale = _direct_eisenstein(p, ups, 4, M, c_max)
+    assert np.all(np.abs(eis.as_array() - direct) <= 1e-10 * scale)
+    # m > c_max reads the FFT row at m mod c
+    assert M > c_max // 2
+    for m, c in ((1, p), (M, p), (M - 1, 2 * p), (0, c_max), (-3, p)):
+        ks = twisted_kloosterman(p, ups, m, c)
+        brute = sum(
+            ups.value(lift_bottom_row(c, d)).conjugate() * cmath.exp(2j * cmath.pi * m * d / c)
+            for d in range(1, c + 1)
+            if math.gcd(d, c) == 1
+        )
+        assert abs(ks.value - brute) < 1e-10 * c
+
+
+def test_eisenstein_copy_with_keeps_error_fields():
+    gens = build_presentation(5)
+    eis = eisenstein_multiplier_coeffs(5, trivial_multiplier(gens), 4, M=8, c_max=100)
+    assert eis.c_max == 100 and len(eis.per_coeff_error) == 8
+    assert max(eis.per_coeff_error) == eis.error_bound
+    copy = eis.copy_with(label="x")
+    assert copy.label == "x"
+    assert copy.c_max == eis.c_max and copy.per_coeff_error == eis.per_coeff_error
+
+
+def _lines(f):
+    return f.to_json_lines().splitlines()
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda lines: lines[:-2], "records; a_4 is missing"),
+        (lambda lines: [lines[0].replace('"sigma"', '"sgma"')] + lines[1:], "lacks sigma"),
+        (lambda lines: lines + [lines[3]], "duplicate coefficient record for m = 3"),
+        (lambda lines: lines + [lines[3].replace('"m": 3', '"m": 9')], "outside 0..M"),
+        (lambda lines: lines[:2] + ['{"m": 2, "re": "1"}'] + lines[3:], "malformed"),
+        (lambda lines: [], "empty"),
+    ],
+    ids=["truncated", "missing-key", "duplicate", "out-of-range", "malformed-record", "empty"],
+)
+def test_json_lines_rejects_malformed(mutate, message):
+    f, _ = delta_delta_p(5, 5)
+    text = "\n".join(mutate(_lines(f))) + "\n"
+    with pytest.raises(ValueError, match=message):
+        CoeffSeries.from_json_lines(text)
+
+
+def test_json_lines_records_in_any_order():
+    f, _ = delta_delta_p(5, 12)
+    lines = _lines(f)
+    back = CoeffSeries.from_json_lines("\n".join([lines[0]] + lines[1:][::-1]))
+    assert back.exact == f.exact and back.coeffs == f.coeffs
