@@ -39,7 +39,7 @@ import numpy as np
 from .characters import ResidueChar, e_of
 from .matrices import Mat2
 from .presentation import GenSet, compute_Q
-from .series import CoeffSeries
+from .series import CoeffSeries, series_evaluator
 
 _DPS = 30
 
@@ -278,24 +278,16 @@ def lambda_additive(
 
 def _lower_integral_quad(f: CoeffSeries, twist: AdditiveTwist, s: complex, y0: float) -> complex:
     shift = twist.a / twist.q
+    f_trunc = series_evaluator(f)
     with mp.workdps(_DPS):
-        coeffs = [mp.mpc(c) for c in f.coeffs]
-        a0 = mp.mpc(f.a0)
-
-        def integrand(y):
-            z = mp.mpc(shift, y)
-            qq = mp.e ** (2j * mp.pi * z)
-            total = mp.mpc(0)
-            for c in reversed(coeffs):
-                total = (total + c) * qq
-            return (a0 + total) * mp.mpc(y) ** (s - 1)
-
-        value = mp.quad(integrand, [0, y0])
+        value = mp.quad(lambda y: f_trunc(mp.mpc(shift, y)) * mp.mpc(y) ** (s - 1), [0, y0])
         return complex(value)
 
 
 def _tail_upper_gamma(f: CoeffSeries, re_s: float, y0: float) -> float:
-    """Bound C sum_{m > M} m^sigma (2 pi m)^{-Re s} |Gamma(s, 2 pi m y0)|."""
+    """Bound C sum_{m > M} m^sigma (2 pi m)^{-Re s} |Gamma(s, 2 pi m y0)|;
+    inf if the terms have not become negligible after 100000 of them."""
+    gamma_re = abs(cgamma(re_s)) if re_s > 1 else math.inf
     total = 0.0
     m = f.M + 1
     while True:
@@ -307,13 +299,15 @@ def _tail_upper_gamma(f: CoeffSeries, re_s: float, y0: float) -> float:
             g = _upper_gamma_bound(re_s, x)
             if not math.isfinite(g):
                 # left of the usable bound region: |Gamma(s, x)| <= Gamma(Re s)
-                g = abs(cgamma(re_s))
+                g = gamma_re
         term = f.growth_c * m**f.sigma * (2 * math.pi * m) ** (-re_s) * g
         total += term
-        if term < 1e-20 * (1 + total) or m > f.M + 100000:
-            break
+        if term < 1e-20 * (1 + total):
+            return total
+        if m > f.M + 100000:
+            # the partial sum would under-report the tail
+            return math.inf
         m += 1
-    return total
 
 
 def _tail_lower_gamma(f: CoeffSeries, re_s: float, gamma_abs: float) -> float:
@@ -510,6 +504,8 @@ class FEReport:
                     "defect": [s.defect_integral.real, s.defect_integral.imag],
                     "relative": s.relative,
                     "window_error": s.window_error,
+                    "quadrature_error": s.quadrature_error,
+                    "scale": s.scale,
                     "pass": s.passed,
                 }
                 for s in self.samples
@@ -915,6 +911,7 @@ class ModularityCertificate:
                     "q": c.q,
                     "label": c.label,
                     "residual": c.residual,
+                    "truncation": c.truncation,
                     "pass": c.passed,
                     **({"note": c.note} if c.note else {}),
                 }

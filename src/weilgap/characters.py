@@ -137,8 +137,6 @@ class ResidueChar:
         self._angles = self._value_table()
 
     def _value_table(self) -> dict[int, Fraction]:
-        table = {1: Fraction(0)}
-        frontier = [(1, Fraction(0))]
         # enumerate the group as products of generator powers
         values = {1: Fraction(0)}
         elements = [1]

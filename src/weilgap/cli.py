@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gens", help="generating set and signature of Gamma0(p)/{+-I}")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--json", action="store_true", help="(default) JSON output")
     add_out(sp)
     sp.set_defaults(func=cmd_gens)
 

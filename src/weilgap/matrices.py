@@ -151,9 +151,6 @@ class FrickeMat:
     def jfactor(self, z: complex) -> complex:
         return cmath.sqrt(self.p) * z
 
-    def integer_part(self) -> Mat2:
-        return Mat2(0, -1, self.p, 0)
-
 
 def _require_upper_half(z: complex) -> None:
     if not (complex(z).imag > 0):
@@ -200,7 +197,7 @@ class STWord:
     sign: int = 1
 
     def __post_init__(self):
-        self.tokens = _reduce_tokens(self.tokens)
+        self.tokens = reduce_word(self.tokens)
         for gen, exp in self.tokens:
             if gen not in ("S", "T"):
                 raise ValueError(f"unknown generator {gen!r}")
@@ -222,7 +219,7 @@ class STWord:
         return cls([(tok["gen"], int(tok["exp"])) for tok in data], sign)
 
 
-def _reduce_tokens(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
+def reduce_word(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
     """Merge adjacent same-letter tokens and drop zero exponents."""
     out: list[tuple[str, int]] = []
     for gen, exp in tokens:

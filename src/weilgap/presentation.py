@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matrices import IDENTITY, Mat2, S, T, STWord, decompose_sl2
+from .matrices import IDENTITY, Mat2, S, T, STWord, decompose_sl2, reduce_word
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
 
@@ -70,21 +70,6 @@ def v_matrix(p: int, q: int) -> Mat2:
     return m
 
 
-def _reduce_word(tokens: Word) -> Word:
-    out: Word = []
-    for gen, exp in tokens:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
-    return out
-
-
 def _invert_word(tokens: Word) -> Word:
     return [(gen, -exp) for gen, exp in reversed(tokens)]
 
@@ -93,20 +78,20 @@ def _word_pow(tokens: Word, n: int) -> Word:
     if n == 0:
         return []
     base = tokens if n > 0 else _invert_word(tokens)
-    return _reduce_word(base * abs(n))
+    return reduce_word(base * abs(n))
 
 
 def _cyclic_reduce(tokens: Word) -> Word:
-    tokens = _reduce_word(tokens)
+    tokens = reduce_word(tokens)
     while len(tokens) >= 2 and tokens[0][0] == tokens[-1][0]:
         gen = tokens[0][0]
         e0, e1 = tokens[0][1], tokens[-1][1]
         merged = e0 + e1
         middle = tokens[1:-1]
         if merged:
-            tokens = _reduce_word([(gen, merged)] + middle)
+            tokens = reduce_word([(gen, merged)] + middle)
             break
-        tokens = _reduce_word(middle)
+        tokens = reduce_word(middle)
     return tokens
 
 
@@ -146,7 +131,7 @@ class GammaWord:
     """
 
     def __init__(self, tokens: Word, sign: int = 1):
-        self.tokens = _reduce_word(tokens)
+        self.tokens = reduce_word(tokens)
         self.sign = sign
 
     def evaluate(self, gens: "GenSet") -> Mat2:
@@ -203,9 +188,6 @@ class ExpVector:
 
     def is_zero(self) -> bool:
         return not any(self.free) and not any(self.tor2) and not any(self.tor3)
-
-    def __eq__(self, other) -> bool:
-        return (self.free, self.tor2, self.tor3) == (other.free, other.tor2, other.tor3)
 
 
 class GenSet:
@@ -296,7 +278,7 @@ class GenSet:
         if wraps == 0:
             return [], target
         # each forward crossing contributes T S^p T^{-1} = V_1^{-1} S^{-1}
-        wrap_word = _reduce_word(
+        wrap_word = reduce_word(
             _invert_word(self.final_word("V_1")) + [("S", -1)]
         )
         return _word_pow(wrap_word, wraps), target
@@ -316,16 +298,9 @@ class GenSet:
                     out.extend(piece)
         if coset != COSET_INF:
             raise AssertionError("rewriting of a Gamma0(p) element did not return to the identity coset")
-        return _reduce_word(out)
+        return reduce_word(out)
 
     # -- abelianization -----------------------------------------------------
-
-    def zero_vector(self) -> ExpVector:
-        return ExpVector(
-            (0,) * len(self.free_labels),
-            (0,) * len(self.order2_labels),
-            (0,) * len(self.order3_labels),
-        )
 
     def abelianize_word(self, word: GammaWord) -> ExpVector:
         free = [0] * len(self.free_labels)
@@ -409,7 +384,7 @@ def _walk_letters(p: int, letters: Word, start: int) -> tuple[Word, int]:
                     coset = target
         else:
             raise ValueError(f"unknown letter {gen}")
-    return _reduce_word(out), coset
+    return reduce_word(out), coset
 
 
 def _evaluate_raw(p: int, word: Word, matrices: dict[str, Mat2]) -> Mat2:
@@ -426,7 +401,7 @@ class _Presentation:
     log: list[tuple[str, Word]] = field(default_factory=list)
 
     def eliminate(self, label: str, replacement: Word) -> None:
-        self.log.append((label, _reduce_word(replacement)))
+        self.log.append((label, reduce_word(replacement)))
         new_relators = []
         for rel in self.relators:
             out: Word = []
@@ -557,7 +532,7 @@ def build_presentation(p: int) -> GenSet:
         expanded: Word = []
         for gen, exp in replacement:
             expanded.extend(_word_pow(final_words[gen], exp))
-        final_words[label] = _reduce_word(expanded)
+        final_words[label] = reduce_word(expanded)
 
     gens = GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words, table)
 
@@ -606,10 +581,6 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
 def abelianize(word: GammaWord, gens: GenSet) -> ExpVector:
     """Exponent sums of a word: free part over Z, torsion parts mod 2 and 3."""
     return gens.abelianize_word(word)
-
-
-def abelianize_matrix(gens: GenSet, gamma: Mat2) -> ExpVector:
-    return abelianize(decompose_gamma0(gens, gamma), gens)
 
 
 def rademacher_signature(p: int) -> tuple[int, int, int]:

@@ -224,21 +224,34 @@ def eta_product_coeffs(M: int) -> list[int]:
     while k * (k + 1) // 2 < size:
         eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
         k += 1
+    eta6 = _kronecker_mul(eta3, eta3, size)
+    eta12 = _kronecker_mul(eta6, eta6, size)
+    return _kronecker_mul(eta12, eta12, size)
 
-    def square(poly: list[int]) -> list[int]:
-        out = [0] * size
-        support = [i for i, c in enumerate(poly) if c]
-        for i in support:
-            ci = poly[i]
-            for j in support:
-                if i + j >= size:
-                    break
-                out[i + j] += ci * poly[j]
-        return out
 
-    eta6 = square(eta3)
-    eta12 = square(eta6)
-    return square(eta12)
+def _kronecker_mul(a: list[int], b: list[int], size: int) -> list[int]:
+    """The first ``size`` coefficients of the product of two integer
+    polynomials (constant term first), exactly, by Kronecker substitution
+    (Harvey, arXiv:0712.4046): each is packed into one integer with k bytes
+    per coefficient and CPython's Karatsuba multiplies them.  The product's
+    coefficients are below 2^(8k-1) in absolute value, so a bias of 2^(8k-1)
+    per slot lets the bytes be read back in linear time."""
+    a, b = a[:size], b[:size]
+    if not a or not b:
+        return [0] * max(size, 0)
+    bound = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length()
+    k = bound // 8 + 1
+    zero = bytes(k)
+
+    def pack(poly: list[int]) -> int:
+        pos = b"".join(c.to_bytes(k, "little") if c > 0 else zero for c in poly)
+        neg = b"".join((-c).to_bytes(k, "little") if c < 0 else zero for c in poly)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    half = 1 << (8 * k - 1)
+    bias = int.from_bytes((bytes(k - 1) + b"\x80") * size, "little")
+    digits = ((pack(a) * pack(b) + bias) & ((1 << (8 * k * size)) - 1)).to_bytes(k * size, "little")
+    return [int.from_bytes(digits[i : i + k], "little") - half for i in range(0, k * size, k)]
 
 
 def delta_coeffs(M: int) -> CoeffSeries:
@@ -295,12 +308,9 @@ def delta_delta_p(p: int, M: int) -> tuple[CoeffSeries, CoeffSeries]:
     """
     tau = delta_coeffs(M).exact
     assert tau is not None
-    c = [0] * M
-    for j in range(1, M // p + 1):
-        tj = tau[j - 1]
-        base = p * j
-        for i in range(1, M - base + 1):
-            c[base + i - 1] += tau[i - 1] * tj
+    tau_p = [0] * (M + 1)  # Delta(pz): tau(j) at q^{pj}
+    tau_p[p::p] = tau[: M // p]
+    c = _kronecker_mul([0, *tau], tau_p, M + 1)[1:]
     f = CoeffSeries(
         [complex(x) for x in c],
         weight=24,
@@ -316,31 +326,16 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     """Cauchy product of q-expansions; weight adds, the prefix length is
     min(M_f, M_g) (every needed coefficient of either factor is stored)."""
     M = min(f.M, g.M)
-    out = [0j] * M
     exact: Optional[list[int]] = None
     if f.exact is not None and g.exact is not None:
-        exact_out = [0] * M
         fa0 = int(f.a0.real) if f.a0 == int(f.a0.real) else None
         ga0 = int(g.a0.real) if g.a0 == int(g.a0.real) else None
         if fa0 is not None and ga0 is not None:
-            for m in range(1, M + 1):
-                total = fa0 * (g.exact[m - 1] if m <= g.M else 0)
-                total += ga0 * (f.exact[m - 1] if m <= f.M else 0)
-                for i in range(1, m):
-                    if i <= f.M and m - i <= g.M:
-                        total += f.exact[i - 1] * g.exact[m - i - 1]
-                exact_out[m - 1] = total
-            exact = exact_out
+            exact = _kronecker_mul([fa0, *f.exact[:M]], [ga0, *g.exact[:M]], M + 1)[1:]
     if exact is not None:
         out = [complex(x) for x in exact]
     else:
-        for m in range(1, M + 1):
-            total = f.a0 * g.a(m) if m <= g.M else 0j
-            total += g.a0 * f.a(m) if m <= f.M else 0j
-            for i in range(1, m):
-                if i <= f.M and m - i <= g.M:
-                    total += f.coeffs[i - 1] * g.coeffs[m - i - 1]
-            out[m - 1] = total
+        out = np.convolve([f.a0, *f.coeffs[:M]], [g.a0, *g.coeffs[:M]])[1 : M + 1].tolist()
     return CoeffSeries(
         out,
         weight=f.weight + g.weight,
@@ -558,18 +553,57 @@ def coeffs_via_fourier_extraction(
 
 
 def series_evaluator(series: CoeffSeries):
-    """An mpmath evaluator for the entire truncation a0 + sum a_m e(m z)."""
-    import mpmath as mp
+    """An mpmath evaluator for the entire truncation a0 + sum a_m e(m z),
+    Im z > 0, by Horner on Python-int fixed-point pairs.
 
-    coeffs = [mp.mpc(c) for c in series.coeffs]
-    a0 = mp.mpc(series.a0)
+    A call at working precision prec uses the scale 2^P, P = prec + guard +
+    max(0, -floor(log2 max_m |a_m||q|^m)) with q = e(z), so the value keeps
+    prec bits relative to sum |a_m||q|^m however small |q| is; the guard
+    (bit length of M plus 16) covers the rounding of the M + 1 steps, and
+    the value is returned unrounded.  The doubles are split exactly by
+    frexp once; their scaled integers are cached for the last P only.
+    """
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp
+
+    c = np.array([series.a0, *series.coeffs], dtype=complex)
+    parts = np.stack([c.real, c.imag])
+    if not np.all(np.isfinite(parts)):
+        raise ValueError("cannot evaluate a series with non-finite coefficients")
+    frac, exp = np.frexp(parts)
+    # log2 |a_m| < max(exp_re, exp_im) + 1/2; a zero part counts as -inf
+    log2_bound = np.where(parts == 0, -np.inf, exp).max(axis=0) + 0.5
+    ms = np.arange(len(c))
+    # a_m = (mant_re + i mant_im) 2^(exp - 53) exactly, kept from m = M down to 0
+    mant, exp = (frac * 2.0**53).astype(np.int64)[:, ::-1], (exp - 53)[:, ::-1]
+    guard = len(c).bit_length() + 16
+    cache: dict[int, list[list[int]]] = {}
+
+    def fixed(P: int) -> list[list[int]]:
+        if P not in cache:
+            cache.clear()
+            cache[P] = [
+                [x << (e + P) if e + P >= 0 else x >> -(e + P) for x, e in zip(xs.tolist(), es.tolist())]
+                for xs, es in zip(mant, exp)
+            ]
+        return cache[P]
 
     def evaluate(z):
-        q = mp.e ** (2j * mp.pi * mp.mpc(z))
-        total = mp.mpc(0)
-        for c in reversed(coeffs):
-            total = (total + c) * q
-        return a0 + total
+        z = mp.mpc(z)
+        log2_q = -2 * math.pi * float(z.imag) / math.log(2)
+        top = float(np.max(log2_bound + ms * log2_q, initial=-np.inf))
+        if top == -np.inf:
+            return mp.mpc(0)
+        prec = mp.mp.prec
+        P = prec + guard + max(0, -math.floor(top))
+        Q = P + max(0, math.ceil(-log2_q))  # q's own scale: its rounding is relative to |q|
+        with mp.workprec(prec + guard):
+            q = mp.expjpi(2 * z)
+        qr, qi = int(mp.ldexp(q.real, Q)), int(mp.ldexp(q.imag, Q))
+        re = im = 0
+        for cr, ci in zip(*fixed(P)):
+            re, im = ((re * qr - im * qi) >> Q) + cr, ((re * qi + im * qr) >> Q) + ci
+        return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
 
     return evaluate
 

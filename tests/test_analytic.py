@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from weilgap.characters import all_characters, primitive_characters
 from weilgap.series import delta_coeffs, delta_delta_p
 from weilgap.analytic import (
+    _tail_upper_gamma,
     AdditiveTwist,
     FEStatement,
     additive_statements_for_psi,
@@ -146,6 +148,26 @@ def test_lambda_error_monotone_in_M(delta2000):
     e_short = lambda_additive(short, AdditiveTwist(0, 1), s).error
     e_long = lambda_additive(delta2000, AdditiveTwist(0, 1), s).error
     assert 0 <= e_long <= e_short
+
+
+def test_tail_upper_gamma_capped_sum_is_infinite():
+    # at y0 = 1e-5 the terms still matter after 100000 of them; the partial
+    # sum (0.017) would under-report, as the q-expansion tail bound says
+    d = delta_coeffs(10)
+    assert d.tail_bound(1e-5) == math.inf
+    assert _tail_upper_gamma(d, 7.0, 1e-5) == math.inf
+
+
+def test_tail_upper_gamma_bounds_the_tail():
+    # Gamma(7, x) = 6! e^{-x} sum_{j < 7} x^j / j! in closed form
+    d = delta_coeffs(10)
+    y0, s = 1e-3, 7.0
+    total = 0.0
+    for m in range(11, 20000):
+        x = 2 * math.pi * m * y0
+        upper = 720 * math.exp(-x) * sum(x**j / math.factorial(j) for j in range(7))
+        total += d.growth_c * m**d.sigma * (2 * math.pi * m) ** (-s) * upper
+    assert total <= _tail_upper_gamma(d, s, y0) < math.inf
 
 
 def test_lambda_additive_rejects_empty():
@@ -397,3 +419,17 @@ def test_certify_names_failing_generator(dd5):
     assert not cert.verdict
     assert cert.failing is not None
     assert cert.failing in {"W_p", "V_2", "V_3"}
+
+
+def test_error_budget_in_json(dd5):
+    f, g = dd5
+    rep = check_fe_additive(f, g, 5, 24, fe_for_q(5, 24, 1), s_samples=[12 + 0j], with_lambda=False)
+    doc = json.loads(json.dumps(rep.to_json()))
+    assert doc == rep.to_json()
+    for sample, obj in zip(doc["samples"], rep.samples):
+        assert sample["quadrature_error"] == obj.quadrature_error
+        assert sample["scale"] == obj.scale
+    cert = certify_modularity(f, g, 5, 24, None, tolerance=1e-7)
+    doc = json.loads(json.dumps(cert.to_json()))
+    assert doc == cert.to_json()
+    assert [c["truncation"] for c in doc["per_generator"]] == [c.truncation for c in cert.checks]

@@ -1,20 +1,25 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilgap.characters import quadratic_char
 from weilgap.matrices import T, FrickeMat
 from weilgap.multiplier import char_multiplier, trivial_multiplier
 from weilgap.presentation import build_presentation
 from weilgap.series import (
+    _kronecker_mul,
     CoeffSeries,
     coeffs_via_fourier_extraction,
     delta_coeffs,
     delta_delta_p,
     eisenstein_multiplier_coeffs,
     eisenstein_tail_bound,
+    eta_product_coeffs,
     lift_bottom_row,
     multiply,
     one_series,
@@ -374,3 +379,118 @@ def test_json_lines_records_in_any_order():
     lines = _lines(f)
     back = CoeffSeries.from_json_lines("\n".join([lines[0]] + lines[1:][::-1]))
     assert back.exact == f.exact and back.coeffs == f.coeffs
+
+
+# ---------------------------------------------------------------------------
+# The series kernels against test-local oracles: schoolbook products and
+# mpmath Horner
+
+
+def schoolbook(a, b, size):
+    """Oracle: the first ``size`` coefficients of a * b, term by term."""
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i]):
+            out[i + j] += x * y
+    return out
+
+
+def mp_horner(coeffs, z, prec):
+    """Oracle: sum_m c_m e(m z) by mpmath Horner at ``prec`` bits, and the
+    scale sum_m |c_m| |e(z)|^m."""
+    with mp.workprec(prec):
+        q = mp.exp(2j * mp.pi * mp.mpc(z))
+        total = mp.mpc(0)
+        for c in reversed(coeffs):
+            total = total * q + mp.mpc(c)
+        scale = sum((abs(mp.mpc(c)) * abs(q) ** m for m, c in enumerate(coeffs)), mp.mpf(0))
+    return total, scale
+
+
+signed = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200))
+signed_polys = st.lists(signed, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_polys, signed_polys, st.integers(0, 90))
+def test_kronecker_mul_matches_schoolbook(a, b, size):
+    assert _kronecker_mul(a, b, size) == schoolbook(a, b, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-5, 5), signed_polys, st.integers(-5, 5), signed_polys)
+def test_multiply_exact_with_constant_terms(a0, fa, b0, gb):
+    f = CoeffSeries([complex(x) for x in fa], 4, 1, 4.0, "f", a0=complex(a0), exact=fa)
+    g = CoeffSeries([complex(x) for x in gb], 6, 1, 6.0, "g", a0=complex(b0), exact=gb)
+    M = min(len(fa), len(gb))
+    prod = multiply(f, g)
+    assert prod.exact == schoolbook([a0, *fa], [b0, *gb], M + 1)[1:]
+    assert prod.a0 == a0 * b0
+
+
+finite = st.floats(-1e30, 1e30, allow_nan=False)
+complex_coeffs = st.lists(st.one_of(st.just(0j), st.builds(complex, finite, finite)), max_size=40)
+
+
+@settings(max_examples=50, deadline=None)
+@given(complex_coeffs, complex_coeffs)
+def test_multiply_float_matches_schoolbook(fa, gb):
+    f = CoeffSeries(fa[1:], 4, 1, 4.0, "f", a0=fa[0] if fa else 0j)
+    g = CoeffSeries(gb[1:], 6, 1, 6.0, "g", a0=gb[0] if gb else 0j)
+    prod = multiply(f, g)
+    a, b = [f.a0, *f.coeffs], [g.a0, *g.coeffs]
+    for m in range(1, prod.M + 1):
+        terms = [a[i] * b[m - i] for i in range(m + 1)]
+        assert abs(prod.a(m) - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
+
+
+def test_eta_product_matches_schoolbook_squaring():
+    M = 120
+    eta3 = [0] * M
+    for k in range(16):
+        if k * (k + 1) // 2 < M:
+            eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    eta24 = eta3
+    for _ in range(3):
+        eta24 = schoolbook(eta24, eta24, M)
+    assert eta_product_coeffs(M) == eta24
+
+
+@pytest.mark.parametrize("p", [2, 5, 11])
+def test_delta_delta_p_matches_convolution_oracle(p):
+    M = 150
+    tau = delta_coeffs(M).exact
+    c = [0] * M
+    for j in range(1, M // p + 1):
+        for i in range(1, M - p * j + 1):
+            c[p * j + i - 1] += tau[i - 1] * tau[j - 1]
+    assert delta_delta_p(p, M)[0].exact == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    complex_coeffs,
+    st.floats(-1, 1),
+    st.floats(1e-3, 10),
+    st.sampled_from([15, 30, 59, 100]),
+)
+def test_fixed_point_horner_matches_mpmath(coeffs, x, y, dps):
+    series = CoeffSeries(coeffs[1:], 4, 1, 4.0, "h", a0=coeffs[0] if coeffs else 0j)
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        z = mp.mpc(x, y)
+        value = series_evaluator(series)(z)
+        oracle, scale = mp_horner([series.a0, *series.coeffs], z, prec + 64)
+    with mp.workprec(prec + 64):
+        assert abs(value - oracle) <= mp.ldexp(scale, -prec)
+
+
+def test_fixed_point_horner_cache_follows_the_scale():
+    # a tiny |q| raises the fixed-point scale; coming back must not reuse it
+    ev = series_evaluator(delta_coeffs(300))
+    with mp.workdps(30):
+        near, far = mp.mpc(0.1, 0.01), mp.mpc(0.2, 8.0)
+        first = ev(near)
+        oracle_far, _ = mp_horner([0, *delta_coeffs(300).coeffs], far, mp.mp.prec + 64)
+        assert abs(ev(far) - oracle_far) <= mp.mpf(2) ** (-90) * abs(oracle_far)
+        assert ev(near) == first
