@@ -38,7 +38,7 @@ import numpy as np
 
 from .characters import ResidueChar, e_of
 from .matrices import Mat2
-from .presentation import GenSet, compute_Q
+from .presentation import GenSet, compute_Q, constraint_matrix, v_matrix
 from .series import CoeffSeries, series_evaluator
 
 _DPS = 30
@@ -166,17 +166,15 @@ def fe_for_q(p: int, k: int, q: int, phase: complex = 1.0 + 0j) -> FEStatement:
     """The statement attached to a modulus q: twist -1/q against
     ((q q* + 1)/p)/q, realized by the generator matrix V_q itself.
 
-    (a, q, B, D) = (-1, q, -(q q* + 1)/p, -q*) has determinant 1 exactly;
-    the tuple printed with a = +1 does not, so the sign of a is fixed here.
+    (a, q, B, D) = (-1, q, -(q q* + 1)/p, -q*) is read off
+    V_q = [[D, a], [-pB, q]] (see :func:`~weilgap.presentation.v_matrix`);
+    the tuple printed with a = +1 does not have determinant 1, so the sign
+    of a is fixed here.
     """
     if p == 1:
         return FEStatement(1, k, -1, 1, -1, 0, phase)
-    qs = (-pow(q, -1, p)) % p
-    if qs == 0:
-        qs = p
-    B = -(q * qs + 1) // p
-    assert -B * p == q * qs + 1
-    return FEStatement(p, k, -1, q, B, -qs, phase)
+    v = v_matrix(p, q)
+    return FEStatement(p, k, v.b, v.d, -v.c // p, v.a, phase)
 
 
 @dataclass
@@ -668,18 +666,11 @@ def additive_statements_for_psi(
     B = inverse(a p) mod q, so the dual twist is -inverse(a p)/q as in the
     multiplicative assembly chain."""
     out: dict[int, FEStatement] = {}
-    for a in range(q) if q > 1 else [0]:
-        if q > 1 and math.gcd(a, q) != 1:
+    for a in range(q):
+        if math.gcd(a, q) != 1:
             continue
-        if q == 1:
-            B = 1
-        else:
-            B = pow(a * p % q, -1, q)
-            if B == 0:
-                B = q
-        D = (1 - a * p * B) // q
+        mat, B, D = constraint_matrix(p, a, q)
         phase = 1.0 + 0j
-        mat = Mat2.sl2(D, a, -p * B, q)
         if phase_of_matrix is not None:
             phase = complex(phase_of_matrix(mat))
         out[a] = FEStatement(p, k, a, q, B, D, phase)

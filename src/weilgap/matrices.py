@@ -250,6 +250,28 @@ def euclid_quotients(c: int, d: int) -> list[int]:
     return quotients
 
 
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        qq = old_r // r
+        old_r, r = r, old_r - qq * r
+        old_s, s = s, old_s - qq * s
+        old_t, t = t, old_t - qq * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def lift_bottom_row(c: int, d: int) -> Mat2:
+    """Some gamma in SL2(Z) with bottom row (c, d); requires gcd(c, d) = 1."""
+    g, x, y = _egcd(d, -c)
+    if g != 1:
+        raise ValueError(f"bottom row ({c}, {d}) is not unimodular")
+    return Mat2.sl2(x, y, c, d)
+
+
 def decompose_sl2(gamma: Mat2) -> STWord:
     """Write a determinant-1 integer matrix as a word in S and T.
 

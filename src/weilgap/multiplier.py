@@ -34,8 +34,8 @@ from .presentation import (
     GenSet,
     Word,
     abelianize,
+    constraint_matrix,
     decompose_gamma0,
-    _egcd,
 )
 
 SQRT2 = math.sqrt(2)
@@ -281,31 +281,6 @@ class ConstraintSystem:
     def majorized_row_bound(self) -> float:
         """The crude majorization 2 + Q^2/2 on the number of equations."""
         return 2 + self.q_max**2 / 2
-
-
-def constraint_matrix(p: int, a: int, q: int, B: Optional[int] = None) -> tuple[Mat2, int, int]:
-    """The matrix [[D, a], [-pB, q]] with det = Dq + apB = 1.
-
-    B is the smallest positive solution of its residue class mod q unless
-    given explicitly; D is then determined.  Requires gcd(a, q) = 1 and
-    p not dividing q.
-    """
-    if q <= 0 or math.gcd(a, q) != 1 or q % p == 0:
-        raise ValueError(f"invalid (a, q) = ({a}, {q}) for level {p}")
-    if B is None:
-        if q == 1:
-            B = 1
-        else:
-            g, binv, _ = _egcd(a * p % q, q)
-            assert g == 1
-            B = binv % q
-            if B == 0:
-                B = q
-    if (1 - a * p * B) % q != 0:
-        raise ValueError(f"B = {B} is not in the admissible residue class mod {q}")
-    D = (1 - a * p * B) // q
-    m = Mat2.sl2(D, a, -p * B, q)
-    return m, B, D
 
 
 def pretend_constraints(

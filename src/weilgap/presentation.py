@@ -26,10 +26,11 @@ replaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matrices import IDENTITY, Mat2, S, T, STWord, decompose_sl2, reduce_word
+from .matrices import IDENTITY, Mat2, S, T, STWord, decompose_sl2, lift_bottom_row, reduce_word
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
 
@@ -68,6 +69,26 @@ def v_matrix(p: int, q: int) -> Mat2:
     m = Mat2(-qs, -1, q * qs + 1, q)
     assert m.det() == 1
     return m
+
+
+def constraint_matrix(p: int, a: int, q: int, B: Optional[int] = None) -> tuple[Mat2, int, int]:
+    """The twist matrix [[D, a], [-pB, q]] in Gamma0(p), with q D + a p B = 1.
+
+    Returns (matrix, B, D).  B is the smallest positive solution of its
+    residue class mod q unless given explicitly; D is then determined.
+    Requires q >= 1, gcd(a, q) = 1 and, at a prime level p, p not dividing q.
+    """
+    if q <= 0 or math.gcd(a, q) != 1:
+        raise ValueError(f"invalid (a, q) = ({a}, {q}) for level {p}")
+    if p > 1 and q % p == 0:
+        raise ValueError(f"q = {q} is divisible by p = {p}")
+    if B is None:
+        # a p is a unit mod q; its inverse is 0 only for q = 1, where B = 1
+        B = pow(a * p, -1, q) or q
+    if (1 - a * p * B) % q != 0:
+        raise ValueError(f"B = {B} is not in the admissible residue class mod {q}")
+    D = (1 - a * p * B) // q
+    return Mat2.sl2(D, a, -p * B, q), B, D
 
 
 def _invert_word(tokens: Word) -> Word:
@@ -591,10 +612,8 @@ def rademacher_signature(p: int) -> tuple[int, int, int]:
 
 def random_gamma0_element(p: int, rng, bound: int = 10**6) -> Mat2:
     """A random element of Gamma0(p): sample a bottom row (c, d) with p | c
-    and gcd(c, d) = 1, entries bounded, and lift via the extended Euclidean
-    algorithm."""
-    import math
-
+    and gcd(c, d) = 1, entries bounded, and lift it with
+    :func:`~weilgap.matrices.lift_bottom_row`."""
     while True:
         c = p * rng.randint(-(bound // p), bound // p)
         d = rng.randint(-bound, bound)
@@ -605,24 +624,7 @@ def random_gamma0_element(p: int, rng, bound: int = 10**6) -> Mat2:
             return Mat2(d, b, 0, d)
         if math.gcd(c, d) != 1:
             continue
-        # a*d - b*c = 1
-        g, x, y = _egcd(d, -c)
-        assert g == 1
-        a, b = x, y
-        # shift (a, b) by a random multiple of (c, d)
+        lift = lift_bottom_row(c, d)
+        # shift the top row by a random multiple of (c, d)
         t = rng.randint(-3, 3)
-        return Mat2(a + t * c, b + t * d, c, d)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        return Mat2(lift.a + t * c, lift.b + t * d, c, d)

@@ -18,7 +18,6 @@ length c gives S_ups(m, c) for every residue of m at once.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -26,9 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .matrices import Mat2
+from .matrices import lift_bottom_row  # kept importable as series.lift_bottom_row
 from .multiplier import MultiplierSystem
-from .presentation import _egcd
 
 
 @dataclass
@@ -98,11 +96,7 @@ class CoeffSeries:
 
     def eval_truncated(self, z: complex) -> complex:
         """f(z) = a0 + sum_{m <= M} a_m e(m z), the entire truncation."""
-        q = cmath.exp(2j * cmath.pi * z)
-        total = 0j
-        for c in reversed(self.coeffs):
-            total = (total + c) * q
-        return self.a0 + total
+        return complex(self.eval_many(np.array([z]))[0])
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         qs = np.exp(2j * np.pi * np.asarray(zs, dtype=complex))
@@ -367,14 +361,6 @@ class KloostermanSum:
     is_exact: bool = False
     exact_value: Optional[int] = None
     upsilon: Optional[MultiplierSystem] = None
-
-
-def lift_bottom_row(c: int, d: int) -> Mat2:
-    """Some gamma in SL2(Z) with bottom row (c, d); requires gcd(c, d) = 1."""
-    g, x, y = _egcd(d, -c)
-    if g != 1:
-        raise ValueError(f"bottom row ({c}, {d}) is not unimodular")
-    return Mat2.sl2(x, y, c, d)
 
 
 def _ramanujan_sum(m: int, c: int) -> int:

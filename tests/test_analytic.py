@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weilgap.characters import all_characters, primitive_characters
 from weilgap.series import delta_coeffs, delta_delta_p
@@ -249,6 +251,22 @@ def test_fe_for_q_matches_generator_matrix():
         for q in (1, 2, 3):
             fe = fe_for_q(p, 24, q, 1.0)
             assert fe.matrix() == v_matrix(p, q)
+
+
+PRIMES = [n for n in range(5, 500) if all(n % f for f in range(2, n))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 5000))
+def test_fe_for_q_at_random_levels(p, q):
+    from weilgap.presentation import v_matrix
+
+    assume(q % p != 0)
+    fe = fe_for_q(p, 24, q)
+    assert fe.matrix() == v_matrix(p, q)
+    # q q* = -1 mod p with 1 <= q* <= p, by brute force
+    qs = next(s for s in range(1, p + 1) if (q * s + 1) % p == 0)
+    assert (fe.a, fe.q, fe.B, fe.D) == (-1, q, -(q * qs + 1) // p, -qs)
 
 
 def test_additive_twist_reduction():

@@ -1,6 +1,9 @@
 import cmath
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilgap.characters import (
     DirichletChar,
@@ -89,3 +92,26 @@ def test_angle_against_bruteforce_log(p, monkeypatch):
             chi.angle(p)
     # the primitive root and the log table are built once per character
     assert calls == [p, p]
+
+
+PRIMES = [n for n in range(5, 500) if all(n % f for f in range(2, n))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(-(10**6), 10**6))
+def test_dirichlet_char_is_exponent_t_at_the_primitive_root(p, t):
+    # the smallest g of multiplicative order p - 1, by brute force
+    g = next(x for x in range(2, p) if len({pow(x, i, p) for i in range(p - 1)}) == p - 1)
+    chi = DirichletChar(p, t)
+    assert (chi.p, chi.t) == (p, t % (p - 1))
+    x = 1
+    for i in range(p - 1):
+        assert chi.angle(x) == Fraction(t * i, p - 1) % 1
+        assert abs(chi(x) - cmath.exp(2j * cmath.pi * (t * i % (p - 1)) / (p - 1))) < 1e-12
+        x = x * g % p
+    assert chi(p) == 0
+    conj = chi.conj()
+    assert type(conj) is DirichletChar and conj.t == (-t) % (p - 1)
+    # chi(-1) = e(t / 2)
+    assert chi.is_even() == (t % 2 == 0)
+    assert chi.is_trivial() == (t % (p - 1) == 0)

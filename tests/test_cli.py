@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, cwd=None):
     proc = subprocess.run(
@@ -122,6 +124,15 @@ def test_check_fe_command(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["verdict"] is True
+
+
+@pytest.mark.parametrize("twist", [[], ["--a", "3"]])
+def test_check_fe_rejects_q_divisible_by_p(tmp_path, twist):
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "50", "--out", str(coeffs))
+    proc = run_cli("check-fe", "--p", "5", "--k", "24", "--q", "10", *twist, "--coeffs", str(coeffs))
+    assert proc.returncode == 2
+    assert "q = 10 is divisible by p = 5" in proc.stderr
 
 
 def test_determinism_modulo_timestamp(tmp_path):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weilgap.matrices import (
     FrickeMat,
@@ -13,6 +15,7 @@ from weilgap.matrices import (
     STWord,
     T,
     decompose_sl2,
+    lift_bottom_row,
     mobius,
     slash_action,
 )
@@ -191,3 +194,23 @@ def test_word_rejects_bad_tokens():
         STWord([("T", 2)])
     with pytest.raises(ValueError):
         STWord([("X", 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30))
+@example(0, 1)
+@example(0, -1)
+@example(1, 0)
+@example(-1, 0)
+@example(-7, -3)
+@example(0, 0)
+@example(0, 2)
+@example(-6, 4)
+def test_lift_bottom_row_any_row(c, d):
+    if math.gcd(c, d) != 1:
+        with pytest.raises(ValueError):
+            lift_bottom_row(c, d)
+        return
+    m = lift_bottom_row(c, d)
+    assert m.a * m.d - m.b * m.c == 1
+    assert (m.c, m.d) == (c, d)

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weilgap.matrices import IDENTITY, Mat2, S, T
 from weilgap.presentation import (
@@ -9,6 +12,7 @@ from weilgap.presentation import (
     abelianize,
     build_presentation,
     compute_Q,
+    constraint_matrix,
     decompose_gamma0,
     is_prime,
     rademacher_signature,
@@ -213,3 +217,32 @@ def test_v_shape_of_generators(gens13):
 
 def test_is_prime_helper():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+PRIMES = [n for n in range(5, 500) if all(n % f for f in range(2, n))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 80), st.integers(-10**6, 10**6), st.integers(-5, 5))
+def test_constraint_matrix_is_the_twist_matrix(p, q, a, t):
+    assume(q % p != 0 and math.gcd(a, q) == 1)
+    m, B, D = constraint_matrix(p, a, q)
+    assert m.entries() == (D, a, -p * B, q)
+    assert m.det() == 1 and m.c % p == 0
+    # the smallest positive solution of q D + a p B = 1, by brute force
+    assert B == next(b for b in range(1, q + 1) if (1 - a * p * b) % q == 0)
+    shifted, B2, D2 = constraint_matrix(p, a, q, B + t * q)
+    assert B2 == B + t * q and q * D2 + a * p * B2 == 1
+    assert shifted.entries() == (D2, a, -p * B2, q)
+    if q > 1:
+        with pytest.raises(ValueError):
+            constraint_matrix(p, a, q, B + 1)
+
+
+def test_constraint_matrix_rejects_bad_moduli():
+    with pytest.raises(ValueError, match="q = 10 is divisible by p = 5"):
+        constraint_matrix(5, 1, 10)
+    with pytest.raises(ValueError, match="invalid"):
+        constraint_matrix(13, 2, 4)
+    with pytest.raises(ValueError, match="invalid"):
+        constraint_matrix(13, 1, 0)
