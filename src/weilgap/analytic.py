@@ -643,13 +643,14 @@ def gauss_assembly_residual(psi: ResidueChar, p: int, test_vector: dict[int, com
     q = psi.q
     if q == 1:
         return 0.0
+    psi_bar = psi.conj()
     lhs = 0j
     for a in range(1, q):
         if math.gcd(a, q) != 1:
             continue
         b = (-pow(a * p % q, -1, q)) % q
-        lhs += psi.conj()(a) * test_vector[b]
-    lhs /= gauss_sum(psi.conj())
+        lhs += psi_bar(a) * test_vector[b]
+    lhs /= gauss_sum(psi_bar)
     rhs = 0j
     for b in range(1, q):
         if math.gcd(b, q) != 1:
@@ -693,15 +694,16 @@ def lambda_multiplicative(
         raise ValueError("psi must be primitive")
     if q == 1:
         return lambda_additive(f, AdditiveTwist(0, 1), s, y0=y0)
+    psi_bar = psi.conj()
     total = 0j
     error = 0.0
     for a in range(1, q):
         if math.gcd(a, q) != 1:
             continue
         lv = lambda_additive(f, AdditiveTwist(a, q), s, y0=y0)
-        total += psi.conj()(a) * lv.value
+        total += psi_bar(a) * lv.value
         error += lv.error
-    tau_bar = gauss_sum(psi.conj())
+    tau_bar = gauss_sum(psi_bar)
     return LambdaValue(total / tau_bar, error / abs(tau_bar), s, None, y0 or 0.0, f.M)
 
 

@@ -243,6 +243,8 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_check_fe(args) -> int:
+    if args.q < 1:
+        raise CliError(f"modulus q = {args.q} must be a positive integer")
     f = _load_series(args.coeffs)
     g = _load_series(args.coeffs_g) if args.coeffs_g else f
     p = args.p if args.p == 1 else _require_prime(args.p)
@@ -441,10 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,11 +2,14 @@
 
 Kernel dimensions here are correctness claims, so no floating point is
 involved anywhere: the forward pass is Bareiss fraction-free elimination
-over the integers, and basis extraction back-substitutes over Fraction.
+over the integers, the backward pass clears each pivot column with
+gcd-scaled integer row combinations, and each basis entry is one quotient
+of two integers of that reduced echelon form.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -62,16 +65,25 @@ def nullspace(rows: list[list[int]], n_cols: int | None = None) -> list[list[Fra
     if not rows:
         rows = [[0] * n_cols]
     rk, pivots, ech = bareiss_echelon(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    red = ech[:rk]
+    # backward pass: when pivot i is reached, row i is already clear in
+    # every later pivot column, so the combinations keep those columns clear
+    for i in range(rk - 1, -1, -1):
+        piv, row_i = pivots[i], red[i]
+        for h in range(i):
+            x = red[h][piv]
+            if x:
+                g = math.gcd(row_i[piv], x)
+                a, b = row_i[piv] // g, x // g
+                row_h = [a * u - b * v for u, v in zip(red[h], row_i)]
+                content = math.gcd(*row_h)
+                red[h] = [u // content for u in row_h]
     basis: list[list[Fraction]] = []
-    for free in free_cols:
+    for free in (c for c in range(n_cols) if c not in pivots):
         vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
-        # back-substitute pivot rows from the bottom
-        for i in range(rk - 1, -1, -1):
-            piv = pivots[i]
-            total = sum((Fraction(ech[i][j]) * vec[j] for j in range(piv + 1, n_cols)), Fraction(0))
-            vec[piv] = -total / ech[i][piv]
+        for row, piv in zip(red, pivots):
+            vec[piv] = Fraction(-row[free], row[piv])
         basis.append(vec)
     return basis
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -54,12 +55,6 @@ class Angle:
 
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.r + other.r, self.s + other.s)
-
-    def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.r - other.r, self.s - other.s)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.r, -self.s)
 
     def scale(self, n) -> "Angle":
         return Angle(self.r * Fraction(n), self.s * Fraction(n))
@@ -112,26 +107,25 @@ class MultiplierSystem:
         self.p = gens.p
         if set(angles) != set(gens.labels):
             raise ValueError("angles must be given for exactly the generators")
-        for lbl in gens.order2_labels:
-            a = angles[lbl]
-            if a.s != 0 or (a.r * 2) % 1 != 0:
-                raise ValueError(f"angle on order-2 generator {lbl} must be a multiple of 1/2")
-        for lbl in gens.order3_labels:
-            a = angles[lbl]
-            if a.s != 0 or (a.r * 3) % 1 != 0:
-                raise ValueError(f"angle on order-3 generator {lbl} must be a multiple of 1/3")
+        for lbl in (*gens.order2_labels, *gens.order3_labels):
+            a, order = angles[lbl], gens.orders[lbl]
+            if a.s != 0 or (a.r * order) % 1 != 0:
+                raise ValueError(f"angle on order-{order} generator {lbl} must be a multiple of 1/{order}")
         self.angles = {lbl: angles[lbl].mod1() for lbl in gens.labels}
+        # every angle as integer numerators (r, s) over one denominator, and
+        # the numerators in the coordinate order of ExpVector
+        self._den = den = math.lcm(*(x.denominator for a in self.angles.values() for x in (a.r, a.s)))
+        self._num = {lbl: (int(a.r * den), int(a.s * den)) for lbl, a in self.angles.items()}
+        order = (*gens.free_labels, *gens.order2_labels, *gens.order3_labels)
+        self._r_num = [self._num[lbl][0] for lbl in order]
+        self._s_num = [self._num[lbl][1] for lbl in order]
         self._cocycle: Optional[tuple] = None  # bottom-row step tables, built on first use
 
     def angle_of_vector(self, vec: ExpVector) -> Angle:
-        total = ZERO_ANGLE
-        for lbl, n in zip(self.gens.free_labels, vec.free):
-            total = total + self.angles[lbl].scale(n)
-        for lbl, n in zip(self.gens.order2_labels, vec.tor2):
-            total = total + self.angles[lbl].scale(n)
-        for lbl, n in zip(self.gens.order3_labels, vec.tor3):
-            total = total + self.angles[lbl].scale(n)
-        return total.mod1()
+        coords = (*vec.free, *vec.tor2, *vec.tor3)
+        r = sum(map(operator.mul, self._r_num, coords))
+        s = sum(map(operator.mul, self._s_num, coords))
+        return Angle(Fraction(r % self._den, self._den), Fraction(s, self._den))
 
     def evaluate(self, gamma: Mat2) -> Angle:
         """Exact angle of upsilon(gamma) for gamma in Gamma0(p)."""
@@ -183,9 +177,7 @@ class MultiplierSystem:
         """(den, coset -> (r, s, target) of the T step, r and s of one wrap)."""
         if not self.angles["S"].is_zero_mod1():
             raise ValueError("the bottom-row cocycle requires upsilon(S) = 1")
-        gens = self.gens
-        den = math.lcm(*(x.denominator for a in self.angles.values() for x in (a.r, a.s)))
-        num = {lbl: (int(a.r * den), int(a.s * den)) for lbl, a in self.angles.items()}
+        gens, den, num = self.gens, self._den, self._num
 
         def numerators(word: Word) -> tuple[int, int]:
             return (sum(num[lbl][0] * e for lbl, e in word), sum(num[lbl][1] * e for lbl, e in word))
@@ -408,14 +400,9 @@ def solve_pretend(
         raise ValueError(f"kernel index out of range [0, {kernel_dim})")
     direction = basis[kernel_index]
 
-    angles: dict[str, Angle] = {}
-    for lbl in gens.labels:
-        base = ups_chi.angles[lbl]
-        if lbl in gens.free_labels:
-            idx = gens.free_labels.index(lbl)
-            angles[lbl] = Angle(base.r, direction[idx])
-        else:
-            angles[lbl] = base
+    angles = dict(ups_chi.angles)
+    for lbl, s in zip(gens.free_labels, direction):
+        angles[lbl] = Angle(angles[lbl].r, s)
     upsilon = MultiplierSystem(gens, angles)
 
     for row in cs.rows:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilgap.characters import all_characters, primitive_characters
+from weilgap.characters import ResidueChar, all_characters, primitive_characters
 from weilgap.series import delta_coeffs, delta_delta_p
 from weilgap.analytic import (
     _tail_upper_gamma,
@@ -335,6 +335,23 @@ def test_gauss_assembly_identity_exact():
             for p in (11, 13, 29):
                 vec = {b: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for b in range(q)}
                 assert gauss_assembly_residual(psi, p, vec) < 1e-10
+
+
+def test_conj_built_once_per_call(monkeypatch, delta2000):
+    calls = []
+    conj = ResidueChar.conj
+
+    def counting_conj(psi):
+        calls.append(psi.q)
+        return conj(psi)
+
+    monkeypatch.setattr(ResidueChar, "conj", counting_conj)
+    psi = primitive_characters(7)[1]
+    gauss_assembly_residual(psi, 11, {b: complex(b, 1) for b in range(7)})
+    assert calls == [7]
+    calls.clear()
+    lambda_multiplicative(delta2000, psi, 14 + 0j, level=1)
+    assert calls == [7]
 
 
 def test_dual_twist_b_invariance_literal(delta2000):

@@ -135,6 +135,15 @@ def test_check_fe_rejects_q_divisible_by_p(tmp_path, twist):
     assert "q = 10 is divisible by p = 5" in proc.stderr
 
 
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_check_fe_rejects_nonpositive_q(tmp_path, q):
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "50", "--out", str(coeffs))
+    proc = run_cli("check-fe", "--p", "5", "--k", "24", "--q", q, "--a", "1", "--coeffs", str(coeffs))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: modulus q = {q} must be a positive integer\n"
+
+
 def test_determinism_modulo_timestamp(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("gens", "--p", "13", "--out", str(out1))

@@ -1,7 +1,28 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from weilgap.linalg import bareiss_echelon, in_row_span, nullspace, rank
+
+
+def nullspace_by_back_substitution(rows, n_cols):
+    """Reference nullspace: back-substitute each basis vector over Fraction
+    from the Bareiss echelon form, one free column at a time."""
+    if not rows:
+        rows = [[0] * n_cols]
+    rk, pivots, ech = bareiss_echelon(rows)
+    basis = []
+    for free in [c for c in range(n_cols) if c not in pivots]:
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for i in range(rk - 1, -1, -1):
+            piv = pivots[i]
+            total = sum((Fraction(ech[i][j]) * vec[j] for j in range(piv + 1, n_cols)), Fraction(0))
+            vec[piv] = -total / ech[i][piv]
+        basis.append(vec)
+    return basis
 
 
 def test_rank_known():
@@ -49,3 +70,45 @@ def test_bareiss_stays_integral():
     for row in ech:
         for entry in row:
             assert isinstance(entry, int)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of any shape up to 8 x 9, with entries up to 2^40,
+    zero rows and zero columns, and rank deficiency from integer
+    combinations of a few base rows."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(1, 9))
+    entries = draw(st.sampled_from([st.integers(-3, 3), st.integers(-(2**40), 2**40)]))
+    base = [[draw(entries) for _ in range(n_cols)] for _ in range(draw(st.integers(1, 4)))]
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols))
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(["zero", "free", "combination"]))
+        if kind == "zero":
+            row = [0] * n_cols
+        elif kind == "free":
+            row = [draw(entries) for _ in range(n_cols)]
+        else:
+            coeffs = [draw(st.integers(-2, 2)) for _ in base]
+            row = [sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(n_cols)]
+        rows.append([0 if j in zero_cols else x for j, x in enumerate(row)])
+    return rows, n_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_nullspace_properties(matrix):
+    rows, n_cols = matrix
+    basis = nullspace(rows, n_cols)
+    rk = rank(rows) if rows else 0
+    assert len(basis) == n_cols - rk
+    for vec in basis:
+        for row in rows:
+            assert sum(a * x for a, x in zip(row, vec)) == 0
+    # column j is free iff it adds nothing to the rank of the columns before it
+    prefix_ranks = [rank([row[:j] for row in rows]) if rows else 0 for j in range(n_cols + 1)]
+    free_cols = [j for j in range(n_cols) if prefix_ranks[j + 1] == prefix_ranks[j]]
+    assert len(free_cols) == len(basis)
+    for i, vec in enumerate(basis):
+        assert [vec[f] for f in free_cols] == [int(k == i) for k in range(len(free_cols))]
+    assert basis == nullspace_by_back_substitution(rows, n_cols)

@@ -23,6 +23,7 @@ from weilgap.multiplier import (
     trivial_multiplier,
 )
 from weilgap.presentation import (
+    ExpVector,
     abelianize,
     build_presentation,
     decompose_gamma0,
@@ -30,6 +31,8 @@ from weilgap.presentation import (
     random_gamma0_element,
 )
 from weilgap.series import lift_bottom_row
+
+from test_linalg import nullspace_by_back_substitution
 
 
 @pytest.fixture(scope="module")
@@ -340,3 +343,86 @@ def test_bottom_row_angle_rejects(gens13):
         ups.bottom_row_angle(14, 1)  # not in Gamma0(13)
     with pytest.raises(ValueError):
         ups.bottom_row_angle(26, 4)  # not unimodular
+
+
+# ---------------------------------------------------------------------------
+# The integer-numerator angle table against Fraction sums of Angle.scale
+
+
+def angle_by_fraction_sum(ups, vec):
+    """Reference angle_of_vector: a Fraction sum of Angle.scale per coordinate."""
+    gens, total = ups.gens, Angle()
+    for labels, coords in (
+        (gens.free_labels, vec.free),
+        (gens.order2_labels, vec.tor2),
+        (gens.order3_labels, vec.tor3),
+    ):
+        for lbl, n in zip(labels, coords):
+            total = total + ups.angles[lbl].scale(n)
+    return total.mod1()
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([p for p in range(5, 500) if is_prime(p)]), data=st.data())
+def test_angle_of_vector_matches_fraction_sum(p, data):
+    gens = _gens(p)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+    angles = {}
+    for lbl in gens.labels:
+        order = gens.orders[lbl]
+        if order == "inf":
+            angles[lbl] = Angle(data.draw(small), data.draw(small))
+        else:
+            angles[lbl] = Angle(Fraction(data.draw(st.integers(0, order - 1)), order))
+    ups = MultiplierSystem(gens, angles)
+    big = st.integers(-(10**12), 10**12)
+    vec = ExpVector(
+        tuple(data.draw(big) for _ in gens.free_labels),
+        tuple(data.draw(st.integers(0, 1)) for _ in gens.order2_labels),
+        tuple(data.draw(st.integers(0, 2)) for _ in gens.order3_labels),
+    )
+    assert ups.angle_of_vector(vec) == angle_by_fraction_sum(ups, vec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(PRETEND_PRIMES), seed=st.integers(0, 2**32 - 1))
+def test_pretend_upsilon_is_homomorphism(p, seed):
+    rng = random.Random(seed)
+    ups = _pretend(p)
+    assert ups.has_infinite_order()
+    g1 = random_gamma0_element(p, rng, bound=10**4)
+    g2 = random_gamma0_element(p, rng, bound=10**4)
+    assert ups.evaluate(g1 * g2) == (ups.evaluate(g1) + ups.evaluate(g2)).mod1()
+
+
+def test_solve_pretend_matches_fraction_oracles():
+    """kernel_basis and upsilon, rebuilt from per-vector Fraction
+    back-substitution and Fraction sums of Angle.scale, are bit-identical."""
+    solved = 0
+    for p in PRIMES:
+        gens = _gens(p)
+        n_free = len(gens.free_labels)
+        for t in (0, 2):
+            chi = DirichletChar(p, t)
+            ups_chi = char_multiplier(chi, gens)
+            for q_max in (1, 3, 6):
+                cs = pretend_constraints(p, gens, chi, q_max, verify_b_dependence=False)
+                basis = nullspace_by_back_substitution([list(row.vector.free) for row in cs.rows], n_free)
+                if not basis:
+                    with pytest.raises(ValueError, match="trivial kernel"):
+                        solve_pretend(cs, chi, gens)
+                    continue
+                sol = solve_pretend(cs, chi, gens)
+                angles = {
+                    lbl: Angle(ups_chi.angles[lbl].r, basis[0][gens.free_labels.index(lbl)])
+                    if lbl in gens.free_labels
+                    else ups_chi.angles[lbl]
+                    for lbl in gens.labels
+                }
+                upsilon = MultiplierSystem(gens, angles)
+                for row in cs.rows:
+                    assert angle_by_fraction_sum(upsilon, row.vector) == row.target.mod1()
+                assert sol.kernel_basis == basis
+                assert sol.upsilon.to_json() == upsilon.to_json()
+                solved += 1
+    assert solved == 220
