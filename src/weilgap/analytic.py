@@ -820,7 +820,7 @@ def check_fe_multiplicative(
         resid = abs(lhs.value - declared * rhs.value)
         scale = max(abs(lhs.value), abs(declared * rhs.value), 1e-300)
         budget = max(tolerance, 10 * (lhs.error + abs(declared) * rhs.error) / scale)
-        passed = resid / scale <= budget
+        passed = bool(resid / scale <= budget)
         ok = ok and passed
         samples.append(
             {

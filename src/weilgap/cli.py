@@ -275,9 +275,11 @@ def cmd_check_fe_mult(args) -> int:
     g = _load_series(args.coeffs_g) if args.coeffs_g else f
     p = _require_prime(args.p)
     chi = _chi_from_arg(args.chi, p)
-    candidates = [psi for psi in primitive_characters(args.q)]
+    candidates = primitive_characters(args.q)
     if not candidates:
         raise CliError(f"no primitive characters mod {args.q}")
+    if not 0 <= args.psi_index < len(candidates):
+        raise CliError(f"--psi-index must lie in [0, {len(candidates)}) for q = {args.q}, got {args.psi_index}")
     psi = candidates[args.psi_index]
     report = check_fe_multiplicative(
         f, g, p, args.k, complex(chi(args.q % p)), psi, tolerance=args.tol
@@ -319,11 +321,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_reproduce_all(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import CRITERIA, run_all
 
     only = None
     if args.only:
         only = [int(x) for x in args.only.split(",")]
+        unknown = sorted(set(only) - set(CRITERIA))
+        if unknown:
+            raise CliError(f"unknown criterion {unknown}; valid criteria are {min(CRITERIA)}-{max(CRITERIA)}")
     results = run_all(only=only, seed=args.seed)
     payload = [r.to_json() for r in results]
     ok = all(r.passed for r in results)

@@ -239,15 +239,35 @@ def euclid_quotients(c: int, d: int) -> list[int]:
     """The quotients t_1, t_2, ... of the Euclidean walk on a bottom row.
 
     Each step right-multiplies by S^{-t} T, which sends the bottom row
-    (c, d) to (d - t*c, -c) with d - t*c in [0, |c|); the walk stops at
-    c = 0.  The quotients depend on the bottom row alone.
+    (c, d) to (d - t*c, -c), with t the integer nearest to d / c so that
+    |d - t*c| <= |c| / 2; the walk stops at c = 0.  |c| at least halves at
+    every step, so there are at most log2|c| + 1 quotients.  They depend
+    on the bottom row alone, and only t_1 can be 0.
     """
     quotients = []
     while c != 0:
-        r = d % abs(c)
-        quotients.append((d - r) // c)
+        t, r = divmod(d, c)  # r has the sign of c
+        if 2 * abs(r) > abs(c):
+            t, r = t + 1, r - c
+        quotients.append(t)
         c, d = r, -c
     return quotients
+
+
+def leading_s_power(gamma: Mat2, quotients: list[int]) -> int:
+    """The e with gamma S^{-t_1} T S^{-t_2} T ... S^{-t_k} T = +-S^e.
+
+    Reduces the whole matrix along the quotients of its bottom row and
+    raises unless the result is +-S^e, which certifies the quotients
+    against gamma.
+    """
+    a, b, c, d = gamma.entries()
+    for t in quotients:
+        b, d = b - t * a, d - t * c
+        a, b, c, d = b, -a, d, -c
+    if c != 0 or a != d or a * a != 1:
+        raise AssertionError(f"reduction of {gamma} along its quotients is not +-S^e")
+    return a * b
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -275,33 +295,18 @@ def lift_bottom_row(c: int, d: int) -> Mat2:
 def decompose_sl2(gamma: Mat2) -> STWord:
     """Write a determinant-1 integer matrix as a word in S and T.
 
-    Euclidean reduction on the bottom row (see :func:`euclid_quotients`):
-    while c != 0, right-multiply by S^{-t} T where t is chosen so the
-    remainder d - t*c lies in [0, |c|).  The word is short for typical
-    rows, but with nonnegative remainders its length can reach |c| (the
-    row (c, -1) takes |c| steps).  Evaluating the word reproduces +-gamma;
-    the recovered sign is stored on the result.
+    With the quotients of :func:`euclid_quotients` and the S power e of
+    :func:`leading_s_power`, the word is S^e T S^{t_k} T ... T S^{t_1}, of
+    length O(log |c|).  T^{-1} = -T lets every T carry exponent +1; the
+    flips land in the sign, recovered by evaluating the word against gamma
+    and stored on the result.
     """
     if gamma.det() != 1:
         raise ValueError("decompose_sl2 requires determinant 1")
-    m = gamma
-    applied: list[tuple[str, int]] = []  # right-multipliers, in application order
-    for t in euclid_quotients(gamma.c, gamma.d):
-        # m * S^{-t}: bottom row (c, d - t*c)
-        m = Mat2(m.a, m.b - t * m.a, m.c, m.d - t * m.c)
-        applied.append(("S", t))
-        # m * T: bottom row (d - t*c, -c)
-        m = Mat2(m.b, -m.a, m.d, -m.c)
-        applied.append(("T", 1))
-    # now m = eps * S^(eps*b); T^{-1} = -T lets every T carry exponent +1,
-    # the final sign comparison absorbs the flips
-    eps = m.a
-    tokens: list[tuple[str, int]] = [("S", eps * m.b)]
-    for gen, exp in reversed(applied):
-        if gen == "T":
-            tokens.append(("T", 1))
-        else:
-            tokens.append(("S", exp))
+    quotients = euclid_quotients(gamma.c, gamma.d)
+    tokens: list[tuple[str, int]] = [("S", leading_s_power(gamma, quotients))]
+    for t in reversed(quotients):
+        tokens += [("T", 1), ("S", t)]
     word = STWord(tokens)
     value = word.evaluate()
     if value == gamma:

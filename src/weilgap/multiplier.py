@@ -29,15 +29,7 @@ from typing import Optional
 from .characters import DirichletChar
 from .linalg import bareiss_echelon, nullspace
 from .matrices import Mat2, S, T, euclid_quotients
-from .presentation import (
-    COSET_INF,
-    ExpVector,
-    GenSet,
-    Word,
-    abelianize,
-    constraint_matrix,
-    decompose_gamma0,
-)
+from .presentation import ExpVector, GenSet, constraint_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -95,12 +87,8 @@ ZERO_ANGLE = Angle()
 
 
 class MultiplierSystem:
-    """An exact angle per generator; extends to Gamma0(p) by word decomposition.
-
-    :meth:`evaluate` is the verified word path.  When upsilon(S) = 1,
-    :meth:`bottom_row_angle` computes the same angle from the bottom row
-    alone, without building a word.
-    """
+    """An exact angle per generator; extends to Gamma0(p) through the class
+    of an element in the abelianization (:meth:`GenSet.class_of`)."""
 
     def __init__(self, gens: GenSet, angles: dict[str, Angle]):
         self.gens = gens
@@ -112,25 +100,24 @@ class MultiplierSystem:
             if a.s != 0 or (a.r * order) % 1 != 0:
                 raise ValueError(f"angle on order-{order} generator {lbl} must be a multiple of 1/{order}")
         self.angles = {lbl: angles[lbl].mod1() for lbl in gens.labels}
-        # every angle as integer numerators (r, s) over one denominator, and
-        # the numerators in the coordinate order of ExpVector
+        # every angle as integer numerators (r, s) over one denominator, in
+        # the coordinate order of ExpVector
         self._den = den = math.lcm(*(x.denominator for a in self.angles.values() for x in (a.r, a.s)))
-        self._num = {lbl: (int(a.r * den), int(a.s * den)) for lbl, a in self.angles.items()}
         order = (*gens.free_labels, *gens.order2_labels, *gens.order3_labels)
-        self._r_num = [self._num[lbl][0] for lbl in order]
-        self._s_num = [self._num[lbl][1] for lbl in order]
-        self._cocycle: Optional[tuple] = None  # bottom-row step tables, built on first use
+        self._r_num = [int(self.angles[lbl].r * den) for lbl in order]
+        self._s_num = [int(self.angles[lbl].s * den) for lbl in order]
 
-    def angle_of_vector(self, vec: ExpVector) -> Angle:
-        coords = (*vec.free, *vec.tor2, *vec.tor3)
+    def _angle_of_coords(self, coords) -> Angle:
         r = sum(map(operator.mul, self._r_num, coords))
         s = sum(map(operator.mul, self._s_num, coords))
         return Angle(Fraction(r % self._den, self._den), Fraction(s, self._den))
 
+    def angle_of_vector(self, vec: ExpVector) -> Angle:
+        return self._angle_of_coords((*vec.free, *vec.tor2, *vec.tor3))
+
     def evaluate(self, gamma: Mat2) -> Angle:
         """Exact angle of upsilon(gamma) for gamma in Gamma0(p)."""
-        word = decompose_gamma0(self.gens, gamma)
-        return self.angle_of_vector(abelianize(word, self.gens))
+        return self.angle_of_vector(self.gens.class_of(gamma))
 
     def value(self, gamma: Mat2) -> complex:
         return self.evaluate(gamma).value()
@@ -140,54 +127,19 @@ class MultiplierSystem:
         bottom row (c, d); requires upsilon(S) = 1.
 
         Two such gamma differ by a power of S on the left, so upsilon(S) = 1
-        makes the angle a function of (c, d).  It is the sum, along the
-        Euclidean walk of decompose_sl2, of the Schreier rewriting of each
-        letter from its coset: a T step from coset r contributes the angle
-        of the raw generator V_r, and an S^t step contributes one angle of
-        T S^p T^{-1} per crossing of the p-1 -> 0 boundary.  These step
-        angles are tabulated once as integer numerators over a common
-        denominator, so each call does integer additions only.  Agrees
-        exactly with ``evaluate`` on any lift of (c, d); ``evaluate`` stays
-        the verified path.
+        makes the angle a function of (c, d): the dot product of the angle
+        numerators with the coordinates of :meth:`GenSet.walk_coords`, that
+        is :meth:`evaluate` without the matrix reduction that finds the S
+        power.
         """
-        p = self.p
+        p, s = self.p, self.gens.s_index
+        if self._r_num[s] or self._s_num[s]:
+            raise ValueError("the bottom-row angle requires upsilon(S) = 1")
         if c % p != 0:
             raise ValueError(f"bottom row ({c}, {d}) is not in Gamma0({p})")
         if math.gcd(c, d) != 1:
             raise ValueError(f"bottom row ({c}, {d}) is not unimodular")
-        if self._cocycle is None:
-            self._cocycle = self._bottom_row_tables()
-        den, steps, wrap_r, wrap_s = self._cocycle
-        # decompose_sl2 gives S^e T S^{t_k} T ... T S^{t_1}; the leading S^e
-        # sits at the identity coset, where S is a generator of angle 0
-        coset, r, s = COSET_INF, 0, 0
-        for t in reversed(euclid_quotients(c, d)):
-            dr, ds, coset = steps[coset]
-            r += dr
-            s += ds
-            if coset != COSET_INF:
-                wraps, coset = divmod(coset + t, p)
-                r += wraps * wrap_r
-                s += wraps * wrap_s
-        if coset != COSET_INF:
-            raise AssertionError(f"walk of ({c}, {d}) did not return to the identity coset")
-        return Angle(Fraction(r % den, den), Fraction(s, den))
-
-    def _bottom_row_tables(self) -> tuple:
-        """(den, coset -> (r, s, target) of the T step, r and s of one wrap)."""
-        if not self.angles["S"].is_zero_mod1():
-            raise ValueError("the bottom-row cocycle requires upsilon(S) = 1")
-        gens, den, num = self.gens, self._den, self._num
-
-        def numerators(word: Word) -> tuple[int, int]:
-            return (sum(num[lbl][0] * e for lbl, e in word), sum(num[lbl][1] * e for lbl, e in word))
-
-        steps = {}
-        for coset in [COSET_INF, *range(self.p)]:
-            word, target = gens._step(coset, "T", 1)
-            steps[coset] = (*numerators(word), target)
-        wrap_word, _ = gens._s_bulk(self.p - 1, 1)
-        return (den, steps, *numerators(wrap_word))
+        return self._angle_of_coords(self.gens.walk_coords(euclid_quotients(c, d)))
 
     def is_trivial(self) -> bool:
         return all(a.is_zero_mod1() for a in self.angles.values())
@@ -290,15 +242,11 @@ def pretend_constraints(
     """
     if not chi.is_even():
         raise ValueError("pretend constraints require an even character")
-    rows: list[ConstraintRow] = []
-
-    s_word = decompose_gamma0(gens, S)
-    rows.append(ConstraintRow(abelianize(s_word, gens), ZERO_ANGLE, "kappa_I", S))
     parabolic = T * S**p * T.inv()
-    rows.append(
-        ConstraintRow(abelianize(decompose_gamma0(gens, parabolic), gens), ZERO_ANGLE, "kappa_T", parabolic)
-    )
-
+    rows = [
+        ConstraintRow(gens.class_of(S), ZERO_ANGLE, "kappa_I", S),
+        ConstraintRow(gens.class_of(parabolic), ZERO_ANGLE, "kappa_T", parabolic),
+    ]
     for q in range(1, q_max + 1):
         if q % p == 0:
             continue
@@ -306,11 +254,10 @@ def pretend_constraints(
             if math.gcd(a, q) != 1:
                 continue
             m, B, D = constraint_matrix(p, a, q)
-            vec = abelianize(decompose_gamma0(gens, m), gens)
+            vec = gens.class_of(m)
             if verify_b_dependence:
                 m2, _, _ = constraint_matrix(p, a, q, B + q)
-                vec2 = abelianize(decompose_gamma0(gens, m2), gens)
-                if not in_kappa_subgroup(gens, vec2 + (-vec)):
+                if not in_kappa_subgroup(gens, gens.class_of(m2) + (-vec)):
                     raise AssertionError(
                         f"constraint for (a, q) = ({a}, {q}) depends on more than B mod q"
                     )
@@ -326,8 +273,8 @@ def in_kappa_subgroup(gens: GenSet, vec: ExpVector) -> bool:
     membership in the subgroup generated by [S] and [P], P = T S^p T^{-1}:
     solve vec = alpha*[S] + beta*[P] over the integers.
     """
-    p_vec = abelianize(decompose_gamma0(gens, T * S**gens.p * T.inv()), gens)
-    s_idx = gens.free_labels.index("S")
+    p_vec = gens.class_of(T * S**gens.p * T.inv())
+    s_idx = gens.s_index
 
     # candidate betas from the non-S free coordinates
     pinned = [(i, px) for i, px in enumerate(p_vec.free) if i != s_idx and px != 0]
@@ -422,9 +369,8 @@ def sixth_root_check(p: int, gens: GenSet) -> dict:
     value into the torsion subgroup, a 6th root of unity), and reports the
     torsion component; it must vanish exactly when p = 11 (mod 12).
     """
-    parabolic = T * S**p * T.inv()
-    vec = abelianize(decompose_gamma0(gens, parabolic), gens)
-    s_idx = gens.free_labels.index("S")
+    vec = gens.class_of(T * S**p * T.inv())
+    s_idx = gens.s_index
     free_ok = all(x == 0 for i, x in enumerate(vec.free) if i != s_idx)
     torsion_zero = not any(vec.tor2) and not any(vec.tor3)
     order = 1

@@ -30,7 +30,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matrices import IDENTITY, Mat2, S, T, STWord, decompose_sl2, lift_bottom_row, reduce_word
+from .matrices import (
+    IDENTITY, Mat2, S, T, STWord, decompose_sl2, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word,
+)
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
 
@@ -213,7 +215,14 @@ class ExpVector:
 
 class GenSet:
     """Generating set {S} u {V_q : q in Q'} of Gamma0(p)/{+-I} with orders,
-    free-product signature, and the rewriting log of the Tietze eliminations."""
+    free-product signature, and the rewriting log of the Tietze eliminations.
+
+    From the log it tabulates, once, the Schreier rewriting of the letters
+    of :func:`~weilgap.matrices.decompose_sl2` words: per coset, the T step
+    as a word, its class (sparse, unreduced coordinates) and its target
+    coset; and the word and class of one wrap, T S^p T^{-1} = V_1^{-1} S^{-1},
+    which an S power contributes each time it crosses from coset p - 1 to 0.
+    """
 
     def __init__(
         self,
@@ -238,10 +247,23 @@ class GenSet:
         a2, b3 = len(self.order2_labels), len(self.order3_labels)
         assert a2 % 2 == 0 and b3 % 2 == 0
         self.signature = (l, a2 // 2, b3 // 2)
-        self._free_index = {lbl: i for i, lbl in enumerate(self.free_labels)}
-        self._tor2_index = {lbl: i for i, lbl in enumerate(self.order2_labels)}
-        self._tor3_index = {lbl: i for i, lbl in enumerate(self.order3_labels)}
-        self._step_cache: dict[tuple[int, str, int], tuple[Word, int]] = {}
+        # coordinates of a class: free, then order-2, then order-3 labels
+        self._index = {lbl: i for i, lbl in enumerate(self.free_labels + self.order2_labels + self.order3_labels)}
+        self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
+
+        self._t_steps: dict[int, tuple[Word, list[tuple[int, int]], int]] = {
+            COSET_INF: ([], [], 0),
+            0: ([], [], COSET_INF),
+        }
+
+        def sparse(word: Word) -> list[tuple[int, int]]:
+            return [(i, e) for i, e in enumerate(self._coords(word)) if e]
+
+        for r in range(1, p):
+            word = rewriting_log[f"V_{r}"]
+            self._t_steps[r] = (word, sparse(word), (-pow(r, -1, p)) % p)
+        self._wrap_word = reduce_word(_invert_word(rewriting_log["V_1"]) + [("S", -1)])
+        self._wrap_class = sparse(self._wrap_word)
 
     def matrix(self, label: str) -> Mat2:
         return self._matrices[label]
@@ -258,85 +280,89 @@ class GenSet:
                 qs.add(int(lbl[2:]))
         return qs
 
-    # -- rewriting machinery ------------------------------------------------
-
-    def final_word(self, raw_symbol: str) -> Word:
-        """Express a raw Schreier symbol (S or any V_j) over the final labels."""
-        return self.rewriting_log[raw_symbol]
-
-    def _step(self, coset: int, letter: str, exp: int) -> tuple[Word, int]:
-        """Word (over final labels) and target coset for one S/T letter."""
-        key = (coset, letter, exp)
-        cached = self._step_cache.get(key)
-        if cached is not None:
-            return cached
-        if letter != "T":
-            raise ValueError(f"unknown letter {letter}")
-        p = self.p
-        if coset == COSET_INF:
-            result: tuple[Word, int] = ([], 0)
-        elif coset == 0:
-            result = ([], COSET_INF)
-        elif exp == 1:
-            target = (-pow(coset, -1, p)) % p
-            result = (list(self.final_word(f"V_{coset}")), target)
-        else:
-            # T^{-1} from coset r is the inverse of the T step from the target
-            target = (-pow(coset, -1, p)) % p
-            result = (_invert_word(self.final_word(f"V_{target}")), target)
-        self._step_cache[key] = result
-        return result
-
-    def _s_bulk(self, coset: int, e: int) -> tuple[Word, int]:
-        """Word and target coset for the letter S^e from a coset, in bulk."""
-        if e == 0:
-            return [], coset
-        if coset == COSET_INF:
-            return [("S", e)], COSET_INF
-        p = self.p
-        wraps = (coset + e) // p  # signed crossings of the p-1 -> 0 boundary
-        target = (coset + e) % p
-        if wraps == 0:
-            return [], target
-        # each forward crossing contributes T S^p T^{-1} = V_1^{-1} S^{-1}
-        wrap_word = reduce_word(
-            _invert_word(self.final_word("V_1")) + [("S", -1)]
-        )
-        return _word_pow(wrap_word, wraps), target
+    # -- Schreier rewriting of S/T words -------------------------------------
 
     def rewrite_st_word(self, word: STWord) -> Word:
-        """Schreier-rewrite an S/T word of an element of Gamma0(p)."""
-        coset = COSET_INF
+        """Schreier-rewrite a decompose_sl2 word of an element of Gamma0(p)."""
+        p, coset = self.p, COSET_INF
         out: Word = []
         for gen, exp in word.tokens:
-            if gen == "S":
-                piece, coset = self._s_bulk(coset, exp)
+            if gen == "T":
+                if exp != 1:
+                    raise ValueError("decompose_sl2 words carry T^+1 only")
+                piece, _, coset = self._t_steps[coset]
                 out.extend(piece)
+            elif coset == COSET_INF:
+                out.append(("S", exp))
             else:
-                step = 1 if exp > 0 else -1
-                for _ in range(abs(exp)):
-                    piece, coset = self._step(coset, "T", step)
-                    out.extend(piece)
+                wraps, coset = divmod(coset + exp, p)
+                out.extend(_word_pow(self._wrap_word, wraps))
         if coset != COSET_INF:
             raise AssertionError("rewriting of a Gamma0(p) element did not return to the identity coset")
         return reduce_word(out)
 
     # -- abelianization -----------------------------------------------------
 
+    def _coords(self, tokens: Word) -> list[int]:
+        coords = [0] * len(self._index)
+        for label, exp in tokens:
+            coords[self._index[label]] += exp
+        return coords
+
+    def _vector(self, coords: list[int]) -> ExpVector:
+        n1 = len(self.free_labels)
+        n2 = n1 + len(self.order2_labels)
+        return ExpVector(
+            tuple(coords[:n1]), tuple(x % 2 for x in coords[n1:n2]), tuple(x % 3 for x in coords[n2:])
+        )
+
     def abelianize_word(self, word: GammaWord) -> ExpVector:
-        free = [0] * len(self.free_labels)
-        tor2 = [0] * len(self.order2_labels)
-        tor3 = [0] * len(self.order3_labels)
-        for label, exp in word.tokens:
-            if label in self._free_index:
-                free[self._free_index[label]] += exp
-            elif label in self._tor2_index:
-                tor2[self._tor2_index[label]] = (tor2[self._tor2_index[label]] + exp) % 2
-            elif label in self._tor3_index:
-                tor3[self._tor3_index[label]] = (tor3[self._tor3_index[label]] + exp) % 3
+        return self._vector(self._coords(word.tokens))
+
+    def walk_coords(self, quotients: list[int]) -> list[int]:
+        """Unreduced class coordinates of T S^{t_k} T ... T S^{t_1}, for the
+        quotients t_1..t_k of a bottom row (c, d) with p | c.
+
+        Walks the rewriting of each letter through the per-coset table: a
+        T step adds its tabulated class, an S^t at the identity coset adds
+        t[S], and an S^t elsewhere adds one wrap class per crossing of the
+        p - 1 -> 0 boundary.  O(k) table lookups; no word is built.
+        """
+        p, steps, wrap, s_index = self.p, self._t_steps, self._wrap_class, self.s_index
+        coords = [0] * len(self._index)
+        coset = COSET_INF
+        for t in reversed(quotients):
+            _, step, coset = steps[coset]
+            for i, e in step:
+                coords[i] += e
+            if coset == COSET_INF:
+                coords[s_index] += t
             else:
-                raise KeyError(f"unknown generator label {label!r}")
-        return ExpVector(tuple(free), tuple(tor2), tuple(tor3))
+                wraps, coset = divmod(coset + t, p)
+                if wraps:
+                    for i, e in wrap:
+                        coords[i] += wraps * e
+        if coset != COSET_INF:
+            raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
+        return coords
+
+    def class_of(self, gamma: Mat2) -> ExpVector:
+        """The class of gamma in Gamma0(p)^ab, without building its word.
+
+        Equals abelianize(decompose_gamma0(self, gamma), self): the walk
+        over the quotients of the bottom row, plus e[S] for the leading S^e
+        of the decompose_sl2 word.  Self-certifying: the whole matrix is
+        reduced along the same quotients to +-S^e, and the walk must return
+        to the identity coset.
+        """
+        if gamma.det() != 1:
+            raise ValueError("gamma must have determinant 1")
+        if gamma.c % self.p != 0:
+            raise ValueError(f"matrix {gamma} is not in Gamma0({self.p})")
+        quotients = euclid_quotients(gamma.c, gamma.d)
+        coords = self.walk_coords(quotients)
+        coords[self.s_index] += leading_s_power(gamma, quotients)
+        return self._vector(coords)
 
     def to_json(self) -> dict:
         l, a, b = self.signature

@@ -130,14 +130,19 @@ class CoeffSeries:
             "M": self.M,
             "error_bound": self.error_bound,
         }
+        if self.c_max is not None:
+            header["c_max"] = self.c_max
         lines = [json.dumps(header)]
         if self.a0 != 0:
             lines.append(json.dumps({"m": 0, "re": _num_json(self.a0.real), "im": _num_json(self.a0.imag)}))
         for m, c in enumerate(self.coeffs, start=1):
             if self.exact is not None:
-                lines.append(json.dumps({"m": m, "re": str(self.exact[m - 1]), "im": "0"}))
+                record = {"m": m, "re": str(self.exact[m - 1]), "im": "0"}
             else:
-                lines.append(json.dumps({"m": m, "re": c.real, "im": c.imag}))
+                record = {"m": m, "re": c.real, "im": c.imag}
+            if self.per_coeff_error is not None:
+                record["err"] = self.per_coeff_error[m - 1]
+            lines.append(json.dumps(record))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -168,7 +173,7 @@ class CoeffSeries:
                 raise ValueError(f"duplicate coefficient record for m = {m}")
             if not 0 <= m <= M:
                 raise ValueError(f"coefficient record m = {m} outside 0..M = {M}")
-            records[m] = (re, im)
+            records[m] = (re, im, rec.get("err"))
         absent = [m for m in range(1, M + 1) if m not in records]
         if absent:
             raise ValueError(
@@ -176,16 +181,19 @@ class CoeffSeries:
                 f"a_{absent[0]} is missing"
             )
         ordered = [records[m] for m in range(1, M + 1)]
-        integral = all(isinstance(re, int) and im == 0 for re, im in ordered)
+        integral = all(isinstance(re, int) and im == 0 for re, im, _ in ordered)
+        errors = [err for _, _, err in ordered]
         return cls(
-            [complex(re, im) for re, im in ordered],
+            [complex(re, im) for re, im, _ in ordered],
             header["weight"],
             header["level"],
             header["sigma"],
             header["label"],
-            a0=complex(*records.get(0, (0, 0))),
-            exact=[re for re, _ in ordered] if integral else None,
+            a0=complex(*records.get(0, (0, 0))[:2]),
+            exact=[re for re, _, _ in ordered] if integral else None,
             error_bound=header.get("error_bound", 0.0),
+            per_coeff_error=errors if ordered and None not in errors else None,
+            c_max=header.get("c_max"),
         )
 
 

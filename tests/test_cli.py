@@ -144,6 +144,24 @@ def test_check_fe_rejects_nonpositive_q(tmp_path, q):
     assert proc.stderr == f"error: modulus q = {q} must be a positive integer\n"
 
 
+def test_check_fe_mult_command(tmp_path):
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "200", "--out", str(coeffs))
+    proc = run_cli("check-fe-mult", "--p", "5", "--k", "24", "--q", "3", "--coeffs", str(coeffs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["verdict"] is True
+
+
+@pytest.mark.parametrize("index", ["7", "-1"])
+def test_check_fe_mult_rejects_psi_index_out_of_range(tmp_path, index):
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "50", "--out", str(coeffs))
+    proc = run_cli("check-fe-mult", "--p", "5", "--k", "24", "--q", "3", "--psi-index", index,
+                   "--coeffs", str(coeffs))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: --psi-index must lie in [0, 1) for q = 3, got {index}\n"
+
+
 def test_determinism_modulo_timestamp(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("gens", "--p", "13", "--out", str(out1))
@@ -157,6 +175,13 @@ def test_reproduce_all_subset():
     proc = run_cli("reproduce-all", "--only", "3")
     assert proc.returncode == 0
     assert "criterion 3: PASS" in proc.stdout
+
+
+def test_reproduce_all_rejects_unknown_criterion():
+    proc = run_cli("reproduce-all", "--only", "3,99")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: unknown criterion [99]; valid criteria are 1-10\n"
+    assert proc.stdout == ""
 
 
 def test_reproduce_all_seeded_determinism(tmp_path):

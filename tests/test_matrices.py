@@ -15,6 +15,7 @@ from weilgap.matrices import (
     STWord,
     T,
     decompose_sl2,
+    euclid_quotients,
     lift_bottom_row,
     mobius,
     slash_action,
@@ -194,6 +195,16 @@ def test_word_rejects_bad_tokens():
         STWord([("T", 2)])
     with pytest.raises(ValueError):
         STWord([("X", 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**30), 10**30).filter(bool), st.integers(-(10**30), 10**30))
+@example(10**30, -1)
+@example(-(2**99), 2**98 + 1)
+@example(2, 1)
+def test_euclid_quotients_take_logarithmic_steps(c, d):
+    # nearest-integer quotients at least halve |c| per step
+    assert len(euclid_quotients(c, d)) <= math.log2(abs(c)) + 2
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilgap.characters import DirichletChar, quadratic_char
-from weilgap.matrices import IDENTITY, S, T
+from weilgap.matrices import IDENTITY, Mat2, S, T
 from weilgap.multiplier import (
     Angle,
     MultiplierSystem,
@@ -294,30 +294,37 @@ def _random_multiplier(gens, data):
     return MultiplierSystem(gens, angles)
 
 
-# |c| stays below 300 p because the word path is linear in |c| at worst:
-# the walk of (c, -1) takes |c| steps.  d may be far larger, since its
-# first quotient is taken at the identity coset.
+def angle_on_word_path(ups, c, d):
+    """Oracle: the angle of the abelianized decompose_gamma0 word of a lift."""
+    word = decompose_gamma0(ups.gens, lift_bottom_row(c, d))
+    return ups.angle_of_vector(abelianize(word, ups.gens))
+
+
+# |c| stays below 300 p, the reach kept for the word-path oracle: its
+# rewriting writes out one wrap word per crossing of the p - 1 -> 0
+# boundary.  d may be far larger, since its quotient is taken at the
+# identity coset.
 bottom_rows = st.tuples(st.integers(-300, 300), st.integers(-10**30, 10**30))
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from(PRETEND_PRIMES), row=bottom_rows)
-def test_bottom_row_angle_matches_evaluate_pretend(p, row):
+def test_bottom_row_angle_matches_word_path_pretend(p, row):
     k, d = row
     c = p * k
     assume(math.gcd(c, d) == 1)
     ups = _pretend(p)
-    assert ups.bottom_row_angle(c, d) == ups.evaluate(lift_bottom_row(c, d))
+    assert ups.bottom_row_angle(c, d) == angle_on_word_path(ups, c, d)
 
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from(PRIMES), row=bottom_rows, data=st.data())
-def test_bottom_row_angle_matches_evaluate_random(p, row, data):
+def test_bottom_row_angle_matches_word_path_random(p, row, data):
     k, d = row
     c = p * k
     assume(math.gcd(c, d) == 1)
     ups = _random_multiplier(_gens(p), data)
-    assert ups.bottom_row_angle(c, d) == ups.evaluate(lift_bottom_row(c, d))
+    assert ups.bottom_row_angle(c, d) == angle_on_word_path(ups, c, d)
 
 
 def test_bottom_row_angle_small_rows_exhaustive(gens29):
@@ -325,7 +332,7 @@ def test_bottom_row_angle_small_rows_exhaustive(gens29):
     for c in (29, -58, 87, 290):
         for d in range(-2 * abs(c), 2 * abs(c) + 1):
             if math.gcd(c, d) == 1:
-                assert ups.bottom_row_angle(c, d) == ups.evaluate(lift_bottom_row(c, d))
+                assert ups.bottom_row_angle(c, d) == angle_on_word_path(ups, c, d)
     assert ups.bottom_row_angle(0, 1).is_zero_mod1()
     assert ups.bottom_row_angle(0, -1).is_zero_mod1()
 
@@ -343,6 +350,15 @@ def test_bottom_row_angle_rejects(gens13):
         ups.bottom_row_angle(14, 1)  # not in Gamma0(13)
     with pytest.raises(ValueError):
         ups.bottom_row_angle(26, 4)  # not unimodular
+
+
+def test_evaluate_needs_no_condition_on_upsilon_s(gens13):
+    angles = {lbl: Angle() for lbl in gens13.labels}
+    angles["S"] = Angle(Fraction(1, 5), Fraction(1, 3))
+    ups = MultiplierSystem(gens13, angles)
+    assert ups.evaluate(S**3) == Angle(Fraction(3, 5), 1)
+    with pytest.raises(ValueError, match="not in Gamma0"):
+        ups.evaluate(Mat2(1, 0, 14, 1))
 
 
 # ---------------------------------------------------------------------------

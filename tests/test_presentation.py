@@ -1,11 +1,12 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilgap.matrices import IDENTITY, Mat2, S, T
+from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients, lift_bottom_row
 from weilgap.presentation import (
     CosetTable,
     GammaWord,
@@ -246,3 +247,74 @@ def test_constraint_matrix_rejects_bad_moduli():
         constraint_matrix(13, 2, 4)
     with pytest.raises(ValueError, match="invalid"):
         constraint_matrix(13, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# The class walk against the word path
+
+
+@lru_cache(maxsize=None)
+def gens_of(p):
+    return build_presentation(p)
+
+
+@st.composite
+def gamma0_elements(draw):
+    """(p, gamma) with p < 500 prime and |c| <= 300 p, the reach kept for the
+    word-path oracle: its rewriting writes out one wrap word per crossing of
+    the p - 1 -> 0 boundary.  d and the top row may be far larger."""
+    p = draw(st.sampled_from([p for p in range(5, 500) if is_prime(p)]))
+    c, d = p * draw(st.integers(-300, 300)), draw(st.integers(-(10**30), 10**30))
+    assume(math.gcd(c, d) == 1)
+    lift, n = lift_bottom_row(c, d), draw(st.integers(-(10**6), 10**6))
+    return p, Mat2(lift.a + n * c, lift.b + n * d, c, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gamma0_elements())
+def test_word_remultiplies_at_random_levels(element):
+    p, gamma = element
+    word = decompose_gamma0(gens_of(p), gamma)
+    assert word.evaluate(gens_of(p)) == (gamma if word.sign == 1 else -gamma)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gamma0_elements())
+def test_class_of_matches_word_path(element):
+    p, gamma = element
+    gens = gens_of(p)
+    assert gens.class_of(gamma) == abelianize(decompose_gamma0(gens, gamma), gens)
+
+
+def test_class_of_far_rows_take_few_steps():
+    # under nonnegative remainders the row (c, -1) took |c| steps
+    gens = gens_of(29)
+    for k in range(31):
+        c = 29 * 10**k
+        assert len(euclid_quotients(c, -1)) <= math.log2(c) + 2
+        vec = gens.class_of(lift_bottom_row(c, -1))
+        if k <= 1:
+            assert vec == abelianize(decompose_gamma0(gens, lift_bottom_row(c, -1)), gens)
+
+
+far_elements = st.builds(
+    lambda k, sign, n: S**n * lift_bottom_row(sign * 29 * 10**k, -1),
+    st.integers(5, 30),
+    st.sampled_from([1, -1]),
+    st.integers(-(10**9), 10**9),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(far_elements, far_elements)
+def test_class_of_is_homomorphism_beyond_the_oracle(g1, g2):
+    gens = gens_of(29)
+    assert gens.class_of(g1 * g2) == gens.class_of(g1) + gens.class_of(g2)
+    assert gens.class_of(g1.inv()) == -gens.class_of(g1)
+
+
+def test_class_of_rejects(gens13):
+    with pytest.raises(ValueError, match="not in Gamma0"):
+        gens13.class_of(T)
+    with pytest.raises(ValueError, match="determinant"):
+        gens13.class_of(Mat2(1, 1, 0, 2))

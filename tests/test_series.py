@@ -289,8 +289,40 @@ def test_json_lines_roundtrip_exact_and_float():
     assert np.allclose(back2.as_array(), eis.as_array())
 
 
+small_floats = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    M=st.integers(1, 40),
+    exact=st.booleans(),
+    with_errors=st.booleans(),
+    c_max=st.one_of(st.none(), st.integers(1, 10**6)),
+    data=st.data(),
+)
+def test_json_lines_roundtrip_property(M, exact, with_errors, c_max, data):
+    if exact:
+        ints = data.draw(st.lists(st.integers(-(10**40), 10**40), min_size=M, max_size=M))
+        kwargs = dict(coeffs=ints, exact=ints)
+    else:
+        coeffs = [complex(data.draw(small_floats), data.draw(small_floats)) for _ in range(M)]
+        kwargs = dict(coeffs=coeffs, a0=complex(data.draw(small_floats), data.draw(small_floats)))
+    errors = st.one_of(st.floats(0, 1e100), st.just(math.inf))
+    series = CoeffSeries(
+        weight=4,
+        level=29,
+        sigma=data.draw(st.floats(0, 12)),
+        label="random",
+        error_bound=data.draw(errors),
+        per_coeff_error=[data.draw(errors) for _ in range(M)] if with_errors else None,
+        c_max=c_max,
+        **kwargs,
+    )
+    assert CoeffSeries.from_json_lines(series.to_json_lines()) == series
+
+
 # ---------------------------------------------------------------------------
-# The FFT Eisenstein sum against a direct phase-matrix sum on the word path
+# The FFT Eisenstein sum against a direct phase-matrix sum over MultiplierSystem.value
 
 
 def _direct_eisenstein(p, ups, weight, M, c_max):
