@@ -28,64 +28,18 @@ check below the abscissa of absolute convergence.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .characters import ResidueChar, e_of
 from .matrices import Mat2
 from .presentation import GenSet, compute_Q, constraint_matrix, v_matrix
-from .series import CoeffSeries, series_evaluator
-
-_DPS = 30
-
-
-# ---------------------------------------------------------------------------
-# Gamma kernels
-
-
-def cgamma(s: complex) -> complex:
-    """Euler Gamma on the complex plane (poles at nonpositive integers)."""
-    s = complex(s)
-    if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
-        raise ValueError(f"Gamma pole at s = {s}")
-    with mp.workdps(_DPS):
-        return complex(mp.gamma(mp.mpc(s)))
-
-
-def upper_incomplete_gamma(s: complex, x: float) -> complex:
-    """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt for x > 0."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    with mp.workdps(_DPS):
-        value = mp.gammainc(mp.mpc(s), a=x, b=mp.inf)
-        result = complex(value)
-    if not (math.isfinite(result.real) and math.isfinite(result.imag)):
-        raise OverflowError(f"Gamma({s}, {x}) overflows double precision")
-    return result
-
-
-def lower_incomplete_gamma(s: complex, x: float) -> complex:
-    """gamma(s, x) = Gamma(s) - Gamma(s, x), for Re s > 0."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    with mp.workdps(_DPS):
-        value = mp.gammainc(mp.mpc(s), a=0, b=x)
-        result = complex(value)
-    if not (math.isfinite(result.real) and math.isfinite(result.imag)):
-        raise OverflowError(f"gamma({s}, {x}) overflows double precision")
-    return result
-
-
-def _upper_gamma_bound(re_s: float, x: float) -> float:
-    """|Gamma(s, x)| <= x^{Re s} e^{-x} / (x - Re s) for x > Re s + 1."""
-    if x <= abs(re_s) + 1:
-        return math.inf
-    return x**re_s * math.exp(-x) / (x - re_s)
+from .series import CoeffSeries, cgamma, upper_incomplete_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +163,6 @@ def lambda_additive(
     twist: AdditiveTwist,
     s: complex,
     y0: Optional[float] = None,
-    method: str = "gamma",
 ) -> LambdaValue:
     """Lambda of the truncated series by the incomplete-gamma split at y0.
 
@@ -217,8 +170,7 @@ def lambda_additive(
             + int_0^{y0} f_trunc(a/q + iy) y^{s-1} dy,
 
     the integral computed termwise through lower incomplete gammas
-    (``method="gamma"``) or by adaptive quadrature of the truncated
-    q-expansion (``method="quad"``); both are evaluations of the same
+    Gamma(s) - Gamma(s, 2 pi m y0); both parts are evaluations of the same
     entire function of s, so the value is y0-independent up to rounding.
     The error estimate covers the dropped m > M tail of the true series:
     its incomplete-gamma part is exponentially small, while the lower
@@ -226,86 +178,68 @@ def lambda_additive(
     """
     if f.M < 1:
         raise ValueError("insufficient coefficients: empty prefix")
-    q = twist.q
     if y0 is None:
-        y0 = 1.0 / (q * math.sqrt(max(f.level, 1)))
-    if y0 <= 0:
+        y0 = 1.0 / (twist.q * math.sqrt(max(f.level, 1)))
+    if not y0 > 0:
         raise ValueError("y0 must be positive")
     s = complex(s)
-    coeffs = f.as_array()
-    ms = np.arange(1, f.M + 1)
-    phases = twist.phases(f.M)
     gamma_s = cgamma(s)
-
-    # incomplete-gamma sum: per-m kernels until they drop below relevance
-    cut = 2 * math.pi * y0
-    m_cut = min(f.M, max(1, int((46 + 2 * abs(s)) / cut)))
-    upper = 0j
-    lower = 0j
-    for m in range(1, m_cut + 1):
-        x = 2 * math.pi * m * y0
-        g_up = upper_incomplete_gamma(s, x)
-        term = coeffs[m - 1] * phases[m - 1] * (2 * math.pi * m) ** (-s)
-        upper += term * g_up
-        lower += term * (gamma_s - g_up)
+    terms, upper_gammas = _incomplete_terms(f, twist, s, y0)
+    head = terms[: len(upper_gammas)]
+    upper = complex(head @ upper_gammas)
     # beyond the cut Gamma(s, x) is negligible: the whole term sits in the
     # lower integral
-    if m_cut < f.M:
-        bulk = coeffs[m_cut:] * phases[m_cut:] * np.exp(-s * np.log(2 * np.pi * ms[m_cut:]))
-        lower += gamma_s * complex(np.sum(bulk))
-
+    lower = complex(head @ (gamma_s - upper_gammas)) + gamma_s * complex(np.sum(terms[len(head) :]))
     if f.a0 != 0:
         if s.real <= 0:
             raise ValueError("constant term requires Re s > 0 in the lower integral")
         lower += f.a0 * y0**s / s
-
-    if method == "quad":
-        lower_quad = _lower_integral_quad(f, twist, s, y0)
-        lower = lower_quad
-    elif method != "gamma":
-        raise ValueError(f"unknown method {method!r}")
-
     value = upper + lower
+    if not cmath.isfinite(value):
+        raise OverflowError(f"Lambda at s = {s} overflows double precision")
 
-    # error model against the true series; the m_cut split only moves mass
-    # between the two parts and costs nothing
+    # error model against the true series; the cut only moves mass between
+    # the two parts and costs nothing
     re_s = s.real
     error = _tail_upper_gamma(f, re_s, y0) + _tail_lower_gamma(f, re_s, abs(gamma_s))
     return LambdaValue(value, error, s, twist, y0, f.M)
 
 
-def _lower_integral_quad(f: CoeffSeries, twist: AdditiveTwist, s: complex, y0: float) -> complex:
-    shift = twist.a / twist.q
-    f_trunc = series_evaluator(f)
-    with mp.workdps(_DPS):
-        value = mp.quad(lambda y: f_trunc(mp.mpc(shift, y)) * mp.mpc(y) ** (s - 1), [0, y0])
-        return complex(value)
+def _incomplete_terms(f: CoeffSeries, twist: AdditiveTwist, s: complex, y: float) -> tuple:
+    """a_m e(a m / q) (2 pi m)^{-s} for every m <= M, and Gamma(s, 2 pi m y)
+    in one kernel call for the m with 2 pi m y <= 46 + 2|s|, past which it
+    is negligible beside Gamma(s)."""
+    ms = np.arange(1, f.M + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # lambda_additive reports overflow
+        terms = f.as_array() * twist.phases(f.M) * np.exp(-s * np.log(2 * np.pi * ms))
+    m_cut = min(f.M, int((46 + 2 * abs(s)) / (2 * math.pi * y)))
+    return terms, upper_incomplete_gamma(s, 2 * math.pi * y * ms[:m_cut])
 
 
 def _tail_upper_gamma(f: CoeffSeries, re_s: float, y0: float) -> float:
-    """Bound C sum_{m > M} m^sigma (2 pi m)^{-Re s} |Gamma(s, 2 pi m y0)|;
-    inf if the terms have not become negligible after 100000 of them."""
+    """Bound C sum_{m > M} m^sigma (2 pi m)^{-Re s} |Gamma(s, 2 pi m y0)|,
+    summed in order until a term falls below 1e-20 of the sum; inf if none
+    has by the 100001st term, where the partial sum would under-report.
+    The terms go through numpy in blocks of 64, 256, ... (seven in all)."""
     gamma_re = abs(cgamma(re_s)) if re_s > 1 else math.inf
-    total = 0.0
-    m = f.M + 1
-    while True:
-        x = 2 * math.pi * m * y0
-        if re_s <= 1:
-            # t^{Re s - 1} is nonincreasing on [x, inf)
-            g = x ** (re_s - 1) * math.exp(-x)
-        else:
-            g = _upper_gamma_bound(re_s, x)
-            if not math.isfinite(g):
-                # left of the usable bound region: |Gamma(s, x)| <= Gamma(Re s)
-                g = gamma_re
-        term = f.growth_c * m**f.sigma * (2 * math.pi * m) ** (-re_s) * g
-        total += term
-        if term < 1e-20 * (1 + total):
-            return total
-        if m > f.M + 100000:
-            # the partial sum would under-report the tail
-            return math.inf
-        m += 1
+    total, start, size, cap = 0.0, f.M + 1, 64, f.M + 100001
+    while start <= cap:
+        m = np.arange(start, min(start + size, cap + 1), dtype=float)
+        x = 2 * np.pi * m * y0
+        # |Gamma(s, x)| <= x^{Re s - 1} e^{-x} for Re s <= 1 (t^{Re s - 1} is
+        # nonincreasing); else x^{Re s} e^{-x} / (x - Re s) right of Re s + 1
+        # and Gamma(Re s) left of it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = x ** (re_s - 1) * np.exp(-x) if re_s <= 1 else np.where(
+                x > re_s + 1, x**re_s * np.exp(-x) / (x - re_s), gamma_re
+            )
+        terms = f.growth_c * m**f.sigma * (2 * np.pi * m) ** (-re_s) * g
+        sums = np.cumsum(np.r_[total, terms])[1:]
+        small = np.flatnonzero(terms < 1e-20 * (1 + sums))
+        if small.size:
+            return float(sums[small[0]])
+        total, start, size = float(sums[-1]), start + size, 4 * size
+    return math.inf
 
 
 def _tail_lower_gamma(f: CoeffSeries, re_s: float, gamma_abs: float) -> float:
@@ -318,18 +252,6 @@ def _tail_lower_gamma(f: CoeffSeries, re_s: float, gamma_abs: float) -> float:
     # integral comparison: sum_{m >= m0} m^e <= m0^e + int_{m0}^inf t^e dt
     tail = m0**exponent + m0 ** (exponent + 1) / (-exponent - 1)
     return f.growth_c * (2 * math.pi) ** (-re_s) * gamma_abs * tail
-
-
-def lambda_direct_dirichlet(f: CoeffSeries, psi_or_twist, s: complex) -> complex:
-    """Oracle: (2 pi)^{-s} Gamma(s) sum a_m chi(m) m^{-s} by direct summation."""
-    s = complex(s)
-    ms = np.arange(1, f.M + 1)
-    if isinstance(psi_or_twist, AdditiveTwist):
-        weights = psi_or_twist.phases(f.M)
-    else:
-        weights = np.array([psi_or_twist(int(m)) for m in ms])
-    total = complex(np.sum(f.as_array() * weights * np.exp(-s * np.log(ms))))
-    return (2 * math.pi) ** (-s) * cgamma(s) * total
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +273,9 @@ def _f_side(f: CoeffSeries, fe: FEStatement, ys: np.ndarray) -> np.ndarray:
     return f.eval_many(shift + 1j * ys)
 
 
-def _ghat_trust(g: CoeffSeries, fe: FEStatement, y: float) -> float:
+def _ghat_trust(g: CoeffSeries, fe: FEStatement, ys: np.ndarray) -> np.ndarray:
     pq2 = fe.p * fe.q * fe.q
-    return pq2 ** (-fe.k / 2) * y ** (-float(fe.k)) * g.tail_bound(1.0 / (pq2 * y))
+    return pq2 ** (-fe.k / 2) * ys ** (-float(fe.k)) * g.tail_bound(1.0 / (pq2 * ys))
 
 
 @dataclass
@@ -379,7 +301,6 @@ def check_modular_relation(
     k: int,
     fe: FEStatement,
     z: complex,
-    M: Optional[int] = None,
     tolerance: float = 1e-6,
 ) -> ModularRelationResult:
     """Residual of sum a_m e(am/q) e(mz) against
@@ -390,9 +311,6 @@ def check_modular_relation(
     phase is the constant phase * lhs / rhs that would make the relation
     exact at z; for a modular pair it reproduces the declared phase.
     """
-    if M is not None:
-        f = f.copy_with(coeffs=f.coeffs[:M], exact=None)
-        g = g.copy_with(coeffs=g.coeffs[:M], exact=None)
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("z must be in the upper half-plane")
@@ -429,28 +347,24 @@ def _auto_window(
     Reliability at y means trust(y) <= cut * signal(y), with trust the sum
     of both truncation-tail bounds and signal the sum of magnitudes; this
     keeps the Mellin weights from amplifying edge noise of the truncated
-    series into the defect integrals.
+    series into the defect integrals.  The ends are rungs of the ladder
+    y_bal 1.25^{+-j} inside (y_bal / 4096, 4096 y_bal), all probed at once.
     """
     y_bal = 1.0 / (fe.q * math.sqrt(fe.p))
-
-    def reliable(y: float) -> bool:
-        trust = f.tail_bound(y) + _ghat_trust(g, fe, y)
-        fv = abs(complex(_f_side(f, fe, np.array([y]))[0]))
-        gv = abs(complex(_ghat(g, fe, np.array([y]))[0]))
-        return trust <= cut * (fv + gv)
-
-    if not reliable(y_bal):
+    steps = np.r_[y_bal, np.full(40, 1.25)]  # 1.25^40 > 4096
+    down, up = np.divide.accumulate(steps), np.multiply.accumulate(steps)
+    down, up = down[down > y_bal / 4096], up[up < y_bal * 4096]
+    ys = np.r_[down, up[1:]]
+    trust = f.tail_bound(ys) + _ghat_trust(g, fe, ys)
+    reliable = trust <= cut * (np.abs(_f_side(f, fe, ys)) + np.abs(_ghat(g, fe, ys)))
+    if not reliable[0]:
         raise ValueError(
             "insufficient coefficients: truncated sides are unreliable at the balance height"
         )
-    step = 1.25
-    y_lo = y_bal
-    while y_lo / step > y_bal / 4096 and reliable(y_lo / step):
-        y_lo /= step
-    y_hi = y_bal
-    while y_hi * step < y_bal * 4096 and reliable(y_hi * step):
-        y_hi *= step
-    return y_lo, y_hi
+    # the reliable run from y_bal outwards ends before the first unreliable rung
+    run_down = np.logical_and.accumulate(reliable[: len(down)]).sum()
+    run_up = np.logical_and.accumulate(np.r_[True, reliable[len(down) :]]).sum()
+    return float(down[run_down - 1]), float(up[run_up - 1])
 
 
 def _gl_log_nodes(y_lo: float, y_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -560,7 +474,7 @@ def check_fe_additive(
     mag = 0.5 * (np.abs(f_vals) + np.abs(g_vals))
     ys_half = np.exp(ts_half)
     delta_half = _f_side(f, fe, ys_half) - _ghat(g, fe, ys_half)
-    trust = np.array([f.tail_bound(y) + _ghat_trust(g, fe, y) for y in ys])
+    trust = f.tail_bound(ys) + _ghat_trust(g, fe, ys)
 
     samples: list[DefectSample] = []
     for s in s_samples:
@@ -615,9 +529,7 @@ def check_fe_additive(
             if not base.agrees_with(other, slack=1e-9):
                 y0_ok = False
 
-    verdict = all(s.passed for s in samples) and all(p_.passed for p_ in points)
-    if y0_ok is False:
-        verdict = False
+    verdict = all(s.passed for s in samples) and all(p_.passed for p_ in points) and y0_ok is not False
     return FEReport((fe), (y_lo, y_hi), samples, points, y0_ok, tolerance, verdict)
 
 
@@ -728,27 +640,13 @@ def lambda_via_pair(
     p, q, k = fe.p, fe.q, fe.k
     y = y_split if y_split is not None else 1.0 / (q * math.sqrt(p))
     u = 1.0 / (p * q * q * y)
-    part_f = _incomplete_side(f, fe.twist(), s, y)
-    part_g = _incomplete_side(g, fe.dual_twist(), k - s, u)
+    terms_f, gammas_f = _incomplete_terms(f, fe.twist(), s, y)
+    terms_g, gammas_g = _incomplete_terms(g, fe.dual_twist(), k - s, u)
+    part_f = complex(terms_f[: len(gammas_f)] @ gammas_f)
+    part_g = complex(terms_g[: len(gammas_g)] @ gammas_g)
     factor = (1j**k) * fe.phase * (p * q * q) ** (k / 2 - s)
     err = _tail_upper_gamma(f, s.real, y) + abs(factor) * _tail_upper_gamma(g, (k - s).real, u)
     return LambdaValue(part_f + factor * part_g, err, s, fe.twist(), y, f.M)
-
-
-def _incomplete_side(f: CoeffSeries, twist: AdditiveTwist, s: complex, y: float) -> complex:
-    phases = twist.phases(f.M)
-    total = 0j
-    for m in range(1, f.M + 1):
-        x = 2 * math.pi * m * y
-        if x > 46 + 2 * abs(s):
-            break
-        total += (
-            complex(f.coeffs[m - 1])
-            * phases[m - 1]
-            * (2 * math.pi * m) ** (-s)
-            * upper_incomplete_gamma(s, x)
-        )
-    return total
 
 
 @dataclass

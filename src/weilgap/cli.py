@@ -9,7 +9,9 @@ status is nonzero iff a check fails or the input is invalid.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 import time
@@ -55,10 +57,16 @@ def _require_prime(p: int) -> int:
 
 
 def _parse_complex(text: str) -> complex:
-    if "," in text:
-        re, im = text.split(",")
-        return complex(float(re), float(im))
-    return complex(float(text), 0.0)
+    re, im = text.split(",") if "," in text else (text, 0.0)
+    value = complex(float(re), float(im))
+    if not cmath.isfinite(value):
+        raise CliError(f"--s expects finite values, got {text!r}")
+    return value
+
+
+def _require_positive(flag: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise CliError(f"{flag} must be a finite positive number, got {value}")
 
 
 def _emit(config: dict, result: dict, out_path: str | None) -> None:
@@ -221,8 +229,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    f = _load_series(args.coeffs)
     s = _parse_complex(args.s)
+    _require_positive("--y0", args.y0)
+    f = _load_series(args.coeffs)
     twist = AdditiveTwist(args.a, args.q)
     lv = lambda_additive(f, twist, s, y0=args.y0)
     result = {
@@ -245,6 +254,7 @@ def cmd_lambda(args) -> int:
 def cmd_check_fe(args) -> int:
     if args.q < 1:
         raise CliError(f"modulus q = {args.q} must be a positive integer")
+    _require_positive("--tol", args.tol)
     f = _load_series(args.coeffs)
     g = _load_series(args.coeffs_g) if args.coeffs_g else f
     p = args.p if args.p == 1 else _require_prime(args.p)
@@ -271,6 +281,7 @@ def cmd_check_fe(args) -> int:
 
 
 def cmd_check_fe_mult(args) -> int:
+    _require_positive("--tol", args.tol)
     f = _load_series(args.coeffs)
     g = _load_series(args.coeffs_g) if args.coeffs_g else f
     p = _require_prime(args.p)
@@ -304,6 +315,7 @@ def cmd_check_fe_mult(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _require_positive("--tol", args.tol)
     f = _load_series(args.coeffs)
     g = _load_series(args.coeffs_g) if args.coeffs_g else f
     p = _require_prime(args.p)
@@ -448,7 +460,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

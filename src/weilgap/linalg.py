@@ -86,9 +86,3 @@ def nullspace(rows: list[list[int]], n_cols: int | None = None) -> list[list[Fra
             vec[piv] = Fraction(-row[free], row[piv])
         basis.append(vec)
     return basis
-
-
-def in_row_span(rows: list[list[int]], vector: list[int]) -> bool:
-    """Whether an integer vector lies in the rational row span of the rows."""
-    base = rank(rows)
-    return rank(rows + [vector]) == base

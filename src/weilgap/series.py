@@ -18,15 +18,100 @@ length c gives S_ups(m, c) for every residue of m at once.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import mpmath as mp
 import numpy as np
 
 from .matrices import lift_bottom_row  # kept importable as series.lift_bottom_row
 from .multiplier import MultiplierSystem
+
+_EPS = 4 * np.finfo(float).eps
+_MAX_TERMS = 2000
+
+
+# ---------------------------------------------------------------------------
+# Gamma kernels (analytic re-exports them; tail_bound below needs them)
+
+
+def cgamma(s: complex) -> complex:
+    """Euler Gamma on the complex plane (poles at nonpositive integers)."""
+    s = complex(s)
+    if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
+        raise ValueError(f"Gamma pole at s = {s}")
+    with mp.workdps(30):
+        value = complex(mp.gamma(mp.mpc(s)))
+    if not cmath.isfinite(value):
+        raise OverflowError(f"Gamma({s}) overflows double precision")
+    return value
+
+
+def upper_incomplete_gamma(s: complex, x):
+    """Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt, elementwise over x > 0.
+
+    Right of x = max(Re s, 0) + 1, the Legendre continued fraction by
+    modified Lentz (Gil, Segura and Temme, *Numerical Methods for Special
+    Functions*, SIAM 2007); at or left of it, Gamma(s) minus the series of
+    gamma(s, x), with one ``cgamma(s)`` call.  For Re s < 0 the difference
+    would cancel at x = |s| + 1 (3e-6 relative at s = -8.6 + 0.2i, x = 9.6).
+    A scalar x gives a complex; a value past double range raises
+    OverflowError.
+    """
+    scalar = np.ndim(x) == 0
+    s, xs = complex(s), np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xs > 0):
+        raise ValueError("x must be positive")
+    far = xs > max(s.real, 0) + 1
+    out = np.empty(xs.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        front = np.exp(s * np.log(xs) - xs)
+        out[far] = front[far] * _gamma_fraction(s, xs[far])
+        if not far.all():
+            out[~far] = cgamma(s) - front[~far] * _gamma_series(s, xs[~far])
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"Gamma({s}, x) overflows double precision")
+    return complex(out[0]) if scalar else out
+
+
+def _gamma_fraction(s: complex, x: np.ndarray) -> np.ndarray:
+    """x^{-s} e^x Gamma(s, x) = 1 / (x + 1 - s - 1 (1 - s) / (x + 3 - s - ...))."""
+    tiny = 1e-300
+    b = x + 1 - s  # |b| >= 2 here
+    c = np.full(x.shape, 1 / tiny, dtype=complex)
+    h = d = 1 / b
+    done = np.zeros(x.shape, dtype=bool)
+    for i in range(1, _MAX_TERMS):
+        if done.all():
+            return h
+        a = -i * (i - s)
+        b = b + 2
+        d = a * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + a / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1 / d
+        delta = c * d
+        h = np.where(done, h, h * delta)
+        done |= np.abs(delta - 1) < _EPS
+    raise ArithmeticError(f"continued fraction for Gamma({s}, x) did not converge")
+
+
+def _gamma_series(s: complex, x: np.ndarray) -> np.ndarray:
+    """sum_{n >= 0} x^n / (s (s + 1) ... (s + n)) = x^{-s} e^x gamma(s, x)."""
+    term = np.full(x.shape, 1 / s, dtype=complex)
+    total = term
+    done = np.zeros(x.shape, dtype=bool)
+    for n in range(1, _MAX_TERMS):
+        if done.all():
+            return total
+        term = term * x / (s + n)
+        total = np.where(done, total, total + term)
+        done |= np.abs(term) < _EPS * np.abs(total)
+    raise ArithmeticError(f"series for gamma({s}, x) did not converge")
 
 
 @dataclass
@@ -74,34 +159,53 @@ class CoeffSeries:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
 
-    def tail_bound(self, y: float, m_from: Optional[int] = None) -> float:
-        """Bound C * sum_{m > M} m^sigma e^{-2 pi m y} on the dropped tail."""
-        start = (m_from if m_from is not None else self.M) + 1
-        t = 2 * math.pi * y
-        total, m = 0.0, start
-        # sum until the geometric-style remainder bound is negligible
-        while True:
-            term = m**self.sigma * math.exp(-t * m)
-            total += term
-            ratio = ((m + 1) / m) ** self.sigma * math.exp(-t)
-            if ratio < 1 and term * ratio / (1 - ratio) < 1e-18 * (total + 1e-300):
-                total += term * ratio / (1 - ratio)
-                break
-            if term == 0.0:
-                break
-            m += 1
-            if m > start + 200000:
-                return math.inf
-        return self.growth_c * total
+    def tail_bound(self, y):
+        """Bound C sum_{m > M} m^sigma e^{-2 pi m y} on the dropped tail,
+        elementwise over y > 0 (a scalar y gives a float).
+
+        With h(x) = x^sigma e^{-t x}, t = 2 pi y, m0 = M + 1: the smaller of
+        h(m0)/(1 - r) if r = ((m0 + 1)/m0)^sigma e^{-t} < 1 (term ratios fall
+        from r) and max h + Gamma(sigma + 1, t m0)/t^(sigma + 1) (h is
+        unimodal), times 1 + 1e-12.  The sum is at least h(m0)/(1 - e^{-t}),
+        so where that puts the first within 5% the second is not computed.
+        """
+        scalar = np.ndim(y) == 0
+        ys = np.atleast_1d(np.asarray(y, dtype=float))
+        if self.growth_c == 0:
+            return 0.0 if scalar else np.zeros(ys.shape)
+        t, m0, sigma = 2 * np.pi * ys, self.M + 1, self.sigma
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a bound
+            r = (1 + 1 / m0) ** sigma * np.exp(-t)
+            bound = np.where(r < 1, np.exp(sigma * math.log(m0) - t * m0) / (1 - r), np.inf)
+            loose = -np.expm1(-t) > 1.05 * (1 - r)
+            if loose.any():
+                tl = t[loose]
+                peak = np.maximum(m0, sigma / tl)
+                top = np.exp(sigma * np.log(peak) - tl * peak)
+                integral = upper_incomplete_gamma(sigma + 1, tl * m0).real / tl ** (sigma + 1)
+                bound[loose] = np.minimum(bound[loose], top + integral)
+            out = self.growth_c * bound * (1 + 1e-12)
+        return float(out[0]) if scalar else out
 
     def eval_truncated(self, z: complex) -> complex:
         """f(z) = a0 + sum_{m <= M} a_m e(m z), the entire truncation."""
         return complex(self.eval_many(np.array([z]))[0])
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
+        """a0 + sum_{m <= M} a_m q^m, q = e(z), at each z of a 1-d array, as
+        sum_j (q^B)^j sum_{i <= B} a_{jB+i} q^i with B = isqrt(M): n (B + M/B)
+        complex powers, integer powers below 100 (by repeated squaring) for
+        M < 10^4.  einsum's own loop, not BLAS, does the contraction, so a
+        value does not depend on the other points in the call.
+        """
         qs = np.exp(2j * np.pi * np.asarray(zs, dtype=complex))
-        powers = qs[:, None] ** np.arange(1, self.M + 1)[None, :]
-        return self.a0 + powers @ self.as_array()
+        B = max(1, math.isqrt(self.M))
+        blocks = -(-self.M // B)
+        coeffs = np.pad(self.as_array(), (0, blocks * B - self.M))
+        baby = qs[:, None] ** np.arange(1, B + 1)
+        giant = baby[:, -1:] ** np.arange(blocks)
+        inner = np.einsum("nb,jb->nj", baby, coeffs.reshape(blocks, B))
+        return self.a0 + np.sum(inner * giant, axis=1)
 
     def copy_with(self, **kwargs) -> "CoeffSeries":
         data = dict(
@@ -350,11 +454,6 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     )
 
 
-def one_series(M: int, level: int = 1) -> CoeffSeries:
-    """The constant series 1 (a0 = 1, all a_m = 0)."""
-    return CoeffSeries([0j] * M, 0, level, 0.0, "one", a0=1 + 0j, exact=[0] * M)
-
-
 # ---------------------------------------------------------------------------
 # Twisted Kloosterman sums and Eisenstein series
 
@@ -512,8 +611,6 @@ def coeffs_via_fourier_extraction(
     amplification cannot drown the quadrature.  If the estimate exceeds
     10^{-3} the requested M is refused as unreachable at this height.
     """
-    import mpmath as mp
-
     N = max(4 * M, 64)
     if dps is None:
         dps = int(2 * math.pi * M * y / math.log(10)) + 25
@@ -557,7 +654,6 @@ def series_evaluator(series: CoeffSeries):
     the value is returned unrounded.  The doubles are split exactly by
     frexp once; their scaled integers are cached for the last P only.
     """
-    import mpmath as mp
     from mpmath.libmp import from_man_exp
 
     c = np.array([series.a0, *series.coeffs], dtype=complex)
@@ -607,8 +703,6 @@ def slash_evaluator(evaluator, k: int, gamma):
 
     gamma is a Mat2 or FrickeMat; the cocycle is evaluated in mpmath.
     """
-    import mpmath as mp
-
     from .matrices import FrickeMat
 
     if isinstance(gamma, FrickeMat):

@@ -3,13 +3,19 @@ import json
 import math
 import random
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilgap.characters import ResidueChar, all_characters, primitive_characters
-from weilgap.series import delta_coeffs, delta_delta_p
+from weilgap.series import delta_coeffs, delta_delta_p, series_evaluator
 from weilgap.analytic import (
+    _auto_window,
+    _f_side,
+    _ghat,
+    _ghat_trust,
     _tail_upper_gamma,
     AdditiveTwist,
     FEStatement,
@@ -23,11 +29,74 @@ from weilgap.analytic import (
     gauss_assembly_residual,
     gauss_sum,
     lambda_additive,
-    lambda_direct_dirichlet,
     lambda_multiplicative,
-    lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
+
+
+# -- oracles ---------------------------------------------------------------------
+
+
+def lambda_direct_dirichlet(f, psi_or_twist, s):
+    """Oracle: (2 pi)^{-s} Gamma(s) sum a_m chi(m) m^{-s} by direct summation."""
+    s = complex(s)
+    ms = np.arange(1, f.M + 1)
+    if isinstance(psi_or_twist, AdditiveTwist):
+        weights = psi_or_twist.phases(f.M)
+    else:
+        weights = np.array([psi_or_twist(int(m)) for m in ms])
+    total = complex(np.sum(f.as_array() * weights * np.exp(-s * np.log(ms))))
+    return (2 * math.pi) ** (-s) * cgamma(s) * total
+
+
+def mp_gammainc(s, a, b):
+    """Oracle: int_a^b t^{s-1} e^{-t} dt by mpmath at 30 digits."""
+    with mp.workdps(30):
+        return complex(mp.gammainc(mp.mpc(s), a=a, b=b))
+
+
+def lower_incomplete_gamma(s, x):
+    return mp_gammainc(s, 0, x)
+
+
+def tail_upper_gamma_loop(f, re_s, y0):
+    """Oracle: the scalar loop that _tail_upper_gamma replaced."""
+    gamma_re = abs(cgamma(re_s)) if re_s > 1 else math.inf
+    total = 0.0
+    m = f.M + 1
+    while True:
+        x = 2 * math.pi * m * y0
+        if re_s <= 1:
+            g = x ** (re_s - 1) * math.exp(-x)
+        elif x <= abs(re_s) + 1:
+            g = gamma_re
+        else:
+            g = x**re_s * math.exp(-x) / (x - re_s)
+        term = f.growth_c * m**f.sigma * (2 * math.pi * m) ** (-re_s) * g
+        total += term
+        if term < 1e-20 * (1 + total):
+            return total
+        if m > f.M + 100000:
+            return math.inf
+        m += 1
+
+
+def auto_window_loop(f, g, fe, cut):
+    """Oracle: _auto_window as two while loops of single-point probes."""
+    y_bal = 1.0 / (fe.q * math.sqrt(fe.p))
+
+    def reliable(y):
+        ys = np.array([y])
+        trust = f.tail_bound(y) + _ghat_trust(g, fe, y)
+        return trust <= cut * (abs(_f_side(f, fe, ys)[0]) + abs(_ghat(g, fe, ys)[0]))
+
+    assert reliable(y_bal)
+    y_lo = y_hi = y_bal
+    while y_lo / 1.25 > y_bal / 4096 and reliable(y_lo / 1.25):
+        y_lo /= 1.25
+    while y_hi * 1.25 < y_bal * 4096 and reliable(y_hi * 1.25):
+        y_hi *= 1.25
+    return y_lo, y_hi
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +160,28 @@ def test_incomplete_gamma_recurrence():
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-290)
 
 
+@pytest.mark.parametrize("s", [12, 12 + 1j, 12 - 1j, 13.5, 14, 10, 10.5, 2.5 + 0.5j, 1])
+def test_incomplete_gamma_matches_mpmath(s):
+    edge = max(complex(s).real, 0) + 1
+    xs = np.r_[np.geomspace(0.05, 80, 120), abs(s) + 1 - 1e-9, abs(s) + 1 + 1e-9,
+               edge - 1e-9, edge + 1e-9]
+    values = upper_incomplete_gamma(s, xs)
+    for x, value in zip(xs, values):
+        want = mp_gammainc(s, float(x), mp.inf)
+        assert abs(value - want) <= 1e-13 * abs(want), (s, x)
+
+
+def test_incomplete_gamma_shapes_and_overflow():
+    value = upper_incomplete_gamma(12, 3.0)
+    assert isinstance(value, complex)
+    assert upper_incomplete_gamma(12, np.array([3.0]))[0] == value
+    assert upper_incomplete_gamma(12, np.array([])).shape == (0,)
+    with pytest.raises(ValueError):
+        upper_incomplete_gamma(12, np.array([1.0, 0.0]))
+    with pytest.raises(OverflowError):
+        upper_incomplete_gamma(400, 3.0)
+
+
 def test_incomplete_gamma_split():
     s = 3.2 - 1.1j
     x = 2.7
@@ -131,11 +222,19 @@ def test_lambda_additive_y0_independence(delta2000):
 
 
 def test_lambda_additive_quadrature_route(delta2000):
+    # the same split with both parts from mpmath: Gamma(s, x) by gammainc and
+    # the lower integral by adaptive quadrature of the truncated q-expansion
     short = delta2000.copy_with(coeffs=delta2000.coeffs[:60], exact=None)
-    s = 13 + 0.7j
-    v1 = lambda_additive(short, AdditiveTwist(0, 1), s, method="gamma")
-    v2 = lambda_additive(short, AdditiveTwist(0, 1), s, method="quad")
-    assert abs(v1.value - v2.value) < 1e-10 * max(1.0, abs(v1.value))
+    s, y0 = 13 + 0.7j, 1.0
+    lv = lambda_additive(short, AdditiveTwist(0, 1), s, y0=y0)
+    upper = sum(
+        short.a(m) * (2 * math.pi * m) ** (-s) * mp_gammainc(s, 2 * math.pi * m * y0, mp.inf)
+        for m in range(1, short.M + 1)
+    )
+    f_trunc = series_evaluator(short)
+    with mp.workdps(30):
+        lower = complex(mp.quad(lambda y: f_trunc(mp.mpc(0, y)) * mp.mpc(y) ** (s - 1), [0, y0]))
+    assert abs(lv.value - (upper + lower)) < 1e-10 * max(1.0, abs(lv.value))
 
 
 def test_lambda_central_value_real_with_infinite_error(delta2000):
@@ -154,10 +253,27 @@ def test_lambda_error_monotone_in_M(delta2000):
 
 def test_tail_upper_gamma_capped_sum_is_infinite():
     # at y0 = 1e-5 the terms still matter after 100000 of them; the partial
-    # sum (0.017) would under-report, as the q-expansion tail bound says
+    # sum (0.017) would under-report.  The q-expansion tail bound is a closed
+    # form, finite there and not below C int_11^inf x^sigma e^{-t x} dx
     d = delta_coeffs(10)
-    assert d.tail_bound(1e-5) == math.inf
+    t = 2 * math.pi * 1e-5
+    with mp.workdps(30):
+        integral = d.growth_c * mp.quad(lambda x: x**d.sigma * mp.exp(-t * x), [11, mp.inf])
+    assert integral <= d.tail_bound(1e-5) < math.inf
     assert _tail_upper_gamma(d, 7.0, 1e-5) == math.inf
+
+
+@pytest.mark.parametrize("M", [10, 600, 2000])
+@pytest.mark.parametrize("re_s", [0.5, 1.0, 6.0, 7.0, 10.0, 14.0])
+def test_tail_upper_gamma_matches_the_loop(M, re_s):
+    d = delta_coeffs(M)
+    for y0 in (2e-4, 1e-3, 1e-2, 0.1, 1.0):
+        want = tail_upper_gamma_loop(d, re_s, y0)
+        got = _tail_upper_gamma(d, re_s, y0)
+        if want == math.inf:
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_tail_upper_gamma_bounds_the_tail():
@@ -288,6 +404,13 @@ def test_check_fe_additive_dd11_q3(dd11):
     assert rep.verdict
     for sample in rep.samples:
         assert sample.relative < 1e-6
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_auto_window_matches_single_point_ladder(dd5, dd11, q):
+    for (f, g), p in ((dd5, 5), (dd11, 11)):
+        fe = fe_for_q(p, 24, q)
+        assert _auto_window(f, g, fe, cut=1e-8) == auto_window_loop(f, g, fe, 1e-8)
 
 
 def test_check_fe_additive_wrong_phase_fails(dd5):

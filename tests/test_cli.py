@@ -236,3 +236,42 @@ print(json.dumps([seen, {{v: os.environ.get(v) for v in {variables!r}}}]))
     at_numpy_import, after = json.loads(proc.stdout)
     assert at_numpy_import == {v: "3" for v in variables}
     assert after == {v: "3" for v in variables}
+
+
+def test_lambda_overflow_is_invalid_input(tmp_path):
+    coeffs = tmp_path / "delta.jsonl"
+    run_cli("series", "--kind", "delta", "--M", "50", "--out", str(coeffs))
+    proc = run_cli("lambda", "--coeffs", str(coeffs), "--s", "400,0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: Gamma((400+0j)) overflows double precision\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("lambda", "--s", "nan,0"),
+        ("lambda", "--s", "14,inf"),
+        ("lambda", "--y0", "nan"),
+        ("lambda", "--y0", "0"),
+        ("lambda", "--y0", "-0.5"),
+        ("check-fe", "--tol", "nan"),
+        ("check-fe", "--tol", "0"),
+        ("check-fe", "--s", "12,0;nan,1"),
+        ("certify", "--tol", "nan"),
+        ("certify", "--tol", "-1e-6"),
+        ("check-fe-mult", "--tol", "inf"),
+    ],
+)
+def test_non_finite_or_nonpositive_numbers_are_invalid_input(tmp_path, command, flag, value):
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "50", "--out", str(coeffs))
+    args = {
+        "lambda": ["--s", "14,0"],
+        "check-fe": ["--p", "5", "--k", "24"],
+        "certify": ["--p", "5", "--k", "24"],
+        "check-fe-mult": ["--p", "5", "--k", "24", "--q", "3"],
+    }[command]
+    proc = run_cli(command, *args, "--coeffs", str(coeffs), f"{flag}={value}")
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"error: {flag} ")
+    assert proc.stdout == ""

@@ -4,7 +4,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilgap.linalg import bareiss_echelon, in_row_span, nullspace, rank
+from weilgap.linalg import bareiss_echelon, nullspace, rank
+
+
+def in_row_span(rows, vector):
+    """Whether an integer vector lies in the rational row span of the rows."""
+    return rank(rows + [vector]) == rank(rows)
 
 
 def nullspace_by_back_substitution(rows, n_cols):

@@ -22,7 +22,6 @@ from weilgap.series import (
     eta_product_coeffs,
     lift_bottom_row,
     multiply,
-    one_series,
     series_evaluator,
     slash_evaluator,
     twisted_kloosterman,
@@ -32,6 +31,33 @@ from weilgap.series import (
 @pytest.fixture(scope="module")
 def tau200():
     return delta_coeffs(200)
+
+
+def one_series(M, level=1):
+    """The constant series 1 (a0 = 1, all a_m = 0)."""
+    return CoeffSeries([0j] * M, 0, level, 0.0, "one", a0=1 + 0j, exact=[0] * M)
+
+
+def tail_bound_loop(series, y):
+    """Oracle: the loop the closed-form tail_bound replaced, summing
+    C m^sigma e^{-2 pi m y} over m > M until a geometric remainder is
+    negligible (inf after 200000 terms)."""
+    start = series.M + 1
+    t = 2 * math.pi * y
+    total, m = 0.0, start
+    while True:
+        term = m**series.sigma * math.exp(-t * m)
+        total += term
+        ratio = ((m + 1) / m) ** series.sigma * math.exp(-t)
+        if ratio < 1 and term * ratio / (1 - ratio) < 1e-18 * (total + 1e-300):
+            total += term * ratio / (1 - ratio)
+            break
+        if term == 0.0:
+            break
+        m += 1
+        if m > start + 200000:
+            return math.inf
+    return series.growth_c * total
 
 
 def naive_delta_prefix(M):
@@ -526,3 +552,56 @@ def test_fixed_point_horner_cache_follows_the_scale():
         oracle_far, _ = mp_horner([0, *delta_coeffs(300).coeffs], far, mp.mp.prec + 64)
         assert abs(ev(far) - oracle_far) <= mp.mpf(2) ** (-90) * abs(oracle_far)
         assert ev(near) == first
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 3000),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(1e-4, 2)), min_size=1, max_size=2),
+)
+def test_eval_many_matches_mpmath_horner(M, seed, points):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-5, 5, M + 1)
+    coeffs = scale * (rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1))
+    series = CoeffSeries(list(coeffs[1:]), 12, 1, 6.0, "random", a0=complex(coeffs[0]))
+    zs = np.array([complex(x, y) for x, y in points])
+    values = series.eval_many(zs)
+    for z, value in zip(zs, values):
+        oracle, size = mp_horner(list(coeffs), z, 80)
+        with mp.workprec(80):
+            assert abs(mp.mpc(value) - oracle) <= 64 * math.sqrt(max(M, 1)) * 2.0**-53 * size
+
+
+def test_eval_many_rounds_each_point_alone(tau200):
+    # a value does not depend on which other points share the call
+    zs = 0.3 + 1j * np.geomspace(1e-3, 3, 50)
+    batch = tau200.eval_many(zs)
+    assert all(tau200.eval_many(zs[i : i + 1])[0] == batch[i] for i in range(len(zs)))
+    assert tau200.copy_with(coeffs=[]).eval_many(zs).tolist() == [0j] * len(zs)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.0, 6.0, 12.0, 21.0])
+@pytest.mark.parametrize("M", [10, 300, 3000])
+def test_tail_bound_closed_form_against_the_loop(sigma, M):
+    series = CoeffSeries([1.0] * M, 12, 1, sigma, "ones")
+    ys = np.geomspace(2e-4, 20, 13)
+    bounds = series.tail_bound(ys)
+    for y, bound in zip(ys, bounds):
+        assert series.tail_bound(float(y)) == bound
+        loop = tail_bound_loop(series, float(y))
+        if math.isfinite(loop):
+            # the loop's terms underflow to 0 below 1e-308; the closed form
+            # works in logarithms and may answer a subnormal-sized bound there
+            assert loop <= bound <= 1.25 * loop + 1e-300, (y, loop, bound)
+        else:
+            assert math.isfinite(bound)
+
+
+def test_tail_bound_edges():
+    d = delta_coeffs(50)
+    assert isinstance(d.tail_bound(0.1), float)
+    assert d.tail_bound(np.array([0.1, 1e3])).tolist() == [d.tail_bound(0.1), 0.0]
+    assert one_series(20).tail_bound(0.01) == 0.0
+    with pytest.raises(ValueError):
+        d.tail_bound(0.0)
