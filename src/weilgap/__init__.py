@@ -16,7 +16,6 @@ from .matrices import (
     IDENTITY,
     FrickeMat,
     Mat2,
-    ProjMat2,
     S,
     STWord,
     T,
@@ -25,7 +24,6 @@ from .matrices import (
     slash_action,
 )
 from .presentation import (
-    CosetTable,
     ExpVector,
     GammaWord,
     GenSet,

@@ -448,7 +448,6 @@ def check_fe_additive(
     fe: FEStatement,
     s_samples: Optional[Sequence[complex]] = None,
     tolerance: float = 1e-6,
-    nodes: int = 96,
     with_lambda: bool = True,
 ) -> FEReport:
     """Verify the twisted functional equation through the Bochner defect.
@@ -463,7 +462,7 @@ def check_fe_additive(
     if s_samples is None:
         s_samples = default_s_grid(k, f.sigma)
     y_lo, y_hi = _auto_window(f, g, fe, cut=min(1e-8, tolerance * 1e-2))
-    nodes = min(384, max(nodes, int(40 * math.log(y_hi / y_lo))))
+    nodes = min(384, max(96, int(40 * math.log(y_hi / y_lo))))
     ts, ws = _gl_log_nodes(y_lo, y_hi, nodes)
     ts_half, ws_half = _gl_log_nodes(y_lo, y_hi, nodes // 2)
 
@@ -624,21 +623,21 @@ def lambda_via_pair(
     g: CoeffSeries,
     fe: FEStatement,
     s: complex,
-    y_split: Optional[float] = None,
 ) -> LambdaValue:
     """Two-sided evaluation of Lambda(f, a/q, s), valid when the modular
     relation of (f, g, fe) holds (certified separately):
 
         sum_m a_m e(am/q) (2 pi m)^{-s} Gamma(s, 2 pi m y)
         + i^k phase (pq^2)^{k/2 - s} sum_m b_m e(-Bm/q) (2 pi m)^{s-k}
-              Gamma(k - s, 2 pi m u),   u = 1/(p q^2 y).
+              Gamma(k - s, 2 pi m u),   u = 1/(p q^2 y),
 
-    Both tails are exponentially small, so this gives finite error bars at
-    every s, conditional on modularity.
+    split at the balance height y = 1/(q sqrt p).  Both tails are
+    exponentially small, so this gives finite error bars at every s,
+    conditional on modularity.
     """
     s = complex(s)
     p, q, k = fe.p, fe.q, fe.k
-    y = y_split if y_split is not None else 1.0 / (q * math.sqrt(p))
+    y = 1.0 / (q * math.sqrt(p))
     u = 1.0 / (p * q * q * y)
     terms_f, gammas_f = _incomplete_terms(f, fe.twist(), s, y)
     terms_g, gammas_g = _incomplete_terms(g, fe.dual_twist(), k - s, u)
@@ -820,7 +819,6 @@ def certify_modularity(
     chi_value_of_q=None,
     tolerance: float = 1e-6,
     gens: Optional[GenSet] = None,
-    points_per_q: int = 3,
     chi_label: str = "trivial",
 ) -> ModularityCertificate:
     """Numerically verify the converse-theorem relations for the moduli Q.
@@ -849,7 +847,7 @@ def certify_modularity(
         y_bal = 1.0 / (q * math.sqrt(p))
         worst = 0.0
         worst_trunc = 0.0
-        for i in range(points_per_q):
+        for i in range(3):
             height = (0.75 + 0.25 * i) * y_bal
             re = (0.17 * (i - 1)) * y_bal
             res = check_modular_relation(f, g, p, k, fe, complex(re, height), tolerance=tolerance)

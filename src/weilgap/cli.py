@@ -320,9 +320,7 @@ def cmd_certify(args) -> int:
     g = _load_series(args.coeffs_g) if args.coeffs_g else f
     p = _require_prime(args.p)
     chi = _chi_from_arg(args.chi, p)
-    cert = certify_modularity(
-        f, g, p, args.k, (lambda q: chi(q)), tolerance=args.tol
-    )
+    cert = certify_modularity(f, g, p, args.k, (lambda q: chi(q)), tolerance=args.tol, chi_label=args.chi)
     _emit(
         {"command": "certify", "p": p, "k": args.k, "chi": args.chi,
          "coeffs": args.coeffs, "coeffs_g": args.coeffs_g, "tol": args.tol},

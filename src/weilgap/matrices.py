@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,6 @@ class Mat2:
     def is_identity(self) -> bool:
         return self.entries() == (1, 0, 0, 1)
 
-    def is_proj_identity(self) -> bool:
-        return self.entries() == (1, 0, 0, 1) or self.entries() == (-1, 0, 0, -1)
-
     def mobius(self, z: complex) -> complex:
         return mobius(self, z)
 
@@ -103,34 +100,6 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 S = Mat2(1, 1, 0, 1)
 T = Mat2(0, -1, 1, 0)
-
-
-@dataclass(frozen=True)
-class ProjMat2:
-    """Sign-normalized matrix modelling elements of SL2(Z)/{+-I}.
-
-    The representative is chosen so that the first nonzero entry of
-    (c, d, a, b), in that order, is positive.
-    """
-
-    rep: Mat2
-
-    def __init__(self, m: Mat2):
-        for entry in (m.c, m.d, m.a, m.b):
-            if entry != 0:
-                if entry < 0:
-                    m = -m
-                break
-        object.__setattr__(self, "rep", m)
-
-    def __mul__(self, other: "ProjMat2") -> "ProjMat2":
-        return ProjMat2(self.rep * other.rep)
-
-    def inv(self) -> "ProjMat2":
-        return ProjMat2(self.rep.inv())
-
-    def __repr__(self) -> str:
-        return f"+-{self.rep!r}"
 
 
 @dataclass(frozen=True)
@@ -204,13 +173,6 @@ class STWord:
             if gen == "T" and exp not in (1, -1):
                 raise ValueError("T exponents must be +-1")
 
-    def evaluate(self) -> Mat2:
-        result = IDENTITY
-        for gen, exp in self.tokens:
-            base = S if gen == "S" else T
-            result = result * base**exp
-        return result
-
     def to_json(self) -> list[dict]:
         return [{"gen": g, "exp": e} for g, e in self.tokens]
 
@@ -233,6 +195,26 @@ def reduce_word(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
         else:
             out.append((gen, exp))
     return out
+
+
+ST_MATRICES = {"S": S, "T": T}
+
+
+def evaluate_word(tokens: Iterable[tuple[str, int]], matrices: Mapping[str, Mat2]) -> Mat2:
+    """The product, left to right, of matrices[label] ** exp over the tokens."""
+    result = IDENTITY
+    for label, exp in tokens:
+        result = result * matrices[label] ** exp
+    return result
+
+
+def sign_against(value: Mat2, gamma: Mat2, what: str) -> int:
+    """The sign e with value = e * gamma; raises unless value = +-gamma."""
+    if value == gamma:
+        return 1
+    if value == -gamma:
+        return -1
+    raise AssertionError(f"{what} does not evaluate to +-{gamma!r}")
 
 
 def euclid_quotients(c: int, d: int) -> list[int]:
@@ -308,11 +290,5 @@ def decompose_sl2(gamma: Mat2) -> STWord:
     for t in reversed(quotients):
         tokens += [("T", 1), ("S", t)]
     word = STWord(tokens)
-    value = word.evaluate()
-    if value == gamma:
-        word.sign = 1
-    elif value == -gamma:
-        word.sign = -1
-    else:
-        raise AssertionError("S/T decomposition failed to reproduce +-gamma")
+    word.sign = sign_against(evaluate_word(word.tokens, ST_MATRICES), gamma, "S/T decomposition")
     return word

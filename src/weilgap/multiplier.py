@@ -157,9 +157,14 @@ class MultiplierSystem:
 
     @classmethod
     def from_json(cls, gens: GenSet, data: dict) -> "MultiplierSystem":
-        if data["p"] != gens.p:
+        """Parse ``to_json`` output; a malformed document raises ValueError."""
+        try:
+            p = data["p"]
+            angles = {entry["label"]: Angle.from_json(entry) for entry in data["angles"]}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed multiplier document: {type(exc).__name__} {exc}") from exc
+        if p != gens.p:
             raise ValueError("level mismatch between generators and serialized multiplier")
-        angles = {entry["label"]: Angle.from_json(entry) for entry in data["angles"]}
         return cls(gens, angles)
 
 

@@ -31,10 +31,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .matrices import (
-    IDENTITY, Mat2, S, T, STWord, decompose_sl2, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word,
+    IDENTITY, Mat2, S, STWord, decompose_sl2, euclid_quotients, evaluate_word, leading_s_power, lift_bottom_row,
+    reduce_word, sign_against,
 )
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
+# T S^p T^{-1} = V_1^{-1} S^{-1}: the raw Schreier symbols of one crossing of
+# an S power from coset p - 1 to coset 0
+WRAP = [("V_1", -1), ("S", -1)]
+# PSL2(Z) = <T, TS | T^2, (TS)^3>, in the T^{+1} and S^t letters of the walk
+DEFINING_RELATORS = ([("T", 1), ("T", 1)], [("T", 1), ("S", 1)] * 3)
 
 Token = tuple[str, int]
 Word = list[Token]
@@ -98,10 +104,19 @@ def _invert_word(tokens: Word) -> Word:
 
 
 def _word_pow(tokens: Word, n: int) -> Word:
-    if n == 0:
-        return []
-    base = tokens if n > 0 else _invert_word(tokens)
-    return reduce_word(base * abs(n))
+    """tokens^n, unreduced; a one-token word stays one token however large n is."""
+    if len(tokens) == 1:
+        (gen, exp), = tokens
+        return [(gen, exp * n)]
+    return tokens * n if n >= 0 else _invert_word(tokens) * -n
+
+
+def _substitute(tokens: Word, words: dict[str, Word]) -> Word:
+    """The reduced word with each token (label, e) replaced by words[label]^e."""
+    out: Word = []
+    for label, exp in tokens:
+        out.extend(_word_pow(words[label], exp))
+    return reduce_word(out)
 
 
 def _cyclic_reduce(tokens: Word) -> Word:
@@ -118,32 +133,66 @@ def _cyclic_reduce(tokens: Word) -> Word:
     return tokens
 
 
-@dataclass
-class CosetTable:
-    """Transversal {I} u {T S^j} for Gamma0(p)\\SL2(Z), with coset lookup."""
+def _t_target(p: int, coset: int) -> int:
+    """The coset reached by a T step: I <-> T, and T S^r -> T S^{-1/r mod p}."""
+    if coset == COSET_INF:
+        return 0
+    if coset == 0:
+        return COSET_INF
+    return (-pow(coset, -1, p)) % p
 
-    p: int
-    representatives: dict[int, Mat2] = field(default_factory=dict)
 
-    def __post_init__(self):
-        _check_level(self.p)
-        if not self.representatives:
-            reps = {COSET_INF: IDENTITY}
-            for j in range(self.p):
-                reps[j] = T * S**j
-            self.representatives = reps
+def _schreier_walk(p: int, letters: Word, coset: int = COSET_INF) -> tuple[Word, int]:
+    """Walk T^{+1} and S^t letters through the transversal {I} u {T S^j}.
 
-    def coset_of(self, gamma: Mat2) -> int:
-        return self.coset_of_bottom_row(gamma.c, gamma.d)
+    Starts at the given coset and returns the reduced word of raw Schreier
+    symbols and the coset the walk ends at.  The raw symbols are "S", the
+    Schreier element of S at the identity coset, and "V_r", emitted by a T
+    step from coset 0 < r < p; T steps between I and T emit nothing.  An S
+    power stays one token at the identity coset; elsewhere it moves by
+    divmod and emits WRAP once per crossing from p - 1 to 0 (its inverse per
+    crossing back).  Symbols that are +-I are dropped; the lost signs are
+    irrelevant in the projective group.
+    """
+    out: Word = []
+    for gen, exp in letters:
+        if gen == "T":
+            if exp != 1:
+                raise ValueError("the Schreier walk takes T^+1 letters only")
+            if coset > 0:
+                out.append((f"V_{coset}", 1))
+            coset = _t_target(p, coset)
+        elif gen != "S":
+            raise ValueError(f"unknown letter {gen}")
+        elif coset == COSET_INF:
+            out.append(("S", exp))
+        else:
+            wraps, coset = divmod(coset + exp, p)
+            out.extend(_word_pow(WRAP, wraps))
+    return reduce_word(out), coset
 
-    def coset_of_bottom_row(self, c: int, d: int) -> int:
-        p = self.p
-        if c % p == 0:
-            return COSET_INF
-        return (d * pow(c, -1, p)) % p
 
-    def rep(self, coset: int) -> Mat2:
-        return self.representatives[coset]
+def _schreier_relators(p: int, matrices: dict[str, Mat2]) -> list[Word]:
+    """The Reidemeister-Schreier relators of Gamma0(p)/{+-I}, cyclically reduced.
+
+    Each defining relator w is walked from its own coset, I first and then
+    T S^0, ..., T S^{p-1}.  The transversal is a Schreier transversal, and
+    S^j from coset 0 never crosses p - 1 -> 0, so the conjugating prefix
+    T S^j and suffix S^{-j} T^{-1} of T S^j w S^{-j} T^{-1} emit no symbol:
+    the walk of w alone is the rewritten conjugate.  Each walk must return
+    to its coset, and each relator must evaluate to +-I.
+    """
+    relators: list[Word] = []
+    for w in DEFINING_RELATORS:
+        for coset in (COSET_INF, *range(p)):
+            word, end = _schreier_walk(p, w, coset)
+            if end != coset:
+                raise AssertionError(f"walk of relator {w} from coset {coset} did not return to it")
+            sign_against(evaluate_word(word, matrices), IDENTITY, "rewritten relator")
+            word = _cyclic_reduce(word)
+            if word:
+                relators.append(word)
+    return relators
 
 
 class GammaWord:
@@ -158,10 +207,7 @@ class GammaWord:
         self.sign = sign
 
     def evaluate(self, gens: "GenSet") -> Mat2:
-        result = IDENTITY
-        for label, exp in self.tokens:
-            result = result * gens.matrix(label) ** exp
-        return result
+        return evaluate_word(self.tokens, gens._matrices)
 
     def inv(self) -> "GammaWord":
         return GammaWord(_invert_word(self.tokens), self.sign)
@@ -217,11 +263,11 @@ class GenSet:
     """Generating set {S} u {V_q : q in Q'} of Gamma0(p)/{+-I} with orders,
     free-product signature, and the rewriting log of the Tietze eliminations.
 
-    From the log it tabulates, once, the Schreier rewriting of the letters
-    of :func:`~weilgap.matrices.decompose_sl2` words: per coset, the T step
-    as a word, its class (sparse, unreduced coordinates) and its target
-    coset; and the word and class of one wrap, T S^p T^{-1} = V_1^{-1} S^{-1},
-    which an S power contributes each time it crosses from coset p - 1 to 0.
+    From the log it tabulates, once, the classes of the Schreier rewriting of
+    the letters of :func:`~weilgap.matrices.decompose_sl2` words: per coset,
+    the class of the T step (sparse, unreduced coordinates) and its target
+    coset; and the class of one wrap, T S^p T^{-1} = V_1^{-1} S^{-1}, which
+    an S power contributes each time it crosses from coset p - 1 to 0.
     """
 
     def __init__(
@@ -231,14 +277,12 @@ class GenSet:
         matrices: dict[str, Mat2],
         orders: dict[str, object],
         rewriting_log: dict[str, Word],
-        coset_table: CosetTable,
     ):
         self.p = p
         self.labels = labels
         self._matrices = matrices
         self.orders = orders
         self.rewriting_log = rewriting_log  # raw Schreier symbol -> word over final labels
-        self.coset_table = coset_table
 
         self.free_labels = [lbl for lbl in labels if orders[lbl] == "inf"]
         self.order2_labels = [lbl for lbl in labels if orders[lbl] == 2]
@@ -251,22 +295,14 @@ class GenSet:
         self._index = {lbl: i for i, lbl in enumerate(self.free_labels + self.order2_labels + self.order3_labels)}
         self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
 
-        self._t_steps: dict[int, tuple[Word, list[tuple[int, int]], int]] = {
-            COSET_INF: ([], [], 0),
-            0: ([], [], COSET_INF),
+        def sparse_class(raw: Word) -> list[tuple[int, int]]:
+            return [(i, e) for i, e in enumerate(self._coords(_substitute(raw, rewriting_log))) if e]
+
+        self._t_steps = {
+            coset: (sparse_class(_schreier_walk(p, [("T", 1)], coset)[0]), _t_target(p, coset))
+            for coset in (COSET_INF, *range(p))
         }
-
-        def sparse(word: Word) -> list[tuple[int, int]]:
-            return [(i, e) for i, e in enumerate(self._coords(word)) if e]
-
-        for r in range(1, p):
-            word = rewriting_log[f"V_{r}"]
-            self._t_steps[r] = (word, sparse(word), (-pow(r, -1, p)) % p)
-        self._wrap_word = reduce_word(_invert_word(rewriting_log["V_1"]) + [("S", -1)])
-        self._wrap_class = sparse(self._wrap_word)
-
-    def matrix(self, label: str) -> Mat2:
-        return self._matrices[label]
+        self._wrap_class = sparse_class(WRAP)
 
     @property
     def generators(self) -> list[tuple[str, Mat2]]:
@@ -283,23 +319,12 @@ class GenSet:
     # -- Schreier rewriting of S/T words -------------------------------------
 
     def rewrite_st_word(self, word: STWord) -> Word:
-        """Schreier-rewrite a decompose_sl2 word of an element of Gamma0(p)."""
-        p, coset = self.p, COSET_INF
-        out: Word = []
-        for gen, exp in word.tokens:
-            if gen == "T":
-                if exp != 1:
-                    raise ValueError("decompose_sl2 words carry T^+1 only")
-                piece, _, coset = self._t_steps[coset]
-                out.extend(piece)
-            elif coset == COSET_INF:
-                out.append(("S", exp))
-            else:
-                wraps, coset = divmod(coset + exp, p)
-                out.extend(_word_pow(self._wrap_word, wraps))
+        """Schreier-rewrite a decompose_sl2 word of an element of Gamma0(p):
+        its walk from the identity coset, expanded through the rewriting log."""
+        raw, coset = _schreier_walk(self.p, word.tokens)
         if coset != COSET_INF:
             raise AssertionError("rewriting of a Gamma0(p) element did not return to the identity coset")
-        return reduce_word(out)
+        return _substitute(raw, self.rewriting_log)
 
     # -- abelianization -----------------------------------------------------
 
@@ -316,23 +341,20 @@ class GenSet:
             tuple(coords[:n1]), tuple(x % 2 for x in coords[n1:n2]), tuple(x % 3 for x in coords[n2:])
         )
 
-    def abelianize_word(self, word: GammaWord) -> ExpVector:
-        return self._vector(self._coords(word.tokens))
-
     def walk_coords(self, quotients: list[int]) -> list[int]:
         """Unreduced class coordinates of T S^{t_k} T ... T S^{t_1}, for the
         quotients t_1..t_k of a bottom row (c, d) with p | c.
 
-        Walks the rewriting of each letter through the per-coset table: a
-        T step adds its tabulated class, an S^t at the identity coset adds
-        t[S], and an S^t elsewhere adds one wrap class per crossing of the
-        p - 1 -> 0 boundary.  O(k) table lookups; no word is built.
+        The Schreier walk of the letters, on classes: a T step adds its
+        tabulated class, an S^t at the identity coset adds t[S], and an S^t
+        elsewhere adds one wrap class per crossing of the p - 1 -> 0
+        boundary.  O(k) table lookups; no word is built.
         """
         p, steps, wrap, s_index = self.p, self._t_steps, self._wrap_class, self.s_index
         coords = [0] * len(self._index)
         coset = COSET_INF
         for t in reversed(quotients):
-            _, step, coset = steps[coset]
+            step, coset = steps[coset]
             for i, e in step:
                 coords[i] += e
             if coset == COSET_INF:
@@ -387,60 +409,6 @@ class GenSet:
 # Reidemeister-Schreier + Tietze
 
 
-def _walk_letters(p: int, letters: Word, start: int) -> tuple[Word, int]:
-    """Walk a letter word through the coset table, emitting raw Schreier symbols.
-
-    Raw symbols are "S" (the Schreier element at the identity coset) and
-    "V_j" for 1 <= j <= p-1.  Contributions that are +-I are dropped; the
-    lost signs are irrelevant in the projective group.
-    """
-    coset = start
-    out: Word = []
-    for gen, exp in letters:
-        if gen == "S":
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                if coset == COSET_INF:
-                    out.append(("S", step))
-                else:
-                    if step == 1:
-                        if coset == p - 1:
-                            out.extend([("V_1", -1), ("S", -1)])
-                            coset = 0
-                        else:
-                            coset += 1
-                    else:
-                        if coset == 0:
-                            out.extend([("S", 1), ("V_1", 1)])
-                            coset = p - 1
-                        else:
-                            coset -= 1
-        elif gen == "T":
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                if coset == COSET_INF:
-                    coset = 0
-                elif coset == 0:
-                    coset = COSET_INF
-                else:
-                    target = (-pow(coset, -1, p)) % p
-                    if step == 1:
-                        out.append((f"V_{coset}", 1))
-                    else:
-                        out.append((f"V_{target}", -1))
-                    coset = target
-        else:
-            raise ValueError(f"unknown letter {gen}")
-    return reduce_word(out), coset
-
-
-def _evaluate_raw(p: int, word: Word, matrices: dict[str, Mat2]) -> Mat2:
-    result = IDENTITY
-    for label, exp in word:
-        result = result * matrices[label] ** exp
-    return result
-
-
 @dataclass
 class _Presentation:
     matrices: dict[str, Mat2]
@@ -493,30 +461,10 @@ def build_presentation(p: int) -> GenSet:
     relators and eliminations are validated by exact matrix arithmetic.
     """
     _check_level(p)
-    table = CosetTable(p)
-
     matrices: dict[str, Mat2] = {"S": S}
     for j in range(1, p):
         matrices[f"V_{j}"] = v_matrix(p, j)
-
-    # Conjugated defining relators r w r^{-1}, rewritten through the table.
-    relators: list[Word] = []
-    rep_letters: dict[int, Word] = {COSET_INF: []}
-    for j in range(p):
-        rep_letters[j] = [("T", 1), ("S", j)]
-    for w_letters in ([("T", 2)], [("T", 1), ("S", 1)] * 3):
-        for coset in [COSET_INF] + list(range(p)):
-            letters = rep_letters[coset] + w_letters + _invert_word(rep_letters[coset])
-            word, end = _walk_letters(p, letters, COSET_INF)
-            if end != COSET_INF:
-                raise AssertionError("relator walk did not close up")
-            if not _evaluate_raw(p, word, matrices).is_proj_identity():
-                raise AssertionError("rewritten relator does not evaluate to +-I")
-            word = _cyclic_reduce(word)
-            if word:
-                relators.append(word)
-
-    pres = _Presentation(dict(matrices), relators)
+    pres = _Presentation(dict(matrices), _schreier_relators(p, matrices))
 
     # Phase 1: pair eliminations V_{q*} = -V_q^{-1} from length-2 relators.
     changed = True
@@ -576,21 +524,14 @@ def build_presentation(p: int) -> GenSet:
     # Expand the elimination log into final words for every raw symbol.
     final_words: dict[str, Word] = {lbl: [(lbl, 1)] for lbl in labels}
     for label, replacement in reversed(pres.log):
-        expanded: Word = []
-        for gen, exp in replacement:
-            expanded.extend(_word_pow(final_words[gen], exp))
-        final_words[label] = reduce_word(expanded)
-
-    gens = GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words, table)
+        final_words[label] = _substitute(replacement, final_words)
 
     # Certificate: every raw Schreier generator is reproduced, up to sign,
     # by its final word.
     for raw, word in final_words.items():
-        value = _evaluate_raw(p, word, matrices)
-        if value != matrices[raw] and value != -matrices[raw]:
-            raise AssertionError(f"rewriting log fails to reproduce {raw}")
+        sign_against(evaluate_word(word, matrices), matrices[raw], f"rewriting-log word of {raw}")
 
-    return gens
+    return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words)
 
 
 def compute_Q(p: int, gens: Optional[GenSet] = None) -> set[int]:
@@ -603,31 +544,23 @@ def compute_Q(p: int, gens: Optional[GenSet] = None) -> set[int]:
 def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
     """Decompose an element of Gamma0(p) into a word over the generating set.
 
-    Pipeline: decompose_sl2 -> Schreier rewriting through the coset table ->
-    rewriting-log substitutions.  The result evaluates to +-gamma; the sign
-    is recovered by exact re-multiplication.
+    Pipeline: decompose_sl2 -> the Schreier walk of its letters from the
+    identity coset -> rewriting-log substitutions.  The result evaluates to
+    +-gamma; the sign is recovered by exact re-multiplication.
     """
     p = gens.p
     if gamma.det() != 1:
         raise ValueError("gamma must have determinant 1")
     if gamma.c % p != 0:
         raise ValueError(f"matrix {gamma} is not in Gamma0({p})")
-    st_word = decompose_sl2(gamma)
-    tokens = gens.rewrite_st_word(st_word)
-    word = GammaWord(tokens)
-    value = word.evaluate(gens)
-    if value == gamma:
-        word.sign = 1
-    elif value == -gamma:
-        word.sign = -1
-    else:
-        raise AssertionError("Gamma0(p) decomposition failed to reproduce +-gamma")
+    word = GammaWord(gens.rewrite_st_word(decompose_sl2(gamma)))
+    word.sign = sign_against(word.evaluate(gens), gamma, "Gamma0(p) decomposition")
     return word
 
 
 def abelianize(word: GammaWord, gens: GenSet) -> ExpVector:
     """Exponent sums of a word: free part over Z, torsion parts mod 2 and 3."""
-    return gens.abelianize_word(word)
+    return gens._vector(gens._coords(word.tokens))
 
 
 def rademacher_signature(p: int) -> tuple[int, int, int]:

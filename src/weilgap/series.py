@@ -546,6 +546,8 @@ def eisenstein_multiplier_coeffs(
         raise ValueError("the Eisenstein expansion diverges for weight < 3")
     if weight % 2 != 0:
         raise ValueError("even weights only")
+    if M < 1:
+        raise ValueError("need M >= 1")
     if c_max is None:
         c_max = 200 * p
     ms = np.arange(1, M + 1)
@@ -595,7 +597,6 @@ def coeffs_via_fourier_extraction(
     growth_c: float = 1.0,
     growth_sigma: float = 12.0,
     eval_error: float = 0.0,
-    dps: Optional[int] = None,
 ) -> CoeffSeries:
     """Recover b_m of an evaluator via b_m ~ e^{2 pi m y} int_0^1 F(x + iy) e(-m x) dx.
 
@@ -612,8 +613,7 @@ def coeffs_via_fourier_extraction(
     10^{-3} the requested M is refused as unreachable at this height.
     """
     N = max(4 * M, 64)
-    if dps is None:
-        dps = int(2 * math.pi * M * y / math.log(10)) + 25
+    dps = int(2 * math.pi * M * y / math.log(10)) + 25
     errors = []
     for m in range(1, M + 1):
         alias = sum(

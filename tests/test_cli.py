@@ -275,3 +275,34 @@ def test_non_finite_or_nonpositive_numbers_are_invalid_input(tmp_path, command, 
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(f"error: {flag} ")
     assert proc.stdout == ""
+
+
+def test_certify_reports_the_character_it_checked(tmp_path):
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "200", "--out", str(coeffs))
+    proc = run_cli("certify", "--p", "5", "--k", "24", "--chi", "2", "--coeffs", str(coeffs))
+    assert proc.returncode in (0, 1), proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["config"]["chi"] == doc["result"]["chi"] == "2"
+
+
+@pytest.mark.parametrize(
+    "multiplier, M, message",
+    [
+        ({}, "10", "malformed multiplier document"),
+        ({"p": 5, "angles": [{"label": "S"}]}, "10", "malformed multiplier document"),
+        ([1, 2], "10", "malformed multiplier document"),
+        (None, "0", "need M >= 1"),
+    ],
+    ids=["empty", "angle-without-rational", "list", "M=0"],
+)
+def test_series_eis_mult_invalid_input(tmp_path, multiplier, M, message):
+    args = ["series", "--kind", "eis-mult", "--p", "5", "--M", M]
+    if multiplier is not None:
+        path = tmp_path / "ms.json"
+        path.write_text(json.dumps(multiplier))
+        args += ["--multiplier", str(path)]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert message in proc.stderr

@@ -8,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilgap.matrices import (
+    ST_MATRICES,
     FrickeMat,
     Mat2,
-    ProjMat2,
     S,
     STWord,
     T,
     decompose_sl2,
     euclid_quotients,
+    evaluate_word,
     lift_bottom_row,
     mobius,
     slash_action,
@@ -105,7 +106,7 @@ def test_decompose_t():
 def test_decompose_small_matrix():
     m = Mat2(2, 1, 1, 1)
     word = decompose_sl2(m)
-    value = word.evaluate()
+    value = evaluate_word(word.tokens, ST_MATRICES)
     assert value == m or value == -m
     assert word.sign == (1 if value == m else -1)
 
@@ -115,7 +116,7 @@ def test_decompose_thousand_random_exact():
     for _ in range(1000):
         m = rand_sl2(rng)
         word = decompose_sl2(m)
-        value = word.evaluate()
+        value = evaluate_word(word.tokens, ST_MATRICES)
         if word.sign == 1:
             assert value == m
         else:
@@ -173,13 +174,6 @@ def test_slash_action_fricke_eigenvalue():
     z = 1j / math.sqrt(p)
     lhs = slash_action(f.eval_truncated, 24, FrickeMat(p), z)
     assert abs(lhs - f.eval_truncated(z)) < 1e-8
-
-
-def test_proj_normalization_identifies_signs():
-    rng = random.Random(5)
-    for _ in range(50):
-        m = rand_sl2(rng, 100)
-        assert ProjMat2(m) == ProjMat2(-m)
 
 
 def test_serialization_roundtrip():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients, lift_bottom_row
 from weilgap.presentation import (
-    CosetTable,
     GammaWord,
+    _cyclic_reduce,
+    _schreier_relators,
     abelianize,
     build_presentation,
     compute_Q,
@@ -68,18 +69,6 @@ def test_v_matrix_rejects_multiples_of_p():
         v_matrix(13, 26)
 
 
-def test_coset_table_invariants():
-    p = 13
-    table = CosetTable(p)
-    assert len(table.representatives) == p + 1
-    rng = random.Random(11)
-    for _ in range(50):
-        gamma = random_gamma0_element(p, rng, bound=10**4) * (T * S**rng.randint(0, p - 1))
-        coset = table.coset_of(gamma)
-        rep = table.rep(coset)
-        assert (gamma * rep.inv()).c % p == 0
-
-
 def test_decompose_s_is_generator(gens13):
     word = decompose_gamma0(gens13, S)
     assert word.tokens == [("S", 1)] and word.sign == 1
@@ -97,6 +86,80 @@ def test_decompose_rejects_outsiders(gens13):
         decompose_gamma0(gens13, T)
     with pytest.raises(ValueError):
         decompose_gamma0(gens13, Mat2(1, 1, 0, 2))
+
+
+def _word(text):
+    return [(lbl, int(e)) for lbl, e in (tok.split("^") for tok in text.split())]
+
+
+@pytest.mark.parametrize(
+    "p, gamma, sign, tokens",
+    [
+        (13, Mat2(4, 1, 91, 23), -1, "S^1 V_3^1 V_5^1 V_8^1 V_9^1 S^1 V_3^1 V_5^1 V_8^1 V_9^1 V_3^1"),
+        (13, Mat2(-7, 4, 26, -15), 1, "V_3^-1 V_5^-1 V_3^-1 S^-1"),
+        (13, S**10**20 * Mat2(-7, 4, 26, -15), 1, f"S^{10**20} V_3^-1 V_5^-1 V_3^-1 S^-1"),
+        (29, Mat2(1, 0, 29, 1), 1, "S^1 V_5^1 V_22^-1 V_5^-1 V_8^1 V_22^1 V_15^-1 V_17^1 V_8^-1 V_12^1 V_15^1"),
+        (
+            29,
+            Mat2(12, -1, 145, -12),
+            1,
+            "S^1 V_5^1 V_22^-1 V_5^-1 V_8^1 V_22^1 V_15^-1 V_17^1 V_8^-1 V_12^1 V_15^1 V_17^1 V_15^-1 V_12^-1"
+            " V_8^1 V_17^-1 V_15^1 V_22^-1 V_8^-1 V_5^1 V_22^1 V_5^-1 S^-1",
+        ),
+    ],
+    ids=["p13-c91", "p13-c26", "p13-c26-far-S", "p29-c29", "p29-c145"],
+)
+def test_decompose_gamma0_pinned_words(p, gamma, sign, tokens):
+    # the exact words `weilgap word` prints, so a change of walk cannot alter them silently
+    word = decompose_gamma0(gens_of(p), gamma)
+    assert (word.tokens, word.sign) == (_word(tokens), sign)
+
+
+def _conjugate_walk_relators(p):
+    """Oracle: each conjugate T S^j w S^-j T^-1 of a defining relator w
+    walked letter by letter from the identity coset (None), one unit step at a time."""
+
+    def walk(letters):
+        coset, out = None, []
+        for gen, exp in letters:
+            step = 1 if exp > 0 else -1
+            for _ in range(abs(exp)):
+                if gen == "S":
+                    if coset is None:
+                        out.append(("S", step))
+                    elif step == 1 and coset == p - 1:
+                        out += [("V_1", -1), ("S", -1)]
+                        coset = 0
+                    elif step == -1 and coset == 0:
+                        out += [("S", 1), ("V_1", 1)]
+                        coset = p - 1
+                    else:
+                        coset += step
+                elif coset is None:
+                    coset = 0
+                elif coset == 0:
+                    coset = None
+                else:
+                    target = (-pow(coset, -1, p)) % p
+                    out.append((f"V_{coset}", 1) if step == 1 else (f"V_{target}", -1))
+                    coset = target
+        assert coset is None
+        return out
+
+    relators = []
+    for w in ([("T", 2)], [("T", 1), ("S", 1)] * 3):
+        for j in (None, *range(p)):
+            rep = [] if j is None else [("T", 1), ("S", j)]
+            word = _cyclic_reduce(walk(rep + w + [(g, -e) for g, e in reversed(rep)]))
+            if word:
+                relators.append(word)
+    return relators
+
+
+def test_relators_walked_from_their_coset_match_conjugate_walk():
+    for p in filter(is_prime, range(5, 200)):
+        matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
+        assert _schreier_relators(p, matrices) == _conjugate_walk_relators(p)
 
 
 def test_p13_parabolic_identity_left_to_right():
