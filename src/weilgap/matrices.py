@@ -63,16 +63,13 @@ class Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> "Mat2":
+        """Binary powering: a power of +-1 makes no product."""
         if n < 0:
-            return self.inv() ** (-n)
-        result = IDENTITY
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return self.inv() ** -n
+        if n <= 1:
+            return self if n else IDENTITY
+        half = (self * self) ** (n >> 1)
+        return half * self if n & 1 else half
 
     def is_identity(self) -> bool:
         return self.entries() == (1, 0, 0, 1)

@@ -27,7 +27,8 @@ replaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import (
@@ -112,10 +113,14 @@ def _word_pow(tokens: Word, n: int) -> Word:
 
 
 def _substitute(tokens: Word, words: dict[str, Word]) -> Word:
-    """The reduced word with each token (label, e) replaced by words[label]^e."""
+    """The reduced word with each token (label, e) replaced by words[label]^e;
+    labels not in words stay as they are."""
     out: Word = []
     for label, exp in tokens:
-        out.extend(_word_pow(words[label], exp))
+        if label in words:
+            out.extend(_word_pow(words[label], exp))
+        else:
+            out.append((label, exp))
     return reduce_word(out)
 
 
@@ -208,9 +213,6 @@ class GammaWord:
 
     def evaluate(self, gens: "GenSet") -> Mat2:
         return evaluate_word(self.tokens, gens._matrices)
-
-    def inv(self) -> "GammaWord":
-        return GammaWord(_invert_word(self.tokens), self.sign)
 
     def to_json(self) -> dict:
         return {"word": [{"gen": g, "exp": e} for g, e in self.tokens], "sign": self.sign}
@@ -409,29 +411,6 @@ class GenSet:
 # Reidemeister-Schreier + Tietze
 
 
-@dataclass
-class _Presentation:
-    matrices: dict[str, Mat2]
-    relators: list[Word]
-    log: list[tuple[str, Word]] = field(default_factory=list)
-
-    def eliminate(self, label: str, replacement: Word) -> None:
-        self.log.append((label, reduce_word(replacement)))
-        new_relators = []
-        for rel in self.relators:
-            out: Word = []
-            for gen, exp in rel:
-                if gen == label:
-                    out.extend(_word_pow(replacement, exp))
-                else:
-                    out.append((gen, exp))
-            reduced = _cyclic_reduce(out)
-            if reduced:
-                new_relators.append(reduced)
-        self.relators = new_relators
-        del self.matrices[label]
-
-
 def _order_of(matrix: Mat2):
     t = abs(matrix.trace())
     if t == 0:
@@ -445,6 +424,57 @@ def _label_sort_key(label: str) -> tuple[int, int]:
     if label == "S":
         return (0, 0)
     return (1, int(label[2:]))
+
+
+def _rewrite(relators: list[Word], words: dict[str, Word]) -> list[Word]:
+    """Substitute words[label] for each label: the relators that hold one are
+    rewritten and cyclically reduced, the others (already cyclically reduced)
+    are kept, and trivial relators are dropped."""
+    out = []
+    for rel in relators:
+        if any(label in words for label, _ in rel):
+            rel = _cyclic_reduce(_substitute(rel, words))
+        if rel:
+            out.append(rel)
+    return out
+
+
+def _pair_eliminations(relators: list[Word]) -> tuple[list[Word], list[tuple[str, Word]]]:
+    """Tietze phase 1: the length-2 relators are the T^2 walks V_r V_{r*}
+    (r r* = -1 mod p) from the cosets r > 0.  Each eliminates its larger
+    label, V_{max} = V_{min}^{-1}, logged in relator order.  The pairs are
+    disjoint, so the whole map is one substitution.  Returns (relators, log)."""
+    pairs: dict[str, Word] = {}
+    for rel in relators:
+        if len(rel) == 2:
+            (x, e1), (y, e2) = sorted(rel, key=lambda tok: _label_sort_key(tok[0]))
+            pairs.setdefault(y, [(x, -e1 * e2)])
+    return _rewrite(relators, pairs), list(pairs.items())
+
+
+def _tietze(relators: list[Word], matrices: dict[str, Mat2]) -> tuple[list[Word], list[tuple[str, Word]]]:
+    """The surviving relators and the elimination log.  After phase 1, each
+    step eliminates the first non-elliptic generator that occurs once, with
+    exponent +-1, in the shortest such relator (stable list order)."""
+    relators, log = _pair_eliminations(relators)
+    while True:
+        for rel in sorted(relators, key=len):
+            counts = Counter(gen for gen, _ in rel)
+            eligible = (
+                i for i, (gen, exp) in enumerate(rel)
+                if counts[gen] == 1 and abs(exp) == 1 and _order_of(matrices[gen]) == "inf"
+            )
+            idx = next(eligible, None)
+            if idx is not None:
+                break
+        else:
+            return relators, log
+        gen, exp = rel[idx]
+        rest = rel[idx + 1:] + rel[:idx]
+        replacement = _invert_word(rest) if exp == 1 else rest
+        relators.remove(rel)
+        log.append((gen, replacement))
+        relators = _rewrite(relators, {gen: replacement})
 
 
 def build_presentation(p: int) -> GenSet:
@@ -461,69 +491,30 @@ def build_presentation(p: int) -> GenSet:
     relators and eliminations are validated by exact matrix arithmetic.
     """
     _check_level(p)
-    matrices: dict[str, Mat2] = {"S": S}
-    for j in range(1, p):
-        matrices[f"V_{j}"] = v_matrix(p, j)
-    pres = _Presentation(dict(matrices), _schreier_relators(p, matrices))
-
-    # Phase 1: pair eliminations V_{q*} = -V_q^{-1} from length-2 relators.
-    changed = True
-    while changed:
-        changed = False
-        for rel in list(pres.relators):
-            if len(rel) == 2 and rel[0][0] != rel[1][0] and abs(rel[0][1]) == 1 and abs(rel[1][1]) == 1:
-                (x, e1), (y, e2) = rel
-                # eliminate the larger-q symbol
-                if _label_sort_key(y) < _label_sort_key(x):
-                    x, e1, y, e2 = y, e2, x, e1
-                pres.eliminate(y, [(x, -e1 * e2)])
-                changed = True
-                break
-
-    # Phase 2: greedy elimination of non-elliptic generators occurring once.
-    def find_candidate() -> Optional[tuple[Word, str, int]]:
-        for rel in sorted(pres.relators, key=len):
-            counts: dict[str, int] = {}
-            for gen, exp in rel:
-                counts[gen] = counts.get(gen, 0) + abs(exp)
-            for idx, (gen, exp) in enumerate(rel):
-                if counts[gen] == 1 and abs(exp) == 1 and _order_of(pres.matrices[gen]) == "inf":
-                    return rel, gen, idx
-        return None
-
-    while True:
-        found = find_candidate()
-        if found is None:
-            break
-        rel, gen, idx = found
-        rotated = rel[idx:] + rel[:idx]
-        e = rotated[0][1]
-        rest = rotated[1:]
-        replacement = _invert_word(rest) if e == 1 else list(rest)
-        pres.relators.remove(rel)
-        pres.eliminate(gen, replacement)
+    matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
+    relators, log = _tietze(_schreier_relators(p, matrices), matrices)
 
     # The surviving relators must be the elliptic power relators.
     power_of: dict[str, int] = {}
-    for rel in pres.relators:
+    for rel in relators:
         if len(rel) != 1:
             raise AssertionError(f"non-power relator survived Tietze elimination: {rel}")
         gen, exp = rel[0]
         order = abs(exp)
-        if order not in (2, 3) or _order_of(pres.matrices[gen]) != order:
+        if order not in (2, 3) or _order_of(matrices[gen]) != order:
             raise AssertionError(f"unexpected power relator {rel}")
         if power_of.setdefault(gen, order) != order:
             raise AssertionError(f"conflicting power relators for {gen}")
 
-    labels = sorted(pres.matrices, key=_label_sort_key)
-    orders = {lbl: _order_of(pres.matrices[lbl]) for lbl in labels}
+    labels = sorted(matrices.keys() - {label for label, _ in log}, key=_label_sort_key)
+    orders = {lbl: _order_of(matrices[lbl]) for lbl in labels}
     for lbl, order in orders.items():
         if order != "inf" and power_of.get(lbl) != order:
             raise AssertionError(f"elliptic generator {lbl} lacks its power relator")
 
     # Expand the elimination log into final words for every raw symbol.
     final_words: dict[str, Word] = {lbl: [(lbl, 1)] for lbl in labels}
-    for label, replacement in reversed(pres.log):
+    for label, replacement in reversed(log):
         final_words[label] = _substitute(replacement, final_words)
 
     # Certificate: every raw Schreier generator is reproduced, up to sign,

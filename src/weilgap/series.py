@@ -527,6 +527,8 @@ def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int) -> Kl
 def _eis_tail_sum(p: int, w: int, c_max: int) -> float:
     """Bound on sum_{c > c_max, p | c} c^{1 - w} (triangle inequality uses
     |S_ups(m, c)| <= phi(c) <= c)."""
+    if c_max < p:
+        raise ValueError(f"need c_max >= p = {p}")
     t0 = c_max // p + 1
     # sum_{t >= t0} (p t)^{1 - w} <= p^{1-w} * (t0^{1-w} + integral)
     return p ** (1 - w) * (t0 ** (1 - w) + t0 ** (2 - w) / (w - 2))

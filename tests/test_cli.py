@@ -287,17 +287,19 @@ def test_certify_reports_the_character_it_checked(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "multiplier, M, message",
+    "multiplier, options, message",
     [
-        ({}, "10", "malformed multiplier document"),
-        ({"p": 5, "angles": [{"label": "S"}]}, "10", "malformed multiplier document"),
-        ([1, 2], "10", "malformed multiplier document"),
-        (None, "0", "need M >= 1"),
+        ({}, "--M 10", "malformed multiplier document"),
+        ({"p": 5, "angles": [{"label": "S"}]}, "--M 10", "malformed multiplier document"),
+        ([1, 2], "--M 10", "malformed multiplier document"),
+        (None, "--M 0", "need M >= 1"),
+        (None, "--M 5 --cmax -1", "need c_max >= p = 5"),
+        (None, "--M 5 --cmax 0", "need c_max >= p = 5"),
     ],
-    ids=["empty", "angle-without-rational", "list", "M=0"],
+    ids=["empty", "angle-without-rational", "list", "M=0", "cmax=-1", "cmax=0"],
 )
-def test_series_eis_mult_invalid_input(tmp_path, multiplier, M, message):
-    args = ["series", "--kind", "eis-mult", "--p", "5", "--M", M]
+def test_series_eis_mult_invalid_input(tmp_path, multiplier, options, message):
+    args = ["series", "--kind", "eis-mult", "--p", "5", *options.split()]
     if multiplier is not None:
         path = tmp_path / "ms.json"
         path.write_text(json.dumps(multiplier))

@@ -57,6 +57,28 @@ def test_mat_mul_inverse_roundtrip():
         assert (m * m.inv()).is_identity()
 
 
+def test_pow_matches_repeated_product():
+    rng = random.Random(3)
+    for _ in range(20):
+        m = rand_sl2(rng, 10**4)
+        for n in range(-6, 7):
+            expected = Mat2(1, 0, 0, 1)
+            for _ in range(abs(n)):
+                expected = expected * (m if n > 0 else m.inv())
+            assert m**n == expected
+
+
+def test_pow_of_plus_minus_one_makes_no_product(monkeypatch):
+    m = rand_sl2(random.Random(4))
+    products = []
+    mul = Mat2.__mul__
+    monkeypatch.setattr(Mat2, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert m**1 == m and m**-1 == m.inv() and m**0 == Mat2(1, 0, 0, 1)
+    assert not products
+    m**6
+    assert len(products) == 3
+
+
 def test_v_matrix_product_det():
     prod = v_matrix(13, 4) * v_matrix(13, 3)
     assert prod.det() == 1

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients, lift_bottom_row
+from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients, lift_bottom_row, reduce_word
 from weilgap.presentation import (
     GammaWord,
     _cyclic_reduce,
+    _pair_eliminations,
     _schreier_relators,
+    _tietze,
     abelianize,
     build_presentation,
     compute_Q,
@@ -160,6 +162,75 @@ def test_relators_walked_from_their_coset_match_conjugate_walk():
     for p in filter(is_prime, range(5, 200)):
         matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
         assert _schreier_relators(p, matrices) == _conjugate_walk_relators(p)
+
+
+def _rescanning_tietze(relators, matrices):
+    """Oracle: Tietze elimination that rebuilds and cyclically reduces every
+    relator after each elimination, with phase 1 rescanning the relator list
+    from the start after each pair.  Returns (relators entering phase 2,
+    phase-1 log, surviving relators, full log)."""
+    relators, log, live = list(relators), [], dict(matrices)
+
+    def eliminate(label, replacement):
+        nonlocal relators
+        log.append((label, reduce_word(replacement)))
+        new_relators = []
+        for rel in relators:
+            out = []
+            for gen, exp in rel:
+                if gen == label:
+                    out.extend(replacement * exp if exp > 0 else [(g, -e) for g, e in reversed(replacement)] * -exp)
+                else:
+                    out.append((gen, exp))
+            reduced = _cyclic_reduce(out)
+            if reduced:
+                new_relators.append(reduced)
+        relators = new_relators
+        del live[label]
+
+    def key(label):
+        return (0, 0) if label == "S" else (1, int(label[2:]))
+
+    changed = True
+    while changed:
+        changed = False
+        for rel in list(relators):
+            if len(rel) == 2 and rel[0][0] != rel[1][0] and abs(rel[0][1]) == 1 and abs(rel[1][1]) == 1:
+                (x, e1), (y, e2) = rel
+                if key(y) < key(x):
+                    x, e1, y, e2 = y, e2, x, e1
+                eliminate(y, [(x, -e1 * e2)])
+                changed = True
+                break
+    phase1 = (list(relators), list(log))
+
+    def find_candidate():
+        for rel in sorted(relators, key=len):
+            counts = {}
+            for gen, exp in rel:
+                counts[gen] = counts.get(gen, 0) + abs(exp)
+            for idx, (gen, exp) in enumerate(rel):
+                if counts[gen] == 1 and abs(exp) == 1 and abs(live[gen].trace()) > 1:
+                    return rel, gen, idx
+        return None
+
+    while (found := find_candidate()) is not None:
+        rel, gen, idx = found
+        rotated = rel[idx:] + rel[:idx]
+        rest = rotated[1:]
+        replacement = [(g, -e) for g, e in reversed(rest)] if rotated[0][1] == 1 else list(rest)
+        relators.remove(rel)
+        eliminate(gen, replacement)
+    return (*phase1, relators, log)
+
+
+def test_tietze_matches_rescanning_elimination():
+    for p in filter(is_prime, range(5, 200)):
+        matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
+        relators = _schreier_relators(p, matrices)
+        phase1_relators, phase1_log, final_relators, full_log = _rescanning_tietze(relators, matrices)
+        assert _pair_eliminations(relators) == (phase1_relators, phase1_log)
+        assert _tietze(relators, matrices) == (final_relators, full_log)
 
 
 def test_p13_parabolic_identity_left_to_right():

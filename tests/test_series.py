@@ -226,6 +226,17 @@ def test_eisenstein_constant_term_and_tail():
         assert ratio < 0.3
 
 
+def test_eisenstein_rejects_c_max_below_p():
+    # below p the tail bound would under-report: negative at -10, a division by zero at -1
+    ups = trivial_multiplier(build_presentation(5))
+    for c_max in (-10, -1, 0, 4):
+        with pytest.raises(ValueError, match="need c_max >= p = 5"):
+            eisenstein_tail_bound(5, 4, 3, c_max)
+        with pytest.raises(ValueError, match="need c_max >= p = 5"):
+            eisenstein_multiplier_coeffs(5, ups, 4, M=3, c_max=c_max)
+    assert eisenstein_tail_bound(5, 4, 3, 5) > 0
+
+
 def test_eisenstein_rejects_low_weight():
     gens = build_presentation(5)
     with pytest.raises(ValueError):
