@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -106,6 +107,16 @@ class FEStatement:
 
     def dual_twist(self) -> AdditiveTwist:
         return AdditiveTwist(-self.B, self.q)
+
+    @property
+    def balance_height(self) -> float:
+        """1/(q sqrt p): iy and -1/(p q^2 iy) have the same height there."""
+        return 1.0 / (self.q * math.sqrt(self.p))
+
+    def factor(self, s: complex) -> complex:
+        """i^k phase (p q^2)^{k/2 - s}, the factor in
+        Lambda(f, a/q, s) = factor(s) Lambda(g, -B/q, k - s)."""
+        return (1j**self.k) * self.phase * (self.p * self.q * self.q) ** (self.k / 2 - s)
 
     def dual(self) -> "FEStatement":
         """The statement with the roles of f and g swapped.
@@ -258,24 +269,30 @@ def _tail_lower_gamma(f: CoeffSeries, re_s: float, gamma_abs: float) -> float:
 # Pointwise modular relation and windowed defect integrals
 
 
-def _ghat(g: CoeffSeries, fe: FEStatement, ys: np.ndarray) -> np.ndarray:
-    """i^k phase (p q^2) ^{-k/2} y^{-k} g(-B/q + i / (p q^2 y))."""
+def _relation(
+    f: CoeffSeries, g: CoeffSeries, fe: FEStatement, zs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the twisted modular relation at each z of an array in H,
+
+        lhs = f(a/q + z),
+        rhs = (-1)^k phase (p q^2)^{-k/2} z^{-k} g(-B/q + w),   w = -1/(p q^2 z),
+
+    and the bound f.tail_bound(Im z) + |(p q^2)^{-k/2} z^{-k}| g.tail_bound(Im w)
+    on what the truncation of both series costs lhs - rhs.
+    """
+    zs = np.asarray(zs, dtype=complex)
     pq2 = fe.p * fe.q * fe.q
-    vs = 1.0 / (pq2 * ys)
-    shift = fe.dual_twist().a / fe.q
-    zs = shift + 1j * vs
-    values = g.eval_many(zs)
-    return (1j**fe.k) * fe.phase * pq2 ** (-fe.k / 2) * ys ** (-float(fe.k)) * values
+    ws = -1.0 / (pq2 * zs)
+    jacobian = pq2 ** (-fe.k / 2) * zs ** (-fe.k)
+    lhs = f.eval_many(fe.twist().a / fe.q + zs)
+    rhs = (-1) ** fe.k * fe.phase * jacobian * g.eval_many(fe.dual_twist().a / fe.q + ws)
+    truncation = f.tail_bound(zs.imag) + np.abs(jacobian) * g.tail_bound(ws.imag)
+    return lhs, rhs, truncation
 
 
-def _f_side(f: CoeffSeries, fe: FEStatement, ys: np.ndarray) -> np.ndarray:
-    shift = fe.twist().a / fe.q
-    return f.eval_many(shift + 1j * ys)
-
-
-def _ghat_trust(g: CoeffSeries, fe: FEStatement, ys: np.ndarray) -> np.ndarray:
-    pq2 = fe.p * fe.q * fe.q
-    return pq2 ** (-fe.k / 2) * ys ** (-float(fe.k)) * g.tail_bound(1.0 / (pq2 * ys))
+def _require_statement_level(p: int, k: int, fe: FEStatement) -> None:
+    if (p, k) != (fe.p, fe.k):
+        raise ValueError(f"(p, k) = ({p}, {k}) differs from the statement's ({fe.p}, {fe.k})")
 
 
 @dataclass
@@ -303,38 +320,24 @@ def check_modular_relation(
     z: complex,
     tolerance: float = 1e-6,
 ) -> ModularRelationResult:
-    """Residual of sum a_m e(am/q) e(mz) against
-    (-1)^k phase p^{-k/2} q^{-k} z^{-k} sum b_m e(-Bm/q) e(-m/(p q^2 z)).
+    """The modular relation of (f, g, fe) at one z (see :func:`_relation`);
+    (p, k) must be the statement's own.
 
     The reported residual is relative to the larger side; the truncation
     field bounds the dropped tails of both series at this z.  The fitted
     phase is the constant phase * lhs / rhs that would make the relation
     exact at z; for a modular pair it reproduces the declared phase.
     """
+    _require_statement_level(p, k, fe)
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("z must be in the upper half-plane")
-    q = fe.q
-    lhs = complex(f.eval_many(np.array([fe.twist().a / q + z]))[0])
-    pq2 = p * q * q
-    w = -1.0 / (pq2 * z)
-    g_val = complex(g.eval_many(np.array([fe.dual_twist().a / q + w]))[0])
-    rhs = (-1) ** k * fe.phase * p ** (-k / 2) * float(q) ** (-k) * z ** (-k) * g_val
+    lhs, rhs, trunc = (x[0] for x in _relation(f, g, fe, np.array([z])))
+    lhs, rhs = complex(lhs), complex(rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    dual_height = z.imag / (pq2 * abs(z) ** 2)  # Im(-1/(p q^2 z))
-    trunc = f.tail_bound(z.imag) + abs(z) ** (-k) * p ** (-k / 2) * float(q) ** (-k) * g.tail_bound(
-        dual_height
-    )
     fitted = fe.phase * lhs / rhs if rhs != 0 else complex("nan")
     return ModularRelationResult(
-        z=z,
-        lhs=lhs,
-        rhs=rhs,
-        residual=abs(lhs - rhs) / scale,
-        absolute=abs(lhs - rhs),
-        truncation=trunc,
-        fitted_phase=fitted,
-        tolerance=tolerance,
+        z, lhs, rhs, abs(lhs - rhs) / scale, abs(lhs - rhs), float(trunc), fitted, tolerance
     )
 
 
@@ -344,19 +347,20 @@ def _auto_window(
     """Largest [y_lo, y_hi] around the balance height on which both
     truncated sides are pointwise reliable.
 
-    Reliability at y means trust(y) <= cut * signal(y), with trust the sum
-    of both truncation-tail bounds and signal the sum of magnitudes; this
-    keeps the Mellin weights from amplifying edge noise of the truncated
-    series into the defect integrals.  The ends are rungs of the ladder
-    y_bal 1.25^{+-j} inside (y_bal / 4096, 4096 y_bal), all probed at once.
+    Reliability at y means trust(y) <= cut * signal(y), with trust the
+    truncation bound of the relation at iy and signal the sum of magnitudes
+    of its sides; this keeps the Mellin weights from amplifying edge noise
+    of the truncated series into the defect integrals.  The ends are rungs
+    of the ladder y_bal 1.25^{+-j} inside (y_bal / 4096, 4096 y_bal), all
+    probed at once.
     """
-    y_bal = 1.0 / (fe.q * math.sqrt(fe.p))
+    y_bal = fe.balance_height
     steps = np.r_[y_bal, np.full(40, 1.25)]  # 1.25^40 > 4096
     down, up = np.divide.accumulate(steps), np.multiply.accumulate(steps)
     down, up = down[down > y_bal / 4096], up[up < y_bal * 4096]
     ys = np.r_[down, up[1:]]
-    trust = f.tail_bound(ys) + _ghat_trust(g, fe, ys)
-    reliable = trust <= cut * (np.abs(_f_side(f, fe, ys)) + np.abs(_ghat(g, fe, ys)))
+    lhs, rhs, trust = _relation(f, g, fe, 1j * ys)
+    reliable = trust <= cut * (np.abs(lhs) + np.abs(rhs))
     if not reliable[0]:
         raise ValueError(
             "insufficient coefficients: truncated sides are unreliable at the balance height"
@@ -383,9 +387,6 @@ class DefectSample:
     scale: float
     window_error: float
     quadrature_error: float
-    lambda_lhs: Optional[LambdaValue] = None
-    lambda_rhs: Optional[LambdaValue] = None
-    lambda_residual: Optional[float] = None
     passed: bool = True
 
 
@@ -452,65 +453,54 @@ def check_fe_additive(
 ) -> FEReport:
     """Verify the twisted functional equation through the Bochner defect.
 
-    For each s the windowed Mellin integral of delta(y) is computed with
-    Gauss-Legendre quadrature in log y; the pass rule per sample is
-    relative defect <= max(tolerance, 10 * combined error estimate).  The
-    pointwise modular relation is checked at three heights around the
-    balance point, and lambda_additive values at both ends are attached
-    where their one-sided error estimates are finite.
+    (p, k) must be the statement's own.  For each s the windowed Mellin
+    integral of delta(y) is computed with Gauss-Legendre quadrature in
+    log y; the pass rule per sample is relative defect <= max(tolerance,
+    10 * combined error estimate).  A sample where Gamma(s) or Gamma(k - s)
+    has a pole or overflows is invalid input.  The pointwise modular
+    relation is checked at three heights around the balance point.  With
+    with_lambda, the one-sided pair lambda_additive(f, a/q, s),
+    lambda_additive(g, -B/q, k - s) also gates a sample where both error
+    estimates are finite, which needs Re s > sigma_f + 1 and
+    k - Re s > sigma_g + 1; elsewhere it is not computed.
     """
+    _require_statement_level(p, k, fe)
     if s_samples is None:
         s_samples = default_s_grid(k, f.sigma)
+    s_samples = [complex(s) for s in s_samples]
+    for s in s_samples:  # a pole or overflow of either Gamma factor raises here
+        cgamma(s)
+        cgamma(k - s)
     y_lo, y_hi = _auto_window(f, g, fe, cut=min(1e-8, tolerance * 1e-2))
     nodes = min(384, max(96, int(40 * math.log(y_hi / y_lo))))
     ts, ws = _gl_log_nodes(y_lo, y_hi, nodes)
     ts_half, ws_half = _gl_log_nodes(y_lo, y_hi, nodes // 2)
 
-    ys = np.exp(ts)
-    f_vals = _f_side(f, fe, ys)
-    g_vals = _ghat(g, fe, ys)
-    delta = f_vals - g_vals
-    mag = 0.5 * (np.abs(f_vals) + np.abs(g_vals))
-    ys_half = np.exp(ts_half)
-    delta_half = _f_side(f, fe, ys_half) - _ghat(g, fe, ys_half)
-    trust = f.tail_bound(ys) + _ghat_trust(g, fe, ys)
+    # one relation call for both rules; only the full rule's trust is used
+    lhs, rhs, trust = _relation(f, g, fe, 1j * np.exp(np.r_[ts, ts_half]))
+    delta, delta_half = np.split(lhs - rhs, [nodes])
+    mag = 0.5 * (np.abs(lhs[:nodes]) + np.abs(rhs[:nodes]))
+    trust = trust[:nodes]
 
     samples: list[DefectSample] = []
     for s in s_samples:
-        s = complex(s)
-        weights = np.exp(ts * s)
-        d_full = complex(np.sum(ws * delta * weights))
+        d_full = complex(np.sum(ws * delta * np.exp(ts * s)))
         d_half = complex(np.sum(ws_half * delta_half * np.exp(ts_half * s)))
         quad_err = abs(d_full - d_half)
         win_err = float(np.sum(ws * trust * np.exp(ts * s.real)))
         scale = float(np.sum(ws * mag * np.exp(ts * s.real))) + 1e-300
         rel = abs(d_full) / scale
-        entry = DefectSample(
-            s=s,
-            defect_integral=d_full,
-            relative=rel,
-            scale=scale,
-            window_error=win_err,
-            quadrature_error=quad_err,
-        )
-        if with_lambda:
+        passed = rel <= max(tolerance, 10 * (win_err + quad_err) / scale)
+        if with_lambda and s.real > f.sigma + 1 and k - s.real > g.sigma + 1:
             lv_l = lambda_additive(f, fe.twist(), s)
             lv_r = lambda_additive(g, fe.dual_twist(), k - s)
-            factor = (1j**k) * fe.phase * (p * fe.q**2) ** (k / 2 - s)
-            entry.lambda_lhs = lv_l
-            entry.lambda_rhs = lv_r
-            entry.lambda_residual = abs(lv_l.value - factor * lv_r.value)
-        entry.passed = rel <= max(tolerance, 10 * (win_err + quad_err) / scale)
-        if with_lambda and entry.lambda_residual is not None:
-            lam_budget = max(
-                tolerance,
-                10 * (min(entry.lambda_lhs.error, 1e300) + min(entry.lambda_rhs.error, 1e300)),
-            )
-            if math.isfinite(entry.lambda_lhs.error) and math.isfinite(entry.lambda_rhs.error):
-                entry.passed = entry.passed and entry.lambda_residual <= lam_budget
-        samples.append(entry)
+            # _tail_upper_gamma can still be infinite
+            if math.isfinite(lv_l.error) and math.isfinite(lv_r.error):
+                residual = abs(lv_l.value - fe.factor(s) * lv_r.value)
+                passed = passed and residual <= max(tolerance, 10 * (lv_l.error + lv_r.error))
+        samples.append(DefectSample(s, d_full, rel, scale, win_err, quad_err, passed))
 
-    y_bal = 1.0 / (fe.q * math.sqrt(p))
+    y_bal = fe.balance_height
     points = []
     for scale_y, re_frac in ((0.8, 0.0), (1.0, 0.21), (1.3, -0.13)):
         z = complex(re_frac * y_bal, scale_y * y_bal)
@@ -521,27 +511,45 @@ def check_fe_additive(
     y0_ok: Optional[bool] = None
     if with_lambda:
         s_conv = f.sigma + 2 + 0j
-        base = lambda_additive(f, fe.twist(), s_conv, y0=1.0 / (fe.q * math.sqrt(p)))
+        base = lambda_additive(f, fe.twist(), s_conv, y0=y_bal)
         y0_ok = True
         for factor in (0.3, 3.0):
-            other = lambda_additive(f, fe.twist(), s_conv, y0=factor / (fe.q * math.sqrt(p)))
+            other = lambda_additive(f, fe.twist(), s_conv, y0=factor * y_bal)
             if not base.agrees_with(other, slack=1e-9):
                 y0_ok = False
 
     verdict = all(s.passed for s in samples) and all(p_.passed for p_ in points) and y0_ok is not False
-    return FEReport((fe), (y_lo, y_hi), samples, points, y0_ok, tolerance, verdict)
+    return FEReport(fe, (y_lo, y_hi), samples, points, y0_ok, tolerance, verdict)
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums and multiplicative twists
 
 
+def _units(q: int) -> list[int]:
+    """The residues a mod q with gcd(a, q) = 1; [0] for q = 1."""
+    return [a for a in range(q) if math.gcd(a, q) == 1]
+
+
 def gauss_sum(psi: ResidueChar) -> complex:
     """tau(psi) = sum_{a mod q} psi(a) e(a/q)."""
-    q = psi.q
-    if q == 1:
-        return 1.0 + 0j
-    return complex(sum(psi(a) * e_of(Fraction(a, q)) for a in range(q)))
+    return complex(sum(psi(a) * e_of(Fraction(a, psi.q)) for a in range(psi.q)))
+
+
+def _gauss_average(
+    char: ResidueChar, values: Sequence[tuple[int, LambdaValue]], s: complex
+) -> LambdaValue:
+    """(1/tau(char)) sum_r char(r) Lambda_r over (residue r, Lambda_r) pairs,
+    with the errors added.  For q = 1 the one residue is 0, char(0) = 1 and
+    tau = 1."""
+    total = 0j
+    error = 0.0
+    for r, lv in values:
+        total += char(r) * lv.value
+        error += lv.error
+    tau = gauss_sum(char)
+    first = values[0][1]
+    return LambdaValue(total / tau, error / abs(tau), s, None, first.y0, first.M)
 
 
 def gauss_assembly_residual(psi: ResidueChar, p: int, test_vector: dict[int, complex]) -> float:
@@ -552,22 +560,9 @@ def gauss_assembly_residual(psi: ResidueChar, p: int, test_vector: dict[int, com
             = psi(p) (tau(psi)^2 / q) (1/tau(psi)) sum'_b psi(b) X(b).
     """
     q = psi.q
-    if q == 1:
-        return 0.0
     psi_bar = psi.conj()
-    lhs = 0j
-    for a in range(1, q):
-        if math.gcd(a, q) != 1:
-            continue
-        b = (-pow(a * p % q, -1, q)) % q
-        lhs += psi_bar(a) * test_vector[b]
-    lhs /= gauss_sum(psi_bar)
-    rhs = 0j
-    for b in range(1, q):
-        if math.gcd(b, q) != 1:
-            continue
-        rhs += psi(b) * test_vector[b]
-    rhs *= psi(p) * gauss_sum(psi) / q
+    lhs = sum(psi_bar(a) * test_vector[-pow(a * p, -1, q) % q] for a in _units(q)) / gauss_sum(psi_bar)
+    rhs = sum(psi(b) * test_vector[b] for b in _units(q)) * (psi(p) * gauss_sum(psi) / q)
     return abs(lhs - rhs)
 
 
@@ -578,9 +573,7 @@ def additive_statements_for_psi(
     B = inverse(a p) mod q, so the dual twist is -inverse(a p)/q as in the
     multiplicative assembly chain."""
     out: dict[int, FEStatement] = {}
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            continue
+    for a in _units(q):
         mat, B, D = constraint_matrix(p, a, q)
         phase = 1.0 + 0j
         if phase_of_matrix is not None:
@@ -599,23 +592,12 @@ def lambda_multiplicative(
     """Lambda(f, psi, s) = (1/tau(conj psi)) sum'_a conj(psi)(a) Lambda(f, a/q, s)."""
     q = psi.q
     p = level if level is not None else max(f.level, 1)
-    if q > 1 and math.gcd(q, p) != 1:
+    if math.gcd(q, p) != 1:
         raise ValueError("gcd(q, p) must be 1")
     if not psi.is_primitive():
         raise ValueError("psi must be primitive")
-    if q == 1:
-        return lambda_additive(f, AdditiveTwist(0, 1), s, y0=y0)
-    psi_bar = psi.conj()
-    total = 0j
-    error = 0.0
-    for a in range(1, q):
-        if math.gcd(a, q) != 1:
-            continue
-        lv = lambda_additive(f, AdditiveTwist(a, q), s, y0=y0)
-        total += psi_bar(a) * lv.value
-        error += lv.error
-    tau_bar = gauss_sum(psi_bar)
-    return LambdaValue(total / tau_bar, error / abs(tau_bar), s, None, y0 or 0.0, f.M)
+    twisted = [(a, lambda_additive(f, AdditiveTwist(a, q), s, y0=y0)) for a in _units(q)]
+    return _gauss_average(psi.conj(), twisted, s)
 
 
 def lambda_via_pair(
@@ -636,15 +618,14 @@ def lambda_via_pair(
     conditional on modularity.
     """
     s = complex(s)
-    p, q, k = fe.p, fe.q, fe.k
-    y = 1.0 / (q * math.sqrt(p))
-    u = 1.0 / (p * q * q * y)
+    y = fe.balance_height
+    u = 1.0 / (fe.p * fe.q * fe.q * y)
     terms_f, gammas_f = _incomplete_terms(f, fe.twist(), s, y)
-    terms_g, gammas_g = _incomplete_terms(g, fe.dual_twist(), k - s, u)
+    terms_g, gammas_g = _incomplete_terms(g, fe.dual_twist(), fe.k - s, u)
     part_f = complex(terms_f[: len(gammas_f)] @ gammas_f)
     part_g = complex(terms_g[: len(gammas_g)] @ gammas_g)
-    factor = (1j**k) * fe.phase * (p * q * q) ** (k / 2 - s)
-    err = _tail_upper_gamma(f, s.real, y) + abs(factor) * _tail_upper_gamma(g, (k - s).real, u)
+    factor = fe.factor(s)
+    err = _tail_upper_gamma(f, s.real, y) + abs(factor) * _tail_upper_gamma(g, (fe.k - s).real, u)
     return LambdaValue(part_f + factor * part_g, err, s, fe.twist(), y, f.M)
 
 
@@ -676,10 +657,12 @@ def check_fe_multiplicative(
     pass check_fe_additive, the finite Gauss reindexing identity holds on
     a random test vector, and the two-sided assembled values satisfy the
     equation with the declared constant (use constant_override for
-    sensitivity experiments).
+    sensitivity experiments).  Each assembled value is the Gauss average of
+    lambda_via_pair values, whose error bars are conditional on the
+    per-residue modular relations.
     """
     q = psi.q
-    if q > 1 and math.gcd(q, p) != 1:
+    if math.gcd(q, p) != 1:
         raise ValueError("gcd(q, p) must be 1")
     if not psi.is_primitive():
         raise ValueError("psi must be primitive")
@@ -692,28 +675,27 @@ def check_fe_multiplicative(
         for fe in statements.values()
     ]
 
-    import random as _random
-
-    rng = _random.Random(20260808)
-    test_vec = {
-        b: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for b in range(q)
-    }
-    assembly = gauss_assembly_residual(psi, p, test_vec) if q > 1 else 0.0
+    rng = random.Random(20260808)
+    test_vec = {b: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for b in range(q)}
+    assembly = gauss_assembly_residual(psi, p, test_vec)
 
     tau = gauss_sum(psi)
     constant_base = chi_value_at_q * psi(p) * tau**2 / q
+    constant = constant_override if constant_override is not None else constant_base
+    psi_bar = psi.conj()
     samples = []
     ok = True
     for s in s_samples:
         s = complex(s)
-        lhs = _assemble_multiplicative(f, g, statements, psi.conj(), s, side="f")
-        rhs = _assemble_multiplicative(f, g, statements, psi, k - s, side="g")
-        declared = (
-            (1j**k)
-            * (constant_override if constant_override is not None else constant_base)
-            * (p * q * q) ** (k / 2 - s)
+        lhs = _gauss_average(
+            psi_bar, [(a, lambda_via_pair(f, g, fe, s)) for a, fe in statements.items()], s
         )
+        rhs = _gauss_average(
+            psi,
+            [(fe.dual_twist().a, lambda_via_pair(g, f, fe.dual(), k - s)) for fe in statements.values()],
+            k - s,
+        )
+        declared = (1j**k) * constant * (p * q * q) ** (k / 2 - s)
         resid = abs(lhs.value - declared * rhs.value)
         scale = max(abs(lhs.value), abs(declared * rhs.value), 1e-300)
         budget = max(tolerance, 10 * (lhs.error + abs(declared) * rhs.error) / scale)
@@ -730,39 +712,6 @@ def check_fe_multiplicative(
         )
     verdict = ok and all(r.verdict for r in reports) and assembly <= 1e-9
     return MultiplicativeReport(q, constant_base, samples, reports, assembly, verdict)
-
-
-def _assemble_multiplicative(
-    f: CoeffSeries,
-    g: CoeffSeries,
-    statements: dict[int, FEStatement],
-    weight_char: ResidueChar,
-    s: complex,
-    side: str,
-) -> LambdaValue:
-    """(1/tau(weight_char)) sum'_a weight_char(.) Lambda(., ./q, s), each
-    Lambda through the two-sided pair formula (valid once the per-residue
-    modular relations are certified; the error bars are conditional on
-    that)."""
-    q = weight_char.q
-    if q == 1:
-        fe = statements[0]
-        if side == "f":
-            return lambda_via_pair(f, g, fe, s)
-        return lambda_via_pair(g, f, fe.dual(), s)
-    total = 0j
-    error = 0.0
-    for a, fe in statements.items():
-        if side == "f":
-            lv = lambda_via_pair(f, g, fe, s)
-            w = weight_char(a)
-        else:
-            lv = lambda_via_pair(g, f, fe.dual(), s)
-            w = weight_char((-fe.B) % q)
-        total += w * lv.value
-        error += lv.error
-    tau_w = gauss_sum(weight_char)
-    return LambdaValue(total / tau_w, error / abs(tau_w), s, None, 0.0, f.M)
 
 
 # ---------------------------------------------------------------------------
@@ -844,15 +793,12 @@ def certify_modularity(
         if chi_value_of_q is not None and q > 1:
             phase = complex(chi_value_of_q(q))
         fe = fe_for_q(p, k, q, phase)
-        y_bal = 1.0 / (q * math.sqrt(p))
-        worst = 0.0
-        worst_trunc = 0.0
-        for i in range(3):
-            height = (0.75 + 0.25 * i) * y_bal
-            re = (0.17 * (i - 1)) * y_bal
-            res = check_modular_relation(f, g, p, k, fe, complex(re, height), tolerance=tolerance)
-            worst = max(worst, res.residual)
-            worst_trunc = max(worst_trunc, res.truncation)
+        i = np.arange(3)
+        zs = fe.balance_height * (0.17 * (i - 1) + 1j * (0.75 + 0.25 * i))
+        lhs, rhs, trunc = _relation(f, g, fe, zs)
+        sides = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        worst = float(np.max(np.abs(lhs - rhs) / sides))
+        worst_trunc = float(np.max(trunc))
         label = "W_p" if q == 1 else f"V_{q}"
         passed = worst <= tolerance
         if not passed and failing is None:

@@ -275,36 +275,20 @@ def in_kappa_subgroup(gens: GenSet, vec: ExpVector) -> bool:
 
     Characters of a finitely generated abelian group separate points, so
     vanishing under every solution of the two cusp rows is equivalent to
-    membership in the subgroup generated by [S] and [P], P = T S^p T^{-1}:
-    solve vec = alpha*[S] + beta*[P] over the integers.
+    membership in the subgroup generated by [S] and [P], P = T S^p T^-1.
+    The free part of [P] is a multiple of [S] (asserted; sixth_root_check
+    reports it), so vec lies there exactly when its free part has no
+    coordinate off [S] and its torsion is that of beta [P] for some beta
+    mod 6.
     """
     p_vec = gens.class_of(T * S**gens.p * T.inv())
-    s_idx = gens.s_index
-
-    # candidate betas from the non-S free coordinates
-    pinned = [(i, px) for i, px in enumerate(p_vec.free) if i != s_idx and px != 0]
-    if pinned:
-        i0, px = pinned[0]
-        if vec.free[i0] % px != 0:
-            return False
-        betas = [vec.free[i0] // px]
-    else:
-        if any(x != 0 for i, x in enumerate(vec.free) if i != s_idx):
-            return False
-        betas = list(range(6))  # only beta mod 6 matters through the torsion part
-
-    for beta in betas:
-        if any(vec.free[i] != beta * px for i, px in pinned):
-            continue
-        alpha = vec.free[s_idx] - beta * p_vec.free[s_idx]
-        combo = p_vec.scale(beta) + ExpVector(
-            tuple(alpha if i == s_idx else 0 for i in range(len(vec.free))),
-            (0,) * len(vec.tor2),
-            (0,) * len(vec.tor3),
-        )
-        if combo == vec:
-            return True
-    return False
+    off_s = [i for i in range(len(vec.free)) if i != gens.s_index]
+    if any(p_vec.free[i] for i in off_s):
+        raise AssertionError(f"[T S^p T^-1] has a free part off [S] at p = {gens.p}")
+    if any(vec.free[i] for i in off_s):
+        return False
+    multiples = (p_vec.scale(beta) for beta in range(6))
+    return any((m.tor2, m.tor3) == (vec.tor2, vec.tor3) for m in multiples)
 
 
 @dataclass

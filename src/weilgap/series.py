@@ -557,11 +557,8 @@ def eisenstein_multiplier_coeffs(
     for c in range(p, c_max + 1, p):
         sums += _kloosterman_row(upsilon, c)[ms % c] * float(c) ** (-weight)
     front = (-2j * np.pi) ** weight / math.factorial(weight - 1)
-    coeffs = front * ms ** (weight - 1) * sums
-    tail = _eis_tail_sum(p, weight, c_max)
-    per_coeff_bound = (
-        (2 * np.pi) ** weight * ms ** (weight - 1) / math.factorial(weight - 1) * tail
-    )
+    coeffs = front * _float_powers(ms, weight - 1) * sums
+    per_coeff_bound = eisenstein_tail_bound(p, weight, ms, c_max)
     return CoeffSeries(
         list(coeffs),
         weight=weight,
@@ -575,14 +572,23 @@ def eisenstein_multiplier_coeffs(
     )
 
 
-def eisenstein_tail_bound(p: int, weight: int, m: int, c_max: int) -> float:
-    """The stated per-coefficient bound on the dropped c > c_max tail."""
-    return (
+def _float_powers(ms, e: int) -> np.ndarray:
+    """m^e for each m, each power taken on exact integers and then rounded
+    once to a float, so it neither wraps (as an int64 power would past
+    2^63) nor picks up the rounding of a float power."""
+    return np.array([float(int(m) ** e) for m in np.ravel(ms)]).reshape(np.shape(ms))
+
+
+def eisenstein_tail_bound(p: int, weight: int, m, c_max: int):
+    """The stated bound on the dropped c > c_max tail of a_m, for an int m
+    (a float back) or elementwise over an array of m."""
+    bound = (
         (2 * math.pi) ** weight
-        * m ** (weight - 1)
+        * _float_powers(m, weight - 1)
         / math.factorial(weight - 1)
         * _eis_tail_sum(p, weight, c_max)
     )
+    return float(bound) if np.ndim(m) == 0 else bound
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import weilgap.analytic as analytic
 from weilgap.characters import ResidueChar, all_characters, primitive_characters
+from weilgap.presentation import compute_Q
 from weilgap.series import delta_coeffs, delta_delta_p, series_evaluator
 from weilgap.analytic import (
     _auto_window,
-    _f_side,
-    _ghat,
-    _ghat_trust,
+    _relation,
     _tail_upper_gamma,
     AdditiveTwist,
     FEStatement,
@@ -86,9 +86,8 @@ def auto_window_loop(f, g, fe, cut):
     y_bal = 1.0 / (fe.q * math.sqrt(fe.p))
 
     def reliable(y):
-        ys = np.array([y])
-        trust = f.tail_bound(y) + _ghat_trust(g, fe, y)
-        return trust <= cut * (abs(_f_side(f, fe, ys)[0]) + abs(_ghat(g, fe, ys)[0]))
+        lhs, rhs, trust = _relation(f, g, fe, np.array([1j * y]))
+        return trust[0] <= cut * (abs(lhs[0]) + abs(rhs[0]))
 
     assert reliable(y_bal)
     y_lo = y_hi = y_bal
@@ -97,6 +96,48 @@ def auto_window_loop(f, g, fe, cut):
     while y_hi * 1.25 < y_bal * 4096 and reliable(y_hi * 1.25):
         y_hi *= 1.25
     return y_lo, y_hi
+
+
+def relation_on_axis(f, g, fe, ys):
+    """Oracle: the imaginary-axis formulas that _relation replaced (the f
+    side, ghat and the trust of ghat), at z = iy."""
+    pq2 = fe.p * fe.q * fe.q
+    lhs = f.eval_many(fe.twist().a / fe.q + 1j * ys)
+    vs = 1.0 / (pq2 * ys)
+    jacobian = pq2 ** (-fe.k / 2) * ys ** (-float(fe.k))
+    rhs = (1j**fe.k) * fe.phase * jacobian * g.eval_many(fe.dual_twist().a / fe.q + 1j * vs)
+    return lhs, rhs, f.tail_bound(ys) + jacobian * g.tail_bound(vs)
+
+
+def relation_at_point(f, g, fe, z):
+    """Oracle: the scalar formulas of check_modular_relation before it
+    became a view of _relation."""
+    p, k, q = fe.p, fe.k, fe.q
+    lhs = complex(f.eval_many(np.array([fe.twist().a / q + z]))[0])
+    pq2 = p * q * q
+    w = -1.0 / (pq2 * z)
+    g_val = complex(g.eval_many(np.array([fe.dual_twist().a / q + w]))[0])
+    rhs = (-1) ** k * fe.phase * p ** (-k / 2) * float(q) ** (-k) * z ** (-k) * g_val
+    dual_height = z.imag / (pq2 * abs(z) ** 2)
+    trunc = f.tail_bound(z.imag) + abs(z) ** (-k) * p ** (-k / 2) * float(q) ** (-k) * g.tail_bound(
+        dual_height
+    )
+    return lhs, rhs, trunc
+
+
+def term_scale(f, g, fe, z):
+    """sum |a_m e(m z)| + |(p q^2)^{-k/2} z^{-k}| sum |b_m e(m w)|: the size
+    of the terms both sides of the relation add up, so the most their
+    rounding can move them.  Far above the balance height the dual side is
+    a sum of large terms that cancel, and this is much more than |rhs|."""
+    pq2 = fe.p * fe.q * fe.q
+
+    def terms(series, y):
+        ms = np.arange(1, series.M + 1)
+        return abs(series.a0) + float(np.sum(np.abs(series.as_array()) * np.exp(-2 * np.pi * ms * y)))
+
+    w = -1 / (pq2 * z)
+    return terms(f, z.imag) + abs(pq2 ** (-fe.k / 2) * z ** (-fe.k)) * terms(g, w.imag)
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +392,41 @@ def test_modular_relation_swap_symmetry(dd5):
     assert abs(res_dual.absolute - expected) < 1e-6 * expected
 
 
+@pytest.mark.parametrize("p", [5, 11])
+def test_relation_matches_the_formulas_it_replaced(dd5, dd11, p):
+    f, g = dd5 if p == 5 else dd11
+    rng = random.Random(p)
+    for q in sorted(compute_Q(p)):
+        fe = fe_for_q(p, 24, q, cmath.exp(2j * cmath.pi * rng.random()))
+        y_bal = fe.balance_height
+        zs = np.array(
+            [complex(rng.uniform(-0.5, 0.5) * y_bal, rng.uniform(0.2, 5) * y_bal) for _ in range(20)]
+        )
+        lhs, rhs, trunc = _relation(f, g, fe, zs)
+        for z, l, r, t in zip(zs, lhs, rhs, trunc):
+            l0, r0, t0 = relation_at_point(f, g, fe, complex(z))
+            budget = 1e-13 * term_scale(f, g, fe, complex(z))
+            assert abs(l - l0) <= budget and abs(r - r0) <= budget
+            assert t == pytest.approx(t0, rel=1e-12, abs=0)
+        lhs, rhs, trunc = _relation(f, g, fe, 1j * zs.imag)
+        l0, r0, t0 = relation_on_axis(f, g, fe, zs.imag)
+        budget = 1e-13 * np.array([term_scale(f, g, fe, 1j * y) for y in zs.imag])
+        assert np.all(np.abs(lhs - l0) <= budget) and np.all(np.abs(rhs - r0) <= budget)
+        np.testing.assert_allclose(trunc, t0, rtol=1e-12, atol=0)
+
+
+def test_level_and_weight_must_match_the_statement(dd5):
+    # a level-5 statement checked at (11, 24) used to run its defect
+    # integrals at level 5 and its modular points at level 11
+    f, g = dd5
+    fe = fe_for_q(5, 24, 1)
+    for p, k in ((11, 24), (5, 12)):
+        with pytest.raises(ValueError, match="differs from the statement"):
+            check_fe_additive(f, g, p, k, fe, with_lambda=False)
+        with pytest.raises(ValueError, match="differs from the statement"):
+            check_modular_relation(f, g, p, k, fe, 0.2 + 0.9j)
+
+
 def test_fe_statement_validation():
     with pytest.raises(ValueError):
         FEStatement(5, 24, 1, 3, 1, 1, 1.0)  # determinant violated
@@ -411,6 +487,28 @@ def test_auto_window_matches_single_point_ladder(dd5, dd11, q):
     for (f, g), p in ((dd5, 5), (dd11, 11)):
         fe = fe_for_q(p, 24, q)
         assert _auto_window(f, g, fe, cut=1e-8) == auto_window_loop(f, g, fe, 1e-8)
+
+
+def test_lambda_pairs_only_where_they_can_gate(monkeypatch, dd5, delta2000):
+    calls = []
+    one_sided = analytic.lambda_additive
+
+    def counting(f, twist, s, y0=None):
+        calls.append(complex(s))
+        return one_sided(f, twist, s, y0=y0)
+
+    monkeypatch.setattr(analytic, "lambda_additive", counting)
+    # k = 24, sigma = 12: no s has Re s > 13 and 24 - Re s > 13, so only
+    # the y0-consistency probe runs
+    f, g = dd5
+    assert check_fe_additive(f, g, 5, 24, fe_for_q(5, 24, 1)).verdict
+    assert len(calls) == 3
+    # k = 12 with sigma lowered to 4: a sample gates when 5 < Re s < 7
+    calls.clear()
+    d = delta2000.copy_with(sigma=4.0)
+    check_fe_additive(d, d, 1, 12, fe_for_q(1, 12, 1), s_samples=[6 + 0j, 6.5 + 1j, 7 + 0j, 8 + 0j])
+    assert calls[:4] == [6, 6, 6.5 + 1j, 5.5 - 1j]
+    assert len(calls) == 4 + 3
 
 
 def test_check_fe_additive_wrong_phase_fails(dd5):

@@ -135,6 +135,24 @@ def test_check_fe_rejects_q_divisible_by_p(tmp_path, twist):
     assert "q = 10 is divisible by p = 5" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "s, message",
+    [
+        ("-3,0", "error: Gamma pole at s = (-3+0j)\n"),
+        ("30,0", "error: Gamma pole at s = (-6+0j)\n"),  # k - s = -6
+        ("400,0", "error: Gamma((400+0j)) overflows double precision\n"),
+    ],
+    ids=["pole-at-s", "pole-at-k-minus-s", "overflow"],
+)
+def test_check_fe_gamma_pole_or_overflow_is_invalid_input(tmp_path, s, message):
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "900", "--out", str(coeffs))
+    proc = run_cli("check-fe", "--p", "5", "--k", "24", "--q", "2", "--coeffs", str(coeffs), f"--s={s}")
+    assert proc.returncode == 2
+    assert proc.stderr == message
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_check_fe_rejects_nonpositive_q(tmp_path, q):
     coeffs = tmp_path / "dd5.jsonl"

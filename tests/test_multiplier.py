@@ -442,3 +442,54 @@ def test_solve_pretend_matches_fraction_oracles():
                 assert sol.upsilon.to_json() == upsilon.to_json()
                 solved += 1
     assert solved == 220
+
+
+def in_kappa_subgroup_by_solving(gens, vec):
+    """Oracle: membership in <[S], [P]> by solving vec = alpha [S] + beta [P],
+    with a branch for a [P] whose free part is not a multiple of [S]."""
+    p_vec = gens.class_of(T * S**gens.p * T.inv())
+    s_idx = gens.s_index
+    pinned = [(i, px) for i, px in enumerate(p_vec.free) if i != s_idx and px != 0]
+    if pinned:
+        i0, px = pinned[0]
+        if vec.free[i0] % px != 0:
+            return False
+        betas = [vec.free[i0] // px]
+    else:
+        if any(x != 0 for i, x in enumerate(vec.free) if i != s_idx):
+            return False
+        betas = list(range(6))
+    for beta in betas:
+        if any(vec.free[i] != beta * px for i, px in pinned):
+            continue
+        alpha = vec.free[s_idx] - beta * p_vec.free[s_idx]
+        combo = p_vec.scale(beta) + ExpVector(
+            tuple(alpha if i == s_idx else 0 for i in range(len(vec.free))),
+            (0,) * len(vec.tor2),
+            (0,) * len(vec.tor3),
+        )
+        if combo == vec:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([13, 29, 101, 199]), data=st.data())
+def test_in_kappa_subgroup_matches_solving(p, data):
+    # alpha [S] + beta [P] plus a perturbation that is often zero, so that
+    # both answers occur: one free coordinate (possibly [S]'s own) and a
+    # torsion part
+    gens = _gens(p)
+    p_vec = gens.class_of(T * S**p * T.inv())
+    s_vec = gens.class_of(S)
+    free = [0] * len(gens.free_labels)
+    if data.draw(st.booleans()):
+        free[data.draw(st.integers(0, len(free) - 1))] = data.draw(st.sampled_from([-1, 1]))
+    tor2, tor3 = [0] * len(gens.order2_labels), [0] * len(gens.order3_labels)
+    if data.draw(st.booleans()):
+        tor2 = data.draw(st.lists(st.integers(0, 1), min_size=len(tor2), max_size=len(tor2)))
+        tor3 = data.draw(st.lists(st.integers(0, 2), min_size=len(tor3), max_size=len(tor3)))
+    noise = ExpVector(tuple(free), tuple(tor2), tuple(tor3))
+    vec = s_vec.scale(data.draw(st.integers(-2, 2))) + p_vec.scale(data.draw(st.integers(-7, 7))) + noise
+    assert in_kappa_subgroup(gens, vec) == in_kappa_subgroup_by_solving(gens, vec)
+    assert in_kappa_subgroup(gens, vec + (-noise))

@@ -237,6 +237,21 @@ def test_eisenstein_rejects_c_max_below_p():
     assert eisenstein_tail_bound(5, 4, 3, 5) > 0
 
 
+def test_eisenstein_weight_8_powers_do_not_wrap():
+    # m^7 passes 2^63 at m = 512: an int64 power wrapped there and gave
+    # negative bounds and wrong coefficients from m = 512 on
+    p, M, c_max = 5, 600, 100
+    ups = trivial_multiplier(build_presentation(p))
+    eis = eisenstein_multiplier_coeffs(p, ups, 8, M=M, c_max=c_max)
+    bounds = np.array(eis.per_coeff_error)
+    assert np.all(bounds > 0)
+    assert list(bounds) == [eisenstein_tail_bound(p, 8, m, c_max) for m in range(1, M + 1)]
+    assert np.array_equal(eisenstein_tail_bound(p, 8, np.arange(1, M + 1), c_max), bounds)
+    kloosterman = sum(twisted_kloosterman(p, ups, M, c).value * c ** -8.0 for c in range(p, c_max + 1, p))
+    want = (-2j * math.pi) ** 8 / math.factorial(7) * M**7 * kloosterman
+    assert abs(eis.a(M) - want) <= 1e-10 * abs(want)
+
+
 def test_eisenstein_rejects_low_weight():
     gens = build_presentation(5)
     with pytest.raises(ValueError):
