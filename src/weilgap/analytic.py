@@ -295,6 +295,12 @@ def _require_statement_level(p: int, k: int, fe: FEStatement) -> None:
         raise ValueError(f"(p, k) = ({p}, {k}) differs from the statement's ({fe.p}, {fe.k})")
 
 
+def _passes(defect: float, error: float, scale: float, tolerance: float) -> bool:
+    """The one pass rule: the relative defect is within the tolerance, or
+    within ten times the relative error estimate."""
+    return bool(defect / scale <= max(tolerance, 10 * error / scale))
+
+
 @dataclass
 class ModularRelationResult:
     z: complex
@@ -304,11 +310,7 @@ class ModularRelationResult:
     absolute: float
     truncation: float         # bound on the truncation error of both sides
     fitted_phase: complex
-    tolerance: float = 1e-6
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
+    passed: bool
 
 
 def check_modular_relation(
@@ -323,8 +325,9 @@ def check_modular_relation(
     """The modular relation of (f, g, fe) at one z (see :func:`_relation`);
     (p, k) must be the statement's own.
 
-    The reported residual is relative to the larger side; the truncation
-    field bounds the dropped tails of both series at this z.  The fitted
+    The reported residual is relative to the larger side and passes when
+    it is within the tolerance; the truncation field bounds the dropped
+    tails of both series at this z.  The fitted
     phase is the constant phase * lhs / rhs that would make the relation
     exact at z; for a modular pair it reproduces the declared phase.
     """
@@ -336,8 +339,9 @@ def check_modular_relation(
     lhs, rhs = complex(lhs), complex(rhs)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     fitted = fe.phase * lhs / rhs if rhs != 0 else complex("nan")
+    absolute, trunc = abs(lhs - rhs), float(trunc)
     return ModularRelationResult(
-        z, lhs, rhs, abs(lhs - rhs) / scale, abs(lhs - rhs), float(trunc), fitted, tolerance
+        z, lhs, rhs, absolute / scale, absolute, trunc, fitted, _passes(absolute, 0.0, scale, tolerance)
     )
 
 
@@ -455,8 +459,8 @@ def check_fe_additive(
 
     (p, k) must be the statement's own.  For each s the windowed Mellin
     integral of delta(y) is computed with Gauss-Legendre quadrature in
-    log y; the pass rule per sample is relative defect <= max(tolerance,
-    10 * combined error estimate).  A sample where Gamma(s) or Gamma(k - s)
+    log y; a sample passes by :func:`_passes` with the window plus
+    quadrature error as its estimate.  A sample where Gamma(s) or Gamma(k - s)
     has a pole or overflows is invalid input.  The pointwise modular
     relation is checked at three heights around the balance point.  With
     with_lambda, the one-sided pair lambda_additive(f, a/q, s),
@@ -490,14 +494,14 @@ def check_fe_additive(
         win_err = float(np.sum(ws * trust * np.exp(ts * s.real)))
         scale = float(np.sum(ws * mag * np.exp(ts * s.real))) + 1e-300
         rel = abs(d_full) / scale
-        passed = rel <= max(tolerance, 10 * (win_err + quad_err) / scale)
+        passed = _passes(abs(d_full), win_err + quad_err, scale, tolerance)
         if with_lambda and s.real > f.sigma + 1 and k - s.real > g.sigma + 1:
             lv_l = lambda_additive(f, fe.twist(), s)
             lv_r = lambda_additive(g, fe.dual_twist(), k - s)
             # _tail_upper_gamma can still be infinite
             if math.isfinite(lv_l.error) and math.isfinite(lv_r.error):
                 residual = abs(lv_l.value - fe.factor(s) * lv_r.value)
-                passed = passed and residual <= max(tolerance, 10 * (lv_l.error + lv_r.error))
+                passed = passed and _passes(residual, lv_l.error + lv_r.error, 1.0, tolerance)
         samples.append(DefectSample(s, d_full, rel, scale, win_err, quad_err, passed))
 
     y_bal = fe.balance_height
@@ -505,8 +509,8 @@ def check_fe_additive(
     for scale_y, re_frac in ((0.8, 0.0), (1.0, 0.21), (1.3, -0.13)):
         z = complex(re_frac * y_bal, scale_y * y_bal)
         points.append(check_modular_relation(f, g, p, k, fe, z, tolerance=tolerance))
-    for pt in points:
-        pt.tolerance = max(tolerance, 10 * pt.truncation / max(abs(pt.lhs), abs(pt.rhs), 1e-300))
+    for pt in points:  # here the truncation is the error estimate
+        pt.passed = _passes(pt.absolute, pt.truncation, max(abs(pt.lhs), abs(pt.rhs), 1e-300), tolerance)
 
     y0_ok: Optional[bool] = None
     if with_lambda:
@@ -698,8 +702,7 @@ def check_fe_multiplicative(
         declared = (1j**k) * constant * (p * q * q) ** (k / 2 - s)
         resid = abs(lhs.value - declared * rhs.value)
         scale = max(abs(lhs.value), abs(declared * rhs.value), 1e-300)
-        budget = max(tolerance, 10 * (lhs.error + abs(declared) * rhs.error) / scale)
-        passed = bool(resid / scale <= budget)
+        passed = _passes(resid, lhs.error + abs(declared) * rhs.error, scale, tolerance)
         ok = ok and passed
         samples.append(
             {
@@ -800,7 +803,7 @@ def certify_modularity(
         worst = float(np.max(np.abs(lhs - rhs) / sides))
         worst_trunc = float(np.max(trunc))
         label = "W_p" if q == 1 else f"V_{q}"
-        passed = worst <= tolerance
+        passed = _passes(worst, 0.0, 1.0, tolerance)
         if not passed and failing is None:
             failing = label
         checks.append(GeneratorCheck(q, label, worst, worst_trunc, passed))

@@ -166,11 +166,6 @@ class DirichletChar(ResidueChar):
         return DirichletChar(self.p, -self.t)
 
 
-def quadratic_char(p: int) -> DirichletChar:
-    """The Legendre symbol character mod p."""
-    return DirichletChar(p, (p - 1) // 2)
-
-
 def _unit_group(q: int) -> tuple[list[int], list[int]]:
     """Generators and orders of the cyclic factors of (Z/qZ)*."""
     gens: list[int] = []

@@ -1,9 +1,12 @@
 """Command-line frontend: reproducible experiments with JSON input/output.
 
 Every run emits a JSON document {"config": ..., "result": ..., "timestamp": ...}
-where config is the fully resolved parameter set; identical configs (and
-seeds) give byte-identical output apart from the timestamp.  The exit
-status is nonzero iff a check fails or the input is invalid.
+whose config is every parsed flag except --out; identical configs (and
+seeds) give byte-identical output apart from the timestamp.  Each command
+returns (result, passed) and :func:`main` emits the document and maps the
+outcome to the exit status: 0 when the run passes, 1 when a check fails,
+2 for invalid input.  ``series`` writes JSON lines and ``multiplier --out``
+the bare multiplier document instead.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .characters import DirichletChar, primitive_characters
 from .matrices import Mat2
-from .presentation import build_presentation, compute_Q, decompose_gamma0, is_prime
+from .presentation import build_presentation, compute_Q, constraint_matrix, decompose_gamma0, is_prime
 from .multiplier import (
     MultiplierSystem,
     pretend_constraints,
@@ -35,7 +38,7 @@ from .series import (
 )
 from .analytic import (
     AdditiveTwist,
-    additive_statements_for_psi,
+    FEStatement,
     certify_modularity,
     check_fe_additive,
     check_fe_multiplicative,
@@ -97,6 +100,13 @@ def _load_series(path: str) -> CoeffSeries:
         return CoeffSeries.from_json_lines(handle.read())
 
 
+def _load_pair(args) -> tuple[CoeffSeries, CoeffSeries]:
+    """Check --tol and read f from --coeffs and g from --coeffs-g (default f)."""
+    _require_positive("--tol", args.tol)
+    f = _load_series(args.coeffs)
+    return f, _load_series(args.coeffs_g) if args.coeffs_g else f
+
+
 def _chi_from_arg(arg: str, p: int) -> DirichletChar:
     if arg == "trivial":
         return DirichletChar(p, 0)
@@ -110,46 +120,34 @@ def _chi_from_arg(arg: str, p: int) -> DirichletChar:
     return chi
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each returns (result, passed) --------------------------------
 
 
-def cmd_gens(args) -> int:
-    p = _require_prime(args.p)
-    gens = build_presentation(p)
-    result = gens.to_json()
-    _emit({"command": "gens", "p": p}, result, args.out)
-    return 0
+def cmd_gens(args):
+    return build_presentation(_require_prime(args.p)).to_json(), True
 
 
-def cmd_word(args) -> int:
+def cmd_word(args):
     p = _require_prime(args.p)
     try:
         a, b, c, d = (int(x) for x in args.matrix.split(","))
     except ValueError as exc:
         raise CliError("--matrix expects four comma-separated integers a,b,c,d") from exc
+    args.matrix = [a, b, c, d]  # the config records the parsed matrix
     gamma = Mat2(a, b, c, d)
     if gamma.det() != 1:
         raise CliError(f"matrix has determinant {gamma.det()}, expected 1")
     if c % p != 0:
         raise CliError(f"matrix is not in Gamma0({p}): {p} does not divide c = {c}")
-    gens = build_presentation(p)
-    word = decompose_gamma0(gens, gamma)
-    _emit(
-        {"command": "word", "p": p, "matrix": [a, b, c, d]},
-        word.to_json(),
-        args.out,
-    )
-    return 0
+    return decompose_gamma0(build_presentation(p), gamma).to_json(), True
 
 
-def cmd_q(args) -> int:
-    p = _require_prime(args.p)
-    qs = sorted(compute_Q(p))
-    _emit({"command": "Q", "p": p}, {"p": p, "Q": qs, "size": len(qs)}, args.out)
-    return 0
+def cmd_q(args):
+    qs = sorted(compute_Q(_require_prime(args.p)))
+    return {"p": args.p, "Q": qs, "size": len(qs)}, True
 
 
-def cmd_multiplier(args) -> int:
+def cmd_multiplier(args):
     p = _require_prime(args.p)
     gens = build_presentation(p)
     chi = _chi_from_arg(args.chi, p)
@@ -170,38 +168,30 @@ def cmd_multiplier(args) -> int:
         "bound_vs_computed_disagree": bound_predicts != (sol.kernel_dim >= 5),
         "multiplier": sol.upsilon.to_json(),
     }
-    # --out receives the bare MultiplierSystem JSON, ready for series --multiplier
+    # --out receives the bare MultiplierSystem JSON, ready for series --multiplier;
+    # the run document still goes to stdout
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(sol.upsilon.to_json(), handle, indent=2, default=_json_default)
             handle.write("\n")
         print(f"wrote {args.out}")
-    _emit(
-        {"command": "multiplier", "p": p, "qmax": args.qmax, "chi": args.chi,
-         "kernel_index": args.kernel_index},
-        result,
-        None,
-    )
-    return 0
+        args.out = None
+    return result, True
 
 
-def cmd_sixth_root(args) -> int:
+def cmd_sixth_root(args):
     p = _require_prime(args.p)
-    gens = build_presentation(p)
-    report = sixth_root_check(p, gens)
-    _emit({"command": "sixth-root", "p": p}, report, args.out)
-    return 0 if report["free_ok"] else 1
+    report = sixth_root_check(p, build_presentation(p))
+    return report, report["free_ok"]
 
 
-def cmd_series(args) -> int:
+def cmd_series(args):
+    """Writes JSON lines itself; returns no result."""
     if args.kind == "delta":
         series = delta_coeffs(args.M)
-        config = {"command": "series", "kind": "delta", "M": args.M}
     elif args.kind == "delta-delta-p":
-        p = _require_prime(args.p)
-        series, _ = delta_delta_p(p, args.M)
-        config = {"command": "series", "kind": "delta-delta-p", "p": p, "M": args.M}
-    elif args.kind == "eis-mult":
+        series, _ = delta_delta_p(_require_prime(args.p), args.M)
+    else:  # eis-mult
         p = _require_prime(args.p)
         gens = build_presentation(p)
         if args.multiplier:
@@ -213,22 +203,16 @@ def cmd_series(args) -> int:
         else:
             ups = trivial_multiplier(gens)
         series = eisenstein_multiplier_coeffs(p, ups, weight=args.weight, M=args.M, c_max=args.cmax)
-        config = {
-            "command": "series", "kind": "eis-mult", "p": p, "M": args.M,
-            "weight": args.weight, "cmax": args.cmax, "multiplier": args.multiplier,
-        }
-    else:
-        raise CliError(f"unknown series kind {args.kind!r}")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(series.to_json_lines())
         print(f"wrote {args.out} ({series.M} coefficients)")
     else:
         sys.stdout.write(series.to_json_lines())
-    return 0
+    return None, True
 
 
-def cmd_lambda(args) -> int:
+def cmd_lambda(args):
     s = _parse_complex(args.s)
     _require_positive("--y0", args.y0)
     f = _load_series(args.coeffs)
@@ -242,48 +226,31 @@ def cmd_lambda(args) -> int:
         "M": lv.M,
         "y0": lv.y0,
     }
-    _emit(
-        {"command": "lambda", "coeffs": args.coeffs, "q": args.q, "a": args.a,
-         "s": args.s, "y0": args.y0},
-        result,
-        args.out,
-    )
-    return 0
+    return result, True
 
 
-def cmd_check_fe(args) -> int:
+def cmd_check_fe(args):
     if args.q < 1:
         raise CliError(f"modulus q = {args.q} must be a positive integer")
-    _require_positive("--tol", args.tol)
-    f = _load_series(args.coeffs)
-    g = _load_series(args.coeffs_g) if args.coeffs_g else f
+    f, g = _load_pair(args)
     p = args.p if args.p == 1 else _require_prime(args.p)
     chi = _chi_from_arg(args.chi, p) if p > 1 else None
     phase = complex(chi(args.q)) if (chi is not None and args.q % p != 0) else 1.0 + 0j
     if args.a is None:
         fe = fe_for_q(p, args.k, args.q, phase)
     else:
-        statements = additive_statements_for_psi(p, args.k, args.q, lambda m: phase)
-        key = args.a % args.q
-        if key not in statements:
+        a = args.a % args.q
+        if math.gcd(a, args.q) != 1:
             raise CliError(f"twist {args.a}/{args.q} is not reduced")
-        fe = statements[key]
+        _, B, D = constraint_matrix(p, a, args.q)
+        fe = FEStatement(p, args.k, a, args.q, B, D, phase)
     s_samples = [_parse_complex(part) for part in args.s.split(";")] if args.s else None
     report = check_fe_additive(f, g, p, args.k, fe, s_samples, tolerance=args.tol)
-    _emit(
-        {"command": "check-fe", "p": p, "k": args.k, "q": args.q, "a": args.a,
-         "chi": args.chi, "coeffs": args.coeffs, "coeffs_g": args.coeffs_g,
-         "s": args.s, "tol": args.tol},
-        report.to_json(),
-        args.out,
-    )
-    return 0 if report.verdict else 1
+    return report.to_json(), report.verdict
 
 
-def cmd_check_fe_mult(args) -> int:
-    _require_positive("--tol", args.tol)
-    f = _load_series(args.coeffs)
-    g = _load_series(args.coeffs_g) if args.coeffs_g else f
+def cmd_check_fe_mult(args):
+    f, g = _load_pair(args)
     p = _require_prime(args.p)
     chi = _chi_from_arg(args.chi, p)
     candidates = primitive_characters(args.q)
@@ -291,9 +258,8 @@ def cmd_check_fe_mult(args) -> int:
         raise CliError(f"no primitive characters mod {args.q}")
     if not 0 <= args.psi_index < len(candidates):
         raise CliError(f"--psi-index must lie in [0, {len(candidates)}) for q = {args.q}, got {args.psi_index}")
-    psi = candidates[args.psi_index]
     report = check_fe_multiplicative(
-        f, g, p, args.k, complex(chi(args.q % p)), psi, tolerance=args.tol
+        f, g, p, args.k, complex(chi(args.q % p)), candidates[args.psi_index], tolerance=args.tol
     )
     result = {
         "psi_modulus": report.psi_modulus,
@@ -305,32 +271,18 @@ def cmd_check_fe_mult(args) -> int:
         ],
         "verdict": report.verdict,
     }
-    _emit(
-        {"command": "check-fe-mult", "p": p, "k": args.k, "q": args.q,
-         "psi_index": args.psi_index, "chi": args.chi, "tol": args.tol},
-        result,
-        args.out,
-    )
-    return 0 if report.verdict else 1
+    return result, report.verdict
 
 
-def cmd_certify(args) -> int:
-    _require_positive("--tol", args.tol)
-    f = _load_series(args.coeffs)
-    g = _load_series(args.coeffs_g) if args.coeffs_g else f
+def cmd_certify(args):
+    f, g = _load_pair(args)
     p = _require_prime(args.p)
     chi = _chi_from_arg(args.chi, p)
     cert = certify_modularity(f, g, p, args.k, (lambda q: chi(q)), tolerance=args.tol, chi_label=args.chi)
-    _emit(
-        {"command": "certify", "p": p, "k": args.k, "chi": args.chi,
-         "coeffs": args.coeffs, "coeffs_g": args.coeffs_g, "tol": args.tol},
-        cert.to_json(),
-        args.out,
-    )
-    return 0 if cert.verdict else 1
+    return cert.to_json(), cert.verdict
 
 
-def cmd_reproduce_all(args) -> int:
+def cmd_reproduce_all(args):
     from .acceptance import CRITERIA, run_all
 
     only = None
@@ -340,13 +292,10 @@ def cmd_reproduce_all(args) -> int:
         if unknown:
             raise CliError(f"unknown criterion {unknown}; valid criteria are {min(CRITERIA)}-{max(CRITERIA)}")
     results = run_all(only=only, seed=args.seed)
-    payload = [r.to_json() for r in results]
-    ok = all(r.passed for r in results)
     for r in results:
         print(f"criterion {r.criterion}: {'PASS' if r.passed else 'FAIL'} ({r.seconds:.1f}s) - {r.description}")
-    _emit({"command": "reproduce-all", "only": args.only, "seed": args.seed},
-          {"criteria": payload, "all_passed": ok}, args.out)
-    return 0 if ok else 1
+    ok = all(r.passed for r in results)
+    return {"criteria": [r.to_json() for r in results], "all_passed": ok}, ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,110 +306,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(sp):
-        sp.add_argument("--out", help="write the JSON document to this path")
+    # shared options: --out everywhere, --p for a level, and the pair checks' options
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the JSON document to this path")
+    level = argparse.ArgumentParser(add_help=False, parents=[out])
+    level.add_argument("--p", type=int, required=True)
+    pair = argparse.ArgumentParser(add_help=False, parents=[level])
+    pair.add_argument("--k", type=int, required=True)
+    pair.add_argument("--chi", default="trivial", help="character index t or 'trivial'")
+    pair.add_argument("--coeffs", required=True)
+    pair.add_argument("--coeffs-g", dest="coeffs_g")
+    pair.add_argument("--tol", type=float, default=1e-6)
 
-    sp = sub.add_parser("gens", help="generating set and signature of Gamma0(p)/{+-I}")
-    sp.add_argument("--p", type=int, required=True)
-    add_out(sp)
-    sp.set_defaults(func=cmd_gens)
+    def command(name, func, help, parent=level):
+        sp = sub.add_parser(name, help=help, parents=[parent])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("word", help="decompose a Gamma0(p) matrix into generators")
-    sp.add_argument("--p", type=int, required=True)
+    command("gens", cmd_gens, "generating set and signature of Gamma0(p)/{+-I}")
+    sp = command("word", cmd_word, "decompose a Gamma0(p) matrix into generators")
     sp.add_argument("--matrix", required=True, help="a,b,c,d")
-    add_out(sp)
-    sp.set_defaults(func=cmd_word)
+    command("Q", cmd_q, "the additive-twist moduli set Q")
 
-    sp = sub.add_parser("Q", help="the additive-twist moduli set Q")
-    sp.add_argument("--p", type=int, required=True)
-    add_out(sp)
-    sp.set_defaults(func=cmd_q)
-
-    sp = sub.add_parser("multiplier", help="solve the character-pretending system")
-    sp.add_argument("--p", type=int, required=True)
+    sp = command("multiplier", cmd_multiplier, "solve the character-pretending system")
     sp.add_argument("--qmax", type=int, required=True)
     sp.add_argument("--chi", default="trivial", help="character index t or 'trivial'")
     sp.add_argument("--kernel-index", type=int, default=0)
-    add_out(sp)
-    sp.set_defaults(func=cmd_multiplier)
 
-    sp = sub.add_parser("sixth-root", help="structure of upsilon(T S^p T^-1)")
-    sp.add_argument("--p", type=int, required=True)
-    add_out(sp)
-    sp.set_defaults(func=cmd_sixth_root)
+    command("sixth-root", cmd_sixth_root, "structure of upsilon(T S^p T^-1)")
 
-    sp = sub.add_parser("series", help="generate coefficient prefixes")
+    sp = command("series", cmd_series, "generate coefficient prefixes", out)
     sp.add_argument("--kind", required=True, choices=["delta", "delta-delta-p", "eis-mult"])
     sp.add_argument("--p", type=int, default=5)
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--weight", type=int, default=4)
     sp.add_argument("--cmax", type=int, default=None)
     sp.add_argument("--multiplier", help="multiplier JSON file (eis-mult)")
-    add_out(sp)
-    sp.set_defaults(func=cmd_series)
 
-    sp = sub.add_parser("lambda", help="completed twisted L-value of a prefix")
+    sp = command("lambda", cmd_lambda, "completed twisted L-value of a prefix", out)
     sp.add_argument("--coeffs", required=True)
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--s", required=True, help="re,im")
     sp.add_argument("--y0", type=float, default=None)
-    add_out(sp)
-    sp.set_defaults(func=cmd_lambda)
 
-    sp = sub.add_parser("check-fe", help="verify a twisted functional equation")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp = command("check-fe", cmd_check_fe, "verify a twisted functional equation", pair)
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--a", type=int, default=None,
                     help="twist numerator (defaults to the canonical -1/q statement)")
-    sp.add_argument("--chi", default="trivial")
-    sp.add_argument("--coeffs", required=True)
-    sp.add_argument("--coeffs-g", dest="coeffs_g")
     sp.add_argument("--s", help="semicolon-separated re,im samples")
-    sp.add_argument("--tol", type=float, default=1e-6)
-    add_out(sp)
-    sp.set_defaults(func=cmd_check_fe)
 
-    sp = sub.add_parser("check-fe-mult", help="verify a multiplicative-twist functional equation")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp = command("check-fe-mult", cmd_check_fe_mult, "verify a multiplicative-twist functional equation", pair)
     sp.add_argument("--q", type=int, required=True, help="modulus of psi")
     sp.add_argument("--psi-index", type=int, default=0)
-    sp.add_argument("--chi", default="trivial")
-    sp.add_argument("--coeffs", required=True)
-    sp.add_argument("--coeffs-g", dest="coeffs_g")
-    sp.add_argument("--tol", type=float, default=1e-6)
-    add_out(sp)
-    sp.set_defaults(func=cmd_check_fe_mult)
 
-    sp = sub.add_parser("certify", help="converse-theorem certificate for a coefficient pair")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--chi", default="trivial")
-    sp.add_argument("--coeffs", required=True)
-    sp.add_argument("--coeffs-g", dest="coeffs_g")
-    sp.add_argument("--tol", type=float, default=1e-6)
-    add_out(sp)
-    sp.set_defaults(func=cmd_certify)
+    command("certify", cmd_certify, "converse-theorem certificate for a coefficient pair", pair)
 
-    sp = sub.add_parser("reproduce-all", help="run the acceptance criteria")
+    sp = command("reproduce-all", cmd_reproduce_all, "run the acceptance criteria", out)
     sp.add_argument("--only", help="comma-separated criterion numbers")
     sp.add_argument("--seed", type=int, default=20260808)
-    add_out(sp)
-    sp.set_defaults(func=cmd_reproduce_all)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result, passed = args.func(args)
+        if result is not None:
+            config = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
+            _emit(config, result, args.out)
     except (CliError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -71,9 +71,6 @@ class Mat2:
         half = (self * self) ** (n >> 1)
         return half * self if n & 1 else half
 
-    def is_identity(self) -> bool:
-        return self.entries() == (1, 0, 0, 1)
-
     def mobius(self, z: complex) -> complex:
         return mobius(self, z)
 

@@ -62,9 +62,6 @@ class Angle:
     def is_zero_mod1(self) -> bool:
         return self.s == 0 and self.r % 1 == 0
 
-    def has_finite_order(self) -> bool:
-        return self.s == 0
-
     def to_float(self) -> float:
         return float(self.r) + float(self.s) * SQRT2
 

@@ -257,9 +257,6 @@ class ExpVector:
             tuple((n * x) % 3 for x in self.tor3),
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.free) and not any(self.tor2) and not any(self.tor3)
-
 
 class GenSet:
     """Generating set {S} u {V_q : q in Q'} of Gamma0(p)/{+-I} with orders,

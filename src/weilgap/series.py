@@ -637,15 +637,10 @@ def coeffs_via_fourier_extraction(
     with mp.workdps(dps):
         nodes = [mp.mpf(n) / N for n in range(N)]
         values = [mp.mpc(evaluator(mp.mpc(x, y))) for x in nodes]
-        root = mp.e ** (-2j * mp.pi / N)  # e(-1/N)
+        roots = [mp.expjpi(-2 * x) for x in nodes]  # e(-n/N)
         coeffs = []
         for m in range(1, M + 1):
-            total = mp.mpc(0)
-            phase = mp.mpc(1)
-            step = root**m
-            for v in values:
-                total += v * phase
-                phase *= step
+            total = mp.fdot(values, [roots[m * n % N] for n in range(N)])
             total = total / N * mp.e ** (2 * mp.pi * m * y)
             coeffs.append(complex(total))
     return CoeffSeries(coeffs, k, level, growth_sigma, label, error_bound=worst, per_coeff_error=errors)

@@ -10,8 +10,12 @@ from weilgap.characters import (
     all_characters,
     euler_phi,
     primitive_characters,
-    quadratic_char,
 )
+
+
+def quadratic_char(p: int) -> DirichletChar:
+    """The Legendre symbol character mod p."""
+    return DirichletChar(p, (p - 1) // 2)
 
 
 def test_character_counts():

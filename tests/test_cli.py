@@ -1,8 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+
+from weilgap.cli import build_parser, main
+from weilgap.series import delta_delta_p
 
 
 def run_cli(*args, cwd=None):
@@ -326,3 +330,86 @@ def test_series_eis_mult_invalid_input(tmp_path, multiplier, options, message):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     assert message in proc.stderr
+
+
+# every subcommand that emits a run document, with a cheap valid invocation
+CONFIG_CASES = {
+    "gens": ["--p", "13"],
+    "word": ["--p", "13", "--matrix", "1,0,-13,1"],
+    "Q": ["--p", "13"],
+    "multiplier": ["--p", "29", "--qmax", "1"],
+    "sixth-root": ["--p", "13"],
+    "lambda": ["--coeffs", "{dd5}", "--s", "14,0"],
+    "check-fe": ["--p", "5", "--k", "24", "--q", "2", "--a", "1", "--coeffs", "{dd5}"],
+    "check-fe-mult": ["--p", "5", "--k", "24", "--q", "3", "--coeffs", "{dd5}"],
+    "certify": ["--p", "5", "--k", "24", "--coeffs", "{dd5}"],
+    "reproduce-all": ["--only", "3"],
+}
+
+
+def subcommand_flags():
+    """The option dests each subcommand's parser defines."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+        for name, sp in sub.choices.items()
+    }
+
+
+def test_config_cases_cover_every_document_command():
+    # series writes JSON lines, not a run document
+    assert set(CONFIG_CASES) == set(subcommand_flags()) - {"series"}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_config_records_every_flag_but_out(tmp_path, capsys, command):
+    dd5 = tmp_path / "dd5.jsonl"
+    dd5.write_text(delta_delta_p(5, 200)[0].to_json_lines())
+    assert main([command, *(arg.format(dd5=dd5) for arg in CONFIG_CASES[command])]) in (0, 1)
+    stdout = capsys.readouterr().out
+    config = json.loads(stdout[stdout.index("{"):])["config"]
+    assert set(config) == (subcommand_flags()[command] - {"out"}) | {"command"}
+    assert config["command"] == command
+    if command == "word":
+        assert config["matrix"] == [1, 0, -13, 1]
+
+
+def test_check_fe_mult_config_names_its_coefficient_files(tmp_path):
+    configs = []
+    for M in (200, 400):
+        coeffs = tmp_path / f"dd5_{M}.jsonl"
+        run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", str(M), "--out", str(coeffs))
+        proc = run_cli("check-fe-mult", "--p", "5", "--k", "24", "--q", "3", "--coeffs", str(coeffs))
+        assert proc.returncode == 0, proc.stderr
+        configs.append(json.loads(proc.stdout)["config"])
+    assert configs[0] != configs[1]
+
+
+def test_failed_check_exits_1(tmp_path):
+    # dd5 has the trivial character; the quadratic one fails the V_q relations
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "200", "--out", str(coeffs))
+    proc = run_cli("certify", "--p", "5", "--k", "24", "--chi", "2", "--coeffs", str(coeffs))
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["result"]["verdict"].startswith("fail at V_")
+
+
+@pytest.mark.parametrize("matrix", ["1,0,x,1", "1,0,1"])
+def test_word_malformed_matrix_is_one_line(matrix):
+    proc = run_cli("word", "--p", "13", "--matrix", matrix)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --matrix expects four comma-separated integers a,b,c,d\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("q, a", [(1, 0), (3, 2), (4, -1), (7, 10)])
+def test_check_fe_twist_is_the_residue_statement(tmp_path, capsys, q, a):
+    from weilgap.analytic import additive_statements_for_psi
+
+    dd5 = tmp_path / "dd5.jsonl"
+    dd5.write_text(delta_delta_p(5, 200)[0].to_json_lines())
+    main(["check-fe", "--p", "5", "--k", "24", "--q", str(q), "--a", str(a), "--coeffs", str(dd5)])
+    result = json.loads(capsys.readouterr().out)["result"]
+    fe = additive_statements_for_psi(5, 24, q)[a % q]
+    assert (result["twist"], result["dual_twist"]) == (str(fe.twist()), str(fe.dual_twist()))

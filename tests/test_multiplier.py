@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilgap.characters import DirichletChar, quadratic_char
+from weilgap.characters import DirichletChar
 from weilgap.matrices import IDENTITY, Mat2, S, T
 from weilgap.multiplier import (
     Angle,
@@ -32,6 +32,7 @@ from weilgap.presentation import (
 )
 from weilgap.series import lift_bottom_row
 
+from test_characters import quadratic_char
 from test_linalg import nullspace_by_back_substitution
 
 
@@ -55,8 +56,7 @@ def test_angle_arithmetic():
     b = Angle(Fraction(5, 6), Fraction(-1, 2))
     total = (a + b).mod1()
     assert total.r == Fraction(1, 6) and total.s == 0
-    assert total.has_finite_order()
-    assert not a.has_finite_order()
+    assert a.s != 0  # a has infinite order
     assert a.scale(6).s == 3
 
 

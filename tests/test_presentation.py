@@ -261,12 +261,16 @@ def test_abelianize_power_of_s(gens13):
     assert not any(vec.tor2) and not any(vec.tor3)
 
 
+def is_zero(vec) -> bool:
+    return not any(vec.free) and not any(vec.tor2) and not any(vec.tor3)
+
+
 def test_abelianize_torsion_relators(gens13):
     # the defining relators of the free-product presentation map to zero
     for lbl in gens13.order2_labels:
-        assert abelianize(GammaWord([(lbl, 2)]), gens13).is_zero()
+        assert is_zero(abelianize(GammaWord([(lbl, 2)]), gens13))
     for lbl in gens13.order3_labels:
-        assert abelianize(GammaWord([(lbl, 3)]), gens13).is_zero()
+        assert is_zero(abelianize(GammaWord([(lbl, 3)]), gens13))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
@@ -279,7 +283,7 @@ def test_pairing_abelianization(p):
             continue
         vec_q = abelianize(decompose_gamma0(gens, v_matrix(p, q)), gens)
         vec_qs = abelianize(decompose_gamma0(gens, v_matrix(p, qs)), gens)
-        assert (vec_q + vec_qs).is_zero()
+        assert is_zero(vec_q + vec_qs)
         # exact matrix identity backing it
         assert v_matrix(p, qs) == -(v_matrix(p, q).inv())
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilgap.characters import quadratic_char
 from weilgap.matrices import T, FrickeMat
 from weilgap.multiplier import char_multiplier, trivial_multiplier
 from weilgap.presentation import build_presentation
@@ -26,6 +25,8 @@ from weilgap.series import (
     slash_evaluator,
     twisted_kloosterman,
 )
+
+from test_characters import quadratic_char
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,26 @@ def test_fourier_extraction_recovers_fricke_pair():
     )
     for m in range(1, 9):
         assert abs(rec.coeffs[m - 1] - f.coeffs[m - 1]) < 1e-6 * max(1.0, abs(f.coeffs[m - 1]))
+
+
+def test_fourier_extraction_matches_phase_recurrence():
+    # reference: the per-m phase recurrence e(-m/N)^n; both sums keep >= 25
+    # guard digits, so they agree to a double's rounding
+    p, M, y = 5, 16, 0.45
+    f, _ = delta_delta_p(p, 400)
+    ev = slash_evaluator(series_evaluator(f), 24, FrickeMat(p))
+    rec = coeffs_via_fourier_extraction(ev, 24, y, M, growth_c=max(f.growth_c, 1.0), growth_sigma=12.0)
+    N = max(4 * M, 64)
+    with mp.workdps(int(2 * math.pi * M * y / math.log(10)) + 25):
+        values = [mp.mpc(ev(mp.mpc(mp.mpf(n) / N, y))) for n in range(N)]
+        root = mp.e ** (-2j * mp.pi / N)
+        for m in range(1, M + 1):
+            total, phase, step = mp.mpc(0), mp.mpc(1), root**m
+            for v in values:
+                total += v * phase
+                phase *= step
+            want = complex(total / N * mp.e ** (2 * mp.pi * m * y))
+            assert rec.coeffs[m - 1] == pytest.approx(want, rel=2**-52, abs=1e-20)
 
 
 def test_fourier_extraction_linearity():
