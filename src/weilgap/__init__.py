@@ -20,8 +20,7 @@ from .matrices import (
     STWord,
     T,
     decompose_sl2,
-    mobius,
-    slash_action,
+    slash_evaluator,
 )
 from .presentation import (
     ExpVector,

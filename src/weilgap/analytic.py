@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .characters import ResidueChar, e_of
-from .matrices import Mat2
+from .matrices import Mat2, S, T
 from .presentation import GenSet, compute_Q, constraint_matrix, v_matrix
 from .series import CoeffSeries, cgamma, upper_incomplete_gamma
 
@@ -73,34 +73,41 @@ class AdditiveTwist:
 class FEStatement:
     """Data of one twisted functional equation.
 
-    The matrix [[D, a], [-pB, q]] has determinant q D + a p B = 1 and lies
-    in Gamma0(p); ``phase`` is its multiplier value, regarded as a fixed
-    modulus-1 constant.  The dual twist is -B/q.
+    ``gamma`` = [[D, a], [-pB, q]] lies in Gamma0(p), with determinant
+    q D + a p B = 1 and q >= 1 (so p does not divide q); a, q, B and D are
+    read off it.  ``phase`` is the multiplier value on gamma, regarded as a
+    fixed modulus-1 constant.  The twist is a/q and the dual twist -B/q.
     """
 
     p: int
     k: int
-    a: int
-    q: int
-    B: int
-    D: int
+    gamma: Mat2
     phase: complex = 1.0 + 0j
 
     def __post_init__(self):
-        if self.q < 1 or (self.p > 1 and self.q % self.p == 0):
+        if self.gamma.det() != 1 or self.gamma.c % self.p != 0:
+            raise ValueError(f"matrix {self.gamma} is not in Gamma0({self.p})")
+        if self.q < 1:
             raise ValueError(f"invalid modulus q = {self.q} at level {self.p}")
-        if self.q * self.D + self.a * self.p * self.B != 1:
-            raise ValueError("determinant condition q D + a p B = 1 violated")
-        phase = self.phase
-        if hasattr(phase, "value"):  # exact Angle from the multiplier module
-            phase = phase.value()
-        phase = complex(phase)
-        if abs(abs(phase) - 1.0) > 1e-12:
+        self.phase = complex(self.phase)
+        if abs(abs(self.phase) - 1.0) > 1e-12:
             raise ValueError("phase must have modulus 1")
-        self.phase = phase
 
-    def matrix(self) -> Mat2:
-        return Mat2.sl2(self.D, self.a, -self.p * self.B, self.q)
+    @property
+    def a(self) -> int:
+        return self.gamma.b
+
+    @property
+    def q(self) -> int:
+        return self.gamma.d
+
+    @property
+    def B(self) -> int:
+        return -self.gamma.c // self.p
+
+    @property
+    def D(self) -> int:
+        return self.gamma.a
 
     def twist(self) -> AdditiveTwist:
         return AdditiveTwist(self.a, self.q)
@@ -124,22 +131,16 @@ class FEStatement:
         (a', B', D') = (-B, -a, D) keeps the determinant, and the phase
         inverts: the swap test check_modular_relation relies on this.
         """
-        return FEStatement(self.p, self.k, -self.B, self.q, -self.a, self.D, 1.0 / self.phase)
+        dual = Mat2(self.D, -self.B, self.p * self.a, self.q)
+        return FEStatement(self.p, self.k, dual, 1.0 / self.phase)
 
 
 def fe_for_q(p: int, k: int, q: int, phase: complex = 1.0 + 0j) -> FEStatement:
     """The statement attached to a modulus q: twist -1/q against
-    ((q q* + 1)/p)/q, realized by the generator matrix V_q itself.
-
-    (a, q, B, D) = (-1, q, -(q q* + 1)/p, -q*) is read off
-    V_q = [[D, a], [-pB, q]] (see :func:`~weilgap.presentation.v_matrix`);
-    the tuple printed with a = +1 does not have determinant 1, so the sign
-    of a is fixed here.
+    ((q q* + 1)/p)/q, realized by the generator matrix V_q itself (see
+    :func:`~weilgap.presentation.v_matrix`); at level 1, by T S.
     """
-    if p == 1:
-        return FEStatement(1, k, -1, 1, -1, 0, phase)
-    v = v_matrix(p, q)
-    return FEStatement(p, k, v.b, v.d, -v.c // p, v.a, phase)
+    return FEStatement(p, k, T * S if p == 1 else v_matrix(p, q), phase)
 
 
 @dataclass
@@ -571,19 +572,13 @@ def gauss_assembly_residual(psi: ResidueChar, p: int, test_vector: dict[int, com
 
 
 def additive_statements_for_psi(
-    p: int, k: int, q: int, phase_of_matrix=None
+    p: int, k: int, q: int, phase: complex = 1.0 + 0j
 ) -> dict[int, FEStatement]:
-    """One FEStatement per residue a mod q with gcd(a, q) = 1, with
-    B = inverse(a p) mod q, so the dual twist is -inverse(a p)/q as in the
+    """One FEStatement per residue a mod q with gcd(a, q) = 1, on the
+    matrix of :func:`~weilgap.presentation.constraint_matrix`: B =
+    inverse(a p) mod q, so the dual twist is -inverse(a p)/q as in the
     multiplicative assembly chain."""
-    out: dict[int, FEStatement] = {}
-    for a in _units(q):
-        mat, B, D = constraint_matrix(p, a, q)
-        phase = 1.0 + 0j
-        if phase_of_matrix is not None:
-            phase = complex(phase_of_matrix(mat))
-        out[a] = FEStatement(p, k, a, q, B, D, phase)
-    return out
+    return {a: FEStatement(p, k, constraint_matrix(p, a, q)[0], phase) for a in _units(q)}
 
 
 def lambda_multiplicative(
@@ -673,7 +668,7 @@ def check_fe_multiplicative(
     if s_samples is None:
         s_samples = default_s_grid(k, f.sigma)
 
-    statements = additive_statements_for_psi(p, k, q, phase_of_matrix=lambda m: chi_value_at_q)
+    statements = additive_statements_for_psi(p, k, q, chi_value_at_q)
     reports = [
         check_fe_additive(f, g, p, k, fe, s_samples, tolerance, with_lambda=False)
         for fe in statements.values()

@@ -168,15 +168,17 @@ def cmd_multiplier(args):
         "bound_vs_computed_disagree": bound_predicts != (sol.kernel_dim >= 5),
         "multiplier": sol.upsilon.to_json(),
     }
-    # --out receives the bare MultiplierSystem JSON, ready for series --multiplier;
-    # the run document still goes to stdout
-    if args.out:
+    # --out receives the bare MultiplierSystem JSON, ready for series --multiplier,
+    # only when the kernel gives one of infinite order; the run document still
+    # goes to stdout
+    passed = sol.kernel_dim > 0
+    if args.out and passed:
         with open(args.out, "w") as handle:
             json.dump(sol.upsilon.to_json(), handle, indent=2, default=_json_default)
             handle.write("\n")
         print(f"wrote {args.out}")
-        args.out = None
-    return result, True
+    args.out = None
+    return result, passed
 
 
 def cmd_sixth_root(args):
@@ -242,8 +244,7 @@ def cmd_check_fe(args):
         a = args.a % args.q
         if math.gcd(a, args.q) != 1:
             raise CliError(f"twist {args.a}/{args.q} is not reduced")
-        _, B, D = constraint_matrix(p, a, args.q)
-        fe = FEStatement(p, args.k, a, args.q, B, D, phase)
+        fe = FEStatement(p, args.k, constraint_matrix(p, a, args.q)[0], phase)
     s_samples = [_parse_complex(part) for part in args.s.split(";")] if args.s else None
     report = check_fe_additive(f, g, p, args.k, fe, s_samples, tolerance=args.tol)
     return report.to_json(), report.verdict
@@ -287,10 +288,14 @@ def cmd_reproduce_all(args):
 
     only = None
     if args.only:
-        only = [int(x) for x in args.only.split(",")]
+        valid = f"valid criteria are {min(CRITERIA)}-{max(CRITERIA)}"
+        try:
+            only = [int(x) for x in args.only.split(",")]
+        except ValueError as exc:
+            raise CliError(f"--only expects comma-separated criterion numbers, got {args.only!r}; {valid}") from exc
         unknown = sorted(set(only) - set(CRITERIA))
         if unknown:
-            raise CliError(f"unknown criterion {unknown}; valid criteria are {min(CRITERIA)}-{max(CRITERIA)}")
+            raise CliError(f"unknown criterion {unknown}; {valid}")
     results = run_all(only=only, seed=args.seed)
     for r in results:
         print(f"criterion {r.criterion}: {'PASS' if r.passed else 'FAIL'} ({r.seconds:.1f}s) - {r.description}")

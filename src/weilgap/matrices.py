@@ -1,4 +1,4 @@
-"""Exact 2x2 integer matrix algebra, Moebius actions and S/T word decomposition.
+"""Exact 2x2 integer matrix algebra, the slash action and S/T word decomposition.
 
 Conventions used throughout the package:
 
@@ -11,7 +11,6 @@ All entries are Python integers, so group computations never overflow.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
@@ -71,13 +70,6 @@ class Mat2:
         half = (self * self) ** (n >> 1)
         return half * self if n & 1 else half
 
-    def mobius(self, z: complex) -> complex:
-        return mobius(self, z)
-
-    def jfactor(self, z: complex) -> complex:
-        """Automorphy cocycle j(gamma, z) = c*z + d."""
-        return self.c * z + self.d
-
     def to_json(self) -> list[int]:
         """Row-major [a, b, c, d]."""
         return [self.a, self.b, self.c, self.d]
@@ -98,48 +90,33 @@ T = Mat2(0, -1, 1, 0)
 
 @dataclass(frozen=True)
 class FrickeMat:
-    """The Fricke involution W_p = [[0, -p^{-1/2}], [p^{1/2}, 0]].
-
-    Stored as the integer matrix [[0, -1], [p, 0]] together with the
-    implicit scale p^{-1/2}; as a Moebius map it sends z to -1/(pz),
-    and j(W_p, z) = p^{1/2} z.
-    """
+    """The Fricke involution W_p = [[0, -p^{-1/2}], [p^{1/2}, 0]]: as a
+    Moebius map z -> -1/(pz), with j(W_p, z) = p^{1/2} z."""
 
     p: int
 
-    def mobius(self, z: complex) -> complex:
-        _require_upper_half(z)
-        return -1.0 / (self.p * z)
 
-    def jfactor(self, z: complex) -> complex:
-        return cmath.sqrt(self.p) * z
+def slash_evaluator(f: Callable, k: int, gamma: Union[Mat2, FrickeMat]) -> Callable:
+    """An evaluator of f|_k gamma: z -> j(gamma, z)^{-k} f(gamma z), for even k.
 
-
-def _require_upper_half(z: complex) -> None:
-    if not (complex(z).imag > 0):
-        raise ValueError(f"point {z} is not in the upper half-plane")
-
-
-def mobius(gamma: Union[Mat2, FrickeMat], z: complex) -> complex:
-    """Apply the Moebius action gamma z = (az + b)/(cz + d)."""
-    if isinstance(gamma, FrickeMat):
-        return gamma.mobius(z)
-    _require_upper_half(z)
-    z = complex(z)
-    return (gamma.a * z + gamma.b) / (gamma.c * z + gamma.d)
-
-
-def slash_action(
-    f: Callable[[complex], complex],
-    k: int,
-    gamma: Union[Mat2, FrickeMat],
-    z: complex,
-) -> complex:
-    """(f|_k gamma)(z) = j(gamma, z)^{-k} f(gamma z) for even weight k."""
+    gamma is a Mat2, acting by z -> (az + b)/(cz + d) with j = cz + d, or a
+    FrickeMat, whose cocycle power is written (p z^2)^{-k/2} so that no
+    square root is taken.  The value is computed in the number type of z:
+    a complex z gives a complex value, an mpmath z a value at the working
+    precision.  A z off the upper half-plane raises ValueError.
+    """
     if k % 2 != 0:
         raise ValueError("only even integral weights are supported")
-    w = mobius(gamma, z)
-    return gamma.jfactor(complex(z)) ** (-k) * f(w)
+
+    def evaluate(z):
+        if not z.imag > 0:
+            raise ValueError(f"point {z} is not in the upper half-plane")
+        if isinstance(gamma, FrickeMat):
+            return (gamma.p * z * z) ** (-k // 2) * f(-1 / (gamma.p * z))
+        a, b, c, d = gamma.entries()
+        return (c * z + d) ** -k * f((a * z + b) / (c * z + d))
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .characters import DirichletChar
-from .linalg import bareiss_echelon, nullspace
+from .linalg import nullspace
 from .matrices import Mat2, S, T, euclid_quotients
 from .presentation import ExpVector, GenSet, constraint_matrix
 
@@ -244,10 +244,9 @@ def pretend_constraints(
     """
     if not chi.is_even():
         raise ValueError("pretend constraints require an even character")
-    parabolic = T * S**p * T.inv()
     rows = [
         ConstraintRow(gens.class_of(S), ZERO_ANGLE, "kappa_I", S),
-        ConstraintRow(gens.class_of(parabolic), ZERO_ANGLE, "kappa_T", parabolic),
+        ConstraintRow(gens.parabolic_class, ZERO_ANGLE, "kappa_T", T * S**p * T.inv()),
     ]
     for q in range(1, q_max + 1):
         if q % p == 0:
@@ -278,7 +277,7 @@ def in_kappa_subgroup(gens: GenSet, vec: ExpVector) -> bool:
     coordinate off [S] and its torsion is that of beta [P] for some beta
     mod 6.
     """
-    p_vec = gens.class_of(T * S**gens.p * T.inv())
+    p_vec = gens.parabolic_class
     off_s = [i for i in range(len(vec.free)) if i != gens.s_index]
     if any(p_vec.free[i] for i in off_s):
         raise AssertionError(f"[T S^p T^-1] has a free part off [S] at p = {gens.p}")
@@ -310,7 +309,8 @@ def solve_pretend(
     fraction-free elimination, torsion coordinates stay pinned to the
     upsilon_chi values, and upsilon' places the chosen reduced-echelon
     kernel vector in the sqrt(2) slot, so upsilon has infinite order
-    whenever the kernel is nonzero.
+    whenever the kernel is nonzero.  On a trivial kernel upsilon is
+    upsilon_chi, of finite order, and kernel_index is not used.
     """
     ups_chi = char_multiplier(chi, gens)
     for row in cs.rows:
@@ -320,31 +320,26 @@ def solve_pretend(
                 f"upsilon_chi fails constraint {row.tag}: {got} != {row.target.mod1()}"
             )
 
-    free_rows = [list(row.vector.free) for row in cs.rows]
     n_free = len(gens.free_labels)
-    rk, _, _ = bareiss_echelon(free_rows)
-    basis = nullspace(free_rows, n_free)
+    basis = nullspace([list(row.vector.free) for row in cs.rows], n_free)
     kernel_dim = len(basis)
-    assert kernel_dim == n_free - rk
 
-    if kernel_dim == 0:
-        raise ValueError("pretend system has trivial kernel; no infinite-order solution")
-    if not 0 <= kernel_index < kernel_dim:
-        raise ValueError(f"kernel index out of range [0, {kernel_dim})")
-    direction = basis[kernel_index]
-
-    angles = dict(ups_chi.angles)
-    for lbl, s in zip(gens.free_labels, direction):
-        angles[lbl] = Angle(angles[lbl].r, s)
-    upsilon = MultiplierSystem(gens, angles)
+    upsilon = ups_chi
+    if kernel_dim:
+        if not 0 <= kernel_index < kernel_dim:
+            raise ValueError(f"kernel index out of range [0, {kernel_dim})")
+        angles = dict(ups_chi.angles)
+        for lbl, s in zip(gens.free_labels, basis[kernel_index]):
+            angles[lbl] = Angle(angles[lbl].r, s)
+        upsilon = MultiplierSystem(gens, angles)
+        assert upsilon.has_infinite_order()
 
     for row in cs.rows:
         got = upsilon.angle_of_vector(row.vector)
         if got != row.target.mod1():
             raise AssertionError(f"solved upsilon fails constraint {row.tag}")
-    assert upsilon.has_infinite_order()
 
-    return PretendSolution(upsilon, ups_chi, kernel_dim, basis, rk)
+    return PretendSolution(upsilon, ups_chi, kernel_dim, basis, n_free - kernel_dim)
 
 
 def sixth_root_check(p: int, gens: GenSet) -> dict:
@@ -355,7 +350,7 @@ def sixth_root_check(p: int, gens: GenSet) -> dict:
     value into the torsion subgroup, a 6th root of unity), and reports the
     torsion component; it must vanish exactly when p = 11 (mod 12).
     """
-    vec = gens.class_of(T * S**p * T.inv())
+    vec = gens.parabolic_class
     s_idx = gens.s_index
     free_ok = all(x == 0 for i, x in enumerate(vec.free) if i != s_idx)
     torsion_zero = not any(vec.tor2) and not any(vec.tor3)

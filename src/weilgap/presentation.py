@@ -266,7 +266,8 @@ class GenSet:
     the letters of :func:`~weilgap.matrices.decompose_sl2` words: per coset,
     the class of the T step (sparse, unreduced coordinates) and its target
     coset; and the class of one wrap, T S^p T^{-1} = V_1^{-1} S^{-1}, which
-    an S power contributes each time it crosses from coset p - 1 to 0.
+    an S power contributes each time it crosses from coset p - 1 to 0 (as
+    an ExpVector, ``parabolic_class``).
     """
 
     def __init__(
@@ -302,6 +303,10 @@ class GenSet:
             for coset in (COSET_INF, *range(p))
         }
         self._wrap_class = sparse_class(WRAP)
+        wrap = [0] * len(self._index)
+        for i, e in self._wrap_class:
+            wrap[i] = e
+        self.parabolic_class = self._vector(wrap)
 
     @property
     def generators(self) -> list[tuple[str, Mat2]]:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import mpmath as mp
 import numpy as np
 
-from .matrices import lift_bottom_row  # kept importable as series.lift_bottom_row
+from .matrices import lift_bottom_row, slash_evaluator  # kept importable from series
 from .multiplier import MultiplierSystem
 
 _EPS = 4 * np.finfo(float).eps
@@ -697,34 +697,5 @@ def series_evaluator(series: CoeffSeries):
         for cr, ci in zip(*fixed(P)):
             re, im = ((re * qr - im * qi) >> Q) + cr, ((re * qi + im * qr) >> Q) + ci
         return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
-
-    return evaluate
-
-
-def slash_evaluator(evaluator, k: int, gamma):
-    """An mpmath evaluator for (f|_k gamma) given one for f.
-
-    gamma is a Mat2 or FrickeMat; the cocycle is evaluated in mpmath.
-    """
-    from .matrices import FrickeMat
-
-    if isinstance(gamma, FrickeMat):
-        p = gamma.p
-
-        def evaluate(z):
-            z = mp.mpc(z)
-            w = -1 / (p * z)
-            j = mp.sqrt(p) * z
-            return j ** (-k) * evaluator(w)
-
-        return evaluate
-
-    a, b, c, d = gamma.entries()
-
-    def evaluate(z):
-        z = mp.mpc(z)
-        w = (a * z + b) / (c * z + d)
-        j = c * z + d
-        return j ** (-k) * evaluator(w)
 
     return evaluate

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import weilgap.analytic as analytic
+from weilgap.matrices import Mat2, S, T
 from weilgap.characters import ResidueChar, all_characters, primitive_characters
 from weilgap.presentation import compute_Q
 from weilgap.series import delta_coeffs, delta_delta_p, series_evaluator
@@ -32,6 +33,9 @@ from weilgap.analytic import (
     lambda_multiplicative,
     upper_incomplete_gamma,
 )
+
+# [[D, a], [-pB, q]] for (a, q, B, D) = (-1, 1, -1, -4): V_1 at p = 5
+V1_AT_5 = Mat2(-4, -1, 5, 1)
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -336,7 +340,7 @@ def test_lambda_additive_rejects_empty():
 
 
 def test_hecke_functional_equation_residuals(delta2000):
-    fe = FEStatement(1, 12, -1, 1, -1, 0, 1.0)
+    fe = fe_for_q(1, 12, 1)
     rep = check_fe_additive(delta2000, delta2000, 1, 12, fe, s_samples=[6 + 0j, 7 + 1j],
                             tolerance=1e-8)
     assert rep.verdict
@@ -349,7 +353,7 @@ def test_hecke_functional_equation_residuals(delta2000):
 
 def test_modular_relation_dd5(dd5):
     f, g = dd5
-    fe = FEStatement(5, 24, -1, 1, -1, 1 - 5, 1.0)
+    fe = FEStatement(5, 24, V1_AT_5, 1.0)
     res = check_modular_relation(f, g, 5, 24, fe, 0.2 + 0.9j)
     assert res.residual < 1e-8
     assert abs(res.fitted_phase - 1.0) < 1e-6
@@ -358,7 +362,7 @@ def test_modular_relation_dd5(dd5):
 def test_modular_relation_detects_corruption(dd5):
     f, g = dd5
     bad = f.copy_with(coeffs=[c + (1 if m == 5 else 0) for m, c in enumerate(f.coeffs)], exact=None)
-    fe = FEStatement(5, 24, -1, 1, -1, 1 - 5, 1.0)
+    fe = FEStatement(5, 24, V1_AT_5, 1.0)
     res = check_modular_relation(bad, g, 5, 24, fe, 0.2 + 0.9j)
     assert res.residual > 1e-3
 
@@ -370,7 +374,7 @@ def test_fitted_phase_recovers_rotation(dd5):
     theta = 1.0 / 7.0
     rot = cmath.exp(-2j * cmath.pi * theta)
     g_rot = g.copy_with(coeffs=[rot * c for c in g.coeffs], exact=None)
-    fe = FEStatement(5, 24, -1, 1, -1, 1 - 5, cmath.exp(2j * cmath.pi * theta))
+    fe = FEStatement(5, 24, V1_AT_5, cmath.exp(2j * cmath.pi * theta))
     res = check_modular_relation(f, g_rot, 5, 24, fe, 0.05 + 0.45j)
     assert res.residual < 1e-8
     assert abs(res.fitted_phase - fe.phase) < 1e-6
@@ -383,7 +387,7 @@ def test_modular_relation_swap_symmetry(dd5):
     f, g = dd5
     bad = f.copy_with(coeffs=[c + (1 if m == 5 else 0) for m, c in enumerate(f.coeffs)], exact=None)
     p, k = 5, 24
-    fe = FEStatement(p, k, -1, 1, -1, 1 - p, 1.0)
+    fe = FEStatement(p, k, V1_AT_5, 1.0)
     z = 0.08 + 0.5j
     res = check_modular_relation(bad, g, p, k, fe, z)
     z_dual = -1.0 / (p * z)
@@ -429,11 +433,35 @@ def test_level_and_weight_must_match_the_statement(dd5):
 
 def test_fe_statement_validation():
     with pytest.raises(ValueError):
-        FEStatement(5, 24, 1, 3, 1, 1, 1.0)  # determinant violated
+        FEStatement(5, 24, Mat2(1, 1, -5, 3), 1.0)  # determinant violated
     with pytest.raises(ValueError):
-        FEStatement(5, 24, -1, 5, -1, 0, 1.0)  # q divisible by p
+        FEStatement(5, 24, Mat2(1, 1, 4, 5), 1.0)  # p does not divide c (here p | q)
     with pytest.raises(ValueError):
-        FEStatement(5, 24, -1, 1, -1, 1 - 5, 2.0)  # phase off the circle
+        FEStatement(5, 24, Mat2(1, 1, -5, -4), 1.0)  # q < 1
+    with pytest.raises(ValueError):
+        FEStatement(1, 12, T, 1.0)  # q = 0 at level 1
+    with pytest.raises(ValueError):
+        FEStatement(5, 24, V1_AT_5, 2.0)  # phase off the circle
+
+
+def test_fe_statement_reads_its_matrix():
+    fe = FEStatement(11, 24, Mat2(-7, 1, -22, 3), 1j)
+    assert (fe.a, fe.q, fe.B, fe.D) == (1, 3, 2, -7)
+    assert (str(fe.twist()), str(fe.dual_twist())) == ("1/3", "1/3")
+    dual = fe.dual()
+    assert dual.gamma == Mat2(-7, -2, 11, 3) and dual.phase == -1j
+    assert (dual.a, dual.B, dual.D) == (-fe.B, -fe.a, fe.D)
+    # level 1: T S = [[0, -1], [1, 1]], the Hecke statement
+    level1 = fe_for_q(1, 12, 1)
+    assert level1.gamma == T * S
+    assert (level1.a, level1.q, level1.B, level1.D) == (-1, 1, -1, 0)
+
+
+def test_additive_statements_sit_on_the_constraint_matrices():
+    from weilgap.presentation import constraint_matrix
+
+    for a, fe in additive_statements_for_psi(13, 24, 7, 1j).items():
+        assert fe.gamma == constraint_matrix(13, a, 7)[0] and fe.phase == 1j
 
 
 def test_fe_for_q_matches_generator_matrix():
@@ -442,7 +470,7 @@ def test_fe_for_q_matches_generator_matrix():
     for p in (5, 13):
         for q in (1, 2, 3):
             fe = fe_for_q(p, 24, q, 1.0)
-            assert fe.matrix() == v_matrix(p, q)
+            assert fe.gamma == v_matrix(p, q)
 
 
 PRIMES = [n for n in range(5, 500) if all(n % f for f in range(2, n))]
@@ -455,7 +483,7 @@ def test_fe_for_q_at_random_levels(p, q):
 
     assume(q % p != 0)
     fe = fe_for_q(p, 24, q)
-    assert fe.matrix() == v_matrix(p, q)
+    assert fe.gamma == v_matrix(p, q)
     # q q* = -1 mod p with 1 <= q* <= p, by brute force
     qs = next(s for s in range(1, p + 1) if (q * s + 1) % p == 0)
     assert (fe.a, fe.q, fe.B, fe.D) == (-1, q, -(q * qs + 1) // p, -qs)
@@ -474,7 +502,7 @@ def test_additive_twist_reduction():
 
 def test_check_fe_additive_dd11_q3(dd11):
     f, g = dd11
-    fe = FEStatement(11, 24, 1, 3, 2, -7, 1.0)
+    fe = FEStatement(11, 24, Mat2(-7, 1, -22, 3), 1.0)
     rep = check_fe_additive(f, g, 11, 24, fe, s_samples=[12 + 0j, 12 + 1j, 13.5 + 0j],
                             tolerance=1e-6)
     assert rep.verdict
@@ -514,7 +542,7 @@ def test_lambda_pairs_only_where_they_can_gate(monkeypatch, dd5, delta2000):
 def test_check_fe_additive_wrong_phase_fails(dd5):
     f, g = dd5
     wrong = cmath.exp(2j * cmath.pi / 7)
-    fe = FEStatement(5, 24, -1, 1, -1, 1 - 5, wrong)
+    fe = FEStatement(5, 24, V1_AT_5, wrong)
     rep = check_fe_additive(f, g, 5, 24, fe, s_samples=[12 + 0j], tolerance=1e-6,
                             with_lambda=False)
     assert not rep.verdict

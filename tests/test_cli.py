@@ -1,7 +1,9 @@
 import argparse
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,23 @@ def test_multiplier_to_eisenstein_pipeline(tmp_path):
     assert proc.returncode == 0
     header = json.loads(series_out.read_text().splitlines()[0])
     assert header["weight"] == 4 and header["level"] == 29
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_multiplier_trivial_kernel_is_a_computed_answer(tmp_path, capsys, p):
+    # the system is solved; it has no infinite-order solution, so the run
+    # fails its check (exit 1) and --out writes no multiplier file
+    ms = tmp_path / "ms.json"
+    assert main(["multiplier", "--p", str(p), "--qmax", "1", "--out", str(ms)]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["kernel_dim"] == 0 and result["infinite_order"] is False
+    assert result["rows"] == 3 and result["rank"] > 0
+    assert not ms.exists()
+
+
+def test_multiplier_kernel_index_out_of_range_is_invalid_input(capsys):
+    assert main(["multiplier", "--p", "29", "--qmax", "1", "--kernel-index", "5"]) == 2
+    assert "kernel index out of range" in capsys.readouterr().err
 
 
 def test_series_certify_pipeline(tmp_path):
@@ -203,6 +222,16 @@ def test_reproduce_all_rejects_unknown_criterion():
     proc = run_cli("reproduce-all", "--only", "3,99")
     assert proc.returncode == 2
     assert proc.stderr == "error: unknown criterion [99]; valid criteria are 1-10\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("only", ["3,x", ","])
+def test_reproduce_all_malformed_only_is_one_line(only):
+    proc = run_cli("reproduce-all", "--only", only)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: --only expects comma-separated criterion numbers, got {only!r}; valid criteria are 1-10\n"
+    )
     assert proc.stdout == ""
 
 
@@ -413,3 +442,17 @@ def test_check_fe_twist_is_the_residue_statement(tmp_path, capsys, q, a):
     result = json.loads(capsys.readouterr().out)["result"]
     fe = additive_statements_for_psi(5, 24, q)[a % q]
     assert (result["twist"], result["dual_twist"]) == (str(fe.twist()), str(fe.dual_twist()))
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("weilgap ")]
+
+
+def test_readme_cli_examples_run_in_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)

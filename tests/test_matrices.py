@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,7 @@ from weilgap.matrices import (
     euclid_quotients,
     evaluate_word,
     lift_bottom_row,
-    mobius,
-    slash_action,
+    slash_evaluator,
 )
 from weilgap.presentation import v_matrix
 from weilgap.series import delta_coeffs, delta_delta_p
@@ -92,28 +92,41 @@ def test_sl2_constructor_rejects_bad_det():
     assert Mat2(1, 0, 0, 2).det() == 2
 
 
+def moebius(gamma, z):
+    """gamma z, read off the weight-0 slash of the identity function."""
+    return slash_evaluator(lambda w: w, 0, gamma)(z)
+
+
 def test_mobius_fixed_points():
-    assert abs(mobius(T, 1j) - 1j) < 1e-15
+    assert abs(moebius(T, 1j) - 1j) < 1e-15
     z = 0.37 + 1.9j
-    assert abs(mobius(S, z) - (z + 1)) < 1e-15
+    assert abs(moebius(S, z) - (z + 1)) < 1e-15
     for p in (5, 13):
-        w = FrickeMat(p)
         zfix = 1j / cmath.sqrt(p)
-        assert abs(w.mobius(zfix) - zfix) < 1e-14
+        assert abs(moebius(FrickeMat(p), zfix) - zfix) < 1e-14
 
 
 def test_mobius_rejects_lower_half_plane():
     with pytest.raises(ValueError):
-        mobius(S, 0.3 - 1j)
+        moebius(S, 0.3 - 1j)
     with pytest.raises(ValueError):
-        FrickeMat(5).mobius(0.5 + 0j)
+        moebius(FrickeMat(5), 0.5 + 0j)
+    with pytest.raises(ValueError):
+        slash_evaluator(lambda w: w, 12, FrickeMat(5))(mp.mpc(0.5, -1))
+
+
+def test_slash_rejects_odd_weight():
+    with pytest.raises(ValueError):
+        slash_evaluator(lambda w: w, 3, S)
 
 
 def test_fricke_squares_to_identity_action():
     w = FrickeMat(7)
     z = 0.2 + 0.8j
-    assert abs(w.mobius(w.mobius(z)) - z) < 1e-14
-    assert abs(w.jfactor(z) - cmath.sqrt(7) * z) < 1e-14
+    assert abs(moebius(w, moebius(w, z)) - z) < 1e-14
+    # the cocycle power (p z^2)^{-k/2} is j(W_p, z)^{-k} with j = p^{1/2} z
+    for k in (2, 12, 16):
+        assert abs(slash_evaluator(lambda _: 1.0, k, w)(z) / (cmath.sqrt(7) * z) ** -k - 1) < 1e-13
 
 
 def test_decompose_powers_of_s():
@@ -151,7 +164,19 @@ def test_mobius_is_group_action():
     for _ in range(100):
         x, y = rand_sl2(rng, 50), rand_sl2(rng, 50)
         z = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
-        assert abs(mobius(x * y, z) - mobius(x, mobius(y, z))) < 1e-12
+        assert abs(moebius(x * y, z) - moebius(x, moebius(y, z))) < 1e-12
+
+
+def test_slash_is_right_action():
+    # f|(xy) = (f|x)|y at even weight, for a holomorphic test function
+    rng = random.Random(5)
+    f = lambda w: cmath.exp(1j * w) + w * w
+    for _ in range(50):
+        x, y = rand_sl2(rng, 6), rand_sl2(rng, 6)
+        z = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
+        lhs = slash_evaluator(f, 4, x * y)(z)
+        rhs = slash_evaluator(slash_evaluator(f, 4, x), 4, y)(z)
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
 def test_cocycle_relation_exact():
@@ -181,13 +206,13 @@ def test_cocycle_relation_exact():
 
 
 def test_slash_action_constant_function():
-    assert slash_action(lambda z: 1.0, 0, S, 1j) == 1.0
+    assert slash_evaluator(lambda z: 1.0, 0, S)(1j) == 1.0
 
 
 def test_slash_action_delta_t_modularity():
     d = delta_coeffs(60)
     z = 1j
-    lhs = slash_action(d.eval_truncated, 12, T, z)
+    lhs = slash_evaluator(d.eval_truncated, 12, T)(z)
     assert abs(lhs - d.eval_truncated(z)) < 1e-9
 
 
@@ -195,8 +220,25 @@ def test_slash_action_fricke_eigenvalue():
     p = 5
     f, _ = delta_delta_p(p, 80)
     z = 1j / math.sqrt(p)
-    lhs = slash_action(f.eval_truncated, 24, FrickeMat(p), z)
+    lhs = slash_evaluator(f.eval_truncated, 24, FrickeMat(p))(z)
     assert abs(lhs - f.eval_truncated(z)) < 1e-8
+
+
+def test_slash_computes_in_the_number_type_of_z():
+    # a complex z gives a complex value; an mpmath z one at working precision
+    g = lambda w: w**3 + 2
+    for gamma in (Mat2(2, 1, 5, 3), FrickeMat(11)):
+        slashed = slash_evaluator(g, 6, gamma)
+        assert type(slashed(0.1 + 0.7j)) is complex
+        with mp.workdps(50):
+            z = mp.mpc("0.1", "0.7")
+            value = slashed(z)
+            assert isinstance(value, mp.mpc)
+            if isinstance(gamma, FrickeMat):
+                want = (mp.sqrt(11) * z) ** -6 * g(-1 / (11 * z))
+            else:
+                want = (5 * z + 3) ** -6 * g((2 * z + 1) / (5 * z + 3))
+            assert abs(value - want) < mp.mpf(10) ** -45 * abs(want)
 
 
 def test_serialization_roundtrip():

@@ -34,6 +34,7 @@ from weilgap.series import lift_bottom_row
 
 from test_characters import quadratic_char
 from test_linalg import nullspace_by_back_substitution
+from weilgap.linalg import rank
 
 
 @pytest.fixture(scope="module")
@@ -149,8 +150,6 @@ def test_pretend_constraints_qmax1_rows(gens29):
 
 
 def test_q1_row_in_kappa_span(gens29):
-    from weilgap.linalg import rank
-
     chi = DirichletChar(29, 0)
     cs = pretend_constraints(29, gens29, chi, 1)
     kappa_rows = [list(r.vector.free) for r in cs.rows[:2]]
@@ -423,12 +422,16 @@ def test_solve_pretend_matches_fraction_oracles():
             ups_chi = char_multiplier(chi, gens)
             for q_max in (1, 3, 6):
                 cs = pretend_constraints(p, gens, chi, q_max, verify_b_dependence=False)
-                basis = nullspace_by_back_substitution([list(row.vector.free) for row in cs.rows], n_free)
-                if not basis:
-                    with pytest.raises(ValueError, match="trivial kernel"):
-                        solve_pretend(cs, chi, gens)
-                    continue
+                free_rows = [list(row.vector.free) for row in cs.rows]
+                basis = nullspace_by_back_substitution(free_rows, n_free)
                 sol = solve_pretend(cs, chi, gens)
+                assert (sol.kernel_dim, sol.rank) == (len(basis), rank(free_rows))
+                if not basis:
+                    # a trivial kernel solves to upsilon_chi, of finite order
+                    assert sol.kernel_basis == []
+                    assert sol.upsilon.to_json() == ups_chi.to_json()
+                    assert not sol.upsilon.has_infinite_order()
+                    continue
                 angles = {
                     lbl: Angle(ups_chi.angles[lbl].r, basis[0][gens.free_labels.index(lbl)])
                     if lbl in gens.free_labels

@@ -456,3 +456,10 @@ def test_class_of_rejects(gens13):
         gens13.class_of(T)
     with pytest.raises(ValueError, match="determinant"):
         gens13.class_of(Mat2(1, 1, 0, 2))
+
+
+def test_parabolic_class_is_one_wrap():
+    # the tabulated wrap class is the class of T S^p T^-1
+    for p in (n for n in PRIMES if n < 200):
+        gens = gens_of(p)
+        assert gens.parabolic_class == gens.class_of(T * S**p * T.inv())

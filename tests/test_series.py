@@ -263,8 +263,6 @@ def test_eisenstein_character_multiplier_modularity():
     # weight-4 series with upsilon = upsilon_chi: residual of
     # (F|_4 gamma)(z) - chi(d) F(z) shrinks with c_max at the generators.
     # M is sized for the smallest Im(gamma z) over the test configuration.
-    from weilgap.matrices import slash_action
-
     p = 5
     gens = build_presentation(p)
     chi = quadratic_char(p)
@@ -275,7 +273,7 @@ def test_eisenstein_character_multiplier_modularity():
         eis = eisenstein_multiplier_coeffs(p, ups, 4, M=700, c_max=c_max)
         worst = 0.0
         for lbl, mat in gens.generators:
-            lhs = slash_action(eis.eval_truncated, 4, mat, z)
+            lhs = slash_evaluator(eis.eval_truncated, 4, mat)(z)
             rhs = complex(ups.value(mat)) * eis.eval_truncated(z)
             worst = max(worst, abs(lhs - rhs))
         residuals.append(worst)
