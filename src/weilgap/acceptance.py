@@ -448,7 +448,7 @@ def _infinite_order_multiplier_experiment() -> dict:
         g = coeffs_via_fourier_extraction(
             evaluator, 16, y_ext, 80, label="thm11_g", level=p,
             growth_c=max(f.growth_c, 1.0), growth_sigma=9.0,
-            eval_error=min(eval_err, 1e-10),
+            eval_error=eval_err,
         )
         fe = fe_for_q(p, 16, 1, 1.0)
         g = g.copy_with(sigma=9.0)

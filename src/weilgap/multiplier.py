@@ -34,6 +34,11 @@ from .presentation import ExpVector, GenSet, constraint_matrix
 SQRT2 = math.sqrt(2)
 
 
+def circle_value(r: float, s: float) -> complex:
+    """e(r + s*sqrt(2)) from the two parts of the exponent, each a float."""
+    return cmath.exp(2j * cmath.pi * (r + s * SQRT2))
+
+
 @dataclass(frozen=True)
 class Angle:
     """Exact exponent r + s*alpha with alpha = sqrt(2); represents e(r + s*alpha)."""
@@ -62,12 +67,9 @@ class Angle:
     def is_zero_mod1(self) -> bool:
         return self.s == 0 and self.r % 1 == 0
 
-    def to_float(self) -> float:
-        return float(self.r) + float(self.s) * SQRT2
-
     def value(self) -> complex:
         """The unit-circle value e(r + s*sqrt(2))."""
-        return cmath.exp(2j * cmath.pi * self.to_float())
+        return circle_value(float(self.r), float(self.s))
 
     def to_json(self) -> dict:
         return {
@@ -104,13 +106,15 @@ class MultiplierSystem:
         self._r_num = [int(self.angles[lbl].r * den) for lbl in order]
         self._s_num = [int(self.angles[lbl].s * den) for lbl in order]
 
-    def _angle_of_coords(self, coords) -> Angle:
-        r = sum(map(operator.mul, self._r_num, coords))
-        s = sum(map(operator.mul, self._s_num, coords))
+    def _numerators(self, coords) -> tuple[int, int]:
+        """The angle of a class as integer numerators (r, s) over ``_den``."""
+        return sum(map(operator.mul, self._r_num, coords)), sum(map(operator.mul, self._s_num, coords))
+
+    def _angle(self, r: int, s: int) -> Angle:
         return Angle(Fraction(r % self._den, self._den), Fraction(s, self._den))
 
     def angle_of_vector(self, vec: ExpVector) -> Angle:
-        return self._angle_of_coords((*vec.free, *vec.tor2, *vec.tor3))
+        return self._angle(*self._numerators((*vec.free, *vec.tor2, *vec.tor3)))
 
     def evaluate(self, gamma: Mat2) -> Angle:
         """Exact angle of upsilon(gamma) for gamma in Gamma0(p)."""
@@ -129,6 +133,18 @@ class MultiplierSystem:
         is :meth:`evaluate` without the matrix reduction that finds the S
         power.
         """
+        return self._angle(*self._bottom_row_numerators(c, d))
+
+    def bottom_row_value(self, c: int, d: int) -> complex:
+        """upsilon(gamma) for every gamma in Gamma0(p) with bottom row (c, d),
+        equal bit for bit to ``bottom_row_angle(c, d).value()``: each part of
+        the exponent is one int / int division, correctly rounded as the
+        float of a Fraction is, so no Fraction is built."""
+        r, s = self._bottom_row_numerators(c, d)
+        den = self._den
+        return circle_value(r % den / den, s / den)
+
+    def _bottom_row_numerators(self, c: int, d: int) -> tuple[int, int]:
         p, s = self.p, self.gens.s_index
         if self._r_num[s] or self._s_num[s]:
             raise ValueError("the bottom-row angle requires upsilon(S) = 1")
@@ -136,7 +152,7 @@ class MultiplierSystem:
             raise ValueError(f"bottom row ({c}, {d}) is not in Gamma0({p})")
         if math.gcd(c, d) != 1:
             raise ValueError(f"bottom row ({c}, {d}) is not unimodular")
-        return self._angle_of_coords(self.gens.walk_coords(euclid_quotients(c, d)))
+        return self._numerators(self.gens.walk_coords(euclid_quotients(c, d)))
 
     def is_trivial(self) -> bool:
         return all(a.is_zero_mod1() for a in self.angles.values())

@@ -12,7 +12,7 @@ Gamma_infinity \\ Gamma0(p):
 where S_ups(m, c) = sum_{d mod c, (d, c) = 1} conj(upsilon(gamma_{c,d}))
 e(m d / c) is a multiplier-twisted Kloosterman-type sum; every coefficient
 carries the tail bound of the truncated c-sum.  For each c the multiplier
-values come from MultiplierSystem.bottom_row_angle, and one inverse FFT of
+values come from MultiplierSystem.bottom_row_value, and one inverse FFT of
 length c gives S_ups(m, c) for every residue of m at once.
 """
 
@@ -21,11 +21,14 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp
 
 from .matrices import lift_bottom_row, slash_evaluator  # kept importable from series
 from .multiplier import MultiplierSystem
@@ -504,7 +507,7 @@ def _kloosterman_row(upsilon: MultiplierSystem, c: int) -> np.ndarray:
     row = np.zeros(c, dtype=complex)
     for d in range(1, c):
         if math.gcd(c, d) == 1:
-            row[d] = upsilon.bottom_row_angle(c, d).value().conjugate()
+            row[d] = upsilon.bottom_row_value(c, d).conjugate()
     return c * np.fft.ifft(row)
 
 
@@ -617,9 +620,16 @@ def coeffs_via_fourier_extraction(
     The evaluator is called with an mpmath complex argument (wrap plain
     float evaluators as ``lambda z: f(complex(z))`` at the cost of float
     precision); working precision is raised with M*y so the e^{2 pi m y}
-    amplification cannot drown the quadrature.  If the estimate exceeds
-    10^{-3} the requested M is refused as unreachable at this height.
+    amplification cannot drown the quadrature; the sums over the nodes are
+    exact integer sums rounded once (``_node_sums``).  M < 1, a height y
+    that is not finite and positive, and a non-finite value raise
+    ValueError; so does an estimate above 10^{-3}, which refuses the
+    requested M as unreachable at this height.
     """
+    if M < 1:
+        raise ValueError(f"need M >= 1 coefficients, got M = {M}")
+    if not (math.isfinite(y) and y > 0):
+        raise ValueError(f"need a finite height y > 0, got y = {y}")
     N = max(4 * M, 64)
     dps = int(2 * math.pi * M * y / math.log(10)) + 25
     errors = []
@@ -635,15 +645,47 @@ def coeffs_via_fourier_extraction(
             f"requested M = {M} unreachable at height y = {y}: error estimate {worst:.2e}"
         )
     with mp.workdps(dps):
-        nodes = [mp.mpf(n) / N for n in range(N)]
-        values = [mp.mpc(evaluator(mp.mpc(x, y))) for x in nodes]
-        roots = [mp.expjpi(-2 * x) for x in nodes]  # e(-n/N)
-        coeffs = []
-        for m in range(1, M + 1):
-            total = mp.fdot(values, [roots[m * n % N] for n in range(N)])
-            total = total / N * mp.e ** (2 * mp.pi * m * y)
-            coeffs.append(complex(total))
+        values = [mp.mpc(evaluator(mp.mpc(mp.mpf(n) / N, y))) for n in range(N)]
+        sums = _node_sums(values, M)
+        coeffs = [complex(total / N * mp.e ** (2 * mp.pi * m * y)) for m, total in enumerate(sums, start=1)]
     return CoeffSeries(coeffs, k, level, growth_sigma, label, error_bound=worst, per_coeff_error=errors)
+
+
+def _node_sums(values: list, M: int) -> list:
+    """sum_n values[n] e(-m n / N), N = len(values), for m = 1..M, at the
+    working precision.
+
+    The values, and the roots e(-n/N), are written as exact integer
+    mantissas over one common power of two; each sum is taken exactly in
+    Python integers and rounded once to nearest.  That is the correctly
+    rounded sum, which ``mp.fdot`` also gives whenever the exponents of its
+    products span under twice the precision.  A non-finite value raises
+    ValueError.
+    """
+    N = len(values)
+    bad = next((n for n, v in enumerate(values) if not mp.isfinite(v)), None)
+    if bad is not None:
+        raise ValueError(f"evaluator gave {values[bad]} at node {bad}/{N}")
+    prec = mp.mp.prec
+    vr, vi, ev = _exact_parts(values)
+    rr, ri, er = _exact_parts([mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(N)])
+    sums = []
+    for m in range(1, M + 1):
+        turn = [m * n % N for n in range(N)]
+        cr, ci = [rr[i] for i in turn], [ri[i] for i in turn]
+        re = sum(map(operator.mul, vr, cr)) - sum(map(operator.mul, vi, ci))
+        im = sum(map(operator.mul, vr, ci)) + sum(map(operator.mul, vi, cr))
+        sums.append(mp.make_mpc((from_man_exp(re, ev + er, prec, "n"), from_man_exp(im, ev + er, prec, "n"))))
+    return sums
+
+
+def _exact_parts(zs: list) -> tuple[list[int], list[int], int]:
+    """Finite mpc values as exact integers over one common power of two:
+    z = (re + i im) 2^e for each z."""
+    parts = [x for z in zs for x in z._mpc_]
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    ints = [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in parts]
+    return ints[0::2], ints[1::2], e
 
 
 def series_evaluator(series: CoeffSeries):
@@ -654,11 +696,12 @@ def series_evaluator(series: CoeffSeries):
     max(0, -floor(log2 max_m |a_m||q|^m)) with q = e(z), so the value keeps
     prec bits relative to sum |a_m||q|^m however small |q| is; the guard
     (bit length of M plus 16) covers the rounding of the M + 1 steps, and
-    the value is returned unrounded.  The doubles are split exactly by
+    the value is returned unrounded.  Horner starts at the last m whose
+    bound on log2 |a_m||q|^m is at least -P - 1 - log2(M + 1), less one bit
+    for the float log2 |q|: the terms past it add up to under half a unit
+    at 2^-P, which the guard absorbs.  The doubles are split exactly by
     frexp once; their scaled integers are cached for the last P only.
     """
-    from mpmath.libmp import from_man_exp
-
     c = np.array([series.a0, *series.coeffs], dtype=complex)
     parts = np.stack([c.real, c.imag])
     if not np.all(np.isfinite(parts)):
@@ -670,6 +713,8 @@ def series_evaluator(series: CoeffSeries):
     # a_m = (mant_re + i mant_im) 2^(exp - 53) exactly, kept from m = M down to 0
     mant, exp = (frac * 2.0**53).astype(np.int64)[:, ::-1], (exp - 53)[:, ::-1]
     guard = len(c).bit_length() + 16
+    # each dropped term below 2^(-P - 1) / (M + 1), one bit spared for log2 |q|
+    drop_below = 2 + math.log2(len(c))
     cache: dict[int, list[list[int]]] = {}
 
     def fixed(P: int) -> list[list[int]]:
@@ -684,17 +729,20 @@ def series_evaluator(series: CoeffSeries):
     def evaluate(z):
         z = mp.mpc(z)
         log2_q = -2 * math.pi * float(z.imag) / math.log(2)
-        top = float(np.max(log2_bound + ms * log2_q, initial=-np.inf))
+        terms = log2_bound + ms * log2_q
+        top = float(np.max(terms, initial=-np.inf))
         if top == -np.inf:
             return mp.mpc(0)
         prec = mp.mp.prec
         P = prec + guard + max(0, -math.floor(top))
         Q = P + max(0, math.ceil(-log2_q))  # q's own scale: its rounding is relative to |q|
+        # top >= -P + prec + guard, so the kept range is never empty
+        skip = len(c) - 1 - int(np.flatnonzero(terms >= -P - drop_below)[-1])
         with mp.workprec(prec + guard):
             q = mp.expjpi(2 * z)
         qr, qi = int(mp.ldexp(q.real, Q)), int(mp.ldexp(q.imag, Q))
         re = im = 0
-        for cr, ci in zip(*fixed(P)):
+        for cr, ci in zip(*(islice(xs, skip, None) for xs in fixed(P))):
             re, im = ((re * qr - im * qi) >> Q) + cr, ((re * qi + im * qr) >> Q) + ci
         return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weilgap.characters import DirichletChar
 from weilgap.matrices import T, FrickeMat
-from weilgap.multiplier import char_multiplier, trivial_multiplier
+from weilgap.multiplier import char_multiplier, pretend_constraints, solve_pretend, trivial_multiplier
 from weilgap.presentation import build_presentation
 from weilgap.series import (
     _kronecker_mul,
+    _node_sums,
     CoeffSeries,
     coeffs_via_fourier_extraction,
     delta_coeffs,
@@ -347,6 +349,140 @@ def test_fourier_extraction_refuses_unreachable():
         coeffs_via_fourier_extraction(
             ev, 12, 1.0, 10, growth_c=2.0, growth_sigma=6.0, eval_error=1e-3
         )
+
+
+@pytest.mark.parametrize(
+    "M, y, named",
+    [(0, 1.0, "M = 0"), (-3, 1.0, "M = -3"), (4, 0.0, "y = 0.0"), (4, -0.5, "y = -0.5"),
+     (4, math.nan, "y = nan"), (4, math.inf, "y = inf")],
+)
+def test_fourier_extraction_names_a_bad_argument(M, y, named):
+    ev = series_evaluator(delta_coeffs(50))
+    with pytest.raises(ValueError, match=named):
+        coeffs_via_fourier_extraction(ev, 12, y, M, growth_c=2.0, growth_sigma=6.0)
+
+
+def test_fourier_extraction_rejects_a_non_finite_value():
+    with pytest.raises(ValueError, match="node 0/64"):
+        coeffs_via_fourier_extraction(lambda z: mp.mpc(mp.nan, 0), 12, 1.0, 4)
+
+
+def full_length_horner(series):
+    """Oracle: ``series_evaluator``'s fixed-point Horner over all M + 1
+    terms at every point, with no cutoff.  Returns the value and the scale
+    P of its units 2^-P."""
+    c = np.array([series.a0, *series.coeffs], dtype=complex)
+    parts = np.stack([c.real, c.imag])
+    frac, exp = np.frexp(parts)
+    log2_bound = np.where(parts == 0, -np.inf, exp).max(axis=0) + 0.5
+    ms = np.arange(len(c))
+    mant, exp = (frac * 2.0**53).astype(np.int64)[:, ::-1], (exp - 53)[:, ::-1]
+    guard = len(c).bit_length() + 16
+
+    def evaluate(z):
+        z = mp.mpc(z)
+        log2_q = -2 * math.pi * float(z.imag) / math.log(2)
+        top = float(np.max(log2_bound + ms * log2_q, initial=-np.inf))
+        if top == -np.inf:
+            return mp.mpc(0), 0
+        prec = mp.mp.prec
+        P = prec + guard + max(0, -math.floor(top))
+        Q = P + max(0, math.ceil(-log2_q))
+        with mp.workprec(prec + guard):
+            q = mp.expjpi(2 * z)
+        qr, qi = int(mp.ldexp(q.real, Q)), int(mp.ldexp(q.imag, Q))
+        fixed = [
+            [x << (e + P) if e + P >= 0 else x >> -(e + P) for x, e in zip(xs.tolist(), es.tolist())]
+            for xs, es in zip(mant, exp)
+        ]
+        re = im = 0
+        for cr, ci in zip(*fixed):
+            re, im = ((re * qr - im * qi) >> Q) + cr, ((re * qi + im * qr) >> Q) + ci
+        return mp.make_mpc((mp.libmp.from_man_exp(re, -P), mp.libmp.from_man_exp(im, -P))), P
+
+    return evaluate
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.floats(0, 12),
+    st.floats(-1, 1),
+    st.floats(1e-3, 10),
+    st.sampled_from([15, 30, 59, 100]),
+)
+def test_horner_cutoff_matches_the_full_length_horner(M, seed, sigma, x, y, dps):
+    # Each Horner is within R = 2 sqrt(2) sum_{j <= M} |q|^j units of its own
+    # exact sum (one floor in the shift and one in the coefficient per step),
+    # and the dropped terms add up to under half a unit, so the two differ
+    # by under 1/2 + 2R units at 2^-P.  They share P, and both stay within
+    # 2^-prec sum |a_m||q|^m of the mpmath oracle.
+    rng = np.random.default_rng(seed)
+    size = np.arange(1, M + 2) ** sigma * 10.0 ** rng.uniform(-3, 3, M + 1)
+    coeffs = size * (rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1))
+    coeffs[rng.random(M + 1) < 0.1] = 0
+    series = CoeffSeries(list(coeffs[1:]), 4, 1, 4.0, "h", a0=complex(coeffs[0]))
+    with mp.workdps(dps):
+        prec, z = mp.mp.prec, mp.mpc(x, y)
+        value = series_evaluator(series)(z)
+        full, P = full_length_horner(series)(z)
+        oracle, scale = mp_horner(list(coeffs), z, prec + 64)
+    r = math.exp(-2 * math.pi * y)
+    R = 2 * math.sqrt(2) * (M + 1 if r == 1 else (1 - r ** (M + 1)) / (1 - r))
+    with mp.workprec(prec + P + 64):
+        assert abs(value - full) * mp.mpf(2) ** P <= 0.5 + 2 * R
+        assert abs(value - oracle) <= mp.ldexp(scale, -prec)
+
+
+def fdot_sums(values, M):
+    """Oracle: the node sums of the extraction, one mp.fdot each."""
+    N = len(values)
+    roots = [mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(N)]
+    return [mp.fdot(values, [roots[m * n % N] for n in range(N)]) for m in range(1, M + 1)]
+
+
+mpc_parts = st.one_of(st.just((0, 0)), st.tuples(st.floats(-1, 1), st.integers(-16, 16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(mpc_parts, mpc_parts), min_size=1, max_size=80), st.sampled_from([15, 30, 59]), st.data())
+def test_node_sums_equal_fdot_bit_for_bit(parts, dps, data):
+    # full-precision mantissas whose exponents span well under 2 prec, the
+    # range where mp.fdot's sum is exact before its one rounding
+    M = data.draw(st.integers(1, len(parts)))
+    with mp.workdps(dps):
+        scramble = mp.exp(mp.mpf(1) / 7)
+        values = [
+            mp.mpc(*(mp.ldexp(mp.mpf(a) * scramble, e) for a, e in part)) for part in parts
+        ]
+        assert _node_sums(values, M) == fdot_sums(values, M)
+
+
+def test_extraction_matches_the_full_length_pipeline_bit_for_bit():
+    # criterion 10's pipeline at p = 29 on a shorter prefix, against the
+    # same pipeline on the full-length Horner and mp.fdot sums
+    p, M, y, count = 29, 500, 0.16, 40
+    gens = build_presentation(p)
+    chi = DirichletChar(p, 0)
+    sol = solve_pretend(pretend_constraints(p, gens, chi, 1, verify_b_dependence=False), chi, gens)
+    eis = eisenstein_multiplier_coeffs(p, sol.upsilon, 4, M=M, c_max=4 * p)
+    f = multiply(eis, delta_coeffs(M)).copy_with(level=p, sigma=9.0)
+    full = full_length_horner(f)
+    cut = slash_evaluator(series_evaluator(f), 16, FrickeMat(p))
+    full_slashed = slash_evaluator(lambda z: full(z)[0], 16, FrickeMat(p))
+
+    def periodic(ev):
+        return lambda z: ev(mp.mpc(z.real - mp.nint(z.real), z.imag))
+
+    got = coeffs_via_fourier_extraction(periodic(cut), 16, y, count, growth_c=f.growth_c, growth_sigma=9.0)
+    N = max(4 * count, 64)
+    with mp.workdps(int(2 * math.pi * count * y / math.log(10)) + 25):
+        nodes = [mp.mpc(mp.mpf(n) / N, y) for n in range(N)]
+        full_values = [mp.mpc(periodic(full_slashed)(z)) for z in nodes]
+        assert [periodic(cut)(z) for z in nodes] == full_values
+        want = [complex(s / N * mp.e ** (2 * mp.pi * m * y)) for m, s in enumerate(fdot_sums(full_values, count), 1)]
+    assert got.coeffs == want
 
 
 def test_json_lines_roundtrip_exact_and_float():
