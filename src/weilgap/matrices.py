@@ -12,7 +12,7 @@ All entries are Python integers, so group computations never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,30 @@ def reduce_word(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
 ST_MATRICES = {"S": S, "T": T}
 
 
-def evaluate_word(tokens: Iterable[tuple[str, int]], matrices: Mapping[str, Mat2]) -> Mat2:
-    """The product, left to right, of matrices[label] ** exp over the tokens."""
-    result = IDENTITY
-    for label, exp in tokens:
-        result = result * matrices[label] ** exp
-    return result
+def evaluate_word(
+    tokens: Iterable[tuple[str, int]],
+    matrices: Mapping[str, Mat2],
+    powers: Optional[dict[tuple[str, int], tuple[int, int, int, int]]] = None,
+) -> Mat2:
+    """The product, left to right, of matrices[label] ** exp over the tokens.
+
+    The product runs on four local ints and builds one Mat2 at the end.
+    Each distinct power is taken once, through Mat2.__pow__, so a matrix of
+    determinant other than 1 under a negative exponent still raises.  The
+    entries of the powers are kept in ``powers``, keyed by token; callers
+    that evaluate many words over the same matrices may share one dict.
+    """
+    if powers is None:
+        powers = {}
+    a, b, c, d = 1, 0, 0, 1
+    for token in tokens:
+        m = powers.get(token)
+        if m is None:
+            label, exp = token
+            m = powers[token] = (matrices[label] ** exp).entries()
+        x, y, z, w = m
+        a, b, c, d = a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w
+    return Mat2(a, b, c, d)
 
 
 def sign_against(value: Mat2, gamma: Mat2, what: str) -> int:

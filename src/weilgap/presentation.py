@@ -26,8 +26,9 @@ replaces.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +41,8 @@ COSET_INF = -1  # label for the identity coset (the cusp at infinity)
 # T S^p T^{-1} = V_1^{-1} S^{-1}: the raw Schreier symbols of one crossing of
 # an S power from coset p - 1 to coset 0
 WRAP = [("V_1", -1), ("S", -1)]
+# the most crossings of coset p - 1 -> 0 a decompose_gamma0 word may make
+MAX_WORD_CROSSINGS = 10**6
 # PSL2(Z) = <T, TS | T^2, (TS)^3>, in the T^{+1} and S^t letters of the walk
 DEFINING_RELATORS = ([("T", 1), ("T", 1)], [("T", 1), ("S", 1)] * 3)
 
@@ -188,12 +191,13 @@ def _schreier_relators(p: int, matrices: dict[str, Mat2]) -> list[Word]:
     to its coset, and each relator must evaluate to +-I.
     """
     relators: list[Word] = []
+    powers: dict = {}
     for w in DEFINING_RELATORS:
         for coset in (COSET_INF, *range(p)):
             word, end = _schreier_walk(p, w, coset)
             if end != coset:
                 raise AssertionError(f"walk of relator {w} from coset {coset} did not return to it")
-            sign_against(evaluate_word(word, matrices), IDENTITY, "rewritten relator")
+            sign_against(evaluate_word(word, matrices, powers), IDENTITY, "rewritten relator")
             word = _cyclic_reduce(word)
             if word:
                 relators.append(word)
@@ -212,7 +216,7 @@ class GammaWord:
         self.sign = sign
 
     def evaluate(self, gens: "GenSet") -> Mat2:
-        return evaluate_word(self.tokens, gens._matrices)
+        return evaluate_word(self.tokens, gens._matrices, dict(gens._unit_powers))
 
     def to_json(self) -> dict:
         return {"word": [{"gen": g, "exp": e} for g, e in self.tokens], "sign": self.sign}
@@ -281,6 +285,9 @@ class GenSet:
         self.p = p
         self.labels = labels
         self._matrices = matrices
+        # the entries of each generator to the power +-1, copied as the
+        # starting cache of each evaluate_word call, so the cache stays bounded
+        self._unit_powers = {(lbl, e): (m**e).entries() for lbl, m in matrices.items() for e in (1, -1)}
         self.orders = orders
         self.rewriting_log = rewriting_log  # raw Schreier symbol -> word over final labels
 
@@ -296,7 +303,13 @@ class GenSet:
         self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
 
         def sparse_class(raw: Word) -> list[tuple[int, int]]:
-            return [(i, e) for i, e in enumerate(self._coords(_substitute(raw, rewriting_log))) if e]
+            # the exponent sums of raw substituted through the log, which
+            # free reduction leaves unchanged
+            coords: dict[int, int] = defaultdict(int)
+            for symbol, n in raw:
+                for label, exp in rewriting_log[symbol]:
+                    coords[self._index[label]] += n * exp
+            return [(i, e) for i, e in sorted(coords.items()) if e]
 
         self._t_steps = {
             coset: (sparse_class(_schreier_walk(p, [("T", 1)], coset)[0]), _t_target(p, coset))
@@ -372,6 +385,18 @@ class GenSet:
             raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
         return coords
 
+    def crossings(self, quotients: list[int]) -> int:
+        """The number of p - 1 <-> 0 crossings in the walk of walk_coords:
+        the wrap words the word path writes out for these quotients."""
+        p, steps = self.p, self._t_steps
+        count, coset = 0, COSET_INF
+        for t in reversed(quotients):
+            coset = steps[coset][1]
+            if coset != COSET_INF:
+                wraps, coset = divmod(coset + t, p)
+                count += abs(wraps)
+        return count
+
     def class_of(self, gamma: Mat2) -> ExpVector:
         """The class of gamma in Gamma0(p)^ab, without building its word.
 
@@ -428,55 +453,97 @@ def _label_sort_key(label: str) -> tuple[int, int]:
     return (1, int(label[2:]))
 
 
-def _rewrite(relators: list[Word], words: dict[str, Word]) -> list[Word]:
-    """Substitute words[label] for each label: the relators that hold one are
-    rewritten and cyclically reduced, the others (already cyclically reduced)
-    are kept, and trivial relators are dropped."""
-    out = []
-    for rel in relators:
-        if any(label in words for label, _ in rel):
-            rel = _cyclic_reduce(_substitute(rel, words))
-        if rel:
-            out.append(rel)
-    return out
-
-
 def _pair_eliminations(relators: list[Word]) -> tuple[list[Word], list[tuple[str, Word]]]:
     """Tietze phase 1: the length-2 relators are the T^2 walks V_r V_{r*}
     (r r* = -1 mod p) from the cosets r > 0.  Each eliminates its larger
     label, V_{max} = V_{min}^{-1}, logged in relator order.  The pairs are
-    disjoint, so the whole map is one substitution.  Returns (relators, log)."""
+    disjoint, so the whole map is one substitution, applied to every relator
+    in one pass; trivial relators are dropped.  Returns (relators, log)."""
     pairs: dict[str, Word] = {}
     for rel in relators:
         if len(rel) == 2:
             (x, e1), (y, e2) = sorted(rel, key=lambda tok: _label_sort_key(tok[0]))
             pairs.setdefault(y, [(x, -e1 * e2)])
-    return _rewrite(relators, pairs), list(pairs.items())
+    rewritten = (_cyclic_reduce(_substitute(rel, pairs)) for rel in relators)
+    return [rel for rel in rewritten if rel], list(pairs.items())
+
+
+def _eligible_token(rel: Word, elliptic: set[str]) -> Optional[int]:
+    """The index of the first token of rel whose label occurs once in rel,
+    with exponent +-1, and is not elliptic; None if there is none."""
+    counts = Counter(gen for gen, _ in rel)
+    for i, (gen, exp) in enumerate(rel):
+        if counts[gen] == 1 and abs(exp) == 1 and gen not in elliptic:
+            return i
+    return None
+
+
+def _rewrite(live: dict[int, Word], holders: dict[str, set[int]], label: str, replacement: Word) -> list[int]:
+    """Substitute replacement for label in the relators that hold it.
+
+    ``live`` maps list positions to relators and ``holders`` is the
+    occurrence index, label -> positions of the relators that hold it.  Only
+    the relators indexed under label are touched: each is rewritten,
+    cyclically reduced and re-indexed in place, and dropped if trivial.
+    Returns the positions of the rewritten relators that survive.
+    """
+    subst = {label: replacement}
+    kept = []
+    for pos in holders.pop(label):
+        old = live.pop(pos)
+        new = _cyclic_reduce(_substitute(old, subst))
+        for gen, _ in old:
+            holders[gen].discard(pos)
+        for gen, _ in new:
+            holders[gen].add(pos)
+        if new:
+            live[pos] = new
+            kept.append(pos)
+    return kept
 
 
 def _tietze(relators: list[Word], matrices: dict[str, Mat2]) -> tuple[list[Word], list[tuple[str, Word]]]:
-    """The surviving relators and the elimination log.  After phase 1, each
-    step eliminates the first non-elliptic generator that occurs once, with
-    exponent +-1, in the shortest such relator (stable list order)."""
+    """The surviving relators and the elimination log.
+
+    After phase 1, each step eliminates the first non-elliptic generator
+    that occurs once, with exponent +-1, in the shortest relator that has
+    one, the earliest in list order among equal lengths.  A rewritten
+    relator keeps its list position, so phase 2 keys the relators by their
+    positions after phase 1 and keeps two indexes instead of rescanning:
+
+    * the occurrence index (label -> positions of the relators holding it),
+      so an elimination rewrites only the relators that hold its label;
+    * a worklist, a heap of (length, position) pushed whenever a relator is
+      written.  An entry is taken when it surfaces if its relator is still
+      there, still of that length and has an eligible token; otherwise it
+      is stale and skipped.  Eligibility depends on the relator alone, so
+      the first entry taken is the step a full rescan would take.
+
+    A step costs the length of the relators it rewrites.
+    """
     relators, log = _pair_eliminations(relators)
-    while True:
-        for rel in sorted(relators, key=len):
-            counts = Counter(gen for gen, _ in rel)
-            eligible = (
-                i for i, (gen, exp) in enumerate(rel)
-                if counts[gen] == 1 and abs(exp) == 1 and _order_of(matrices[gen]) == "inf"
-            )
-            idx = next(eligible, None)
-            if idx is not None:
-                break
-        else:
-            return relators, log
+    elliptic = {label for label, m in matrices.items() if _order_of(m) != "inf"}
+    live = dict(enumerate(relators))
+    holders: dict[str, set[int]] = defaultdict(set)
+    for pos, rel in live.items():
+        for gen, _ in rel:
+            holders[gen].add(pos)
+    worklist = [(len(rel), pos) for pos, rel in live.items()]
+    heapq.heapify(worklist)
+    while worklist:
+        length, pos = heapq.heappop(worklist)
+        rel = live.get(pos)
+        if rel is None or len(rel) != length or (idx := _eligible_token(rel, elliptic)) is None:
+            continue
         gen, exp = rel[idx]
         rest = rel[idx + 1:] + rel[:idx]
         replacement = _invert_word(rest) if exp == 1 else rest
-        relators.remove(rel)
+        for other, _ in live.pop(pos):
+            holders[other].discard(pos)
         log.append((gen, replacement))
-        relators = _rewrite(relators, {gen: replacement})
+        for kept in _rewrite(live, holders, gen, replacement):
+            heapq.heappush(worklist, (len(live[kept]), kept))
+    return [live[pos] for pos in sorted(live)], log
 
 
 def build_presentation(p: int) -> GenSet:
@@ -521,8 +588,9 @@ def build_presentation(p: int) -> GenSet:
 
     # Certificate: every raw Schreier generator is reproduced, up to sign,
     # by its final word.
+    powers: dict = {}
     for raw, word in final_words.items():
-        sign_against(evaluate_word(word, matrices), matrices[raw], f"rewriting-log word of {raw}")
+        sign_against(evaluate_word(word, matrices, powers), matrices[raw], f"rewriting-log word of {raw}")
 
     return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words)
 
@@ -539,13 +607,22 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
 
     Pipeline: decompose_sl2 -> the Schreier walk of its letters from the
     identity coset -> rewriting-log substitutions.  The result evaluates to
-    +-gamma; the sign is recovered by exact re-multiplication.
+    +-gamma; the sign is recovered by exact re-multiplication.  The word
+    holds one wrap word per crossing of the walk from coset p - 1 to 0, so
+    the crossings are counted first, without a word, and more than
+    MAX_WORD_CROSSINGS raise ValueError.
     """
     p = gens.p
     if gamma.det() != 1:
         raise ValueError("gamma must have determinant 1")
     if gamma.c % p != 0:
         raise ValueError(f"matrix {gamma} is not in Gamma0({p})")
+    crossings = gens.crossings(euclid_quotients(gamma.c, gamma.d))
+    if crossings > MAX_WORD_CROSSINGS:
+        raise ValueError(
+            f"the word of {gamma} crosses coset {p - 1} -> 0 {crossings} times;"
+            f" words are written out for at most {MAX_WORD_CROSSINGS} crossings"
+        )
     word = GammaWord(gens.rewrite_st_word(decompose_sl2(gamma)))
     word.sign = sign_against(word.evaluate(gens), gamma, "Gamma0(p) decomposition")
     return word

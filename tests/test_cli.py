@@ -432,6 +432,20 @@ def test_word_malformed_matrix_is_one_line(matrix):
     assert proc.stdout == ""
 
 
+def test_word_with_too_many_crossings_is_one_line(monkeypatch, capsys):
+    # 10^12 crossings of coset 12 -> 0: the count must stop it before any word is built
+    from weilgap.presentation import GenSet
+
+    def no_word(self, word):
+        raise AssertionError("the word was built")
+
+    monkeypatch.setattr(GenSet, "rewrite_st_word", no_word)
+    assert main(["word", "--p", "13", "--matrix", "1,0,13000000000000,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "1000000000000 times" in err and "at most 1000000 crossings" in err
+
+
 @pytest.mark.parametrize("q, a", [(1, 0), (3, 2), (4, -1), (7, 10)])
 def test_check_fe_twist_is_the_residue_statement(tmp_path, capsys, q, a):
     from weilgap.analytic import additive_statements_for_psi

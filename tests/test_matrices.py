@@ -284,3 +284,46 @@ def test_lift_bottom_row_any_row(c, d):
     m = lift_bottom_row(c, d)
     assert m.a * m.d - m.b * m.c == 1
     assert (m.c, m.d) == (c, d)
+
+
+WORD_MATRICES = {"S": S, "T": T, "V": v_matrix(13, 4), "W": Mat2(2, 1, 7, 4)}
+
+
+def _fold(tokens, matrices):
+    """Oracle: the left-to-right product through Mat2.__mul__ and **."""
+    result = IDENTITY
+    for label, exp in tokens:
+        result = result * matrices[label] ** exp
+    return result
+
+
+# S and T powers stay small under binary powering at any exponent; the
+# hyperbolic V and W keep small exponents
+word_tokens = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["S", "T"]), st.integers(-(10**12), 10**12)),
+        st.tuples(st.sampled_from(sorted(WORD_MATRICES)), st.integers(-3, 3)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_tokens)
+@example([])
+@example([("S", 0), ("T", 0)])
+@example([("S", 10**12), ("T", 1), ("S", -(10**12)), ("T", -1)])
+@example([("V", 1), ("V", -1), ("W", 2), ("V", 1), ("W", -1)])
+def test_evaluate_word_is_the_left_to_right_fold(tokens):
+    assert evaluate_word(tokens, WORD_MATRICES) == _fold(tokens, WORD_MATRICES)
+    powers = {}
+    evaluate_word(tokens, WORD_MATRICES, powers)  # a shared cache gives the same product
+    assert evaluate_word(tokens, WORD_MATRICES, powers) == _fold(tokens, WORD_MATRICES)
+
+
+def test_evaluate_word_negative_power_needs_determinant_one():
+    matrices = {"S": S, "D": Mat2(1, 0, 0, 2)}
+    assert evaluate_word([("D", 2), ("S", 1)], matrices) == Mat2(1, 0, 0, 4) * S
+    for tokens in ([("D", -1)], [("S", 1), ("D", -3)]):
+        with pytest.raises(ValueError, match="determinant"):
+            evaluate_word(tokens, matrices)

@@ -1,17 +1,20 @@
 import math
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from weilgap import presentation
 from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients, lift_bottom_row, reduce_word
 from weilgap.presentation import (
     GammaWord,
     _cyclic_reduce,
     _pair_eliminations,
     _schreier_relators,
+    _substitute,
     _tietze,
     abelianize,
     build_presentation,
@@ -225,12 +228,69 @@ def _rescanning_tietze(relators, matrices):
 
 
 def test_tietze_matches_rescanning_elimination():
-    for p in filter(is_prime, range(5, 200)):
+    for p in [*filter(is_prime, range(5, 200)), 409, 1009]:
         matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
         relators = _schreier_relators(p, matrices)
         phase1_relators, phase1_log, final_relators, full_log = _rescanning_tietze(relators, matrices)
         assert _pair_eliminations(relators) == (phase1_relators, phase1_log)
         assert _tietze(relators, matrices) == (final_relators, full_log)
+
+
+def _list_rewrite(relators, words):
+    """The list-scanning rewrite the occurrence index replaced: every relator
+    is tested for the labels of words."""
+    out = []
+    for rel in relators:
+        if any(label in words for label, _ in rel):
+            rel = _cyclic_reduce(_substitute(rel, words))
+        if rel:
+            out.append(rel)
+    return out
+
+
+def _sorting_tietze(relators, matrices):
+    """The elimination the worklist replaced: phase 2 sorts every relator by
+    length and scans for a candidate at each step."""
+    relators, log = _pair_eliminations(relators)
+    while True:
+        for rel in sorted(relators, key=len):
+            counts = Counter(gen for gen, _ in rel)
+            eligible = (
+                i for i, (gen, exp) in enumerate(rel)
+                if counts[gen] == 1 and abs(exp) == 1 and abs(matrices[gen].trace()) > 1
+            )
+            idx = next(eligible, None)
+            if idx is not None:
+                break
+        else:
+            return relators, log
+        gen, exp = rel[idx]
+        rest = rel[idx + 1:] + rel[:idx]
+        replacement = [(g, -e) for g, e in reversed(rest)] if exp == 1 else rest
+        relators.remove(rel)
+        log.append((gen, replacement))
+        relators = _list_rewrite(relators, {gen: replacement})
+
+
+def test_words_match_the_sorting_build(monkeypatch):
+    p = 1009
+    gens = build_presentation(p)
+    monkeypatch.setattr(presentation, "_tietze", _sorting_tietze)
+    old = build_presentation(p)
+    assert old.rewriting_log == gens.rewriting_log and old.labels == gens.labels
+    rng = random.Random(1009)
+    for _ in range(20):
+        gamma = random_gamma0_element(p, rng)
+        word, old_word = decompose_gamma0(gens, gamma), decompose_gamma0(old, gamma)
+        assert (word.tokens, word.sign) == (old_word.tokens, old_word.sign)
+
+
+def test_crossings_count_the_wraps_without_a_word(gens13):
+    # the row (13 k, 1) crosses coset 12 -> 0 once per unit of k
+    for k in (1, 2, 7, 10**6, 10**12):
+        assert gens13.crossings(euclid_quotients(13 * k, 1)) == k
+    with pytest.raises(ValueError, match="1000001 times"):
+        decompose_gamma0(gens13, Mat2(1, 0, 13 * (10**6 + 1), 1))
 
 
 def test_p13_parabolic_identity_left_to_right():

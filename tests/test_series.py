@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilgap.characters import DirichletChar
@@ -442,7 +442,13 @@ def fdot_sums(values, M):
     return [mp.fdot(values, [roots[m * n % N] for n in range(N)]) for m in range(1, M + 1)]
 
 
-mpc_parts = st.one_of(st.just((0, 0)), st.tuples(st.floats(-1, 1), st.integers(-16, 16)))
+# normal mantissas of magnitude [1/2, 1]: the exponent comes from the integer
+# alone, so the span stays inside the premise below (a float draw alone can be
+# subnormal, and its span of ~1000 bits is checked by the exact oracle instead)
+mpc_parts = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.one_of(st.floats(-1, -0.5), st.floats(0.5, 1)), st.integers(-16, 16)),
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,6 +463,50 @@ def test_node_sums_equal_fdot_bit_for_bit(parts, dps, data):
             mp.mpc(*(mp.ldexp(mp.mpf(a) * scramble, e) for a, e in part)) for part in parts
         ]
         assert _node_sums(values, M) == fdot_sums(values, M)
+
+
+def exact_sums(values, M):
+    """Oracle: each node sum taken in mpmath at a precision that holds it
+    exactly, then rounded once to nearest at the working precision."""
+    N = len(values)
+    roots = [mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(N)]
+
+    def bit_range(zs):
+        parts = [x._mpf_ for z in zs for x in (z.real, z.imag) if x]
+        return min(exp for _, _, exp, _ in parts), max(exp + bc for _, _, exp, bc in parts)
+
+    if not any(values):
+        return [mp.mpc(0)] * M
+    (vlo, vhi), (rlo, rhi) = bit_range(values), bit_range(roots)
+    with mp.workprec(vhi + rhi - vlo - rlo + N.bit_length() + 8):
+        wide = [mp.fsum(values[n] * roots[m * n % N] for n in range(N)) for m in range(1, M + 1)]
+    return [+s for s in wide]
+
+
+wide_parts = st.one_of(st.just((0, 0)), st.tuples(st.floats(-1, 1), st.integers(-1100, 1100)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(wide_parts, wide_parts), min_size=1, max_size=40),
+    st.sampled_from([15, 30, 59]),
+    st.integers(1, 40),
+)
+@example(
+    parts=[((0, 0), (1.0, 0)), ((0, 0), (0, 0)), ((0, 0), (1.1125369292536007e-308, 0)), ((0, 0), (1.0, 0))],
+    dps=15,
+    M=2,
+)
+def test_node_sums_are_correctly_rounded_at_any_span(parts, dps, M):
+    # beyond the premise above mp.fdot may round a cancelled sum to 0; the
+    # node sums stay the correctly rounded sums
+    M = min(M, len(parts))
+    with mp.workdps(dps):
+        scramble = mp.exp(mp.mpf(1) / 7)
+        values = [
+            mp.mpc(*(mp.ldexp(mp.mpf(a) * scramble, e) for a, e in part)) for part in parts
+        ]
+        assert _node_sums(values, M) == exact_sums(values, M)
 
 
 def test_extraction_matches_the_full_length_pipeline_bit_for_bit():
