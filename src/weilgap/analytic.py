@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -376,8 +377,17 @@ def _auto_window(
     return float(down[run_down - 1]), float(up[run_up - 1])
 
 
-def _gl_log_nodes(y_lo: float, y_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point Gauss-Legendre rule on [-1, 1], computed once per n
+    and returned as read-only arrays."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_log_nodes(y_lo: float, y_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     t_lo, t_hi = math.log(y_lo), math.log(y_hi)
     ts = 0.5 * (t_hi - t_lo) * x + 0.5 * (t_hi + t_lo)
     ws = 0.5 * (t_hi - t_lo) * w

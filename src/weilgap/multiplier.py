@@ -24,7 +24,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from .characters import DirichletChar
 from .linalg import nullspace
@@ -34,8 +37,16 @@ from .presentation import ExpVector, GenSet, constraint_matrix
 SQRT2 = math.sqrt(2)
 
 
-def circle_value(r: float, s: float) -> complex:
-    """e(r + s*sqrt(2)) from the two parts of the exponent, each a float."""
+# the array walk of MultiplierSystem.row_angles keeps its numerators, and the
+# denominator, below this, so int64 cannot wrap and each float of them is exact
+ROW_WALK_LIMIT = 2**53
+
+
+def circle_value(r, s):
+    """e(r + s*sqrt(2)) from the two parts of the exponent, each a float, or
+    elementwise over float arrays by numpy's complex exp of the same sum."""
+    if np.ndim(r) or np.ndim(s):
+        return np.exp(2j * np.pi * (r + s * SQRT2))
     return cmath.exp(2j * cmath.pi * (r + s * SQRT2))
 
 
@@ -145,14 +156,81 @@ class MultiplierSystem:
         return circle_value(r % den / den, s / den)
 
     def _bottom_row_numerators(self, c: int, d: int) -> tuple[int, int]:
-        p, s = self.p, self.gens.s_index
-        if self._r_num[s] or self._s_num[s]:
-            raise ValueError("the bottom-row angle requires upsilon(S) = 1")
+        p = self.p
+        self._require_trivial_s()
         if c % p != 0:
             raise ValueError(f"bottom row ({c}, {d}) is not in Gamma0({p})")
         if math.gcd(c, d) != 1:
             raise ValueError(f"bottom row ({c}, {d}) is not unimodular")
         return self._numerators(self.gens.walk_coords(euclid_quotients(c, d)))
+
+    def _require_trivial_s(self) -> None:
+        s = self.gens.s_index
+        if self._r_num[s] or self._s_num[s]:
+            raise ValueError("the bottom-row angle requires upsilon(S) = 1")
+
+    def row_angles(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """bottom_row_angle(c, d) for every d in (0, c) prime to c, for a
+        positive multiple c of p: the d, and the angle numerators r (mod the
+        denominator) and s over ``_den``, in three arrays.
+
+        The walk of :meth:`GenSet.walk_coords` runs on every d at once: the
+        nearest-integer Euclid quotients of all rows (:func:`_euclid_rows`),
+        then the steps in reverse on int64 lanes, each adding the numerators
+        of its tabulated T-step class and of wraps times the wrap class,
+        with the wraps and next coset from one ``np.divmod``.  A lane gains
+        at most the largest table entry per step plus that times |t|/p + 1
+        per quotient t.  If that bound, taken over every lane, or the
+        denominator reaches ROW_WALK_LIMIT, the rows are walked one by one
+        in Python integers instead, as object arrays.
+        """
+        p, den = self.p, self._den
+        self._require_trivial_s()
+        if c <= 0 or c % p != 0:
+            raise ValueError(f"modulus c = {c} must be a positive multiple of p = {p}")
+        ds = np.arange(1, c, dtype=np.int64)
+        ds = ds[np.gcd(ds, c) == 1]
+        quotients, lengths = _euclid_rows(c, ds)
+        step_r, step_s, target, wrap_r, wrap_s = self._walk_tables
+        largest = max(map(abs, (*step_r, *step_s, wrap_r, wrap_s)))
+        steps = len(quotients)
+        reach = largest * (2 * steps + int(np.abs(quotients).sum(axis=0).max(initial=0)) // p + 1)
+        if max(reach, den) >= ROW_WALK_LIMIT:
+            r, s = (np.array(x, dtype=object) for x in zip(*(self._bottom_row_numerators(c, int(d)) for d in ds)))
+            return ds, r % den, s
+        step_r, step_s, target = (np.array(x, dtype=np.int64) for x in (step_r, step_s, target))
+        coset = np.full(len(ds), p)  # p indexes the identity coset
+        r, s = np.zeros(len(ds), dtype=np.int64), np.zeros(len(ds), dtype=np.int64)
+        for j in range(steps):
+            live = np.flatnonzero(lengths > j)
+            at = coset[live]
+            r[live] += step_r[at]
+            s[live] += step_s[at]
+            at = target[at]
+            # an S power at the identity coset adds nothing, as upsilon(S) = 1
+            away = np.flatnonzero(at != p)
+            lanes = live[away]
+            wraps, at[away] = np.divmod(at[away] + quotients[lengths[lanes] - 1 - j, lanes], p)
+            r[lanes] += wraps * wrap_r
+            s[lanes] += wraps * wrap_s
+            coset[live] = at
+        if np.any(coset != p):
+            raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
+        return ds, r % den, s
+
+    def row_values(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The d of :meth:`row_angles` and upsilon(gamma_{c,d}) for each, from
+        the same float parts of the exponent as :meth:`bottom_row_value`."""
+        ds, r, s = self.row_angles(c)
+        return ds, circle_value((r / self._den).astype(float), (s / self._den).astype(float))
+
+    @cached_property
+    def _walk_tables(self) -> tuple[list[int], list[int], list[int], int, int]:
+        """GenSet.walk_tables on the r and then the s numerators: the T-step
+        numerators (r, s) and target per coset, and the wrap's (r, s)."""
+        step_r, target, wrap_r = self.gens.walk_tables(self._r_num)
+        step_s, _, wrap_s = self.gens.walk_tables(self._s_num)
+        return step_r, step_s, target, wrap_r, wrap_s
 
     def is_trivial(self) -> bool:
         return all(a.is_zero_mod1() for a in self.angles.values())
@@ -179,6 +257,27 @@ class MultiplierSystem:
         if p != gens.p:
             raise ValueError("level mismatch between generators and serialized multiplier")
         return cls(gens, angles)
+
+
+def _euclid_rows(c: int, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """euclid_quotients(c, d) for every d of an int64 array at once, for
+    |c|, |d| < 2^62: a (steps, len(ds)) array whose column j starts with the
+    quotients of ds[j] and is zero past them, and the number of each."""
+    lengths = np.zeros(len(ds), dtype=np.int64)
+    rows = []
+    live = np.arange(len(ds))
+    c_, d_ = np.full(len(ds), c, dtype=np.int64), ds
+    while live.size:
+        t, r = np.divmod(d_, c_)  # r has the sign of c, as in euclid_quotients
+        far = 2 * np.abs(r) > np.abs(c_)
+        t, r = t + far, r - far * c_
+        row = np.zeros(len(ds), dtype=np.int64)
+        row[live] = t
+        rows.append(row)
+        lengths[live] += 1
+        keep = r != 0
+        live, c_, d_ = live[keep], r[keep], -c_[keep]
+    return np.array(rows, dtype=np.int64).reshape(-1, len(ds)), lengths
 
 
 def trivial_multiplier(gens: GenSet) -> MultiplierSystem:

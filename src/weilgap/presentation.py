@@ -215,6 +215,13 @@ class GammaWord:
         self.tokens = reduce_word(tokens)
         self.sign = sign
 
+    @classmethod
+    def _of_reduced(cls, tokens: Word) -> "GammaWord":
+        """The word of tokens that are reduced already, without a second pass."""
+        word = cls.__new__(cls)
+        word.tokens, word.sign = tokens, 1
+        return word
+
     def evaluate(self, gens: "GenSet") -> Mat2:
         return evaluate_word(self.tokens, gens._matrices, dict(gens._unit_powers))
 
@@ -384,6 +391,18 @@ class GenSet:
         if coset != COSET_INF:
             raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
         return coords
+
+    def walk_tables(self, weights: list[int]) -> tuple[list[int], list[int], int]:
+        """The tables of walk_coords, each class dotted with one integer
+        weight per coordinate: per coset, the identity coset at index p,
+        the weight of the T step's class and the index of the coset it
+        reaches; and the weight of the wrap class."""
+        p = self.p
+        steps, targets = [0] * (p + 1), [0] * (p + 1)
+        for coset, (step, target) in self._t_steps.items():
+            steps[coset % (p + 1)] = sum(weights[i] * e for i, e in step)  # COSET_INF -> p
+            targets[coset % (p + 1)] = target % (p + 1)
+        return steps, targets, sum(weights[i] * e for i, e in self._wrap_class)
 
     def crossings(self, quotients: list[int]) -> int:
         """The number of p - 1 <-> 0 crossings in the walk of walk_coords:
@@ -623,7 +642,7 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
             f"the word of {gamma} crosses coset {p - 1} -> 0 {crossings} times;"
             f" words are written out for at most {MAX_WORD_CROSSINGS} crossings"
         )
-    word = GammaWord(gens.rewrite_st_word(decompose_sl2(gamma)))
+    word = GammaWord._of_reduced(gens.rewrite_st_word(decompose_sl2(gamma)))  # _substitute reduced it
     word.sign = sign_against(word.evaluate(gens), gamma, "Gamma0(p) decomposition")
     return word
 

@@ -12,8 +12,9 @@ Gamma_infinity \\ Gamma0(p):
 where S_ups(m, c) = sum_{d mod c, (d, c) = 1} conj(upsilon(gamma_{c,d}))
 e(m d / c) is a multiplier-twisted Kloosterman-type sum; every coefficient
 carries the tail bound of the truncated c-sum.  For each c the multiplier
-values come from MultiplierSystem.bottom_row_value, and one inverse FFT of
-length c gives S_ups(m, c) for every residue of m at once.
+values of every d come from one array walk (MultiplierSystem.row_values),
+and one inverse FFT of length c gives S_ups(m, c) for every residue of m at
+once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -35,6 +35,7 @@ from .multiplier import MultiplierSystem
 
 _EPS = 4 * np.finfo(float).eps
 _MAX_TERMS = 2000
+_BLOCK = 32  # block length of series_evaluator's rectangular splitting
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +326,21 @@ def eta_product_coeffs(M: int) -> list[int]:
     """Coefficients of prod_{n >= 1} (1 - q^n)^24 up to q^{M-1}, exactly.
 
     Jacobi: (prod (1 - q^n))^3 = sum_{k >= 0} (-1)^k (2k+1) q^{k(k+1)/2},
-    then three squarings.
+    then three squarings.  The first squares the about sqrt(2M) terms of
+    eta^3 pair by pair; the other two are dense Kronecker products.
     """
     size = M  # need exponents 0..M-1
-    eta3 = [0] * size
+    eta3 = []  # (exponent, coefficient) of each term
     k = 0
     while k * (k + 1) // 2 < size:
-        eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        eta3.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
         k += 1
-    eta6 = _kronecker_mul(eta3, eta3, size)
+    eta6 = [0] * size
+    for i, (ei, ci) in enumerate(eta3):
+        for ej, cj in eta3[i:]:
+            if ei + ej >= size:
+                break
+            eta6[ei + ej] += ci * cj if ej == ei else 2 * ci * cj
     eta12 = _kronecker_mul(eta6, eta6, size)
     return _kronecker_mul(eta12, eta12, size)
 
@@ -413,13 +420,17 @@ def eisenstein_level1(k: int, M: int) -> CoeffSeries:
 def delta_delta_p(p: int, M: int) -> tuple[CoeffSeries, CoeffSeries]:
     """f(z) = Delta(z) Delta(pz) of weight 24 on Gamma0(p); g = f|W_p = f.
 
-    c_m = sum_{i + p j = m, i, j >= 1} tau(i) tau(j).
+    c_m = sum_{i + p j = m, i, j >= 1} tau(i) tau(j).  Delta(pz) is zero
+    off multiples of p, so with m = r + p v and i = r + p u this is one
+    product of two series of length about M/p per residue r mod p.
     """
     tau = delta_coeffs(M).exact
     assert tau is not None
-    tau_p = [0] * (M + 1)  # Delta(pz): tau(j) at q^{pj}
-    tau_p[p::p] = tau[: M // p]
-    c = _kronecker_mul([0, *tau], tau_p, M + 1)[1:]
+    tau = [0, *tau]  # tau(0) = 0
+    c = [0] * (M + 1)
+    for r in range(p):
+        c[r::p] = _kronecker_mul(tau[r::p], tau[: M // p + 1], len(tau[r::p]))
+    c = c[1:]
     f = CoeffSeries(
         [complex(x) for x in c],
         weight=24,
@@ -500,14 +511,14 @@ def _ramanujan_sum(m: int, c: int) -> int:
 def _kloosterman_row(upsilon: MultiplierSystem, c: int) -> np.ndarray:
     """S_ups(k, c) for k = 0..c-1 at once, for c > 1.
 
-    v_d = conj(upsilon(gamma_{c,d})) for d coprime to c, else 0.  numpy's
+    v_d = conj(upsilon(gamma_{c,d})) for d coprime to c, else 0, with every
+    value from one array walk (MultiplierSystem.row_values).  numpy's
     inverse FFT is (1/c) sum_d v_d e(k d / c), so c times it gives every
     frequency in O(c log c).
     """
+    ds, values = upsilon.row_values(c)
     row = np.zeros(c, dtype=complex)
-    for d in range(1, c):
-        if math.gcd(c, d) == 1:
-            row[d] = upsilon.bottom_row_value(c, d).conjugate()
+    row[ds] = values.conjugate()
     return c * np.fft.ifft(row)
 
 
@@ -690,17 +701,28 @@ def _exact_parts(zs: list) -> tuple[list[int], list[int], int]:
 
 def series_evaluator(series: CoeffSeries):
     """An mpmath evaluator for the entire truncation a0 + sum a_m e(m z),
-    Im z > 0, by Horner on Python-int fixed-point pairs.
+    Im z > 0, in Python-int fixed point by rectangular splitting (Paterson
+    and Stockmeyer, SIAM J. Comput. 2, 1973).
 
     A call at working precision prec uses the scale 2^P, P = prec + guard +
-    max(0, -floor(log2 max_m |a_m||q|^m)) with q = e(z), so the value keeps
-    prec bits relative to sum |a_m||q|^m however small |q| is; the guard
-    (bit length of M plus 16) covers the rounding of the M + 1 steps, and
-    the value is returned unrounded.  Horner starts at the last m whose
-    bound on log2 |a_m||q|^m is at least -P - 1 - log2(M + 1), less one bit
-    for the float log2 |q|: the terms past it add up to under half a unit
-    at 2^-P, which the guard absorbs.  The doubles are split exactly by
-    frexp once; their scaled integers are cached for the last P only.
+    max(0, -floor(top)), top = log2 max_m |a_m||q|^m with q = e(z), so the
+    value keeps prec bits relative to sum |a_m||q|^m however small |q| is;
+    the guard is the bit length of M plus 16, and the value is returned
+    unrounded.  Only the terms up to the last m whose bound on
+    log2 |a_m||q|^m is at least -P - 1 - log2(M + 1), less one bit for the
+    float log2 |q|, are summed: the rest add up to under half a unit at
+    2^-P.  Those K terms are taken in blocks of B = 32, whole blocks, so
+    K' <= K + B - 1 terms.  Each block's doubles are held once as exact
+    integers over the least binary exponent in the block.  Per point, q is
+    rounded to the scale Q = P + max(0, ceil(-log2 |q|)) and its powers
+    q^0..q^B are taken at the finer scale Qb = Q + max(0, ceil(top)) +
+    ceil(-(B - 1) log2 |q|) + 2 bitlen(K') + 2.  Each block sum is three
+    exact dot products (Gauss's three-multiplication complex product),
+    rounded once to 2^-P, and an outer Horner in q^B joins the K'/B blocks.
+    Rounding to nearest at those two places costs at most sqrt(2)/2 units
+    at 2^-P each, and the rounded powers at most one unit in all, so the
+    value is within sqrt(2) K'/B + 3/2 units at 2^-P of the sum over the
+    rounded q.
     """
     c = np.array([series.a0, *series.coeffs], dtype=complex)
     parts = np.stack([c.real, c.imag])
@@ -710,21 +732,20 @@ def series_evaluator(series: CoeffSeries):
     # log2 |a_m| < max(exp_re, exp_im) + 1/2; a zero part counts as -inf
     log2_bound = np.where(parts == 0, -np.inf, exp).max(axis=0) + 0.5
     ms = np.arange(len(c))
-    # a_m = (mant_re + i mant_im) 2^(exp - 53) exactly, kept from m = M down to 0
-    mant, exp = (frac * 2.0**53).astype(np.int64)[:, ::-1], (exp - 53)[:, ::-1]
     guard = len(c).bit_length() + 16
     # each dropped term below 2^(-P - 1) / (M + 1), one bit spared for log2 |q|
     drop_below = 2 + math.log2(len(c))
-    cache: dict[int, list[list[int]]] = {}
-
-    def fixed(P: int) -> list[list[int]]:
-        if P not in cache:
-            cache.clear()
-            cache[P] = [
-                [x << (e + P) if e + P >= 0 else x >> -(e + P) for x, e in zip(xs.tolist(), es.tolist())]
-                for xs, es in zip(mant, exp)
-            ]
-        return cache[P]
+    B = _BLOCK
+    pad = -len(c) % B
+    # a_m = (mant_re + i mant_im) 2^(exp - 53) exactly; zeros pad the last block
+    mant = np.pad((frac * 2.0**53).astype(np.int64), ((0, 0), (0, pad))).tolist()
+    exp = np.pad(exp - 53, ((0, 0), (0, pad))).tolist()
+    blocks = []  # per block: its exponent E and the integers re + im, re, im over 2^E
+    for start in range(0, len(c) + pad, B):
+        span = range(start, start + B)
+        E = min((exp[k][m] for k in (0, 1) for m in span if mant[k][m]), default=0)
+        re, im = ([mant[k][m] << (exp[k][m] - E) if mant[k][m] else 0 for m in span] for k in (0, 1))
+        blocks.append((E, list(map(operator.add, re, im)), re, im))
 
     def evaluate(z):
         z = mp.mpc(z)
@@ -737,13 +758,37 @@ def series_evaluator(series: CoeffSeries):
         P = prec + guard + max(0, -math.floor(top))
         Q = P + max(0, math.ceil(-log2_q))  # q's own scale: its rounding is relative to |q|
         # top >= -P + prec + guard, so the kept range is never empty
-        skip = len(c) - 1 - int(np.flatnonzero(terms >= -P - drop_below)[-1])
+        n = int(np.flatnonzero(terms >= -P - drop_below)[-1]) // B + 1
+        # powers at a scale where their roundings cost under one unit at 2^-P in all
+        Qb = Q + max(0, math.ceil(top)) + max(0, math.ceil(-(B - 1) * log2_q)) + 2 * (n * B).bit_length() + 2
         with mp.workprec(prec + guard):
             q = mp.expjpi(2 * z)
-        qr, qi = int(mp.ldexp(q.real, Q)), int(mp.ldexp(q.imag, Q))
+        qr, qi = (int(mp.ldexp(x, Q)) << (Qb - Q) for x in (q.real, q.imag))
+        pr, pi = [1 << Qb, qr], [0, qi]  # q^0..q^B at 2^-Qb
+        for _ in range(B - 1):
+            r, i = _times(pr[-1], pi[-1], qr, qi, Qb)
+            pr.append(r)
+            pi.append(i)
+        qbr, qbi = pr.pop(), pi.pop()
+        diff, total = list(map(operator.sub, pi, pr)), list(map(operator.add, pr, pi))
         re = im = 0
-        for cr, ci in zip(*(islice(xs, skip, None) for xs in fixed(P))):
-            re, im = ((re * qr - im * qi) >> Q) + cr, ((re * qi + im * qr) >> Q) + ci
+        for E, both, cr, ci in reversed(blocks[:n]):
+            re, im = _times(re, im, qbr, qbi, Qb)
+            k1 = sum(map(operator.mul, both, pr))
+            sr, si = k1 - sum(map(operator.mul, ci, total)), k1 + sum(map(operator.mul, cr, diff))
+            re, im = re + _rounded(sr, Qb - P - E), im + _rounded(si, Qb - P - E)
         return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
 
     return evaluate
+
+
+def _times(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:
+    """(ar + i ai)(br + i bi) / 2^scale in fixed point, each part rounded to
+    nearest, by Gauss's three multiplications."""
+    k1 = br * (ar + ai)
+    return _rounded(k1 - ai * (br + bi), scale), _rounded(k1 + ar * (bi - br), scale)
+
+
+def _rounded(x: int, shift: int) -> int:
+    """x / 2^shift rounded to nearest (half up); exact for shift <= 0."""
+    return (x + (1 << (shift - 1))) >> shift if shift > 0 else x << -shift

@@ -16,6 +16,7 @@ from weilgap.presentation import compute_Q
 from weilgap.series import delta_coeffs, delta_delta_p, series_evaluator
 from weilgap.analytic import (
     _auto_window,
+    _leggauss,
     _relation,
     _tail_upper_gamma,
     AdditiveTwist,
@@ -717,3 +718,14 @@ def test_error_budget_in_json(dd5):
     doc = json.loads(json.dumps(cert.to_json()))
     assert doc == cert.to_json()
     assert [c["truncation"] for c in doc["per_generator"]] == [c.truncation for c in cert.checks]
+
+
+@pytest.mark.parametrize("n", [48, 96, 116, 232, 384])
+def test_gauss_legendre_rule_is_numpys_once_and_read_only(n):
+    x, w = _leggauss(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+    assert _leggauss(n)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0

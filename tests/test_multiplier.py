@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -511,3 +512,66 @@ def test_in_kappa_subgroup_matches_solving(p, data):
     vec = s_vec.scale(data.draw(st.integers(-2, 2))) + p_vec.scale(data.draw(st.integers(-7, 7))) + noise
     assert in_kappa_subgroup(gens, vec) == in_kappa_subgroup_by_solving(gens, vec)
     assert in_kappa_subgroup(gens, vec + (-noise))
+
+
+# The array walk of row_angles against the scalar bottom_row_angle
+
+
+def _row_oracle(ups, c):
+    """Oracle: bottom_row_angle(c, d) for every unit d of (0, c), one walk each."""
+    return [(d, ups.bottom_row_angle(c, d)) for d in range(1, c) if math.gcd(c, d) == 1]
+
+
+def _row_angle_list(ups, c):
+    ds, r, s = ups.row_angles(c)
+    den = ups._den
+    return [(int(d), Angle(Fraction(int(x), den), Fraction(int(y), den))) for d, x, y in zip(ds, r, s)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES), t=st.integers(1, 12), kind=st.sampled_from(["trivial", "solved", "random"]),
+       data=st.data())
+def test_row_angles_match_bottom_row_angle(p, t, kind, data):
+    # every d of c = p t; the solved multiplier has finite order below
+    # p = 17, where the q_max = 1 kernel is trivial
+    gens = _gens(p)
+    ups = {"trivial": lambda: trivial_multiplier(gens), "solved": lambda: _pretend(p),
+           "random": lambda: _random_multiplier(gens, data)}[kind]()
+    c = p * t
+    assert _row_angle_list(ups, c) == _row_oracle(ups, c)
+
+
+def test_row_angles_fall_back_past_the_int64_bound(gens29):
+    # an s numerator of 2^60 puts the walk's bound past ROW_WALK_LIMIT, so
+    # the rows are walked in Python integers, with the same angles
+    ups = _pretend(29)
+    angles = dict(ups.angles)
+    label = next(lbl for lbl in gens29.free_labels if lbl != "S")
+    angles[label] = Angle(angles[label].r, Fraction(2**60 + 1, 3))
+    big = MultiplierSystem(gens29, angles)
+    for c in (29, 58, 29 * 37):
+        ds, r, s = big.row_angles(c)
+        assert r.dtype == object and max(abs(x) for x in s) >= 2**53
+        assert _row_angle_list(big, c) == _row_oracle(big, c)
+        assert ups.row_angles(c)[1].dtype == np.int64
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from(PRIMES), t=st.integers(1, 40), solved=st.booleans(), data=st.data())
+def test_row_values_are_the_bottom_row_values(p, t, solved, data):
+    # the same float parts of the exponent as bottom_row_value; numpy's
+    # complex exp then gives the same doubles as cmath's
+    ups = _pretend(p) if solved else _random_multiplier(_gens(p), data)
+    c = p * t
+    ds, values = ups.row_values(c)
+    assert [complex(v) for v in values] == [ups.bottom_row_value(c, int(d)) for d in ds]
+
+
+def test_row_angles_reject(gens13):
+    angles = {lbl: Angle() for lbl in gens13.labels}
+    angles["S"] = Angle(Fraction(1, 5))
+    with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
+        MultiplierSystem(gens13, angles).row_angles(13)
+    for c in (0, -13, 14):
+        with pytest.raises(ValueError, match="positive multiple"):
+            trivial_multiplier(gens13).row_angles(c)

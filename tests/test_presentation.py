@@ -120,6 +120,16 @@ def test_decompose_gamma0_pinned_words(p, gamma, sign, tokens):
     assert (word.tokens, word.sign) == (_word(tokens), sign)
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([13, 29, 101]), seed=st.integers(0, 2**32 - 1))
+def test_decompose_gamma0_words_are_reduced(p, seed):
+    # the rewriting is reduced once, in _substitute; the word keeps it as is
+    gens = gens_of(p)
+    word = decompose_gamma0(gens, random_gamma0_element(p, random.Random(seed), 10**8))
+    assert GammaWord(word.tokens).tokens == word.tokens
+    assert all(exp for _, exp in word.tokens)
+
+
 def _conjugate_walk_relators(p):
     """Oracle: each conjugate T S^j w S^-j T^-1 of a defining relator w
     walked letter by letter from the identity coset (None), one unit step at a time."""

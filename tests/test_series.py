@@ -509,17 +509,38 @@ def test_node_sums_are_correctly_rounded_at_any_span(parts, dps, M):
         assert _node_sums(values, M) == exact_sums(values, M)
 
 
-def test_extraction_matches_the_full_length_pipeline_bit_for_bit():
+def horner_units(M, y):
+    """R = 2 sqrt(2) sum_{j <= M} |q|^j, |q| = e^{-2 pi y}: the bound, in units
+    at 2^-P, on how far full_length_horner is from its own exact sum (one
+    floor in the shift and one in the coefficient per step)."""
+    r = math.exp(-2 * math.pi * y)
+    return 2 * math.sqrt(2) * (M + 1 if r == 1 else (1 - r ** (M + 1)) / (1 - r))
+
+
+def blocked_units(M):
+    """The stated bound of series_evaluator, in units at 2^-P: sqrt(2) per
+    block of 32 that can be kept, plus 3/2."""
+    return math.sqrt(2) * -(-(M + 1) // 32) + 1.5
+
+
+def test_extraction_matches_the_full_length_pipeline():
     # criterion 10's pipeline at p = 29 on a shorter prefix, against the
-    # same pipeline on the full-length Horner and mp.fdot sums
+    # same pipeline on the full-length Horner and mp.fdot sums: every
+    # series value is within both stated bounds of the Horner's, and the
+    # extracted coefficients are the same doubles
     p, M, y, count = 29, 500, 0.16, 40
     gens = build_presentation(p)
     chi = DirichletChar(p, 0)
     sol = solve_pretend(pretend_constraints(p, gens, chi, 1, verify_b_dependence=False), chi, gens)
     eis = eisenstein_multiplier_coeffs(p, sol.upsilon, 4, M=M, c_max=4 * p)
     f = multiply(eis, delta_coeffs(M)).copy_with(level=p, sigma=9.0)
-    full = full_length_horner(f)
-    cut = slash_evaluator(series_evaluator(f), 16, FrickeMat(p))
+    full, blocked, points = full_length_horner(f), series_evaluator(f), []
+
+    def recorded(z):  # the points at which the slash evaluates f
+        points.append(z)
+        return blocked(z)
+
+    cut = slash_evaluator(recorded, 16, FrickeMat(p))
     full_slashed = slash_evaluator(lambda z: full(z)[0], 16, FrickeMat(p))
 
     def periodic(ev):
@@ -528,11 +549,48 @@ def test_extraction_matches_the_full_length_pipeline_bit_for_bit():
     got = coeffs_via_fourier_extraction(periodic(cut), 16, y, count, growth_c=f.growth_c, growth_sigma=9.0)
     N = max(4 * count, 64)
     with mp.workdps(int(2 * math.pi * count * y / math.log(10)) + 25):
+        assert len(points) == N
+        for w in points:
+            want, P = full(w)
+            bound = blocked_units(f.M) + horner_units(f.M, float(w.imag))
+            assert abs(blocked(w) - want) * mp.mpf(2) ** P <= bound
         nodes = [mp.mpc(mp.mpf(n) / N, y) for n in range(N)]
         full_values = [mp.mpc(periodic(full_slashed)(z)) for z in nodes]
-        assert [periodic(cut)(z) for z in nodes] == full_values
         want = [complex(s / N * mp.e ** (2 * mp.pi * m * y)) for m, s in enumerate(fdot_sums(full_values, count), 1)]
     assert got.coeffs == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 400),
+    st.integers(0, 2**32 - 1),
+    st.floats(-300, math.log10(0.99)),
+    st.floats(-1, 1),
+    st.sampled_from([15, 30, 59, 100]),
+    st.sampled_from([0, 30, 90]),
+)
+def test_blocked_evaluator_matches_per_term_horner_and_mpmath(M, seed, log10_q, x, dps, size):
+    # |q| from 1e-300 to 0.99; terms up to about 10^(size + 5), so that the
+    # bound in units at 2^-P holds where the terms are far above 1; a0 != 0;
+    # parts and whole coefficients that are zero; and coefficients 1e-290
+    # beside ordinary ones, so that a block's integers span a thousand bits
+    rng = np.random.default_rng(seed)
+    coeffs = 10.0 ** rng.uniform(size - 5, size + 5, M + 1) * (rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1))
+    coeffs[rng.random(M + 1) < 0.1] *= 1e-290
+    rest = coeffs[1:]  # a view: a0 keeps both parts
+    rest.real[rng.random(M) < 0.1] = 0
+    rest.imag[rng.random(M) < 0.1] = 0
+    rest[rng.random(M) < 0.1] = 0
+    y = -log10_q * math.log(10) / (2 * math.pi)
+    series = CoeffSeries(list(coeffs[1:]), 4, 1, 4.0, "b", a0=complex(coeffs[0]))
+    with mp.workdps(dps):
+        prec, z = mp.mp.prec, mp.mpc(x, y)
+        value = series_evaluator(series)(z)
+        full, P = full_length_horner(series)(z)
+        oracle, scale = mp_horner(list(coeffs), z, prec + 64)
+    with mp.workprec(prec + P + 64):
+        assert abs(value - oracle) <= mp.ldexp(scale, -prec)
+        assert abs(value - full) * mp.mpf(2) ** P <= blocked_units(M) + horner_units(M, y)
 
 
 def test_json_lines_roundtrip_exact_and_float():
@@ -743,6 +801,28 @@ def test_eta_product_matches_schoolbook_squaring():
     for _ in range(3):
         eta24 = schoolbook(eta24, eta24, M)
     assert eta_product_coeffs(M) == eta24
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 150))
+def test_eta_product_matches_schoolbook_at_every_length(M):
+    eta3 = [0] * M
+    for k in range(20):
+        if k * (k + 1) // 2 < M:
+            eta3[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+    eta24 = eta3
+    for _ in range(3):
+        eta24 = schoolbook(eta24, eta24, M)
+    assert eta_product_coeffs(M) == eta24
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 29, 97, 211]), st.integers(1, 160))
+def test_delta_delta_p_matches_direct_convolution(p, M):
+    # c_m = sum_{j >= 1, i = m - p j >= 1} tau(i) tau(j), also for M < p
+    tau = delta_coeffs(M).exact
+    c = [sum(tau[m - p * j - 1] * tau[j - 1] for j in range(1, (m - 1) // p + 1)) for m in range(1, M + 1)]
+    assert delta_delta_p(p, M)[0].exact == c
 
 
 @pytest.mark.parametrize("p", [2, 5, 11])
