@@ -199,8 +199,11 @@ def cmd_series(args):
         if args.multiplier:
             with open(args.multiplier) as handle:
                 doc = json.load(handle)
-            if "angles" not in doc and "result" in doc:  # a full run document
-                doc = doc["result"]["multiplier"]
+            if isinstance(doc, dict) and "angles" not in doc and "result" in doc:  # a full run document
+                doc = doc["result"]
+                if not isinstance(doc, dict) or "multiplier" not in doc:
+                    raise CliError(f"run document {args.multiplier} has no result.multiplier")
+                doc = doc["multiplier"]
             ups = MultiplierSystem.from_json(gens, doc)
         else:
             ups = trivial_multiplier(gens)

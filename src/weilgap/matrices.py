@@ -241,6 +241,17 @@ def leading_s_power(gamma: Mat2, quotients: list[int]) -> int:
     return a * b
 
 
+def st_letters(gamma: Mat2) -> list[tuple[str, int]]:
+    """The letters S^e T S^{t_k} T ... T S^{t_1}, with the quotients of
+    :func:`euclid_quotients` and the S power e of :func:`leading_s_power`:
+    +-gamma, unreduced and unchecked against gamma's sign."""
+    quotients = euclid_quotients(gamma.c, gamma.d)
+    letters = [("S", leading_s_power(gamma, quotients))]
+    for t in reversed(quotients):
+        letters += [("T", 1), ("S", t)]
+    return letters
+
+
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -266,18 +277,13 @@ def lift_bottom_row(c: int, d: int) -> Mat2:
 def decompose_sl2(gamma: Mat2) -> STWord:
     """Write a determinant-1 integer matrix as a word in S and T.
 
-    With the quotients of :func:`euclid_quotients` and the S power e of
-    :func:`leading_s_power`, the word is S^e T S^{t_k} T ... T S^{t_1}, of
-    length O(log |c|).  T^{-1} = -T lets every T carry exponent +1; the
+    The word is that of :func:`st_letters`, of length O(log |c|).
+    T^{-1} = -T lets every T carry exponent +1; the
     flips land in the sign, recovered by evaluating the word against gamma
     and stored on the result.
     """
     if gamma.det() != 1:
         raise ValueError("decompose_sl2 requires determinant 1")
-    quotients = euclid_quotients(gamma.c, gamma.d)
-    tokens: list[tuple[str, int]] = [("S", leading_s_power(gamma, quotients))]
-    for t in reversed(quotients):
-        tokens += [("T", 1), ("S", t)]
-    word = STWord(tokens)
+    word = STWord(st_letters(gamma))
     word.sign = sign_against(evaluate_word(word.tokens, ST_MATRICES), gamma, "S/T decomposition")
     return word

@@ -31,7 +31,7 @@ import numpy as np
 
 from .characters import DirichletChar
 from .linalg import nullspace
-from .matrices import Mat2, S, T, euclid_quotients
+from .matrices import Mat2, S, T, lift_bottom_row
 from .presentation import ExpVector, GenSet, constraint_matrix
 
 SQRT2 = math.sqrt(2)
@@ -117,15 +117,12 @@ class MultiplierSystem:
         self._r_num = [int(self.angles[lbl].r * den) for lbl in order]
         self._s_num = [int(self.angles[lbl].s * den) for lbl in order]
 
-    def _numerators(self, coords) -> tuple[int, int]:
-        """The angle of a class as integer numerators (r, s) over ``_den``."""
-        return sum(map(operator.mul, self._r_num, coords)), sum(map(operator.mul, self._s_num, coords))
-
-    def _angle(self, r: int, s: int) -> Angle:
-        return Angle(Fraction(r % self._den, self._den), Fraction(s, self._den))
-
     def angle_of_vector(self, vec: ExpVector) -> Angle:
-        return self._angle(*self._numerators((*vec.free, *vec.tor2, *vec.tor3)))
+        """The angle of a class: its coordinates dotted with the numerators
+        (r, s), over ``_den``."""
+        coords, den = (*vec.free, *vec.tor2, *vec.tor3), self._den
+        r, s = (sum(map(operator.mul, num, coords)) for num in (self._r_num, self._s_num))
+        return Angle(Fraction(r % den, den), Fraction(s, den))
 
     def evaluate(self, gamma: Mat2) -> Angle:
         """Exact angle of upsilon(gamma) for gamma in Gamma0(p)."""
@@ -139,30 +136,11 @@ class MultiplierSystem:
         bottom row (c, d); requires upsilon(S) = 1.
 
         Two such gamma differ by a power of S on the left, so upsilon(S) = 1
-        makes the angle a function of (c, d): the dot product of the angle
-        numerators with the coordinates of :meth:`GenSet.walk_coords`, that
-        is :meth:`evaluate` without the matrix reduction that finds the S
-        power.
+        makes the angle a function of (c, d): the angle of any lift.  This is
+        the scalar reference for :meth:`row_angles`.
         """
-        return self._angle(*self._bottom_row_numerators(c, d))
-
-    def bottom_row_value(self, c: int, d: int) -> complex:
-        """upsilon(gamma) for every gamma in Gamma0(p) with bottom row (c, d),
-        equal bit for bit to ``bottom_row_angle(c, d).value()``: each part of
-        the exponent is one int / int division, correctly rounded as the
-        float of a Fraction is, so no Fraction is built."""
-        r, s = self._bottom_row_numerators(c, d)
-        den = self._den
-        return circle_value(r % den / den, s / den)
-
-    def _bottom_row_numerators(self, c: int, d: int) -> tuple[int, int]:
-        p = self.p
         self._require_trivial_s()
-        if c % p != 0:
-            raise ValueError(f"bottom row ({c}, {d}) is not in Gamma0({p})")
-        if math.gcd(c, d) != 1:
-            raise ValueError(f"bottom row ({c}, {d}) is not unimodular")
-        return self._numerators(self.gens.walk_coords(euclid_quotients(c, d)))
+        return self.evaluate(lift_bottom_row(c, d))
 
     def _require_trivial_s(self) -> None:
         s = self.gens.s_index
@@ -174,15 +152,15 @@ class MultiplierSystem:
         positive multiple c of p: the d, and the angle numerators r (mod the
         denominator) and s over ``_den``, in three arrays.
 
-        The walk of :meth:`GenSet.walk_coords` runs on every d at once: the
+        The walk of :meth:`GenSet.class_of` runs on every d at once: the
         nearest-integer Euclid quotients of all rows (:func:`_euclid_rows`),
-        then the steps in reverse on int64 lanes, each adding the numerators
-        of its tabulated T-step class and of wraps times the wrap class,
-        with the wraps and next coset from one ``np.divmod``.  A lane gains
+        then the steps in reverse on lanes, each adding the numerators of
+        the symbols its T step emits and wraps times those of P, with the
+        wraps and next coset from one ``np.divmod`` on int64.  A lane gains
         at most the largest table entry per step plus that times |t|/p + 1
-        per quotient t.  If that bound, taken over every lane, or the
-        denominator reaches ROW_WALK_LIMIT, the rows are walked one by one
-        in Python integers instead, as object arrays.
+        per quotient t.  The numerator lanes are int64 while that bound,
+        taken over every lane, and the denominator stay below
+        ROW_WALK_LIMIT, and Python integers in object arrays otherwise.
         """
         p, den = self.p, self._den
         self._require_trivial_s()
@@ -191,16 +169,14 @@ class MultiplierSystem:
         ds = np.arange(1, c, dtype=np.int64)
         ds = ds[np.gcd(ds, c) == 1]
         quotients, lengths = _euclid_rows(c, ds)
-        step_r, step_s, target, wrap_r, wrap_s = self._walk_tables
+        (step_r, step_s), target, (wrap_r, wrap_s) = self._walk_tables
         largest = max(map(abs, (*step_r, *step_s, wrap_r, wrap_s)))
         steps = len(quotients)
         reach = largest * (2 * steps + int(np.abs(quotients).sum(axis=0).max(initial=0)) // p + 1)
-        if max(reach, den) >= ROW_WALK_LIMIT:
-            r, s = (np.array(x, dtype=object) for x in zip(*(self._bottom_row_numerators(c, int(d)) for d in ds)))
-            return ds, r % den, s
-        step_r, step_s, target = (np.array(x, dtype=np.int64) for x in (step_r, step_s, target))
+        lane = np.int64 if max(reach, den) < ROW_WALK_LIMIT else object
+        step_r, step_s, target = np.array(step_r, dtype=lane), np.array(step_s, dtype=lane), np.array(target)
         coset = np.full(len(ds), p)  # p indexes the identity coset
-        r, s = np.zeros(len(ds), dtype=np.int64), np.zeros(len(ds), dtype=np.int64)
+        r, s = np.zeros(len(ds), dtype=lane), np.zeros(len(ds), dtype=lane)
         for j in range(steps):
             live = np.flatnonzero(lengths > j)
             at = coset[live]
@@ -211,6 +187,7 @@ class MultiplierSystem:
             away = np.flatnonzero(at != p)
             lanes = live[away]
             wraps, at[away] = np.divmod(at[away] + quotients[lengths[lanes] - 1 - j, lanes], p)
+            wraps = wraps.astype(lane, copy=False)
             r[lanes] += wraps * wrap_r
             s[lanes] += wraps * wrap_s
             coset[live] = at
@@ -219,18 +196,18 @@ class MultiplierSystem:
         return ds, r % den, s
 
     def row_values(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """The d of :meth:`row_angles` and upsilon(gamma_{c,d}) for each, from
-        the same float parts of the exponent as :meth:`bottom_row_value`."""
+        """The d of :meth:`row_angles` and upsilon(gamma_{c,d}) for each: each
+        part of the exponent is one int / int division, correctly rounded as
+        the float of a Fraction is, so the values equal those of
+        ``bottom_row_angle(c, d).value()`` bit for bit."""
         ds, r, s = self.row_angles(c)
         return ds, circle_value((r / self._den).astype(float), (s / self._den).astype(float))
 
     @cached_property
-    def _walk_tables(self) -> tuple[list[int], list[int], list[int], int, int]:
-        """GenSet.walk_tables on the r and then the s numerators: the T-step
-        numerators (r, s) and target per coset, and the wrap's (r, s)."""
-        step_r, target, wrap_r = self.gens.walk_tables(self._r_num)
-        step_s, _, wrap_s = self.gens.walk_tables(self._s_num)
-        return step_r, step_s, target, wrap_r, wrap_s
+    def _walk_tables(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """GenSet.walk_tables on the r and s numerators: the T-step
+        numerators (r, s) and target per coset, and P's (r, s)."""
+        return self.gens.walk_tables(self._r_num, self._s_num)
 
     def is_trivial(self) -> bool:
         return all(a.is_zero_mod1() for a in self.angles.values())

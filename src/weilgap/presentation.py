@@ -28,18 +28,18 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import (
-    IDENTITY, Mat2, S, STWord, decompose_sl2, euclid_quotients, evaluate_word, leading_s_power, lift_bottom_row,
-    reduce_word, sign_against,
+    IDENTITY, Mat2, S, decompose_sl2, evaluate_word, lift_bottom_row, reduce_word, sign_against, st_letters,
 )
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
-# T S^p T^{-1} = V_1^{-1} S^{-1}: the raw Schreier symbols of one crossing of
-# an S power from coset p - 1 to coset 0
+# P = T S^p T^{-1} = V_1^{-1} S^{-1}: the raw Schreier symbol "P" stands for
+# one crossing of an S power from coset p - 1 to coset 0, and WRAP is its word
 WRAP = [("V_1", -1), ("S", -1)]
 # the most crossings of coset p - 1 -> 0 a decompose_gamma0 word may make
 MAX_WORD_CROSSINGS = 10**6
@@ -141,26 +141,18 @@ def _cyclic_reduce(tokens: Word) -> Word:
     return tokens
 
 
-def _t_target(p: int, coset: int) -> int:
-    """The coset reached by a T step: I <-> T, and T S^r -> T S^{-1/r mod p}."""
-    if coset == COSET_INF:
-        return 0
-    if coset == 0:
-        return COSET_INF
-    return (-pow(coset, -1, p)) % p
-
-
 def _schreier_walk(p: int, letters: Word, coset: int = COSET_INF) -> tuple[Word, int]:
     """Walk T^{+1} and S^t letters through the transversal {I} u {T S^j}.
 
     Starts at the given coset and returns the reduced word of raw Schreier
     symbols and the coset the walk ends at.  The raw symbols are "S", the
-    Schreier element of S at the identity coset, and "V_r", emitted by a T
-    step from coset 0 < r < p; T steps between I and T emit nothing.  An S
+    Schreier element of S at the identity coset; "V_r", emitted by a T
+    step from coset 0 < r < p, which goes on to T S^{-1/r mod p}; and "P",
+    the wrap T S^p T^{-1}.  T steps between I and T emit nothing.  An S
     power stays one token at the identity coset; elsewhere it moves by
-    divmod and emits WRAP once per crossing from p - 1 to 0 (its inverse per
-    crossing back).  Symbols that are +-I are dropped; the lost signs are
-    irrelevant in the projective group.
+    divmod and emits one ("P", wraps) token, wraps counting its crossings
+    from p - 1 to 0 (negative when it crosses back).  Symbols that are +-I
+    are dropped; the lost signs are irrelevant in the projective group.
     """
     out: Word = []
     for gen, exp in letters:
@@ -169,14 +161,16 @@ def _schreier_walk(p: int, letters: Word, coset: int = COSET_INF) -> tuple[Word,
                 raise ValueError("the Schreier walk takes T^+1 letters only")
             if coset > 0:
                 out.append((f"V_{coset}", 1))
-            coset = _t_target(p, coset)
+                coset = (-pow(coset, -1, p)) % p
+            else:  # I <-> T
+                coset = 0 if coset == COSET_INF else COSET_INF
         elif gen != "S":
             raise ValueError(f"unknown letter {gen}")
         elif coset == COSET_INF:
             out.append(("S", exp))
         else:
             wraps, coset = divmod(coset + exp, p)
-            out.extend(_word_pow(WRAP, wraps))
+            out.append(("P", wraps))
     return reduce_word(out), coset
 
 
@@ -188,7 +182,8 @@ def _schreier_relators(p: int, matrices: dict[str, Mat2]) -> list[Word]:
     S^j from coset 0 never crosses p - 1 -> 0, so the conjugating prefix
     T S^j and suffix S^{-j} T^{-1} of T S^j w S^{-j} T^{-1} emit no symbol:
     the walk of w alone is the rewritten conjugate.  Each walk must return
-    to its coset, and each relator must evaluate to +-I.
+    to its coset, and each relator, with P written out as WRAP, must
+    evaluate to +-I.
     """
     relators: list[Word] = []
     powers: dict = {}
@@ -197,6 +192,7 @@ def _schreier_relators(p: int, matrices: dict[str, Mat2]) -> list[Word]:
             word, end = _schreier_walk(p, w, coset)
             if end != coset:
                 raise AssertionError(f"walk of relator {w} from coset {coset} did not return to it")
+            word = _substitute(word, {"P": WRAP})
             sign_against(evaluate_word(word, matrices, powers), IDENTITY, "rewritten relator")
             word = _cyclic_reduce(word)
             if word:
@@ -273,12 +269,10 @@ class GenSet:
     """Generating set {S} u {V_q : q in Q'} of Gamma0(p)/{+-I} with orders,
     free-product signature, and the rewriting log of the Tietze eliminations.
 
-    From the log it tabulates, once, the classes of the Schreier rewriting of
-    the letters of :func:`~weilgap.matrices.decompose_sl2` words: per coset,
-    the class of the T step (sparse, unreduced coordinates) and its target
-    coset; and the class of one wrap, T S^p T^{-1} = V_1^{-1} S^{-1}, which
-    an S power contributes each time it crosses from coset p - 1 to 0 (as
-    an ExpVector, ``parabolic_class``).
+    ``_raw_words`` is the rewriting log together with the word of the wrap
+    P = T S^p T^{-1}, so it expands every raw symbol of :func:`_schreier_walk`.
+    ``_classes`` holds the class of each of those words once, as sparse
+    (coordinate, exponent sum) pairs; the class of P is ``parabolic_class``.
     """
 
     def __init__(
@@ -309,24 +303,13 @@ class GenSet:
         self._index = {lbl: i for i, lbl in enumerate(self.free_labels + self.order2_labels + self.order3_labels)}
         self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
 
-        def sparse_class(raw: Word) -> list[tuple[int, int]]:
-            # the exponent sums of raw substituted through the log, which
-            # free reduction leaves unchanged
-            coords: dict[int, int] = defaultdict(int)
-            for symbol, n in raw:
-                for label, exp in rewriting_log[symbol]:
-                    coords[self._index[label]] += n * exp
-            return [(i, e) for i, e in sorted(coords.items()) if e]
-
-        self._t_steps = {
-            coset: (sparse_class(_schreier_walk(p, [("T", 1)], coset)[0]), _t_target(p, coset))
-            for coset in (COSET_INF, *range(p))
-        }
-        self._wrap_class = sparse_class(WRAP)
-        wrap = [0] * len(self._index)
-        for i, e in self._wrap_class:
-            wrap[i] = e
-        self.parabolic_class = self._vector(wrap)
+        self._raw_words = {**rewriting_log, "P": _substitute(WRAP, rewriting_log)}
+        # a final label's class is its own coordinate, and any other symbol's
+        # the exponent sums of its word, which free reduction leaves unchanged
+        self._classes = {lbl: [(i, 1)] for lbl, i in self._index.items()}
+        for symbol, word in self._raw_words.items():
+            self._classes[symbol] = [(i, e) for i, e in enumerate(self._coords(word)) if e]
+        self.parabolic_class = self._vector(self._coords([("P", 1)]))
 
     @property
     def generators(self) -> list[tuple[str, Mat2]]:
@@ -342,20 +325,29 @@ class GenSet:
 
     # -- Schreier rewriting of S/T words -------------------------------------
 
-    def rewrite_st_word(self, word: STWord) -> Word:
-        """Schreier-rewrite a decompose_sl2 word of an element of Gamma0(p):
-        its walk from the identity coset, expanded through the rewriting log."""
-        raw, coset = _schreier_walk(self.p, word.tokens)
+    def _walk(self, letters: Word) -> Word:
+        """The raw Schreier word of the S/T letters of an element of
+        Gamma0(p), walked from the identity coset, where it must end."""
+        raw, coset = _schreier_walk(self.p, letters)
         if coset != COSET_INF:
-            raise AssertionError("rewriting of a Gamma0(p) element did not return to the identity coset")
-        return _substitute(raw, self.rewriting_log)
+            raise AssertionError("walk of a Gamma0(p) element did not return to the identity coset")
+        return raw
+
+    def rewrite_st_word(self, raw: Word) -> Word:
+        """The Schreier rewriting of an S/T word, from the raw word of its
+        walk (:meth:`_walk`): every raw symbol expanded through
+        ``_raw_words``, P through its wrap word."""
+        return _substitute(raw, self._raw_words)
 
     # -- abelianization -----------------------------------------------------
 
-    def _coords(self, tokens: Word) -> list[int]:
+    def _coords(self, raw: Word) -> list[int]:
+        """Class coordinates of a word of raw Schreier symbols, final labels
+        among them: its symbols' classes, summed, so none is written out."""
         coords = [0] * len(self._index)
-        for label, exp in tokens:
-            coords[self._index[label]] += exp
+        for symbol, n in raw:
+            for i, e in self._classes[symbol]:
+                coords[i] += n * e
         return coords
 
     def _vector(self, coords: list[int]) -> ExpVector:
@@ -365,74 +357,37 @@ class GenSet:
             tuple(coords[:n1]), tuple(x % 2 for x in coords[n1:n2]), tuple(x % 3 for x in coords[n2:])
         )
 
-    def walk_coords(self, quotients: list[int]) -> list[int]:
-        """Unreduced class coordinates of T S^{t_k} T ... T S^{t_1}, for the
-        quotients t_1..t_k of a bottom row (c, d) with p | c.
-
-        The Schreier walk of the letters, on classes: a T step adds its
-        tabulated class, an S^t at the identity coset adds t[S], and an S^t
-        elsewhere adds one wrap class per crossing of the p - 1 -> 0
-        boundary.  O(k) table lookups; no word is built.
-        """
-        p, steps, wrap, s_index = self.p, self._t_steps, self._wrap_class, self.s_index
-        coords = [0] * len(self._index)
-        coset = COSET_INF
-        for t in reversed(quotients):
-            step, coset = steps[coset]
-            for i, e in step:
-                coords[i] += e
-            if coset == COSET_INF:
-                coords[s_index] += t
-            else:
-                wraps, coset = divmod(coset + t, p)
-                if wraps:
-                    for i, e in wrap:
-                        coords[i] += wraps * e
-        if coset != COSET_INF:
-            raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
-        return coords
-
-    def walk_tables(self, weights: list[int]) -> tuple[list[int], list[int], int]:
-        """The tables of walk_coords, each class dotted with one integer
-        weight per coordinate: per coset, the identity coset at index p,
-        the weight of the T step's class and the index of the coset it
-        reaches; and the weight of the wrap class."""
+    def walk_tables(self, *weights: list[int]) -> tuple[list[list[int]], list[int], list[int]]:
+        """The tables of the lane walk of MultiplierSystem.row_angles, each
+        class dotted with each integer weight vector (one weight per
+        coordinate): per weight and coset, with the identity coset at index
+        p, the weight of the symbols its T step emits; per coset the index
+        of the coset that step reaches; and per weight the weight of P."""
         p = self.p
-        steps, targets = [0] * (p + 1), [0] * (p + 1)
-        for coset, (step, target) in self._t_steps.items():
-            steps[coset % (p + 1)] = sum(weights[i] * e for i, e in step)  # COSET_INF -> p
+        steps, targets = [[0] * (p + 1) for _ in weights], [0] * (p + 1)
+        for coset in (COSET_INF, *range(p)):
+            raw, target = _schreier_walk(p, [("T", 1)], coset)
+            coords = self._coords(raw)
+            for table, w in zip(steps, weights):
+                table[coset % (p + 1)] = sum(map(operator.mul, w, coords))  # COSET_INF -> p
             targets[coset % (p + 1)] = target % (p + 1)
-        return steps, targets, sum(weights[i] * e for i, e in self._wrap_class)
-
-    def crossings(self, quotients: list[int]) -> int:
-        """The number of p - 1 <-> 0 crossings in the walk of walk_coords:
-        the wrap words the word path writes out for these quotients."""
-        p, steps = self.p, self._t_steps
-        count, coset = 0, COSET_INF
-        for t in reversed(quotients):
-            coset = steps[coset][1]
-            if coset != COSET_INF:
-                wraps, coset = divmod(coset + t, p)
-                count += abs(wraps)
-        return count
+        wrap = self._coords([("P", 1)])
+        return steps, targets, [sum(map(operator.mul, w, wrap)) for w in weights]
 
     def class_of(self, gamma: Mat2) -> ExpVector:
         """The class of gamma in Gamma0(p)^ab, without building its word.
 
-        Equals abelianize(decompose_gamma0(self, gamma), self): the walk
-        over the quotients of the bottom row, plus e[S] for the leading S^e
-        of the decompose_sl2 word.  Self-certifying: the whole matrix is
-        reduced along the same quotients to +-S^e, and the walk must return
+        Equals abelianize(decompose_gamma0(self, gamma), self): the classes
+        of the raw symbols in the walk of gamma's S/T letters, summed.
+        Self-certifying: :func:`~weilgap.matrices.st_letters` reduces the
+        whole matrix along its quotients to +-S^e, and the walk must return
         to the identity coset.
         """
         if gamma.det() != 1:
             raise ValueError("gamma must have determinant 1")
         if gamma.c % self.p != 0:
             raise ValueError(f"matrix {gamma} is not in Gamma0({self.p})")
-        quotients = euclid_quotients(gamma.c, gamma.d)
-        coords = self.walk_coords(quotients)
-        coords[self.s_index] += leading_s_power(gamma, quotients)
-        return self._vector(coords)
+        return self._vector(self._coords(self._walk(st_letters(gamma))))
 
     def to_json(self) -> dict:
         l, a, b = self.signature
@@ -628,21 +583,22 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
     identity coset -> rewriting-log substitutions.  The result evaluates to
     +-gamma; the sign is recovered by exact re-multiplication.  The word
     holds one wrap word per crossing of the walk from coset p - 1 to 0, so
-    the crossings are counted first, without a word, and more than
-    MAX_WORD_CROSSINGS raise ValueError.
+    the crossings are counted first, from the exponents of P in the raw
+    word, and more than MAX_WORD_CROSSINGS raise ValueError.
     """
     p = gens.p
     if gamma.det() != 1:
         raise ValueError("gamma must have determinant 1")
     if gamma.c % p != 0:
         raise ValueError(f"matrix {gamma} is not in Gamma0({p})")
-    crossings = gens.crossings(euclid_quotients(gamma.c, gamma.d))
+    raw = gens._walk(decompose_sl2(gamma).tokens)
+    crossings = sum(abs(n) for symbol, n in raw if symbol == "P")
     if crossings > MAX_WORD_CROSSINGS:
         raise ValueError(
             f"the word of {gamma} crosses coset {p - 1} -> 0 {crossings} times;"
             f" words are written out for at most {MAX_WORD_CROSSINGS} crossings"
         )
-    word = GammaWord._of_reduced(gens.rewrite_st_word(decompose_sl2(gamma)))  # _substitute reduced it
+    word = GammaWord._of_reduced(gens.rewrite_st_word(raw))  # _substitute reduced it
     word.sign = sign_against(word.evaluate(gens), gamma, "Gamma0(p) decomposition")
     return word
 

@@ -259,35 +259,42 @@ class CoeffSeries:
 
         The header must carry label, weight, level, sigma and M, and the
         records must give each m in 1..M (and optionally m = 0) exactly once.
+        Every header value and record field must have its JSON type.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("coefficient file is empty")
         header = json.loads(lines[0])
-        missing = [key for key in _HEADER_KEYS if key not in header]
+        if not isinstance(header, dict):
+            raise ValueError("coefficient file header is not a JSON object")
+        missing = [key for key in _HEADER_TYPES if key not in header]
         if missing:
             raise ValueError(f"coefficient file header lacks {', '.join(missing)}")
+        for key, kind in {**_HEADER_TYPES, **_OPTIONAL_HEADER_TYPES}.items():
+            value = header.get(key)
+            if (key in _HEADER_TYPES or value is not None) and not _is(value, kind):
+                raise ValueError(f"coefficient file header has {key} = {value!r}, of the wrong type")
         M = header["M"]
-        if not isinstance(M, int) or M < 0:
+        if M < 0:
             raise ValueError(f"coefficient file header has M = {M!r}, not a count")
         records: dict[int, tuple] = {}
         for ln in lines[1:]:
             rec = json.loads(ln)
             try:
-                m, re, im = rec["m"], _num_parse(rec["re"]), _num_parse(rec["im"])
-            except (KeyError, TypeError) as exc:
+                m, re, im, err = rec["m"], _num_parse(rec["re"]), _num_parse(rec["im"]), rec.get("err")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed coefficient record {ln.strip()!r}") from exc
+            if not (_is(m, int) and _is(re, _NUMBER) and _is(im, _NUMBER) and (err is None or _is(err, _NUMBER))):
+                raise ValueError(f"malformed coefficient record {ln.strip()!r}")
             if m in records:
                 raise ValueError(f"duplicate coefficient record for m = {m}")
             if not 0 <= m <= M:
                 raise ValueError(f"coefficient record m = {m} outside 0..M = {M}")
-            records[m] = (re, im, rec.get("err"))
-        absent = [m for m in range(1, M + 1) if m not in records]
-        if absent:
-            raise ValueError(
-                f"coefficient file has {M - len(absent)} of the M = {M} records; "
-                f"a_{absent[0]} is missing"
-            )
+            records[m] = (re, im, err)
+        count = len(records) - (0 in records)
+        if count < M:
+            absent = next(m for m in range(1, M + 1) if m not in records)
+            raise ValueError(f"coefficient file has {count} of the M = {M} records; a_{absent} is missing")
         ordered = [records[m] for m in range(1, M + 1)]
         integral = all(isinstance(re, int) and im == 0 for re, im, _ in ordered)
         errors = [err for _, _, err in ordered]
@@ -305,7 +312,15 @@ class CoeffSeries:
         )
 
 
-_HEADER_KEYS = ("label", "weight", "level", "sigma", "M")
+_NUMBER = (int, float)
+# the JSON types of the header keys a file must carry, and of the others
+_HEADER_TYPES = {"label": str, "weight": int, "level": int, "sigma": _NUMBER, "M": int}
+_OPTIONAL_HEADER_TYPES = {"error_bound": _NUMBER, "c_max": int}
+
+
+def _is(value, kind) -> bool:
+    """isinstance, except that a JSON true or false is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _num_json(x: float):

@@ -264,6 +264,33 @@ def test_truncated_coefficient_file_is_invalid_input(tmp_path):
     assert "a_31 is missing" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "line, old, new",
+    [(2, '"re": "0"', '"re": null'), (1, '"m": 1', '"m": "1"'), (0, '"sigma": 12.0', '"sigma": "12"')],
+    ids=["re-null", "m-string", "sigma-string"],
+)
+def test_wrong_typed_coefficient_file_is_one_line(tmp_path, capsys, line, old, new):
+    f, _ = delta_delta_p(5, 40)
+    lines = f.to_json_lines().splitlines()
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new)
+    path = tmp_path / "typed.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["lambda", "--coeffs", str(path), "--s", "14"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert "wrong type" in err or "malformed coefficient record" in err
+
+
+def test_run_document_without_multiplier_is_one_line(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"result": {"Q": [1]}}))
+    assert main(["series", "--kind", "eis-mult", "--p", "5", "--M", "10", "--multiplier", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err == f"error: run document {path} has no result.multiplier\n"
+
+
 def test_weilgap_threads_caps_blas_before_numpy():
     import os
 
@@ -343,11 +370,12 @@ def test_certify_reports_the_character_it_checked(tmp_path):
         ({}, "--M 10", "malformed multiplier document"),
         ({"p": 5, "angles": [{"label": "S"}]}, "--M 10", "malformed multiplier document"),
         ([1, 2], "--M 10", "malformed multiplier document"),
+        (5, "--M 10", "malformed multiplier document"),
         (None, "--M 0", "need M >= 1"),
         (None, "--M 5 --cmax -1", "need c_max >= p = 5"),
         (None, "--M 5 --cmax 0", "need c_max >= p = 5"),
     ],
-    ids=["empty", "angle-without-rational", "list", "M=0", "cmax=-1", "cmax=0"],
+    ids=["empty", "angle-without-rational", "list", "number", "M=0", "cmax=-1", "cmax=0"],
 )
 def test_series_eis_mult_invalid_input(tmp_path, multiplier, options, message):
     args = ["series", "--kind", "eis-mult", "--p", "5", *options.split()]

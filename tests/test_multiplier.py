@@ -327,20 +327,6 @@ def test_bottom_row_angle_matches_word_path_random(p, row, data):
     assert ups.bottom_row_angle(c, d) == angle_on_word_path(ups, c, d)
 
 
-wide_rows = st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**30), 10**30))
-
-
-@settings(max_examples=80, deadline=None)
-@given(row=wide_rows, solved=st.booleans(), data=st.data())
-def test_bottom_row_value_is_the_angle_value_bit_for_bit(row, solved, data):
-    p = data.draw(st.sampled_from(PRETEND_PRIMES if solved else PRIMES))
-    k, d = row
-    c = p * k
-    assume(math.gcd(c, d) == 1)
-    ups = _pretend(p) if solved else _random_multiplier(_gens(p), data)
-    assert ups.bottom_row_value(c, d) == ups.bottom_row_angle(c, d).value()
-
-
 def test_bottom_row_angle_small_rows_exhaustive(gens29):
     ups = _pretend(29)
     for c in (29, -58, 87, 290):
@@ -354,17 +340,16 @@ def test_bottom_row_angle_small_rows_exhaustive(gens29):
 def test_bottom_row_angle_rejects(gens13):
     angles = {lbl: Angle() for lbl in gens13.labels}
     trivial = trivial_multiplier(gens13)
-    for method in ("bottom_row_angle", "bottom_row_value"):
-        angles["S"] = Angle(Fraction(1, 5))
-        with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
-            getattr(MultiplierSystem(gens13, angles), method)(13, 1)
-        angles["S"] = Angle(0, Fraction(1, 3))
-        with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
-            getattr(MultiplierSystem(gens13, angles), method)(13, 1)
-        with pytest.raises(ValueError):
-            getattr(trivial, method)(14, 1)  # not in Gamma0(13)
-        with pytest.raises(ValueError):
-            getattr(trivial, method)(26, 4)  # not unimodular
+    angles["S"] = Angle(Fraction(1, 5))
+    with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
+        MultiplierSystem(gens13, angles).bottom_row_angle(13, 1)
+    angles["S"] = Angle(0, Fraction(1, 3))
+    with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
+        MultiplierSystem(gens13, angles).bottom_row_angle(13, 1)
+    with pytest.raises(ValueError):
+        trivial.bottom_row_angle(14, 1)  # not in Gamma0(13)
+    with pytest.raises(ValueError):
+        trivial.bottom_row_angle(26, 4)  # not unimodular
 
 
 def test_evaluate_needs_no_condition_on_upsilon_s(gens13):
@@ -559,12 +544,12 @@ def test_row_angles_fall_back_past_the_int64_bound(gens29):
 @settings(max_examples=30, deadline=None)
 @given(p=st.sampled_from(PRIMES), t=st.integers(1, 40), solved=st.booleans(), data=st.data())
 def test_row_values_are_the_bottom_row_values(p, t, solved, data):
-    # the same float parts of the exponent as bottom_row_value; numpy's
-    # complex exp then gives the same doubles as cmath's
+    # the same float parts of the exponent as the Angle's, each correctly
+    # rounded; numpy's complex exp then gives the same doubles as cmath's
     ups = _pretend(p) if solved else _random_multiplier(_gens(p), data)
     c = p * t
     ds, values = ups.row_values(c)
-    assert [complex(v) for v in values] == [ups.bottom_row_value(c, int(d)) for d in ds]
+    assert [complex(v) for v in values] == [ups.bottom_row_angle(c, int(d)).value() for d in ds]
 
 
 def test_row_angles_reject(gens13):

@@ -8,8 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilgap import presentation
-from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients, lift_bottom_row, reduce_word
+from weilgap.matrices import (
+    IDENTITY, Mat2, S, T, decompose_sl2, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word,
+)
 from weilgap.presentation import (
+    COSET_INF,
     GammaWord,
     _cyclic_reduce,
     _pair_eliminations,
@@ -295,10 +298,17 @@ def test_words_match_the_sorting_build(monkeypatch):
         assert (word.tokens, word.sign) == (old_word.tokens, old_word.sign)
 
 
+def p_crossings(raw):
+    """The crossings of coset p - 1 -> 0 a raw walk word makes: the
+    exponents of P, summed in absolute value, as decompose_gamma0 counts them."""
+    return sum(abs(n) for symbol, n in raw if symbol == "P")
+
+
 def test_crossings_count_the_wraps_without_a_word(gens13):
-    # the row (13 k, 1) crosses coset 12 -> 0 once per unit of k
+    # the row (13 k, 1) crosses coset 12 -> 0 once per unit of k, in one P token
     for k in (1, 2, 7, 10**6, 10**12):
-        assert gens13.crossings(euclid_quotients(13 * k, 1)) == k
+        raw = gens13._walk(decompose_sl2(Mat2(1, 0, 13 * k, 1)).tokens)
+        assert p_crossings(raw) == k and sum(symbol == "P" for symbol, _ in raw) == 1
     with pytest.raises(ValueError, match="1000001 times"):
         decompose_gamma0(gens13, Mat2(1, 0, 13 * (10**6 + 1), 1))
 
@@ -519,6 +529,70 @@ def test_class_of_is_homomorphism_beyond_the_oracle(g1, g2):
     gens = gens_of(29)
     assert gens.class_of(g1 * g2) == gens.class_of(g1) + gens.class_of(g2)
     assert gens.class_of(g1.inv()) == -gens.class_of(g1)
+
+
+# A class walk and a crossing count written apart from _schreier_walk, each
+# with its own T step and wrap class: oracles for the class path and the
+# crossing guard at rows the word path cannot reach.
+
+
+def _t_target(p, coset):
+    if coset == COSET_INF:
+        return 0
+    if coset == 0:
+        return COSET_INF
+    return (-pow(coset, -1, p)) % p
+
+
+def walk_coords(gens, quotients):
+    """Unreduced class coordinates of T S^{t_k} T ... T S^{t_1}: a T step
+    from coset r > 0 adds the class of V_r, an S^t at the identity coset adds
+    t[S], and an S^t elsewhere adds one wrap class per crossing."""
+    p = gens.p
+    wrap = gens._coords(_substitute([("V_1", -1), ("S", -1)], gens.rewriting_log))
+    coords = [0] * len(wrap)
+    coset = COSET_INF
+    for t in reversed(quotients):
+        if coset > 0:
+            coords = [x + y for x, y in zip(coords, gens._coords(gens.rewriting_log[f"V_{coset}"]))]
+        coset = _t_target(p, coset)
+        if coset == COSET_INF:
+            coords[gens.s_index] += t
+        else:
+            wraps, coset = divmod(coset + t, p)
+            coords = [x + wraps * y for x, y in zip(coords, wrap)]
+    assert coset == COSET_INF
+    return coords
+
+
+def crossings(p, quotients):
+    """The number of p - 1 <-> 0 crossings in the walk of walk_coords."""
+    count, coset = 0, COSET_INF
+    for t in reversed(quotients):
+        coset = _t_target(p, coset)
+        if coset != COSET_INF:
+            wraps, coset = divmod(coset + t, p)
+            count += abs(wraps)
+    return count
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([p for p in range(5, 200) if is_prime(p)]),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**32), 10**32),
+    st.integers(-(10**9), 10**9),
+)
+def test_class_of_and_crossings_match_a_separate_walk(p, k, d, n):
+    c = p * k
+    assume(math.gcd(c, d) == 1)
+    gens = gens_of(p)
+    gamma = S**n * lift_bottom_row(c, d)
+    quotients = euclid_quotients(c, d)
+    coords = walk_coords(gens, quotients)
+    coords[gens.s_index] += leading_s_power(gamma, quotients)
+    assert gens.class_of(gamma) == gens._vector(coords)
+    assert p_crossings(gens._walk(decompose_sl2(gamma).tokens)) == crossings(p, quotients)
 
 
 def test_class_of_rejects(gens13):

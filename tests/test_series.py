@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -721,6 +723,21 @@ def test_json_lines_rejects_malformed(mutate, message):
         CoeffSeries.from_json_lines(text)
 
 
+def test_json_lines_refuses_a_large_m_without_listing_it():
+    # two records against M = 10^7: the count is compared first, so the
+    # refusal names a_2 without building a list of the missing m
+    text = json.dumps({"label": "x", "weight": 12, "level": 1, "sigma": 6.0, "M": 10**7}) + "\n"
+    text += '{"m": 1, "re": "1", "im": "0"}\n'
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="has 1 of the M = 10000000 records; a_2 is missing"):
+            CoeffSeries.from_json_lines(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_json_lines_records_in_any_order():
     f, _ = delta_delta_p(5, 12)
     lines = _lines(f)
@@ -854,7 +871,7 @@ def test_fixed_point_horner_matches_mpmath(coeffs, x, y, dps):
         assert abs(value - oracle) <= mp.ldexp(scale, -prec)
 
 
-def test_fixed_point_horner_cache_follows_the_scale():
+def test_fixed_point_evaluator_follows_the_scale():
     # a tiny |q| raises the fixed-point scale; coming back must not reuse it
     ev = series_evaluator(delta_coeffs(300))
     with mp.workdps(30):
