@@ -20,10 +20,11 @@ controlled truncation error on a window around the balance height
 y = 1/(q sqrt(p)).  Per-sample functional-equation residuals are the
 Mellin integrals int delta(y) y^{s-1} dy over the window: zero for a
 modular pair, and sensitive to any corrupted coefficient whose index the
-window resolves.  One-sided truncated Lambda values (lambda_additive) are
-exact for the truncated object but carry honest, possibly infinite, error
-estimates against the true completed series; they are never the gating
-check below the abscissa of absolute convergence.
+window resolves.  One-sided truncated Lambda values (lambda_additive,
+Gamma(s) times the truncated Dirichlet sum) are exact for the truncated
+object but carry honest, possibly infinite, error estimates against the
+true completed series; they are never the gating check below the abscissa
+of absolute convergence.
 """
 
 from __future__ import annotations
@@ -158,79 +159,63 @@ class LambdaValue:
     error: float
     s: complex
     twist: Optional[AdditiveTwist]
-    y0: float
     M: int
-
-    def agrees_with(self, other: "LambdaValue", slack: float = 1e-12) -> bool:
-        gap = abs(self.value - other.value)
-        budget = min(self.error, 1e300) + min(other.error, 1e300) + slack * (1 + abs(self.value))
-        return gap <= budget
 
 
 # ---------------------------------------------------------------------------
 # One-sided truncated Lambda
 
 
-def lambda_additive(
-    f: CoeffSeries,
-    twist: AdditiveTwist,
-    s: complex,
-    y0: Optional[float] = None,
-) -> LambdaValue:
-    """Lambda of the truncated series by the incomplete-gamma split at y0.
+def lambda_additive(f: CoeffSeries, twist: AdditiveTwist, s: complex) -> LambdaValue:
+    """Lambda of the truncated series,
 
-    value = sum_{m <= M} a_m e(a m / q) (2 pi m)^{-s} Gamma(s, 2 pi m y0)
-            + int_0^{y0} f_trunc(a/q + iy) y^{s-1} dy,
+        value = Gamma(s) sum_{m <= M} a_m e(a m / q) (2 pi m)^{-s},
 
-    the integral computed termwise through lower incomplete gammas
-    Gamma(s) - Gamma(s, 2 pi m y0); both parts are evaluations of the same
-    entire function of s, so the value is y0-independent up to rounding.
-    The error estimate covers the dropped m > M tail of the true series:
-    its incomplete-gamma part is exponentially small, while the lower
-    integral part is finite only for Re s > sigma + 1.
+    with the constant term left out (Lambda starts at m = 1).  The error
+    estimate is the dropped m > M tail of the true series
+    (:func:`_dirichlet_tail`), finite only for Re s > sigma + 1.
     """
     if f.M < 1:
         raise ValueError("insufficient coefficients: empty prefix")
-    if y0 is None:
-        y0 = 1.0 / (twist.q * math.sqrt(max(f.level, 1)))
-    if not y0 > 0:
-        raise ValueError("y0 must be positive")
     s = complex(s)
     gamma_s = cgamma(s)
-    terms, upper_gammas = _incomplete_terms(f, twist, s, y0)
-    head = terms[: len(upper_gammas)]
-    upper = complex(head @ upper_gammas)
-    # beyond the cut Gamma(s, x) is negligible: the whole term sits in the
-    # lower integral
-    lower = complex(head @ (gamma_s - upper_gammas)) + gamma_s * complex(np.sum(terms[len(head) :]))
-    if f.a0 != 0:
-        if s.real <= 0:
-            raise ValueError("constant term requires Re s > 0 in the lower integral")
-        lower += f.a0 * y0**s / s
-    value = upper + lower
+    value = gamma_s * complex(np.sum(_dirichlet_terms(f, twist, s)))
     if not cmath.isfinite(value):
         raise OverflowError(f"Lambda at s = {s} overflows double precision")
-
-    # error model against the true series; the cut only moves mass between
-    # the two parts and costs nothing
-    re_s = s.real
-    error = _tail_upper_gamma(f, re_s, y0) + _tail_lower_gamma(f, re_s, abs(gamma_s))
-    return LambdaValue(value, error, s, twist, y0, f.M)
+    return LambdaValue(value, _dirichlet_tail(f, s.real, abs(gamma_s)), s, twist, f.M)
 
 
-def _incomplete_terms(f: CoeffSeries, twist: AdditiveTwist, s: complex, y: float) -> tuple:
-    """a_m e(a m / q) (2 pi m)^{-s} for every m <= M, and Gamma(s, 2 pi m y)
-    in one kernel call for the m with 2 pi m y <= 46 + 2|s|, past which it
-    is negligible beside Gamma(s)."""
+def _dirichlet_terms(f: CoeffSeries, twist: AdditiveTwist, s: complex) -> np.ndarray:
+    """a_m e(a m / q) (2 pi m)^{-s} for every m <= M."""
     ms = np.arange(1, f.M + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # lambda_additive reports overflow
-        terms = f.as_array() * twist.phases(f.M) * np.exp(-s * np.log(2 * np.pi * ms))
+        return f.as_array() * twist.phases(f.M) * np.exp(-s * np.log(2 * np.pi * ms))
+
+
+def _dirichlet_tail(f: CoeffSeries, re_s: float, gamma_abs: float) -> float:
+    """Bound |Gamma(s)| C (2 pi)^{-Re s} sum_{m > M} m^{sigma - Re s} on the
+    dropped Dirichlet tail; infinite at or below Re s = sigma + 1."""
+    exponent = f.sigma - re_s
+    if exponent >= -1:
+        return math.inf
+    m0 = f.M + 1
+    # integral comparison: sum_{m >= m0} m^e <= m0^e + int_{m0}^inf t^e dt
+    tail = m0**exponent + m0 ** (exponent + 1) / (-exponent - 1)
+    return f.growth_c * (2 * math.pi) ** (-re_s) * gamma_abs * tail
+
+
+def _upper_part(f: CoeffSeries, twist: AdditiveTwist, s: complex, y: float) -> complex:
+    """sum_{m <= M} a_m e(a m / q) (2 pi m)^{-s} Gamma(s, 2 pi m y), with one
+    kernel call for the m with 2 pi m y <= 46 + 2|s|, past which
+    Gamma(s, x) is negligible beside Gamma(s)."""
+    terms = _dirichlet_terms(f, twist, s)
     m_cut = min(f.M, int((46 + 2 * abs(s)) / (2 * math.pi * y)))
-    return terms, upper_incomplete_gamma(s, 2 * math.pi * y * ms[:m_cut])
+    gammas = upper_incomplete_gamma(s, 2 * math.pi * y * np.arange(1, m_cut + 1))
+    return complex(terms[:m_cut] @ gammas)
 
 
-def _tail_upper_gamma(f: CoeffSeries, re_s: float, y0: float) -> float:
-    """Bound C sum_{m > M} m^sigma (2 pi m)^{-Re s} |Gamma(s, 2 pi m y0)|,
+def _tail_upper_gamma(f: CoeffSeries, re_s: float, y: float) -> float:
+    """Bound C sum_{m > M} m^sigma (2 pi m)^{-Re s} |Gamma(s, 2 pi m y)|,
     summed in order until a term falls below 1e-20 of the sum; inf if none
     has by the 100001st term, where the partial sum would under-report.
     The terms go through numpy in blocks of 64, 256, ... (seven in all)."""
@@ -238,7 +223,7 @@ def _tail_upper_gamma(f: CoeffSeries, re_s: float, y0: float) -> float:
     total, start, size, cap = 0.0, f.M + 1, 64, f.M + 100001
     while start <= cap:
         m = np.arange(start, min(start + size, cap + 1), dtype=float)
-        x = 2 * np.pi * m * y0
+        x = 2 * np.pi * m * y
         # |Gamma(s, x)| <= x^{Re s - 1} e^{-x} for Re s <= 1 (t^{Re s - 1} is
         # nonincreasing); else x^{Re s} e^{-x} / (x - Re s) right of Re s + 1
         # and Gamma(Re s) left of it
@@ -253,18 +238,6 @@ def _tail_upper_gamma(f: CoeffSeries, re_s: float, y0: float) -> float:
             return float(sums[small[0]])
         total, start, size = float(sums[-1]), start + size, 4 * size
     return math.inf
-
-
-def _tail_lower_gamma(f: CoeffSeries, re_s: float, gamma_abs: float) -> float:
-    """Bound C sum_{m > M} m^{sigma - Re s} (2 pi)^{-Re s} |Gamma(s)| on the
-    dropped lower-integral mass; infinite at or below Re s = sigma + 1."""
-    exponent = f.sigma - re_s
-    if exponent >= -1:
-        return math.inf
-    m0 = f.M + 1
-    # integral comparison: sum_{m >= m0} m^e <= m0^e + int_{m0}^inf t^e dt
-    tail = m0**exponent + m0 ** (exponent + 1) / (-exponent - 1)
-    return f.growth_c * (2 * math.pi) ** (-re_s) * gamma_abs * tail
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +384,6 @@ class FEReport:
     window: tuple[float, float]
     samples: list[DefectSample]
     modular_points: list[ModularRelationResult]
-    y0_consistency: Optional[bool]
     tolerance: float
     verdict: bool
 
@@ -509,10 +481,8 @@ def check_fe_additive(
         if with_lambda and s.real > f.sigma + 1 and k - s.real > g.sigma + 1:
             lv_l = lambda_additive(f, fe.twist(), s)
             lv_r = lambda_additive(g, fe.dual_twist(), k - s)
-            # _tail_upper_gamma can still be infinite
-            if math.isfinite(lv_l.error) and math.isfinite(lv_r.error):
-                residual = abs(lv_l.value - fe.factor(s) * lv_r.value)
-                passed = passed and _passes(residual, lv_l.error + lv_r.error, 1.0, tolerance)
+            residual = abs(lv_l.value - fe.factor(s) * lv_r.value)
+            passed = passed and _passes(residual, lv_l.error + lv_r.error, 1.0, tolerance)
         samples.append(DefectSample(s, d_full, rel, scale, win_err, quad_err, passed))
 
     y_bal = fe.balance_height
@@ -523,18 +493,8 @@ def check_fe_additive(
     for pt in points:  # here the truncation is the error estimate
         pt.passed = _passes(pt.absolute, pt.truncation, max(abs(pt.lhs), abs(pt.rhs), 1e-300), tolerance)
 
-    y0_ok: Optional[bool] = None
-    if with_lambda:
-        s_conv = f.sigma + 2 + 0j
-        base = lambda_additive(f, fe.twist(), s_conv, y0=y_bal)
-        y0_ok = True
-        for factor in (0.3, 3.0):
-            other = lambda_additive(f, fe.twist(), s_conv, y0=factor * y_bal)
-            if not base.agrees_with(other, slack=1e-9):
-                y0_ok = False
-
-    verdict = all(s.passed for s in samples) and all(p_.passed for p_ in points) and y0_ok is not False
-    return FEReport(fe, (y_lo, y_hi), samples, points, y0_ok, tolerance, verdict)
+    verdict = all(s.passed for s in samples) and all(p_.passed for p_ in points)
+    return FEReport(fe, (y_lo, y_hi), samples, points, tolerance, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +523,7 @@ def _gauss_average(
         total += char(r) * lv.value
         error += lv.error
     tau = gauss_sum(char)
-    first = values[0][1]
-    return LambdaValue(total / tau, error / abs(tau), s, None, first.y0, first.M)
+    return LambdaValue(total / tau, error / abs(tau), s, None, values[0][1].M)
 
 
 def gauss_assembly_residual(psi: ResidueChar, p: int, test_vector: dict[int, complex]) -> float:
@@ -591,21 +550,15 @@ def additive_statements_for_psi(
     return {a: FEStatement(p, k, constraint_matrix(p, a, q)[0], phase) for a in _units(q)}
 
 
-def lambda_multiplicative(
-    f: CoeffSeries,
-    psi: ResidueChar,
-    s: complex,
-    y0: Optional[float] = None,
-    level: Optional[int] = None,
-) -> LambdaValue:
-    """Lambda(f, psi, s) = (1/tau(conj psi)) sum'_a conj(psi)(a) Lambda(f, a/q, s)."""
+def lambda_multiplicative(f: CoeffSeries, psi: ResidueChar, s: complex) -> LambdaValue:
+    """Lambda(f, psi, s) = (1/tau(conj psi)) sum'_a conj(psi)(a) Lambda(f, a/q, s),
+    for q prime to the level of f."""
     q = psi.q
-    p = level if level is not None else max(f.level, 1)
-    if math.gcd(q, p) != 1:
+    if math.gcd(q, max(f.level, 1)) != 1:
         raise ValueError("gcd(q, p) must be 1")
     if not psi.is_primitive():
         raise ValueError("psi must be primitive")
-    twisted = [(a, lambda_additive(f, AdditiveTwist(a, q), s, y0=y0)) for a in _units(q)]
+    twisted = [(a, lambda_additive(f, AdditiveTwist(a, q), s)) for a in _units(q)]
     return _gauss_average(psi.conj(), twisted, s)
 
 
@@ -629,13 +582,11 @@ def lambda_via_pair(
     s = complex(s)
     y = fe.balance_height
     u = 1.0 / (fe.p * fe.q * fe.q * y)
-    terms_f, gammas_f = _incomplete_terms(f, fe.twist(), s, y)
-    terms_g, gammas_g = _incomplete_terms(g, fe.dual_twist(), fe.k - s, u)
-    part_f = complex(terms_f[: len(gammas_f)] @ gammas_f)
-    part_g = complex(terms_g[: len(gammas_g)] @ gammas_g)
+    part_f = _upper_part(f, fe.twist(), s, y)
+    part_g = _upper_part(g, fe.dual_twist(), fe.k - s, u)
     factor = fe.factor(s)
     err = _tail_upper_gamma(f, s.real, y) + abs(factor) * _tail_upper_gamma(g, (fe.k - s).real, u)
-    return LambdaValue(part_f + factor * part_g, err, s, fe.twist(), y, f.M)
+    return LambdaValue(part_f + factor * part_g, err, s, fe.twist(), f.M)
 
 
 @dataclass

@@ -67,11 +67,6 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _require_positive(flag: str, value: float | None) -> None:
-    if value is not None and not (math.isfinite(value) and value > 0):
-        raise CliError(f"{flag} must be a finite positive number, got {value}")
-
-
 def _emit(config: dict, result: dict, out_path: str | None) -> None:
     doc = {"config": config, "result": result, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
     text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
@@ -102,7 +97,8 @@ def _load_series(path: str) -> CoeffSeries:
 
 def _load_pair(args) -> tuple[CoeffSeries, CoeffSeries]:
     """Check --tol and read f from --coeffs and g from --coeffs-g (default f)."""
-    _require_positive("--tol", args.tol)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise CliError(f"--tol must be a finite positive number, got {args.tol}")
     f = _load_series(args.coeffs)
     return f, _load_series(args.coeffs_g) if args.coeffs_g else f
 
@@ -219,19 +215,16 @@ def cmd_series(args):
 
 def cmd_lambda(args):
     s = _parse_complex(args.s)
-    _require_positive("--y0", args.y0)
     f = _load_series(args.coeffs)
     twist = AdditiveTwist(args.a, args.q)
-    lv = lambda_additive(f, twist, s, y0=args.y0)
-    result = {
+    lv = lambda_additive(f, twist, s)
+    return {
         "value": lv.value,
         "error": lv.error if lv.error != float("inf") else "inf",
         "s": s,
         "twist": str(twist),
         "M": lv.M,
-        "y0": lv.y0,
-    }
-    return result, True
+    }, True
 
 
 def cmd_check_fe(args):
@@ -356,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--a", type=int, default=0)
     sp.add_argument("--s", required=True, help="re,im")
-    sp.add_argument("--y0", type=float, default=None)
 
     sp = command("check-fe", cmd_check_fe, "verify a twisted functional equation", pair)
     sp.add_argument("--q", type=int, default=1)

@@ -459,18 +459,32 @@ def delta_delta_p(p: int, M: int) -> tuple[CoeffSeries, CoeffSeries]:
 
 def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     """Cauchy product of q-expansions; weight adds, the prefix length is
-    min(M_f, M_g) (every needed coefficient of either factor is stored)."""
+    min(M_f, M_g) (every needed coefficient of either factor is stored).
+
+    Two exact factors give an exact product.  Otherwise the product is one
+    complex convolution a * b of a = [a_0..a_M] and b = [b_0..b_M]; its
+    coefficient m carries the bound (1 + 2 gamma) times
+    (|a| * (e_b + gamma |b|) + e_a * (|b| + e_b))_m, with e the factors'
+    bounds (:func:`_coeff_errors`) and gamma = (M + 3) u / (1 - (M + 3) u),
+    u = 2^-53.  The e terms cover any true factors within their bounds,
+    gamma |a| * |b| the rounding of a complex inner product of length M + 1
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    §3.6), and 1 + 2 gamma the rounding of the bound itself.
+    """
     M = min(f.M, g.M)
     exact: Optional[list[int]] = None
-    if f.exact is not None and g.exact is not None:
-        fa0 = int(f.a0.real) if f.a0 == int(f.a0.real) else None
-        ga0 = int(g.a0.real) if g.a0 == int(g.a0.real) else None
-        if fa0 is not None and ga0 is not None:
-            exact = _kronecker_mul([fa0, *f.exact[:M]], [ga0, *g.exact[:M]], M + 1)[1:]
+    if f.exact is not None and g.exact is not None and (f.a0, g.a0) == (int(f.a0.real), int(g.a0.real)):
+        exact = _kronecker_mul([int(f.a0.real), *f.exact[:M]], [int(g.a0.real), *g.exact[:M]], M + 1)[1:]
+    per_coeff: Optional[list[float]] = None
     if exact is not None:
         out = [complex(x) for x in exact]
     else:
-        out = np.convolve([f.a0, *f.coeffs[:M]], [g.a0, *g.coeffs[:M]])[1 : M + 1].tolist()
+        a, b = np.array([f.a0, *f.coeffs[:M]]), np.array([g.a0, *g.coeffs[:M]])
+        out = np.convolve(a, b)[1 : M + 1].tolist()
+        ea, eb = _coeff_errors(f, M), _coeff_errors(g, M)
+        gamma = (M + 3) * 2.0**-53 / (1 - (M + 3) * 2.0**-53)
+        bound = np.convolve(abs(a), eb + gamma * abs(b)) + np.convolve(ea, abs(b) + eb)
+        per_coeff = ((1 + 2 * gamma) * bound[1 : M + 1]).tolist()
     return CoeffSeries(
         out,
         weight=f.weight + g.weight,
@@ -479,8 +493,16 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
         label=f"({f.label})*({g.label})",
         a0=f.a0 * g.a0,
         exact=exact,
-        error_bound=f.error_bound + g.error_bound,
+        error_bound=max(per_coeff or [0.0]),
+        per_coeff_error=per_coeff,
     )
+
+
+def _coeff_errors(f: CoeffSeries, M: int) -> np.ndarray:
+    """Bounds on a_0..a_M: 0 at the exact a_0, then per_coeff_error, or
+    error_bound for every m >= 1 when f states no per-coefficient bounds."""
+    stated = f.per_coeff_error[:M] if f.per_coeff_error is not None else [f.error_bound] * M
+    return np.array([0.0, *stated], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import weilgap.analytic as analytic
 from weilgap.matrices import Mat2, S, T
 from weilgap.characters import ResidueChar, all_characters, primitive_characters
 from weilgap.presentation import compute_Q
-from weilgap.series import delta_coeffs, delta_delta_p, series_evaluator
+from weilgap.series import delta_coeffs, delta_delta_p, eisenstein_level1, series_evaluator
 from weilgap.analytic import (
     _auto_window,
     _leggauss,
@@ -252,27 +252,13 @@ def test_lambda_additive_twisted_oracle(delta2000):
     assert abs(lv.value - direct) < 1e-8
 
 
-def test_lambda_additive_y0_independence(delta2000):
-    rng = random.Random(14)
-    for _ in range(20):
-        q = rng.choice([1, 2, 3, 5])
-        a = 0 if q == 1 else rng.choice([x for x in range(1, q) if math.gcd(x, q) == 1])
-        s = complex(rng.uniform(8, 15), rng.uniform(-2, 2))
-        base = 1.0 / q
-        values = [
-            lambda_additive(delta2000, AdditiveTwist(a, q), s, y0=f * base)
-            for f in (0.3, 1.0, 3.0)
-        ]
-        for other in values[1:]:
-            assert values[0].agrees_with(other, slack=1e-9)
-
-
 def test_lambda_additive_quadrature_route(delta2000):
-    # the same split with both parts from mpmath: Gamma(s, x) by gammainc and
-    # the lower integral by adaptive quadrature of the truncated q-expansion
+    # the incomplete-gamma split at y0 = 1 with both parts from mpmath:
+    # Gamma(s, x) by gammainc and the lower integral by adaptive quadrature
+    # of the truncated q-expansion
     short = delta2000.copy_with(coeffs=delta2000.coeffs[:60], exact=None)
     s, y0 = 13 + 0.7j, 1.0
-    lv = lambda_additive(short, AdditiveTwist(0, 1), s, y0=y0)
+    lv = lambda_additive(short, AdditiveTwist(0, 1), s)
     upper = sum(
         short.a(m) * (2 * math.pi * m) ** (-s) * mp_gammainc(s, 2 * math.pi * m * y0, mp.inf)
         for m in range(1, short.M + 1)
@@ -281,6 +267,28 @@ def test_lambda_additive_quadrature_route(delta2000):
     with mp.workdps(30):
         lower = complex(mp.quad(lambda y: f_trunc(mp.mpc(0, y)) * mp.mpc(y) ** (s - 1), [0, y0]))
     assert abs(lv.value - (upper + lower)) < 1e-10 * max(1.0, abs(lv.value))
+
+
+@pytest.mark.parametrize("twist", [AdditiveTwist(0, 1), AdditiveTwist(1, 3)])
+def test_lambda_additive_leaves_out_the_constant_term(twist):
+    # Lambda starts at m = 1: for E_4 the value is Gamma(s) times the
+    # Dirichlet sum of a_1..a_M, with no term from a_0
+    e4 = eisenstein_level1(4, 600)
+    for s in (2 + 0j, 2 + 1j, 6 + 0j, 7.5 - 2j):
+        direct = lambda_direct_dirichlet(e4, twist, s)
+        assert abs(lambda_additive(e4, twist, s).value - direct) <= 1e-13 * abs(direct)
+
+
+@pytest.mark.parametrize("M", [50, 200, 500])
+def test_lambda_error_bounds_the_truncation(delta2000, M):
+    # the stated error of a short prefix covers its distance to the M = 2000
+    # value, which holds the first 2000 - M dropped terms
+    short = delta2000.copy_with(coeffs=delta2000.coeffs[:M], exact=None)
+    for twist in (AdditiveTwist(0, 1), AdditiveTwist(1, 3)):
+        for s in (8 + 0j, 9.5 + 2j, 11 + 0j):
+            lv = lambda_additive(short, twist, s)
+            gap = abs(lv.value - lambda_additive(delta2000, twist, s).value)
+            assert gap <= lv.error < math.inf
 
 
 def test_lambda_central_value_real_with_infinite_error(delta2000):
@@ -522,22 +530,29 @@ def test_lambda_pairs_only_where_they_can_gate(monkeypatch, dd5, delta2000):
     calls = []
     one_sided = analytic.lambda_additive
 
-    def counting(f, twist, s, y0=None):
+    def counting(f, twist, s):
         calls.append(complex(s))
-        return one_sided(f, twist, s, y0=y0)
+        return one_sided(f, twist, s)
 
     monkeypatch.setattr(analytic, "lambda_additive", counting)
-    # k = 24, sigma = 12: no s has Re s > 13 and 24 - Re s > 13, so only
-    # the y0-consistency probe runs
+    # k = 24, sigma = 12: no s has Re s > 13 and 24 - Re s > 13, so none runs
     f, g = dd5
     assert check_fe_additive(f, g, 5, 24, fe_for_q(5, 24, 1)).verdict
-    assert len(calls) == 3
+    assert len(calls) == 0
     # k = 12 with sigma lowered to 4: a sample gates when 5 < Re s < 7
     calls.clear()
     d = delta2000.copy_with(sigma=4.0)
     check_fe_additive(d, d, 1, 12, fe_for_q(1, 12, 1), s_samples=[6 + 0j, 6.5 + 1j, 7 + 0j, 8 + 0j])
     assert calls[:4] == [6, 6, 6.5 + 1j, 5.5 - 1j]
-    assert len(calls) == 4 + 3
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_level1_eisenstein_passes_check_fe_additive(k):
+    # a constant term a_0 = 1 does not spoil the functional equation
+    e = eisenstein_level1(k, 600)
+    rep = check_fe_additive(e, e, 1, k, fe_for_q(1, k, 1), s_samples=[k / 2 + 0j, k / 2 + 1j])
+    assert rep.verdict
 
 
 def test_check_fe_additive_wrong_phase_fails(dd5):
@@ -600,7 +615,7 @@ def test_conj_built_once_per_call(monkeypatch, delta2000):
     gauss_assembly_residual(psi, 11, {b: complex(b, 1) for b in range(7)})
     assert calls == [7]
     calls.clear()
-    lambda_multiplicative(delta2000, psi, 14 + 0j, level=1)
+    lambda_multiplicative(delta2000, psi, 14 + 0j)
     assert calls == [7]
 
 
@@ -617,7 +632,7 @@ def test_dual_twist_b_invariance_literal(delta2000):
 
 def test_lambda_multiplicative_trivial_reduces(delta2000):
     psi = all_characters(1)[0]
-    lv = lambda_multiplicative(delta2000, psi, 14 + 0j, level=1)
+    lv = lambda_multiplicative(delta2000, psi, 14 + 0j)
     untwisted = lambda_additive(delta2000, AdditiveTwist(0, 1), 14 + 0j)
     assert abs(lv.value - untwisted.value) < 1e-12
 
@@ -625,7 +640,7 @@ def test_lambda_multiplicative_trivial_reduces(delta2000):
 def test_lambda_multiplicative_oracle(delta2000):
     psi = quadratic_char_residue(5)
     s = 14 + 0j
-    lv = lambda_multiplicative(delta2000, psi, s, level=1)
+    lv = lambda_multiplicative(delta2000, psi, s)
     direct = lambda_direct_dirichlet(delta2000, psi, s)
     assert abs(lv.value - direct) < 1e-8
 
@@ -633,7 +648,7 @@ def test_lambda_multiplicative_oracle(delta2000):
 def test_lambda_multiplicative_rejects_imprimitive(delta2000):
     imprimitive = next(c for c in all_characters(9) if not c.is_primitive() and not c.is_trivial())
     with pytest.raises(ValueError):
-        lambda_multiplicative(delta2000, imprimitive, 14 + 0j, level=1)
+        lambda_multiplicative(delta2000, imprimitive, 14 + 0j)
 
 
 def test_check_fe_multiplicative_dd11(dd11):

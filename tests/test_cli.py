@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from weilgap.cli import build_parser, main
-from weilgap.series import delta_delta_p
+from weilgap.series import delta_delta_p, eisenstein_level1
 
 
 def run_cli(*args, cwd=None):
@@ -147,6 +147,14 @@ def test_check_fe_command(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["verdict"] is True
+
+
+def test_check_fe_passes_e4_at_level_1(tmp_path):
+    coeffs = tmp_path / "e4.jsonl"
+    coeffs.write_text(eisenstein_level1(4, 600).to_json_lines())
+    proc = run_cli("check-fe", "--p", "1", "--k", "4", "--coeffs", str(coeffs), "--s=2,0;2,1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["verdict"] is True
 
 
 @pytest.mark.parametrize("twist", [[], ["--a", "3"]])
@@ -329,9 +337,6 @@ def test_lambda_overflow_is_invalid_input(tmp_path):
     [
         ("lambda", "--s", "nan,0"),
         ("lambda", "--s", "14,inf"),
-        ("lambda", "--y0", "nan"),
-        ("lambda", "--y0", "0"),
-        ("lambda", "--y0", "-0.5"),
         ("check-fe", "--tol", "nan"),
         ("check-fe", "--tol", "0"),
         ("check-fe", "--s", "12,0;nan,1"),

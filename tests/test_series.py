@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -806,6 +807,46 @@ def test_multiply_float_matches_schoolbook(fa, gb):
     for m in range(1, prod.M + 1):
         terms = [a[i] * b[m - i] for i in range(m + 1)]
         assert abs(prod.a(m) - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
+
+
+UNIT_DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+                   (Fraction(-4, 5), Fraction(3, 5)), (Fraction(5, 13), Fraction(-12, 13))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_multiply_bounds_cover_factors_within_their_bounds(data):
+    # the exact product of any two factors within the stated bounds of the
+    # stored ones (a_0 exact) lies within the stated bounds of the float
+    # product; a factor without per-coefficient bounds states error_bound
+    # for every m >= 1
+    parts = st.one_of(st.just(0.0), st.floats(-1e6, 1e6), st.floats(-1, 1))
+    errors = st.one_of(st.just(0.0), st.floats(0, 1e-9), st.floats(0, 10.0))
+
+    def factor(weight):
+        M = data.draw(st.integers(1, 30))
+        coeffs = [complex(data.draw(parts), data.draw(parts)) for _ in range(M)]
+        a0 = complex(data.draw(parts), data.draw(parts))
+        bound = data.draw(errors)
+        per_coeff = data.draw(st.one_of(st.none(), st.lists(errors, min_size=M, max_size=M)))
+        series = CoeffSeries(coeffs, weight, 1, float(weight), "x", a0=a0, error_bound=bound,
+                             per_coeff_error=per_coeff)
+        stated = per_coeff if per_coeff is not None else [bound] * M
+        true = [(Fraction(a0.real), Fraction(a0.imag))]
+        for c, e in zip(coeffs, stated):
+            (x, y), t = data.draw(st.sampled_from(UNIT_DIRECTIONS)), Fraction(data.draw(st.integers(0, 8)), 8)
+            true.append((Fraction(c.real) + t * x * Fraction(e), Fraction(c.imag) + t * y * Fraction(e)))
+        return series, true
+
+    (f, f_true), (g, g_true) = factor(4), factor(6)
+    prod = multiply(f, g)
+    assert prod.error_bound == max(prod.per_coeff_error)
+    for m in range(1, prod.M + 1):
+        re = sum(f_true[i][0] * g_true[m - i][0] - f_true[i][1] * g_true[m - i][1] for i in range(m + 1))
+        im = sum(f_true[i][0] * g_true[m - i][1] + f_true[i][1] * g_true[m - i][0] for i in range(m + 1))
+        c = prod.a(m)
+        gap2 = (Fraction(c.real) - re) ** 2 + (Fraction(c.imag) - im) ** 2
+        assert gap2 <= Fraction(prod.per_coeff_error[m - 1]) ** 2
 
 
 def test_eta_product_matches_schoolbook_squaring():
