@@ -157,8 +157,6 @@ class LambdaValue:
 
     value: complex
     error: float
-    s: complex
-    twist: Optional[AdditiveTwist]
     M: int
 
 
@@ -182,7 +180,7 @@ def lambda_additive(f: CoeffSeries, twist: AdditiveTwist, s: complex) -> LambdaV
     value = gamma_s * complex(np.sum(_dirichlet_terms(f, twist, s)))
     if not cmath.isfinite(value):
         raise OverflowError(f"Lambda at s = {s} overflows double precision")
-    return LambdaValue(value, _dirichlet_tail(f, s.real, abs(gamma_s)), s, twist, f.M)
+    return LambdaValue(value, _dirichlet_tail(f, s.real, abs(gamma_s)), f.M)
 
 
 def _dirichlet_terms(f: CoeffSeries, twist: AdditiveTwist, s: complex) -> np.ndarray:
@@ -511,9 +509,7 @@ def gauss_sum(psi: ResidueChar) -> complex:
     return complex(sum(psi(a) * e_of(Fraction(a, psi.q)) for a in range(psi.q)))
 
 
-def _gauss_average(
-    char: ResidueChar, values: Sequence[tuple[int, LambdaValue]], s: complex
-) -> LambdaValue:
+def _gauss_average(char: ResidueChar, values: Sequence[tuple[int, LambdaValue]]) -> LambdaValue:
     """(1/tau(char)) sum_r char(r) Lambda_r over (residue r, Lambda_r) pairs,
     with the errors added.  For q = 1 the one residue is 0, char(0) = 1 and
     tau = 1."""
@@ -523,7 +519,7 @@ def _gauss_average(
         total += char(r) * lv.value
         error += lv.error
     tau = gauss_sum(char)
-    return LambdaValue(total / tau, error / abs(tau), s, None, values[0][1].M)
+    return LambdaValue(total / tau, error / abs(tau), values[0][1].M)
 
 
 def gauss_assembly_residual(psi: ResidueChar, p: int, test_vector: dict[int, complex]) -> float:
@@ -559,7 +555,7 @@ def lambda_multiplicative(f: CoeffSeries, psi: ResidueChar, s: complex) -> Lambd
     if not psi.is_primitive():
         raise ValueError("psi must be primitive")
     twisted = [(a, lambda_additive(f, AdditiveTwist(a, q), s)) for a in _units(q)]
-    return _gauss_average(psi.conj(), twisted, s)
+    return _gauss_average(psi.conj(), twisted)
 
 
 def lambda_via_pair(
@@ -586,7 +582,7 @@ def lambda_via_pair(
     part_g = _upper_part(g, fe.dual_twist(), fe.k - s, u)
     factor = fe.factor(s)
     err = _tail_upper_gamma(f, s.real, y) + abs(factor) * _tail_upper_gamma(g, (fe.k - s).real, u)
-    return LambdaValue(part_f + factor * part_g, err, s, fe.twist(), f.M)
+    return LambdaValue(part_f + factor * part_g, err, f.M)
 
 
 @dataclass
@@ -647,13 +643,9 @@ def check_fe_multiplicative(
     ok = True
     for s in s_samples:
         s = complex(s)
-        lhs = _gauss_average(
-            psi_bar, [(a, lambda_via_pair(f, g, fe, s)) for a, fe in statements.items()], s
-        )
+        lhs = _gauss_average(psi_bar, [(a, lambda_via_pair(f, g, fe, s)) for a, fe in statements.items()])
         rhs = _gauss_average(
-            psi,
-            [(fe.dual_twist().a, lambda_via_pair(g, f, fe.dual(), k - s)) for fe in statements.values()],
-            k - s,
+            psi, [(fe.dual_twist().a, lambda_via_pair(g, f, fe.dual(), k - s)) for fe in statements.values()]
         )
         declared = (1j**k) * constant * (p * q * q) ** (k / 2 - s)
         resid = abs(lhs.value - declared * rhs.value)

@@ -159,6 +159,7 @@ def cmd_multiplier(args):
         "kernel_dim": sol.kernel_dim,
         "kernel_index": args.kernel_index,
         "infinite_order": sol.upsilon.has_infinite_order(),
+        "reflection_symmetric": sol.upsilon.reflection_symmetric,
         "majorized_rows": cs.majorized_row_bound(),
         "majorization_predicts_kernel_ge_5": bound_predicts,
         "bound_vs_computed_disagree": bound_predicts != (sol.kernel_dim >= 5),

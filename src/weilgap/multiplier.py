@@ -161,6 +161,10 @@ class MultiplierSystem:
         per quotient t.  The numerator lanes are int64 while that bound,
         taken over every lane, and the denominator stay below
         ROW_WALK_LIMIT, and Python integers in object arrays otherwise.
+        When upsilon is :attr:`reflection_symmetric`, the walk takes only
+        the d < c/2 and mirrors the rest exactly: r(c - d) = -r(d) mod the
+        denominator and s(c - d) = -s(d).  The lane bound is still taken over
+        every d of the row.
         """
         p, den = self.p, self._den
         self._require_trivial_s()
@@ -175,8 +179,11 @@ class MultiplierSystem:
         reach = largest * (2 * steps + int(np.abs(quotients).sum(axis=0).max(initial=0)) // p + 1)
         lane = np.int64 if max(reach, den) < ROW_WALK_LIMIT else object
         step_r, step_s, target = np.array(step_r, dtype=lane), np.array(step_s, dtype=lane), np.array(target)
-        coset = np.full(len(ds), p)  # p indexes the identity coset
-        r, s = np.zeros(len(ds), dtype=lane), np.zeros(len(ds), dtype=lane)
+        # the units of the row pair off as d and c - d; ds[:walked] holds one of each pair
+        walked = (len(ds) + 1) // 2 if self.reflection_symmetric else len(ds)
+        lengths = lengths[:walked]
+        coset = np.full(walked, p)  # p indexes the identity coset
+        r, s = np.zeros(walked, dtype=lane), np.zeros(walked, dtype=lane)
         for j in range(steps):
             live = np.flatnonzero(lengths > j)
             at = coset[live]
@@ -193,6 +200,8 @@ class MultiplierSystem:
             coset[live] = at
         if np.any(coset != p):
             raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
+        mirrored = len(ds) - walked  # ds[-1 - i] = c - ds[i]
+        r, s = np.concatenate([r, -r[:mirrored][::-1]]), np.concatenate([s, -s[:mirrored][::-1]])
         return ds, r % den, s
 
     def row_values(self, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,6 +211,25 @@ class MultiplierSystem:
         ``bottom_row_angle(c, d).value()`` bit for bit."""
         ds, r, s = self.row_angles(c)
         return ds, circle_value((r / self._den).astype(float), (s / self._den).astype(float))
+
+    @cached_property
+    def reflection_symmetric(self) -> bool:
+        """Whether upsilon(eps gamma eps) = conj upsilon(gamma) on all of
+        Gamma0(p), eps = diag(1, -1), and upsilon(S) = 1; checked exactly.
+
+        Conjugation by eps maps Gamma0(p) to itself, so both sides are
+        characters of Gamma0(p), and their agreeing on every generator is a
+        proof.  With upsilon(S) = 1 it gives bottom_row_angle(c, c - d) =
+        -bottom_row_angle(c, d), so every S_ups(m, c) is real.  Computed on
+        first use, by the row walk; a trivial or real character multiplier
+        has it, a complex character's does not.
+        """
+        if not self.evaluate(S).is_zero_mod1():
+            return False
+        return all(
+            (self.evaluate(Mat2(m.a, -m.b, -m.c, m.d)) + self.angles[lbl]).is_zero_mod1()
+            for lbl, m in self.gens.generators
+        )
 
     @cached_property
     def _walk_tables(self) -> tuple[list[list[int]], list[int], list[int]]:

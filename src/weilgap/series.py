@@ -551,12 +551,17 @@ def _kloosterman_row(upsilon: MultiplierSystem, c: int) -> np.ndarray:
     v_d = conj(upsilon(gamma_{c,d})) for d coprime to c, else 0, with every
     value from one array walk (MultiplierSystem.row_values).  numpy's
     inverse FFT is (1/c) sum_d v_d e(k d / c), so c times it gives every
-    frequency in O(c log c).
+    frequency in O(c log c).  A reflection-symmetric upsilon has
+    v_{c-d} = conj v_d, so every sum is real: the row is then the real part
+    of the same FFT, float, and its imaginary part, FFT rounding, is
+    dropped.  (An ``irfft`` of half the spectrum would move the real parts
+    themselves, criterion 10's coefficients by up to 5e-14 relative.)
     """
     ds, values = upsilon.row_values(c)
     row = np.zeros(c, dtype=complex)
     row[ds] = values.conjugate()
-    return c * np.fft.ifft(row)
+    sums = c * np.fft.ifft(row)
+    return sums.real if upsilon.reflection_symmetric else sums
 
 
 def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int) -> KloostermanSum:
@@ -594,7 +599,9 @@ def eisenstein_multiplier_coeffs(
 ) -> CoeffSeries:
     """Coefficients of the infinity-cusp Eisenstein series of even weight
     w >= 4 with multiplier upsilon on Gamma0(p), a_0 = 1, with per-run tail
-    bound from truncating the c-sum at c_max."""
+    bound from truncating the c-sum at c_max.  When upsilon is reflection
+    symmetric every Kloosterman row is real, and so is every coefficient:
+    its imaginary part is exactly 0."""
     if weight < 3:
         raise ValueError("the Eisenstein expansion diverges for weight < 3")
     if weight % 2 != 0:
@@ -754,8 +761,10 @@ def series_evaluator(series: CoeffSeries):
     rounded to the scale Q = P + max(0, ceil(-log2 |q|)) and its powers
     q^0..q^B are taken at the finer scale Qb = Q + max(0, ceil(top)) +
     ceil(-(B - 1) log2 |q|) + 2 bitlen(K') + 2.  Each block sum is three
-    exact dot products (Gauss's three-multiplication complex product),
-    rounded once to 2^-P, and an outer Horner in q^B joins the K'/B blocks.
+    exact dot products (Gauss's three-multiplication complex product), or
+    two, sum a_m Re q^m and sum a_m Im q^m, when a0 and every a_m have
+    imaginary part exactly 0; the same integers either way.  It is rounded
+    once to 2^-P, and an outer Horner in q^B joins the K'/B blocks.
     Rounding to nearest at those two places costs at most sqrt(2)/2 units
     at 2^-P each, and the rounded powers at most one unit in all, so the
     value is within sqrt(2) K'/B + 3/2 units at 2^-P of the sum over the
@@ -768,6 +777,7 @@ def series_evaluator(series: CoeffSeries):
     frac, exp = np.frexp(parts)
     # log2 |a_m| < max(exp_re, exp_im) + 1/2; a zero part counts as -inf
     log2_bound = np.where(parts == 0, -np.inf, exp).max(axis=0) + 0.5
+    real = not parts[1].any()
     ms = np.arange(len(c))
     guard = len(c).bit_length() + 16
     # each dropped term below 2^(-P - 1) / (M + 1), one bit spared for log2 |q|
@@ -811,8 +821,11 @@ def series_evaluator(series: CoeffSeries):
         re = im = 0
         for E, both, cr, ci in reversed(blocks[:n]):
             re, im = _times(re, im, qbr, qbi, Qb)
-            k1 = sum(map(operator.mul, both, pr))
-            sr, si = k1 - sum(map(operator.mul, ci, total)), k1 + sum(map(operator.mul, cr, diff))
+            if real:  # ci is all zeros
+                sr, si = sum(map(operator.mul, cr, pr)), sum(map(operator.mul, cr, pi))
+            else:
+                k1 = sum(map(operator.mul, both, pr))
+                sr, si = k1 - sum(map(operator.mul, ci, total)), k1 + sum(map(operator.mul, cr, diff))
             re, im = re + _rounded(sr, Qb - P - E), im + _rounded(si, Qb - P - E)
         return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
 

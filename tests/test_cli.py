@@ -86,6 +86,7 @@ def test_multiplier_to_eisenstein_pipeline(tmp_path):
     stdout_doc = json.loads(proc.stdout[proc.stdout.index("{"):])
     assert stdout_doc["result"]["kernel_dim"] >= 1
     assert stdout_doc["result"]["infinite_order"] is True
+    assert stdout_doc["result"]["reflection_symmetric"] is True
 
     series_out = tmp_path / "eis.jsonl"
     proc = run_cli(
@@ -93,8 +94,17 @@ def test_multiplier_to_eisenstein_pipeline(tmp_path):
         "--multiplier", str(ms), "--out", str(series_out),
     )
     assert proc.returncode == 0
-    header = json.loads(series_out.read_text().splitlines()[0])
+    header, *records = map(json.loads, series_out.read_text().splitlines())
     assert header["weight"] == 4 and header["level"] == 29
+    # a reflection-symmetric multiplier gives real coefficients
+    assert all(record["im"] == 0 for record in records)
+
+
+def test_multiplier_reports_reflection_symmetry(capsys):
+    # of the four kernel directions at p = 29, q_max = 1, 0 and 1 are symmetric
+    for index, symmetric in ((1, True), (2, False)):
+        assert main(["multiplier", "--p", "29", "--qmax", "1", "--kernel-index", str(index)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["reflection_symmetric"] is symmetric
 
 
 @pytest.mark.parametrize("p", [5, 13])

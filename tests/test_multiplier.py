@@ -560,3 +560,97 @@ def test_row_angles_reject(gens13):
     for c in (0, -13, 14):
         with pytest.raises(ValueError, match="positive multiple"):
             trivial_multiplier(gens13).row_angles(c)
+
+
+# Reflection symmetry: upsilon(eps gamma eps) = conj upsilon(gamma), eps = diag(1, -1)
+
+
+def _reflected(gamma):
+    return Mat2(gamma.a, -gamma.b, -gamma.c, gamma.d)
+
+
+@lru_cache(maxsize=None)
+def _kernel_multipliers(p, q_max, t=0):
+    """The solved upsilon at every kernel index of the pretend system for
+    chi = DirichletChar(p, t)."""
+    gens, chi = _gens(p), DirichletChar(p, t)
+    cs = pretend_constraints(p, gens, chi, q_max, verify_b_dependence=False)
+    dim = solve_pretend(cs, chi, gens).kernel_dim
+    return tuple(solve_pretend(cs, chi, gens, kernel_index=i).upsilon for i in range(dim))
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=st.sampled_from(PRETEND_PRIMES), data=st.data())
+def test_reflection_symmetric_directions_are_anti_invariant(p, data):
+    # q_max below the paper's bound sqrt((p - 24)/3), or 1 from p = 17 on,
+    # leaves a nonzero kernel; every direction the exact check calls
+    # symmetric has upsilon(eps gamma eps) + upsilon(gamma) = 0 mod 1
+    q_max = data.draw(st.integers(1, max(1, math.isqrt(max(p - 24, 0) // 3))))
+    multipliers = _kernel_multipliers(p, q_max)
+    assert multipliers
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for ups in multipliers:
+        if ups.reflection_symmetric:
+            for gamma in (random_gamma0_element(p, rng) for _ in range(10)):
+                assert (ups.evaluate(_reflected(gamma)) + ups.evaluate(gamma)).is_zero_mod1()
+
+
+@pytest.mark.parametrize("p, dim, symmetric", [(29, 4, [0, 1]), (101, 16, [2, 14])])
+def test_reflection_symmetric_kernel_indices(p, dim, symmetric):
+    multipliers = _kernel_multipliers(p, 1)
+    assert len(multipliers) == dim
+    assert [i for i, ups in enumerate(multipliers) if ups.reflection_symmetric] == symmetric
+
+
+def test_reflection_symmetry_of_character_multipliers(gens13):
+    # the rational part of a solved upsilon is upsilon_chi's, so a complex
+    # chi leaves every direction asymmetric; real characters are symmetric
+    p, chi = 1009, DirichletChar(1009, 2)
+    cs = pretend_constraints(p, _gens(p), chi, 1, verify_b_dependence=False)
+    sol = solve_pretend(cs, chi, _gens(p))
+    assert not sol.upsilon_chi.reflection_symmetric
+    for index in (0, 1, sol.kernel_dim - 1):
+        assert not solve_pretend(cs, chi, _gens(p), kernel_index=index).upsilon.reflection_symmetric
+    assert trivial_multiplier(gens13).reflection_symmetric
+    assert char_multiplier(quadratic_char(13), gens13).reflection_symmetric
+
+
+def test_reflection_symmetry_needs_trivial_upsilon_s(gens13):
+    # eps S eps = S^-1, so any upsilon(S) passes the generator check on S;
+    # the row mirror needs upsilon(S) = 1 as well
+    angles = {lbl: Angle() for lbl in gens13.labels}
+    angles["S"] = Angle(0, Fraction(1, 5))
+    ups = MultiplierSystem(gens13, angles)
+    assert (ups.evaluate(_reflected(S)) + ups.evaluate(S)).is_zero_mod1()
+    assert not ups.reflection_symmetric
+
+
+def _full_walk(ups):
+    """The same multiplier with the half walk turned off: its row_angles
+    walks every d of the row."""
+    full = MultiplierSystem(ups.gens, ups.angles)
+    full.__dict__["reflection_symmetric"] = False
+    return full
+
+
+@pytest.mark.parametrize("p, q_max, index", [(29, 1, 0), (29, 1, 1), (53, 5, 0), (101, 1, 2), (101, 1, 14)])
+def test_half_walk_equals_the_full_walk(p, q_max, index):
+    ups = _kernel_multipliers(p, q_max)[index]
+    assert ups.reflection_symmetric
+    full = _full_walk(ups)
+    for c in range(p, 40 * p + 1, p):
+        half, whole = ups.row_angles(c), full.row_angles(c)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(half, whole))
+
+
+def test_half_walk_on_object_lanes(gens29):
+    # scaling the irrational parts keeps the direction anti-invariant and
+    # puts the walk's bound past ROW_WALK_LIMIT
+    ups = _kernel_multipliers(29, 1)[0]
+    big = MultiplierSystem(gens29, {lbl: Angle(a.r, a.s * (2**60 + 1)) for lbl, a in ups.angles.items()})
+    assert big.reflection_symmetric
+    for c in (29, 58, 29 * 37):
+        ds, r, s = big.row_angles(c)
+        assert r.dtype == object and max(abs(x) for x in s) >= 2**53
+        assert all(np.array_equal(a, b) for a, b in zip((ds, r, s), _full_walk(big).row_angles(c)))
+        assert _row_angle_list(big, c) == _row_oracle(big, c)

@@ -15,8 +15,11 @@ from weilgap.matrices import T, FrickeMat
 from weilgap.multiplier import char_multiplier, pretend_constraints, solve_pretend, trivial_multiplier
 from weilgap.presentation import build_presentation
 from weilgap.series import (
+    _kloosterman_row,
     _kronecker_mul,
     _node_sums,
+    _rounded,
+    _times,
     CoeffSeries,
     coeffs_via_fourier_extraction,
     delta_coeffs,
@@ -571,14 +574,18 @@ def test_extraction_matches_the_full_length_pipeline():
     st.floats(-1, 1),
     st.sampled_from([15, 30, 59, 100]),
     st.sampled_from([0, 30, 90]),
+    st.booleans(),
 )
-def test_blocked_evaluator_matches_per_term_horner_and_mpmath(M, seed, log10_q, x, dps, size):
+def test_blocked_evaluator_matches_per_term_horner_and_mpmath(M, seed, log10_q, x, dps, size, real):
     # |q| from 1e-300 to 0.99; terms up to about 10^(size + 5), so that the
     # bound in units at 2^-P holds where the terms are far above 1; a0 != 0;
     # parts and whole coefficients that are zero; and coefficients 1e-290
-    # beside ordinary ones, so that a block's integers span a thousand bits
+    # beside ordinary ones, so that a block's integers span a thousand bits;
+    # real series take the two-product path
     rng = np.random.default_rng(seed)
     coeffs = 10.0 ** rng.uniform(size - 5, size + 5, M + 1) * (rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1))
+    if real:
+        coeffs.imag = 0
     coeffs[rng.random(M + 1) < 0.1] *= 1e-290
     rest = coeffs[1:]  # a view: a0 keeps both parts
     rest.real[rng.random(M) < 0.1] = 0
@@ -594,6 +601,134 @@ def test_blocked_evaluator_matches_per_term_horner_and_mpmath(M, seed, log10_q, 
     with mp.workprec(prec + P + 64):
         assert abs(value - oracle) <= mp.ldexp(scale, -prec)
         assert abs(value - full) * mp.mpf(2) ** P <= blocked_units(M) + horner_units(M, y)
+
+
+def three_product_evaluator(series):
+    """Oracle: ``series_evaluator``'s blocked sum with three dot products per
+    block (Gauss's complex product) whatever the coefficients, as it was
+    before real series took two."""
+    c = np.array([series.a0, *series.coeffs], dtype=complex)
+    parts = np.stack([c.real, c.imag])
+    frac, exp = np.frexp(parts)
+    log2_bound = np.where(parts == 0, -np.inf, exp).max(axis=0) + 0.5
+    ms, guard, B = np.arange(len(c)), len(c).bit_length() + 16, 32
+    pad = -len(c) % B
+    mant = np.pad((frac * 2.0**53).astype(np.int64), ((0, 0), (0, pad))).tolist()
+    exp = np.pad(exp - 53, ((0, 0), (0, pad))).tolist()
+    blocks = []
+    for start in range(0, len(c) + pad, B):
+        span = range(start, start + B)
+        E = min((exp[k][m] for k in (0, 1) for m in span if mant[k][m]), default=0)
+        re, im = ([mant[k][m] << (exp[k][m] - E) if mant[k][m] else 0 for m in span] for k in (0, 1))
+        blocks.append((E, [a + b for a, b in zip(re, im)], re, im))
+
+    def evaluate(z):
+        z = mp.mpc(z)
+        log2_q = -2 * math.pi * float(z.imag) / math.log(2)
+        terms = log2_bound + ms * log2_q
+        top = float(np.max(terms, initial=-np.inf))
+        if top == -np.inf:
+            return mp.mpc(0)
+        prec = mp.mp.prec
+        P = prec + guard + max(0, -math.floor(top))
+        Q = P + max(0, math.ceil(-log2_q))
+        n = int(np.flatnonzero(terms >= -P - 2 - math.log2(len(c)))[-1]) // B + 1
+        Qb = Q + max(0, math.ceil(top)) + max(0, math.ceil(-(B - 1) * log2_q)) + 2 * (n * B).bit_length() + 2
+        with mp.workprec(prec + guard):
+            q = mp.expjpi(2 * z)
+        qr, qi = (int(mp.ldexp(x, Q)) << (Qb - Q) for x in (q.real, q.imag))
+        pr, pi = [1 << Qb, qr], [0, qi]
+        for _ in range(B - 1):
+            r, i = _times(pr[-1], pi[-1], qr, qi, Qb)
+            pr.append(r)
+            pi.append(i)
+        qbr, qbi = pr.pop(), pi.pop()
+        diff, total = [b - a for a, b in zip(pr, pi)], [a + b for a, b in zip(pr, pi)]
+        re = im = 0
+        for E, both, cr, ci in reversed(blocks[:n]):
+            re, im = _times(re, im, qbr, qbi, Qb)
+            k1 = sum(a * b for a, b in zip(both, pr))
+            sr = k1 - sum(a * b for a, b in zip(ci, total))
+            si = k1 + sum(a * b for a, b in zip(cr, diff))
+            re, im = re + _rounded(sr, Qb - P - E), im + _rounded(si, Qb - P - E)
+        return mp.make_mpc((mp.libmp.from_man_exp(re, -P), mp.libmp.from_man_exp(im, -P)))
+
+    return evaluate
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.floats(-300, math.log10(0.99)),
+    st.floats(-1, 1),
+    st.sampled_from([15, 30, 59]),
+    st.sampled_from(["real, a0 = 0", "real a0 != 0", "one imaginary part"]),
+)
+def test_two_product_path_equals_the_three_product_loop(M, seed, log10_q, x, dps, kind):
+    # on a real series the two dot products per block are the integers the
+    # three give, so the values agree bit for bit; one nonzero imaginary
+    # part, a0's included, keeps the series on the three-product path
+    rng = np.random.default_rng(seed)
+    coeffs = 10.0 ** rng.uniform(-5, 5, M + 1) * rng.standard_normal(M + 1) + 0j
+    coeffs[rng.random(M + 1) < 0.1] = 0
+    if kind == "real, a0 = 0":
+        coeffs[0] = 0
+    elif kind == "one imaginary part":
+        coeffs[rng.integers(0, M + 1)] += 1j * 10.0 ** rng.uniform(-5, 5)
+    series = CoeffSeries(list(coeffs[1:]), 4, 1, 4.0, "r", a0=complex(coeffs[0]))
+    y = -log10_q * math.log(10) / (2 * math.pi)
+    with mp.workdps(dps):
+        z = mp.mpc(x, y)
+        assert series_evaluator(series)(z) == three_product_evaluator(series)(z)
+
+
+def _kernel_upsilon(p, q_max, index):
+    chi = DirichletChar(p, 0)
+    gens = build_presentation(p)
+    cs = pretend_constraints(p, gens, chi, q_max, verify_b_dependence=False)
+    return solve_pretend(cs, chi, gens, kernel_index=index).upsilon
+
+
+def complex_fft_row(ups, c):
+    """Oracle: c times the inverse FFT of the conjugated row values, complex."""
+    ds, values = ups.row_values(c)
+    row = np.zeros(c, dtype=complex)
+    row[ds] = values.conjugate()
+    return c * np.fft.ifft(row)
+
+
+def test_kloosterman_rows_against_the_complex_fft():
+    # a reflection-symmetric upsilon gets the real part of the complex row,
+    # as floats, bit for bit; an asymmetric one the complex row itself
+    for index, symmetric in ((0, True), (2, False)):
+        ups = _kernel_upsilon(29, 1, index)
+        assert ups.reflection_symmetric is symmetric
+        for c in range(29, 40 * 29 + 1, 29):
+            got, want = _kloosterman_row(ups, c), complex_fft_row(ups, c)
+            if symmetric:
+                assert got.dtype == float and got.tobytes() == want.real.tobytes()
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_eisenstein_coefficients_of_a_symmetric_upsilon_are_real():
+    # criterion 10's series: every imaginary part is exactly 0, and the real
+    # parts are those of the sum over complex rows, bit for bit; an
+    # asymmetric upsilon keeps the complex sum, both parts
+    p, M, c_max = 29, 2000, 40 * 29
+    ms = np.arange(1, M + 1)
+    for index, symmetric in ((0, True), (2, False)):
+        ups = _kernel_upsilon(p, 1, index)
+        sums = np.zeros(M, dtype=complex)
+        for c in range(p, c_max + 1, p):
+            sums += complex_fft_row(ups, c)[ms % c] * float(c) ** -4
+        want = (-2j * np.pi) ** 4 / 6 * np.array([float(m**3) for m in ms]) * sums
+        got = eisenstein_multiplier_coeffs(p, ups, 4, M=M, c_max=c_max).as_array()
+        if symmetric:
+            assert not got.imag.any() and got.real.tobytes() == want.real.tobytes()
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_json_lines_roundtrip_exact_and_float():
