@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero, mpf_neg
 
 from .matrices import lift_bottom_row, slash_evaluator  # kept importable from series
 from .multiplier import MultiplierSystem
@@ -672,14 +672,27 @@ def coeffs_via_fourier_extraction(
         sum_{j >= 1} C (m + jN)^sigma e^{-2 pi j N y}  +  e^{2 pi m y} * eval_error,
 
     with (C, sigma) the supplied growth model of the unknown coefficients.
+    Each stated error then adds u (|Re b_m| + |Im b_m|), u = 2^-53, the
+    rounding of the returned double, and ``error_bound`` is the largest; an
+    alias and evaluation estimate above 10^{-3} refuses the requested M as
+    unreachable at this height (ValueError).
+
+    F must be exactly 1-periodic.  The nodes are x = n/N for n in
+    (-N/2, N/2], taken in mirror pairs 0, 1, -1, ..., N/2 (so that
+    ``series_evaluator`` answers the second of a real series' pair by
+    conjugation), and the value at x is stored at index n mod N.  A nearly
+    periodic F gives an N-dependent answer that the stated errors do not
+    cover: criterion 10's f|W_p, its Eisenstein sum cut at c_max = 40p,
+    differs by 4.4e-6 relative between x = +-1/2, and its b_80 moves by 13%
+    when N = 256 replaces 320, with stated terms below 4e-49 at both.
+
     The evaluator is called with an mpmath complex argument (wrap plain
     float evaluators as ``lambda z: f(complex(z))`` at the cost of float
     precision); working precision is raised with M*y so the e^{2 pi m y}
     amplification cannot drown the quadrature; the sums over the nodes are
     exact integer sums rounded once (``_node_sums``).  M < 1, a height y
-    that is not finite and positive, and a non-finite value raise
-    ValueError; so does an estimate above 10^{-3}, which refuses the
-    requested M as unreachable at this height.
+    that is not finite and positive, and a non-finite value (named by its
+    node n mod N) raise ValueError.
     """
     if M < 1:
         raise ValueError(f"need M >= 1 coefficients, got M = {M}")
@@ -699,37 +712,53 @@ def coeffs_via_fourier_extraction(
         raise ValueError(
             f"requested M = {M} unreachable at height y = {y}: error estimate {worst:.2e}"
         )
+    values = [None] * N
     with mp.workdps(dps):
-        values = [mp.mpc(evaluator(mp.mpc(mp.mpf(n) / N, y))) for n in range(N)]
+        # x = n/N for n in (-N/2, N/2] (N is even), each mirror pair in turn
+        for n in [0, *(s * n for n in range(1, N // 2) for s in (1, -1)), N // 2]:
+            values[n % N] = mp.mpc(evaluator(mp.mpc(mp.mpf(n) / N, y)))
         sums = _node_sums(values, M)
         coeffs = [complex(total / N * mp.e ** (2 * mp.pi * m * y)) for m, total in enumerate(sums, start=1)]
-    return CoeffSeries(coeffs, k, level, growth_sigma, label, error_bound=worst, per_coeff_error=errors)
+    # each returned double carries its own rounding as well
+    errors = [e + 2.0**-53 * (abs(b.real) + abs(b.imag)) for e, b in zip(errors, coeffs)]
+    return CoeffSeries(coeffs, k, level, growth_sigma, label, error_bound=max(errors), per_coeff_error=errors)
 
 
 def _node_sums(values: list, M: int) -> list:
-    """sum_n values[n] e(-m n / N), N = len(values), for m = 1..M, at the
-    working precision.
+    """sum_n values[n] r_{m n mod N}, N = len(values), for m = 1..M, at the
+    working precision, with r_n = e(-n/N) for n <= N/2 and r_{N-n} = conj r_n.
 
-    The values, and the roots e(-n/N), are written as exact integer
-    mantissas over one common power of two; each sum is taken exactly in
-    Python integers and rounded once to nearest.  That is the correctly
-    rounded sum, which ``mp.fdot`` also gives whenever the exponents of its
-    products span under twice the precision.  A non-finite value raises
-    ValueError.
+    The values, and the roots, are written as exact integer mantissas over
+    one common power of two.  Each sum is folded over the mirror pairs n and
+    N - n, since r_{m(N-n)} = conj r_{mn}: with A_n = v_n + v_{N-n} and
+    D_n = v_n - v_{N-n}, Re S = sum Re A Re r - sum Im D Im r and
+    Im S = sum Im A Re r + sum Re D Im r over n <= N/2.  Each is taken
+    exactly in Python integers and rounded once to nearest: the correctly
+    rounded sum over the symmetric root table, which ``mp.fdot`` also gives
+    whenever the exponents of its products span under twice the precision.
+    A non-finite value raises ValueError.
     """
     N = len(values)
     bad = next((n for n, v in enumerate(values) if not mp.isfinite(v)), None)
     if bad is not None:
         raise ValueError(f"evaluator gave {values[bad]} at node {bad}/{N}")
-    prec = mp.mp.prec
+    prec, half = mp.mp.prec, N // 2
     vr, vi, ev = _exact_parts(values)
-    rr, ri, er = _exact_parts([mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(N)])
+    rr, ri, er = _exact_parts([mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(half + 1)])
+    rr += rr[N - half - 1 : 0 : -1]  # r_{N-n} = conj r_n
+    ri += [-x for x in ri[N - half - 1 : 0 : -1]]
+    # v_n r + v_{N-n} conj r = A_n Re r + i D_n Im r; a node that is its own
+    # mirror (0, and N/2 for even N) takes A = D = v_n, which is v_n r exactly
+    def fold(v, sign):
+        return [v[n] + sign * v[N - n] if 0 < n < N - n else v[n] for n in range(half + 1)]
+
+    ar, ai, dr, di = fold(vr, 1), fold(vi, 1), fold(vr, -1), fold(vi, -1)
     sums = []
     for m in range(1, M + 1):
-        turn = [m * n % N for n in range(N)]
+        turn = [m * n % N for n in range(half + 1)]
         cr, ci = [rr[i] for i in turn], [ri[i] for i in turn]
-        re = sum(map(operator.mul, vr, cr)) - sum(map(operator.mul, vi, ci))
-        im = sum(map(operator.mul, vr, ci)) + sum(map(operator.mul, vi, cr))
+        re = sum(map(operator.mul, ar, cr)) - sum(map(operator.mul, di, ci))
+        im = sum(map(operator.mul, ai, cr)) + sum(map(operator.mul, dr, ci))
         sums.append(mp.make_mpc((from_man_exp(re, ev + er, prec, "n"), from_man_exp(im, ev + er, prec, "n"))))
     return sums
 
@@ -769,6 +798,16 @@ def series_evaluator(series: CoeffSeries):
     at 2^-P each, and the rounded powers at most one unit in all, so the
     value is within sqrt(2) K'/B + 3/2 units at 2^-P of the sum over the
     rounded q.
+
+    q is taken as e(|Re z| + i Im z), conjugated when Re z < 0, and every
+    rounding to nearest breaks ties away from zero (``_rounded``).  Each
+    step is then odd in the imaginary parts, so for a real series (a0 and
+    every a_m of imaginary part exactly 0) the value at -conj z is the
+    conjugate of the value at z, bit for bit.  The evaluator keeps the
+    previous call of a real series: when the next point is its exact mirror
+    at the same precision, it returns that value with the imaginary mpf
+    negated exactly.  (``mp.conj`` would round the unrounded value to the
+    working precision.)  A complex series is always evaluated afresh.
     """
     c = np.array([series.a0, *series.coeffs], dtype=complex)
     parts = np.stack([c.real, c.imag])
@@ -794,23 +833,38 @@ def series_evaluator(series: CoeffSeries):
         re, im = ([mant[k][m] << (exp[k][m] - E) if mant[k][m] else 0 for m in span] for k in (0, 1))
         blocks.append((E, list(map(operator.add, re, im)), re, im))
 
+    mirror = None  # a real series: (Re, Im, prec) of the previous call's mirror point, and its value
+
     def evaluate(z):
+        nonlocal mirror
         z = mp.mpc(z)
+        (x, y), prec = z._mpc_, mp.mp.prec
+        if mirror is not None and mirror[0] == (x, y, prec):
+            re, im = mirror[1]
+            value = (re, mpf_neg(im))  # exact: mp.conj would round the unrounded value
+        else:
+            value = fresh(z, prec)
+        if real:
+            mirror = ((mpf_neg(x), y, prec), value)
+        return mp.make_mpc(value)
+
+    def fresh(z, prec):
         log2_q = -2 * math.pi * float(z.imag) / math.log(2)
         terms = log2_bound + ms * log2_q
         top = float(np.max(terms, initial=-np.inf))
         if top == -np.inf:
-            return mp.mpc(0)
-        prec = mp.mp.prec
+            return fzero, fzero
         P = prec + guard + max(0, -math.floor(top))
         Q = P + max(0, math.ceil(-log2_q))  # q's own scale: its rounding is relative to |q|
         # top >= -P + prec + guard, so the kept range is never empty
         n = int(np.flatnonzero(terms >= -P - drop_below)[-1]) // B + 1
         # powers at a scale where their roundings cost under one unit at 2^-P in all
         Qb = Q + max(0, math.ceil(top)) + max(0, math.ceil(-(B - 1) * log2_q)) + 2 * (n * B).bit_length() + 2
-        with mp.workprec(prec + guard):
-            q = mp.expjpi(2 * z)
+        with mp.workprec(prec + guard):  # q at -conj z is exactly conj q
+            q = mp.expjpi(2 * mp.mpc(abs(z.real), z.imag))
         qr, qi = (int(mp.ldexp(x, Q)) << (Qb - Q) for x in (q.real, q.imag))
+        if z.real < 0:
+            qi = -qi
         pr, pi = [1 << Qb, qr], [0, qi]  # q^0..q^B at 2^-Qb
         for _ in range(B - 1):
             r, i = _times(pr[-1], pi[-1], qr, qi, Qb)
@@ -827,7 +881,7 @@ def series_evaluator(series: CoeffSeries):
                 k1 = sum(map(operator.mul, both, pr))
                 sr, si = k1 - sum(map(operator.mul, ci, total)), k1 + sum(map(operator.mul, cr, diff))
             re, im = re + _rounded(sr, Qb - P - E), im + _rounded(si, Qb - P - E)
-        return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
+        return from_man_exp(re, -P), from_man_exp(im, -P)
 
     return evaluate
 
@@ -840,5 +894,9 @@ def _times(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:
 
 
 def _rounded(x: int, shift: int) -> int:
-    """x / 2^shift rounded to nearest (half up); exact for shift <= 0."""
-    return (x + (1 << (shift - 1))) >> shift if shift > 0 else x << -shift
+    """x / 2^shift rounded to nearest, ties away from zero, so that
+    _rounded(-x) = -_rounded(x); exact for shift <= 0."""
+    if shift <= 0:
+        return x << -shift
+    half = 1 << (shift - 1)
+    return (x + half) >> shift if x >= 0 else -((half - x) >> shift)

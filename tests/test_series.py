@@ -395,8 +395,10 @@ def full_length_horner(series):
         P = prec + guard + max(0, -math.floor(top))
         Q = P + max(0, math.ceil(-log2_q))
         with mp.workprec(prec + guard):
-            q = mp.expjpi(2 * z)
+            q = mp.expjpi(2 * mp.mpc(abs(z.real), z.imag))
         qr, qi = int(mp.ldexp(q.real, Q)), int(mp.ldexp(q.imag, Q))
+        if z.real < 0:
+            qi = -qi
         fixed = [
             [x << (e + P) if e + P >= 0 else x >> -(e + P) for x, e in zip(xs.tolist(), es.tolist())]
             for xs, es in zip(mant, exp)
@@ -441,10 +443,17 @@ def test_horner_cutoff_matches_the_full_length_horner(M, seed, sigma, x, y, dps)
         assert abs(value - oracle) <= mp.ldexp(scale, -prec)
 
 
+def symmetric_roots(N):
+    """e(-n/N) for n <= N/2, and r_{N-n} = conj r_n above: the extraction's
+    root table."""
+    roots = [mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(N // 2 + 1)]
+    return roots + [mp.conj(roots[N - n]) for n in range(N // 2 + 1, N)]
+
+
 def fdot_sums(values, M):
     """Oracle: the node sums of the extraction, one mp.fdot each."""
     N = len(values)
-    roots = [mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(N)]
+    roots = symmetric_roots(N)
     return [mp.fdot(values, [roots[m * n % N] for n in range(N)]) for m in range(1, M + 1)]
 
 
@@ -475,7 +484,7 @@ def exact_sums(values, M):
     """Oracle: each node sum taken in mpmath at a precision that holds it
     exactly, then rounded once to nearest at the working precision."""
     N = len(values)
-    roots = [mp.expjpi(-2 * (mp.mpf(n) / N)) for n in range(N)]
+    roots = symmetric_roots(N)
 
     def bit_range(zs):
         parts = [x._mpf_ for z in zs for x in (z.real, z.imag) if x]
@@ -681,6 +690,154 @@ def test_two_product_path_equals_the_three_product_loop(M, seed, log10_q, x, dps
     with mp.workdps(dps):
         z = mp.mpc(x, y)
         assert series_evaluator(series)(z) == three_product_evaluator(series)(z)
+
+
+def conjugate(value):
+    """conj of an mpc with the imaginary mpf negated exactly, not rounded."""
+    re, im = value._mpc_
+    return mp.make_mpc((re, mp.libmp.mpf_neg(im)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.floats(-300, math.log10(0.99)),
+    st.floats(-1, 1),
+    st.sampled_from([15, 30, 59, 100]),
+)
+def test_real_series_evaluate_conjugation_equivariantly(M, seed, log10_q, x, dps):
+    # a real series with a0 != 0, zero coefficients and 1e-290 beside
+    # ordinary ones: fresh evaluations at z and at -conj z are conjugates,
+    # mantissa for mantissa
+    rng = np.random.default_rng(seed)
+    coeffs = 10.0 ** rng.uniform(-5, 5, M + 1) * rng.standard_normal(M + 1) + 0j
+    coeffs[1:][rng.random(M) < 0.1] = 0
+    coeffs[rng.random(M + 1) < 0.1] *= 1e-290
+    series = CoeffSeries(list(coeffs[1:]), 4, 1, 4.0, "r", a0=complex(coeffs[0]))
+    y = -log10_q * math.log(10) / (2 * math.pi)
+    with mp.workdps(dps):
+        z = mp.mpc(x, y)
+        mirror = mp.mpc(-z.real, z.imag)
+        value = series_evaluator(series)(z)
+        assert series_evaluator(series)(mirror)._mpc_ == conjugate(value)._mpc_
+
+
+@pytest.fixture
+def fresh_calls(monkeypatch):
+    """Counts series_evaluator's fresh evaluations: each takes one
+    mp.expjpi of a complex point (the extraction's roots take real ones)."""
+    calls = []
+    expjpi = mp.expjpi
+
+    def counted(x):
+        if isinstance(x, mp.mpc):
+            calls.append(x)
+        return expjpi(x)
+
+    monkeypatch.setattr("weilgap.series.mp.expjpi", counted)
+    return calls
+
+
+def test_mirror_shortcut_returns_the_fresh_value(fresh_calls):
+    series = delta_coeffs(300).copy_with(a0=0.25 + 0j)
+    ev = series_evaluator(series)
+    with mp.workdps(59):
+        z = mp.mpc(mp.mpf(3) / 17, 0.07)
+        mirror = mp.mpc(-z.real, z.imag)
+        first, second = ev(z), ev(mirror)
+        assert len(fresh_calls) == 1  # the mirror was not evaluated afresh
+        assert second._mpc_ == series_evaluator(series)(mirror)._mpc_
+        assert second._mpc_ == conjugate(first)._mpc_
+        # z is the mirror of the previous call in its turn
+        assert ev(z)._mpc_ == first._mpc_ and len(fresh_calls) == 2
+
+
+def test_mirror_shortcut_is_not_taken_off_its_premise(fresh_calls):
+    real = delta_coeffs(300)
+    coeffs = list(real.coeffs)
+    coeffs[40] += 1e-3j
+    with mp.workdps(59):
+        z = mp.mpc(mp.mpf(3) / 17, 0.07)
+        mirror = mp.mpc(-z.real, z.imag)
+        # a series with one nonzero imaginary part
+        ev = series_evaluator(real.copy_with(coeffs=coeffs))
+        ev(z)
+        value = ev(mirror)
+        assert len(fresh_calls) == 2
+        assert value != conjugate(ev(z))
+        # a change of precision
+        ev = series_evaluator(real)
+        ev(z)
+        with mp.workprec(mp.mp.prec + 1):
+            ev(mirror)
+        assert len(fresh_calls) == 5
+        # a repeated point that is not its own mirror
+        ev(z)
+        ev(z)
+        assert len(fresh_calls) == 7
+
+
+def test_extraction_evaluates_each_mirror_pair_once(fresh_calls):
+    # the p = 29 pipeline on a short prefix: a real f, whose Fricke images of
+    # the nodes x and -x are exact mirrors, is evaluated afresh at N/2 + 1 of
+    # the N nodes; the coefficients are the doubles that N fresh evaluations
+    # give, and each states at least the rounding of its own double
+    p, M, y, count = 29, 500, 0.16, 40
+    gens = build_presentation(p)
+    chi = DirichletChar(p, 0)
+    sol = solve_pretend(pretend_constraints(p, gens, chi, 1, verify_b_dependence=False), chi, gens)
+    eis = eisenstein_multiplier_coeffs(p, sol.upsilon, 4, M=M, c_max=4 * p)
+    f = multiply(eis, delta_coeffs(M)).copy_with(level=p, sigma=9.0)
+    assert not any(c.imag for c in [f.a0, *f.coeffs])
+
+    def periodic(ev):
+        slashed = slash_evaluator(ev, 16, FrickeMat(p))
+        return lambda z: slashed(mp.mpc(z.real - mp.nint(z.real), z.imag))
+
+    got = coeffs_via_fourier_extraction(periodic(series_evaluator(f)), 16, y, count, growth_c=f.growth_c, growth_sigma=9.0)
+    N = max(4 * count, 64)
+    assert len(fresh_calls) == N // 2 + 1
+    del fresh_calls[:]
+    every = coeffs_via_fourier_extraction(
+        periodic(lambda w: series_evaluator(f)(w)), 16, y, count, growth_c=f.growth_c, growth_sigma=9.0
+    )
+    assert len(fresh_calls) == N
+    assert got.coeffs == every.coeffs
+    assert_states_its_rounding(got)
+
+
+def assert_states_its_rounding(series):
+    rounding = [2.0**-53 * (abs(b.real) + abs(b.imag)) for b in series.coeffs]
+    assert all(err >= r for err, r in zip(series.per_coeff_error, rounding))
+    assert series.error_bound == max(series.per_coeff_error)
+
+
+def test_extraction_states_the_rounding_of_each_double(tau200):
+    ev = slash_evaluator(series_evaluator(delta_coeffs(400)), 12, T)
+    rec = coeffs_via_fourier_extraction(ev, 12, 1.0, 10, growth_c=2.0, growth_sigma=6.0)
+    assert_states_its_rounding(rec)
+    # tau(10) = -115920 rounds at about 1e-11, far above the alias terms
+    assert rec.per_coeff_error[9] >= 115920 * 2.0**-53
+
+
+@given(st.integers(-(2**200), 2**200), st.integers(-8, 80))
+def test_rounded_is_nearest_with_ties_away_from_zero(x, shift):
+    exact = Fraction(x, 2**shift) if shift >= 0 else Fraction(x * 2**-shift)
+    down = math.floor(abs(exact))
+    want = down + (abs(exact) - down >= Fraction(1, 2))
+    assert _rounded(x, shift) == (want if x >= 0 else -want)
+    assert _rounded(-x, shift) == -_rounded(x, shift)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 7, 33, 34])
+def test_node_sums_fold_any_length(N):
+    # odd lengths pair every node but 0; even ones leave N/2 alone as well
+    rng = np.random.default_rng(N)
+    with mp.workdps(30):
+        values = [mp.mpc(*(mp.ldexp(mp.mpf(float(a)), int(e)) for a, e in zip(rng.standard_normal(2), rng.integers(-40, 40, 2))))
+                  for _ in range(N)]
+        assert _node_sums(values, N) == exact_sums(values, N)
 
 
 def _kernel_upsilon(p, q_max, index):
