@@ -366,8 +366,8 @@ def _kronecker_mul(a: list[int], b: list[int], size: int) -> list[int]:
     (Harvey, arXiv:0712.4046): each is packed into one integer with k bytes
     per coefficient and CPython's Karatsuba multiplies them.  The product's
     coefficients are below 2^(8k-1) in absolute value, so a bias of 2^(8k-1)
-    per slot lets the bytes be read back in linear time."""
-    a, b = a[:size], b[:size]
+    per slot lets the bytes be read back in linear time; b is a packs once."""
+    square, a, b = b is a, a[:size], b[:size]
     if not a or not b:
         return [0] * max(size, 0)
     bound = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length()
@@ -381,7 +381,8 @@ def _kronecker_mul(a: list[int], b: list[int], size: int) -> list[int]:
 
     half = 1 << (8 * k - 1)
     bias = int.from_bytes((bytes(k - 1) + b"\x80") * size, "little")
-    digits = ((pack(a) * pack(b) + bias) & ((1 << (8 * k * size)) - 1)).to_bytes(k * size, "little")
+    product = pack(a) ** 2 if square else pack(a) * pack(b)
+    digits = ((product + bias) & ((1 << (8 * k * size)) - 1)).to_bytes(k * size, "little")
     return [int.from_bytes(digits[i : i + k], "little") - half for i in range(0, k * size, k)]
 
 
@@ -469,7 +470,8 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     u = 2^-53.  The e terms cover any true factors within their bounds,
     gamma |a| * |b| the rounding of a complex inner product of length M + 1
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    §3.6), and 1 + 2 gamma the rounding of the bound itself.
+    §3.6), 1 + 2 gamma the rounding of the bound itself, and (M + 1) 2^-1072
+    the underflow, at most 2^-1075 a product, of both convolutions.
     """
     M = min(f.M, g.M)
     exact: Optional[list[int]] = None
@@ -484,7 +486,7 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
         ea, eb = _coeff_errors(f, M), _coeff_errors(g, M)
         gamma = (M + 3) * 2.0**-53 / (1 - (M + 3) * 2.0**-53)
         bound = np.convolve(abs(a), eb + gamma * abs(b)) + np.convolve(ea, abs(b) + eb)
-        per_coeff = ((1 + 2 * gamma) * bound[1 : M + 1]).tolist()
+        per_coeff = ((1 + 2 * gamma) * bound[1 : M + 1] + (M + 1) * 2.0**-1072).tolist()
     return CoeffSeries(
         out,
         weight=f.weight + g.weight,

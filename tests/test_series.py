@@ -1074,6 +1074,13 @@ def test_kronecker_mul_matches_schoolbook(a, b, size):
     assert _kronecker_mul(a, b, size) == schoolbook(a, b, size)
 
 
+@settings(max_examples=200, deadline=None)
+@given(signed_polys, st.integers(0, 90))
+def test_kronecker_square_packs_once_and_matches_schoolbook(a, size):
+    # b is a takes the one-pack path; list(a) is an equal but distinct list
+    assert _kronecker_mul(a, a, size) == _kronecker_mul(a, list(a), size) == schoolbook(a, a, size)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-5, 5), signed_polys, st.integers(-5, 5), signed_polys)
 def test_multiply_exact_with_constant_terms(a0, fa, b0, gb):
@@ -1139,6 +1146,15 @@ def test_multiply_bounds_cover_factors_within_their_bounds(data):
         c = prod.a(m)
         gap2 = (Fraction(c.real) - re) ** 2 + (Fraction(c.imag) - im) ** 2
         assert gap2 <= Fraction(prod.per_coeff_error[m - 1]) ** 2
+
+
+def test_multiply_bounds_cover_underflow():
+    # a_0 = 0.5 against an error bound of 5e-324: the float product of the
+    # two rounds to 0, but the true a_1 may be 2.5e-324 off
+    f = CoeffSeries([0j, 0j], 4, 1, 4.0, "f", a0=0.5 + 0j)
+    g = CoeffSeries([0j, 0j], 6, 1, 6.0, "g", a0=1 + 0j, error_bound=5e-324)
+    prod = multiply(f, g)
+    assert all(Fraction(e) >= Fraction(0.5) * Fraction(5e-324) for e in prod.per_coeff_error)
 
 
 def test_eta_product_matches_schoolbook_squaring():
