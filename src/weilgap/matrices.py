@@ -198,10 +198,13 @@ def evaluate_word(
 
 
 def sign_against(value: Mat2, gamma: Mat2, what: str) -> int:
-    """The sign e with value = e * gamma; raises unless value = +-gamma."""
-    if value == gamma:
+    """The sign e with value = e * gamma; raises unless value = +-gamma.
+    Compares entries, so -gamma is never built."""
+    entries = value.entries()
+    a, b, c, d = gamma.entries()
+    if entries == (a, b, c, d):
         return 1
-    if value == -gamma:
+    if entries == (-a, -b, -c, -d):
         return -1
     raise AssertionError(f"{what} does not evaluate to +-{gamma!r}")
 

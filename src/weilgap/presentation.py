@@ -41,13 +41,16 @@ COSET_INF = -1  # label for the identity coset (the cusp at infinity)
 # P = T S^p T^{-1} = V_1^{-1} S^{-1}: the raw Schreier symbol "P" stands for
 # one crossing of an S power from coset p - 1 to coset 0, and WRAP is its word
 WRAP = [("V_1", -1), ("S", -1)]
-# the most crossings of coset p - 1 -> 0 a decompose_gamma0 word may make
-MAX_WORD_CROSSINGS = 10**6
+# the most tokens a decompose_gamma0 word may write out: 10^6 crossings of
+# coset p - 1 -> 0 at p = 13, whose wrap word has 5 tokens
+MAX_WORD_TOKENS = 5 * 10**6
 # PSL2(Z) = <T, TS | T^2, (TS)^3>, in the T^{+1} and S^t letters of the walk
 DEFINING_RELATORS = ([("T", 1), ("T", 1)], [("T", 1), ("S", 1)] * 3)
 
 Token = tuple[str, int]
 Word = list[Token]
+# per coset, the raw symbol its T step emits (None if none) and the coset it reaches
+Steps = list[tuple[Optional[Token], int]]
 
 
 def is_prime(n: int) -> bool:
@@ -107,63 +110,100 @@ def _invert_word(tokens: Word) -> Word:
     return [(gen, -exp) for gen, exp in reversed(tokens)]
 
 
-def _word_pow(tokens: Word, n: int) -> Word:
-    """tokens^n, unreduced; a one-token word stays one token however large n is."""
-    if len(tokens) == 1:
-        (gen, exp), = tokens
-        return [(gen, exp * n)]
-    return tokens * n if n >= 0 else _invert_word(tokens) * -n
+def _append(out: Word, piece: Word) -> None:
+    """Append the reduced word piece to the reduced word out, reducing only at
+    the seam: cancellation may reach back through out, and then at most one
+    token merges; the rest of piece is copied as it is."""
+    i = 0
+    for gen, exp in piece:
+        if not out or out[-1][0] != gen:
+            break
+        merged = out[-1][1] + exp
+        i += 1
+        if merged:
+            out[-1] = (gen, merged)
+            break
+        out.pop()
+    out.extend(piece[i:] if i else piece)
 
 
 def _substitute(tokens: Word, words: dict[str, Word]) -> Word:
     """The reduced word with each token (label, e) replaced by words[label]^e;
-    labels not in words stay as they are."""
+    labels not in words stay as they are.  The words must be reduced: each
+    piece is, so the output is reduced at the seams only, and a one-token
+    piece merges with or cancels the last token written."""
     out: Word = []
-    for label, exp in tokens:
-        if label in words:
-            out.extend(_word_pow(words[label], exp))
+    for token in tokens:
+        label, exp = token
+        word = words.get(label)
+        if word is not None:
+            if len(word) > 1:
+                piece = word if exp > 0 else _invert_word(word)
+                for _ in range(abs(exp)):
+                    _append(out, piece)
+                continue
+            if not word:
+                continue
+            (label, e), = word
+            exp *= e
+            token = (label, exp)
+        if not exp:
+            continue
+        if out and out[-1][0] == label:
+            merged = out[-1][1] + exp
+            if merged:
+                out[-1] = (label, merged)
+            else:
+                out.pop()
         else:
-            out.append((label, exp))
-    return reduce_word(out)
+            out.append(token)
+    return out
 
 
 def _cyclic_reduce(tokens: Word) -> Word:
-    tokens = reduce_word(tokens)
-    while len(tokens) >= 2 and tokens[0][0] == tokens[-1][0]:
-        gen = tokens[0][0]
-        e0, e1 = tokens[0][1], tokens[-1][1]
-        merged = e0 + e1
-        middle = tokens[1:-1]
+    """The cyclic reduction of a reduced word: matching end tokens are
+    trimmed, and merged once, which leaves the ends distinct."""
+    i, j = 0, len(tokens) - 1
+    while i < j and tokens[i][0] == tokens[j][0]:
+        merged = tokens[i][1] + tokens[j][1]
         if merged:
-            tokens = reduce_word([(gen, merged)] + middle)
-            break
-        tokens = reduce_word(middle)
-    return tokens
+            return [(tokens[i][0], merged), *tokens[i + 1:j]]
+        i, j = i + 1, j - 1
+    return tokens[i:j + 1] if i else tokens
 
 
-def _schreier_walk(p: int, letters: Word, coset: int = COSET_INF) -> tuple[Word, int]:
+def _t_steps(p: int) -> Steps:
+    """The T step of each coset, indexed by coset with the identity coset
+    COSET_INF = -1 last: the raw symbol it emits, None between I and T, and
+    the coset it reaches.  From coset 0 < r < p it emits ("V_r", 1) and
+    goes on to T S^{-1/r mod p}."""
+    steps: Steps = [(None, COSET_INF)]
+    steps += [((f"V_{r}", 1), (-pow(r, -1, p)) % p) for r in range(1, p)]
+    return steps + [(None, 0)]
+
+
+def _schreier_walk(steps: Steps, letters: Word, coset: int = COSET_INF) -> tuple[Word, int]:
     """Walk T^{+1} and S^t letters through the transversal {I} u {T S^j}.
 
     Starts at the given coset and returns the reduced word of raw Schreier
-    symbols and the coset the walk ends at.  The raw symbols are "S", the
+    symbols and the coset the walk ends at; ``steps`` is the T-step table
+    of the level p (:func:`_t_steps`).  The raw symbols are "S", the
     Schreier element of S at the identity coset; "V_r", emitted by a T
-    step from coset 0 < r < p, which goes on to T S^{-1/r mod p}; and "P",
-    the wrap T S^p T^{-1}.  T steps between I and T emit nothing.  An S
+    step from coset 0 < r < p; and "P", the wrap T S^p T^{-1}.  An S
     power stays one token at the identity coset; elsewhere it moves by
     divmod and emits one ("P", wraps) token, wraps counting its crossings
     from p - 1 to 0 (negative when it crosses back).  Symbols that are +-I
     are dropped; the lost signs are irrelevant in the projective group.
     """
+    p = len(steps) - 1
     out: Word = []
     for gen, exp in letters:
         if gen == "T":
             if exp != 1:
                 raise ValueError("the Schreier walk takes T^+1 letters only")
-            if coset > 0:
-                out.append((f"V_{coset}", 1))
-                coset = (-pow(coset, -1, p)) % p
-            else:  # I <-> T
-                coset = 0 if coset == COSET_INF else COSET_INF
+            token, coset = steps[coset]
+            if token is not None:
+                out.append(token)
         elif gen != "S":
             raise ValueError(f"unknown letter {gen}")
         elif coset == COSET_INF:
@@ -174,7 +214,7 @@ def _schreier_walk(p: int, letters: Word, coset: int = COSET_INF) -> tuple[Word,
     return reduce_word(out), coset
 
 
-def _schreier_relators(p: int, matrices: dict[str, Mat2]) -> list[Word]:
+def _schreier_relators(steps: Steps, matrices: dict[str, Mat2]) -> list[Word]:
     """The Reidemeister-Schreier relators of Gamma0(p)/{+-I}, cyclically reduced.
 
     Each defining relator w is walked from its own coset, I first and then
@@ -188,8 +228,8 @@ def _schreier_relators(p: int, matrices: dict[str, Mat2]) -> list[Word]:
     relators: list[Word] = []
     powers: dict = {}
     for w in DEFINING_RELATORS:
-        for coset in (COSET_INF, *range(p)):
-            word, end = _schreier_walk(p, w, coset)
+        for coset in (COSET_INF, *range(len(steps) - 1)):
+            word, end = _schreier_walk(steps, w, coset)
             if end != coset:
                 raise AssertionError(f"walk of relator {w} from coset {coset} did not return to it")
             word = _substitute(word, {"P": WRAP})
@@ -273,6 +313,7 @@ class GenSet:
     P = T S^p T^{-1}, so it expands every raw symbol of :func:`_schreier_walk`.
     ``_classes`` holds the class of each of those words once, as sparse
     (coordinate, exponent sum) pairs; the class of P is ``parabolic_class``.
+    ``_steps`` is the T-step table of the walk (:func:`_t_steps`).
     """
 
     def __init__(
@@ -282,8 +323,10 @@ class GenSet:
         matrices: dict[str, Mat2],
         orders: dict[str, object],
         rewriting_log: dict[str, Word],
+        steps: Steps,
     ):
         self.p = p
+        self._steps = steps
         self.labels = labels
         self._matrices = matrices
         # the entries of each generator to the power +-1, copied as the
@@ -305,10 +348,15 @@ class GenSet:
 
         self._raw_words = {**rewriting_log, "P": _substitute(WRAP, rewriting_log)}
         # a final label's class is its own coordinate, and any other symbol's
-        # the exponent sums of its word, which free reduction leaves unchanged
-        self._classes = {lbl: [(i, 1)] for lbl, i in self._index.items()}
+        # the exponent sums of its word, which free reduction leaves unchanged,
+        # summed per label the word holds and sorted by coordinate
+        index = self._index
+        self._classes = {lbl: [(i, 1)] for lbl, i in index.items()}
         for symbol, word in self._raw_words.items():
-            self._classes[symbol] = [(i, e) for i, e in enumerate(self._coords(word)) if e]
+            sums: dict[str, int] = {}
+            for lbl, e in word:
+                sums[lbl] = sums.get(lbl, 0) + e
+            self._classes[symbol] = sorted([(index[lbl], e) for lbl, e in sums.items() if e])
         self.parabolic_class = self._vector(self._coords([("P", 1)]))
 
     @property
@@ -328,7 +376,7 @@ class GenSet:
     def _walk(self, letters: Word) -> Word:
         """The raw Schreier word of the S/T letters of an element of
         Gamma0(p), walked from the identity coset, where it must end."""
-        raw, coset = _schreier_walk(self.p, letters)
+        raw, coset = _schreier_walk(self._steps, letters)
         if coset != COSET_INF:
             raise AssertionError("walk of a Gamma0(p) element did not return to the identity coset")
         return raw
@@ -366,7 +414,7 @@ class GenSet:
         p = self.p
         steps, targets = [[0] * (p + 1) for _ in weights], [0] * (p + 1)
         for coset in (COSET_INF, *range(p)):
-            raw, target = _schreier_walk(p, [("T", 1)], coset)
+            raw, target = _schreier_walk(self._steps, [("T", 1)], coset)
             coords = self._coords(raw)
             for table, w in zip(steps, weights):
                 table[coset % (p + 1)] = sum(map(operator.mul, w, coords))  # COSET_INF -> p
@@ -535,7 +583,8 @@ def build_presentation(p: int) -> GenSet:
     """
     _check_level(p)
     matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
-    relators, log = _tietze(_schreier_relators(p, matrices), matrices)
+    steps = _t_steps(p)
+    relators, log = _tietze(_schreier_relators(steps, matrices), matrices)
 
     # The surviving relators must be the elliptic power relators.
     power_of: dict[str, int] = {}
@@ -566,7 +615,7 @@ def build_presentation(p: int) -> GenSet:
     for raw, word in final_words.items():
         sign_against(evaluate_word(word, matrices, powers), matrices[raw], f"rewriting-log word of {raw}")
 
-    return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words)
+    return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words, steps)
 
 
 def compute_Q(p: int, gens: Optional[GenSet] = None) -> set[int]:
@@ -583,8 +632,9 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
     identity coset -> rewriting-log substitutions.  The result evaluates to
     +-gamma; the sign is recovered by exact re-multiplication.  The word
     holds one wrap word per crossing of the walk from coset p - 1 to 0, so
-    the crossings are counted first, from the exponents of P in the raw
-    word, and more than MAX_WORD_CROSSINGS raise ValueError.
+    the tokens the expansion would write are counted first, from the raw
+    word: |n| times the length of the word of a raw token (symbol, n), or
+    one for a one-token word.  More than MAX_WORD_TOKENS raise ValueError.
     """
     p = gens.p
     if gamma.det() != 1:
@@ -592,11 +642,17 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
     if gamma.c % p != 0:
         raise ValueError(f"matrix {gamma} is not in Gamma0({p})")
     raw = gens._walk(decompose_sl2(gamma).tokens)
-    crossings = sum(abs(n) for symbol, n in raw if symbol == "P")
-    if crossings > MAX_WORD_CROSSINGS:
+    words, size = gens._raw_words, 0
+    for symbol, n in raw:
+        length = len(words[symbol])
+        size += abs(n) * length if length > 1 else 1
+    if size > MAX_WORD_TOKENS:
+        crossings = sum(abs(n) for symbol, n in raw if symbol == "P")
+        wrap = len(words["P"])
         raise ValueError(
-            f"the word of {gamma} crosses coset {p - 1} -> 0 {crossings} times;"
-            f" words are written out for at most {MAX_WORD_CROSSINGS} crossings"
+            f"the word of {gamma} crosses coset {p - 1} -> 0 {crossings} times and would hold {size} tokens;"
+            f" words are written out up to {MAX_WORD_TOKENS} tokens, at most"
+            f" {MAX_WORD_TOKENS // wrap} crossings of the {wrap}-token wrap word at p = {p}"
         )
     word = GammaWord._of_reduced(gens.rewrite_st_word(raw))  # _substitute reduced it
     word.sign = sign_against(word.evaluate(gens), gamma, "Gamma0(p) decomposition")

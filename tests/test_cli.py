@@ -489,6 +489,14 @@ def test_word_with_too_many_crossings_is_one_line(monkeypatch, capsys):
     assert "1000000000000 times" in err and "at most 1000000 crossings" in err
 
 
+def test_word_over_the_token_limit_is_one_line(capsys):
+    # at p = 1009 15,000 crossings write 15,000 copies of a 337-token wrap word
+    assert main(["word", "--p", "1009", "--matrix", "1,0,15135000,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "15000 times" in err and "5055000 tokens" in err
+
+
 @pytest.mark.parametrize("q, a", [(1, 0), (3, 2), (4, -1), (7, 10)])
 def test_check_fe_twist_is_the_residue_statement(tmp_path, capsys, q, a):
     from weilgap.analytic import additive_statements_for_psi

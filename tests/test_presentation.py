@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import random
 from collections import Counter
@@ -18,6 +21,7 @@ from weilgap.presentation import (
     _pair_eliminations,
     _schreier_relators,
     _substitute,
+    _t_steps,
     _tietze,
     abelianize,
     build_presentation,
@@ -168,7 +172,7 @@ def _conjugate_walk_relators(p):
     for w in ([("T", 2)], [("T", 1), ("S", 1)] * 3):
         for j in (None, *range(p)):
             rep = [] if j is None else [("T", 1), ("S", j)]
-            word = _cyclic_reduce(walk(rep + w + [(g, -e) for g, e in reversed(rep)]))
+            word = _cyclic_reduce(reduce_word(walk(rep + w + [(g, -e) for g, e in reversed(rep)])))
             if word:
                 relators.append(word)
     return relators
@@ -177,7 +181,7 @@ def _conjugate_walk_relators(p):
 def test_relators_walked_from_their_coset_match_conjugate_walk():
     for p in filter(is_prime, range(5, 200)):
         matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
-        assert _schreier_relators(p, matrices) == _conjugate_walk_relators(p)
+        assert _schreier_relators(_t_steps(p), matrices) == _conjugate_walk_relators(p)
 
 
 def _rescanning_tietze(relators, matrices):
@@ -198,7 +202,7 @@ def _rescanning_tietze(relators, matrices):
                     out.extend(replacement * exp if exp > 0 else [(g, -e) for g, e in reversed(replacement)] * -exp)
                 else:
                     out.append((gen, exp))
-            reduced = _cyclic_reduce(out)
+            reduced = _cyclic_reduce(reduce_word(out))
             if reduced:
                 new_relators.append(reduced)
         relators = new_relators
@@ -243,7 +247,7 @@ def _rescanning_tietze(relators, matrices):
 def test_tietze_matches_rescanning_elimination():
     for p in [*filter(is_prime, range(5, 200)), 409, 1009]:
         matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
-        relators = _schreier_relators(p, matrices)
+        relators = _schreier_relators(_t_steps(p), matrices)
         phase1_relators, phase1_log, final_relators, full_log = _rescanning_tietze(relators, matrices)
         assert _pair_eliminations(relators) == (phase1_relators, phase1_log)
         assert _tietze(relators, matrices) == (final_relators, full_log)
@@ -311,6 +315,20 @@ def test_crossings_count_the_wraps_without_a_word(gens13):
         assert p_crossings(raw) == k and sum(symbol == "P" for symbol, _ in raw) == 1
     with pytest.raises(ValueError, match="1000001 times"):
         decompose_gamma0(gens13, Mat2(1, 0, 13 * (10**6 + 1), 1))
+
+
+def test_word_guard_counts_the_tokens_it_would_write(monkeypatch):
+    # at p = 1009 the wrap word has 337 tokens, so 15,000 crossings of coset
+    # 1008 -> 0 would write 5,055,000 tokens: refused before any expansion
+    gens = gens_of(1009)
+    assert len(gens._raw_words["P"]) == 337
+
+    def no_expansion(tokens, words):
+        raise AssertionError("the word was expanded")
+
+    monkeypatch.setattr(presentation, "_substitute", no_expansion)
+    with pytest.raises(ValueError, match="15000 times and would hold 5055000 tokens"):
+        decompose_gamma0(gens, Mat2(1, 0, 1009 * 15000, 1))
 
 
 def test_p13_parabolic_identity_left_to_right():
@@ -607,3 +625,184 @@ def test_parabolic_class_is_one_wrap():
     for p in (n for n in PRIMES if n < 200):
         gens = gens_of(p)
         assert gens.parabolic_class == gens.class_of(T * S**p * T.inv())
+
+
+# ---------------------------------------------------------------------------
+# The word layer against its literal forms
+
+
+def _literal_substitute(tokens, words):
+    """Oracle: every token written out, words[label]^e as |e| copies of the
+    word or of its inverse (a one-token word as one token), then one
+    reduce_word over the whole output."""
+    out = []
+    for label, exp in tokens:
+        word = words.get(label)
+        if word is None:
+            out.append((label, exp))
+        elif len(word) == 1:
+            (gen, e), = word
+            out.append((gen, e * exp))
+        else:
+            out.extend((word if exp > 0 else [(g, -e) for g, e in reversed(word)]) * abs(exp))
+    return reduce_word(out)
+
+
+def _literal_cyclic_reduce(tokens):
+    """Oracle: reduce, then trim matching ends and reduce again until the ends differ."""
+    tokens = reduce_word(tokens)
+    while len(tokens) >= 2 and tokens[0][0] == tokens[-1][0]:
+        merged = tokens[0][1] + tokens[-1][1]
+        middle = tokens[1:-1]
+        if merged:
+            return reduce_word([(tokens[0][0], merged)] + middle)
+        tokens = reduce_word(middle)
+    return tokens
+
+
+def _inverse(word):
+    return [(g, -e) for g, e in reversed(word)]
+
+
+LETTERS = "abcdef"
+raw_words = st.lists(st.tuples(st.sampled_from(LETTERS), st.integers(-3, 3)), max_size=10)
+reduced_words = raw_words.map(reduce_word)
+
+
+@st.composite
+def substitution_maps(draw):
+    """Reduced words for a random subset of the letters: random words, one
+    tokens with large exponents, conjugates u v u^-1 whose powers cancel at
+    their own seams, and inverses of earlier words followed by more letters,
+    whose cancellation reaches back through earlier pieces."""
+    words = {}
+    for label in draw(st.lists(st.sampled_from(LETTERS), unique=True)):
+        kind = draw(st.sampled_from(["word", "one", "conjugate", "inverse"]))
+        if kind == "one":
+            words[label] = [(draw(st.sampled_from(LETTERS)), draw(st.integers(-(10**12), 10**12).filter(bool)))]
+        elif kind == "conjugate":
+            u, v = draw(reduced_words), draw(reduced_words)
+            words[label] = reduce_word(u + v + _inverse(u))
+        elif kind == "inverse" and words:
+            earlier = draw(st.sampled_from(sorted(words)))
+            words[label] = reduce_word(_inverse(words[earlier]) + draw(reduced_words))
+        else:
+            words[label] = draw(reduced_words)
+    return words
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(reduced_words, raw_words), substitution_maps())
+def test_substitute_matches_the_literal_expansion(tokens, words):
+    # raw input words hold zero exponents and unmerged neighbours
+    out = _substitute(tokens, words)
+    assert out == _literal_substitute(tokens, words)
+    assert reduce_word(out) == out
+
+
+def test_substitute_cancels_through_pieces_and_keeps_one_tokens():
+    words = {"x": [("a", 1), ("b", 2), ("c", 1)], "y": [("c", -1), ("b", -2), ("a", -1), ("d", 1)], "z": [("a", 10**12)]}
+    assert _substitute([("x", 1), ("y", 1)], words) == [("d", 1)]
+    assert _substitute([("e", 1), ("x", 2), ("x", -2), ("e", -1)], words) == []
+    conjugate = {"w": [("a", 1), ("b", 1), ("a", -1)]}
+    assert _substitute([("w", 3)], conjugate) == [("a", 1), ("b", 3), ("a", -1)]
+    assert _substitute([("z", 7), ("a", 0), ("w", 0)], {**words, **conjugate}) == [("a", 7 * 10**12)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_words, reduced_words)
+def test_cyclic_reduce_matches_the_literal_trim(u, v):
+    for word in (v, reduce_word(u + v + _inverse(u)), reduce_word(u + v + u)):
+        assert _cyclic_reduce(word) == _literal_cyclic_reduce(word)
+
+
+def _dense_classes(gens):
+    """Oracle: the class of every raw symbol's word as the dense coordinate
+    sum of its tokens, filtered to its nonzero coordinates."""
+    classes = {}
+    for symbol, word in gens._raw_words.items():
+        coords = [0] * len(gens._index)
+        for label, n in word:
+            coords[gens._index[label]] += n
+        classes[symbol] = [(i, e) for i, e in enumerate(coords) if e]
+    return classes
+
+
+def test_sparse_classes_match_the_dense_sum():
+    for p in [*filter(is_prime, range(5, 200)), 1009]:
+        gens = gens_of(p)
+        assert {symbol: gens._classes[symbol] for symbol in gens._raw_words} == _dense_classes(gens)
+
+
+# SHA-256 of the canonical JSON of each prime's exact outputs, computed with
+# whole-word reduction, per-letter T steps and dense classes. They are
+# compared by value, not by pickle bytes, whose memo layout follows how
+# token tuples are shared.
+PINNED_EXACT_OUTPUTS = {
+    5: "5ef979f1d4930692aa4c80a767b1e18b35d594750638412211efb0d5e66f71a4",
+    7: "1c5c6a8c37a915307867558f3bd7bb360966baf588cfc16ff667d7b507d62a39",
+    11: "a3395e8137653a2976fd0f7c708969e3d8fc8b711233f8da24878e3ec9733c8b",
+    13: "14b976d7b2e52aaf940b4dadb6232db82ab1389130102a11cafab6febd742942",
+    17: "60a76a1b266ffa218798ddf65391ac615aa16c318e42b2dd1f95fafbd846bbb4",
+    19: "63f4294a4dfbda82727b24a0e7f003946fb5c973aee2ace487240990b4df7ac3",
+    23: "272004c0fd8e083587e61557683728f45a282693e515edc199514bfade98df90",
+    29: "9eb62f6a82597f04080427457eaee362886b08b3a47857d257bf4762781a3104",
+    31: "fe40dfbf4672b6954049c4cca354523591f4b5a7f6aba4bbfccf7f4ab527d257",
+    37: "d16167b36f7403c20d89920731e3b10a166c179d49da876a0a855ab1f49e7ba9",
+    41: "ffd3a55de1492da0b0bcc02f9edce2c4ab6f114037879ab1fbc4e1b52861d203",
+    43: "b44ae5488c728dd45b1685a95cafcfda2942d71bb79d89aeb36aee04bf0e1e63",
+    47: "4f7be620b59535e31a4939fc03792e296f709811d3df68c63a830f07e3a28570",
+    53: "4546c8ed0c9b3b172d9470b067997aac778baaa8e7677abf090763055ebee6d2",
+    59: "766844ba6b14da87afd05a9f096254ab07192df0a8688063fdd9ae011beb8ecb",
+    61: "f824ba74b114cf6b7aae85fbf2da5e44b8a084fd0b265a0f7e1432840a4e6c6f",
+    67: "9e6527478363012a21ded003bdb6ede87e6b4a529c6f30d2294f26c687984632",
+    71: "111f0d449845f161ec7295f64f01ea4a28913699d30e1ad985494600fd3bbfb6",
+    73: "de53da466b7fbf12fd780a59e4ed0a53a9c1f4ab73ab305dbd1be0876b1a1787",
+    79: "98794333e40f98ab8c43cb8f65add1022c1f85fe1ab1f5af738b8652ee0043bd",
+    83: "681fd2b26833288eac51838829178849c8474642bbde928bf2c182e3a02a3c65",
+    89: "1854069c84f571917c83e36b273f59a9171c3da37a4e1d7444bfabf6a6ffb06e",
+    97: "35f802f0fd4f67fd0373cec6cade5cf644b58704460a6813661a68ec986117be",
+    101: "c4e6db5ad686f9f99a9f56fba0e504c35049fcf43642161c1c7109729f6768b1",
+    103: "30fbfc001b18973221bbce7ee7afd2ce980f4fa135024ebe6f3d631db3757918",
+    107: "84eadec0dcbef94d583192c5ffa7ffd1fa2a17ca9b222232893ef4903fc79d9d",
+    109: "5a3f36b3fd6fbe91e46070f0002fc1557480a1adfba86daa85cf4fcd6963337a",
+    113: "f2549428437f83142b32fff069e3126626216660421d321dd8f7f5b29f08f185",
+    127: "9c526ff34d951656858eb0b24c82ce6bd83aced935dddb5b8b0176ad94bb0cab",
+    131: "c47e9844460b5a8f35826a8ba8eb89c0356de72b05146bfc67e8e78ec2b62be4",
+    137: "abe3358ebb262451f266fa171179bbf4940a39f2628877c5c2278738b1577e89",
+    139: "5a4baf9b69434e383af1fb94257c45c721ced6d4c9766cb1bc01800a82d07b73",
+    149: "b0a31f5b6638c83a4c7d2cf90aeabed58d4c8469f2a6b963fd287c4fcf2b8a1c",
+    151: "5e8f353605b16a241fafa41190ba6568f181874f742c9305ff6fe0c3347fc31d",
+    157: "a553fa3843bdb186c5081d61797de285c5b0e5ccdbe18cf23923e5c651dc8372",
+    163: "efe4ff9debc952aadfea44632c8873f446069ca2bbeae56fc0da674eb4993c5b",
+    167: "509515cdb13b6fa1218bf4aee34ab6ad9ab3d5390fe9f5d04b62c9f120f1b9c5",
+    173: "fc7c74a7fda50bb04a9c75762b85d075ad4d952ce857ef728078aaac13318c48",
+    179: "065cb14a6c7a3aaa72af4b3b6024a83fa560f90718caed36a5faf8d14e7281db",
+    181: "601e240d1a153e6732de26ef2b27ae90348090998328fa6e637202c5fc59d4bd",
+    191: "3a8ffaf77db6a577da433cd32eaa4c301f159faa11f7712509abe4629cb1ad9b",
+    193: "80b4df12b6a5438cbc0e799a253e1e0b751585bef4f6ca409bd1584cb2eef5b3",
+    197: "37bff7aa8cdcef0755e8e7abe8d5e13ed805c1caa75d8aee19232f9ddd0ccceb",
+    199: "7ce407ace93cdf4b0df34a7ac83a3198630fbaa61f68e83a55d1a9dd3bb70c23",
+    1009: "f9cb23246e23bdd4951427464b41b26ee69fadb692c12d8f47cab4d897f4f55e",
+}
+
+
+def exact_outputs_digest(gens):
+    p = gens.p
+    rng = random.Random(p)
+    elements = [random_gamma0_element(p, rng) for _ in range(20)]
+    value = {
+        "gens": gens.to_json(),
+        "rewriting_log": gens.rewriting_log,
+        "classes": gens._classes,
+        "parabolic_class": dataclasses.asdict(gens.parabolic_class),
+        "words": [decompose_gamma0(gens, g).to_json() for g in elements],
+        "class_of": [dataclasses.asdict(gens.class_of(g)) for g in elements],
+    }
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def test_exact_outputs_are_pinned_by_value():
+    assert sorted(PINNED_EXACT_OUTPUTS) == [*filter(is_prime, range(5, 200)), 1009]
+    changed = [p for p, digest in PINNED_EXACT_OUTPUTS.items() if exact_outputs_digest(gens_of(p)) != digest]
+    assert changed == []
