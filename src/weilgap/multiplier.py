@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -97,8 +96,8 @@ ZERO_ANGLE = Angle()
 
 
 class MultiplierSystem:
-    """An exact angle per generator; extends to Gamma0(p) through the class
-    of an element in the abelianization (:meth:`GenSet.class_of`)."""
+    """An exact angle per generator; extends to Gamma0(p) through the angles
+    of the raw Schreier symbols of an element's walk (:meth:`GenSet._walk`)."""
 
     def __init__(self, gens: GenSet, angles: dict[str, Angle]):
         self.gens = gens
@@ -110,23 +109,31 @@ class MultiplierSystem:
             if a.s != 0 or (a.r * order) % 1 != 0:
                 raise ValueError(f"angle on order-{order} generator {lbl} must be a multiple of 1/{order}")
         self.angles = {lbl: angles[lbl].mod1() for lbl in gens.labels}
-        # every angle as integer numerators (r, s) over one denominator, in
-        # the coordinate order of ExpVector
-        self._den = den = math.lcm(*(x.denominator for a in self.angles.values() for x in (a.r, a.s)))
-        order = (*gens.free_labels, *gens.order2_labels, *gens.order3_labels)
-        self._r_num = [int(self.angles[lbl].r * den) for lbl in order]
-        self._s_num = [int(self.angles[lbl].s * den) for lbl in order]
+        self._den = math.lcm(*(x.denominator for a in self.angles.values() for x in (a.r, a.s)))
 
-    def angle_of_vector(self, vec: ExpVector) -> Angle:
-        """The angle of a class: its coordinates dotted with the numerators
-        (r, s), over ``_den``."""
-        coords, den = (*vec.free, *vec.tor2, *vec.tor3), self._den
-        r, s = (sum(map(operator.mul, num, coords)) for num in (self._r_num, self._s_num))
+    @cached_property
+    def _symbol_num(self) -> dict[str, tuple[int, int]]:
+        """The angle of every raw Schreier symbol, final labels among them,
+        as integer numerators (r, s) over ``_den``: the generators'
+        numerators summed over its sparse class (GenSet._classes)."""
+        den = self._den
+        nums = [(int(a.r * den), int(a.s * den)) for a in map(self.angles.get, self.gens._index)]
+        return {symbol: _num_sum(nums, pairs) for symbol, pairs in self.gens._classes.items()}
+
+    def _angle(self, tokens) -> Angle:
+        """The angle of (symbol, n) pairs: n times each ``_symbol_num``, summed."""
+        (r, s), den = _num_sum(self._symbol_num, tokens), self._den
         return Angle(Fraction(r % den, den), Fraction(s, den))
 
+    def angle_of_vector(self, vec: ExpVector) -> Angle:
+        """The angle of a class: each generator's angle times its coordinate
+        (GenSet._index lists the labels in coordinate order)."""
+        return self._angle(zip(self.gens._index, (*vec.free, *vec.tor2, *vec.tor3)))
+
     def evaluate(self, gamma: Mat2) -> Angle:
-        """Exact angle of upsilon(gamma) for gamma in Gamma0(p)."""
-        return self.angle_of_vector(self.gens.class_of(gamma))
+        """Exact angle of upsilon(gamma) for gamma in Gamma0(p): the angles of
+        the raw symbols of its walk (:meth:`GenSet._walk`), summed."""
+        return self._angle(self.gens._walk(gamma))
 
     def value(self, gamma: Mat2) -> complex:
         return self.evaluate(gamma).value()
@@ -143,8 +150,7 @@ class MultiplierSystem:
         return self.evaluate(lift_bottom_row(c, d))
 
     def _require_trivial_s(self) -> None:
-        s = self.gens.s_index
-        if self._r_num[s] or self._s_num[s]:
+        if not self.angles["S"].is_zero_mod1():
             raise ValueError("the bottom-row angle requires upsilon(S) = 1")
 
     def row_angles(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,7 +158,7 @@ class MultiplierSystem:
         positive multiple c of p: the d, and the angle numerators r (mod the
         denominator) and s over ``_den``, in three arrays.
 
-        The walk of :meth:`GenSet.class_of` runs on every d at once: the
+        The walk of :meth:`GenSet._walk` runs on every d at once: the
         nearest-integer Euclid quotients of all rows (:func:`_euclid_rows`),
         then the steps in reverse on lanes, each adding the numerators of
         the symbols its T step emits and wraps times those of P, with the
@@ -232,10 +238,14 @@ class MultiplierSystem:
         )
 
     @cached_property
-    def _walk_tables(self) -> tuple[list[list[int]], list[int], list[int]]:
-        """GenSet.walk_tables on the r and s numerators: the T-step
-        numerators (r, s) and target per coset, and P's (r, s)."""
-        return self.gens.walk_tables(self._r_num, self._s_num)
+    def _walk_tables(self) -> tuple[tuple[list[int], list[int]], list[int], tuple[int, int]]:
+        """The tables of :meth:`row_angles`, from ``_symbol_num`` and
+        GenSet._steps: per coset (the identity coset at index p) the r and s
+        of the symbol its T step emits and the coset it reaches; P's (r, s)."""
+        table, p = self._symbol_num, self.p
+        nums = [table[token[0]] if token else (0, 0) for token, _ in self.gens._steps]
+        targets = [target % (p + 1) for _, target in self.gens._steps]  # COSET_INF -> p
+        return ([r for r, _ in nums], [s for _, s in nums]), targets, table["P"]
 
     def is_trivial(self) -> bool:
         return all(a.is_zero_mod1() for a in self.angles.values())
@@ -257,11 +267,21 @@ class MultiplierSystem:
         try:
             p = data["p"]
             angles = {entry["label"]: Angle.from_json(entry) for entry in data["angles"]}
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed multiplier document: {type(exc).__name__} {exc}") from exc
         if p != gens.p:
             raise ValueError("level mismatch between generators and serialized multiplier")
         return cls(gens, angles)
+
+
+def _num_sum(table, tokens) -> tuple[int, int]:
+    """The numerators (r, s) of table[key] times n, summed over the (key, n) tokens."""
+    r = s = 0
+    for key, n in tokens:
+        x, y = table[key]
+        r += n * x
+        s += n * y
+    return r, s
 
 
 def _euclid_rows(c: int, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import (
-    IDENTITY, Mat2, S, decompose_sl2, evaluate_word, lift_bottom_row, reduce_word, sign_against, st_letters,
+    IDENTITY, Mat2, S, evaluate_word, lift_bottom_row, reduce_word, sign_against, st_letters,
 )
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
@@ -373,10 +372,15 @@ class GenSet:
 
     # -- Schreier rewriting of S/T words -------------------------------------
 
-    def _walk(self, letters: Word) -> Word:
-        """The raw Schreier word of the S/T letters of an element of
-        Gamma0(p), walked from the identity coset, where it must end."""
-        raw, coset = _schreier_walk(self._steps, letters)
+    def _walk(self, gamma: Mat2) -> Word:
+        """The raw Schreier word of gamma, which must have det 1 and p | c:
+        the walk of :func:`~weilgap.matrices.st_letters` from the identity
+        coset, where it must end."""
+        if gamma.det() != 1:
+            raise ValueError("gamma must have determinant 1")
+        if gamma.c % self.p != 0:
+            raise ValueError(f"matrix {gamma} is not in Gamma0({self.p})")
+        raw, coset = _schreier_walk(self._steps, st_letters(gamma))
         if coset != COSET_INF:
             raise AssertionError("walk of a Gamma0(p) element did not return to the identity coset")
         return raw
@@ -405,23 +409,6 @@ class GenSet:
             tuple(coords[:n1]), tuple(x % 2 for x in coords[n1:n2]), tuple(x % 3 for x in coords[n2:])
         )
 
-    def walk_tables(self, *weights: list[int]) -> tuple[list[list[int]], list[int], list[int]]:
-        """The tables of the lane walk of MultiplierSystem.row_angles, each
-        class dotted with each integer weight vector (one weight per
-        coordinate): per weight and coset, with the identity coset at index
-        p, the weight of the symbols its T step emits; per coset the index
-        of the coset that step reaches; and per weight the weight of P."""
-        p = self.p
-        steps, targets = [[0] * (p + 1) for _ in weights], [0] * (p + 1)
-        for coset in (COSET_INF, *range(p)):
-            raw, target = _schreier_walk(self._steps, [("T", 1)], coset)
-            coords = self._coords(raw)
-            for table, w in zip(steps, weights):
-                table[coset % (p + 1)] = sum(map(operator.mul, w, coords))  # COSET_INF -> p
-            targets[coset % (p + 1)] = target % (p + 1)
-        wrap = self._coords([("P", 1)])
-        return steps, targets, [sum(map(operator.mul, w, wrap)) for w in weights]
-
     def class_of(self, gamma: Mat2) -> ExpVector:
         """The class of gamma in Gamma0(p)^ab, without building its word.
 
@@ -429,13 +416,9 @@ class GenSet:
         of the raw symbols in the walk of gamma's S/T letters, summed.
         Self-certifying: :func:`~weilgap.matrices.st_letters` reduces the
         whole matrix along its quotients to +-S^e, and the walk must return
-        to the identity coset.
+        to the identity coset (:meth:`_walk`).
         """
-        if gamma.det() != 1:
-            raise ValueError("gamma must have determinant 1")
-        if gamma.c % self.p != 0:
-            raise ValueError(f"matrix {gamma} is not in Gamma0({self.p})")
-        return self._vector(self._coords(self._walk(st_letters(gamma))))
+        return self._vector(self._coords(self._walk(gamma)))
 
     def to_json(self) -> dict:
         l, a, b = self.signature
@@ -628,20 +611,16 @@ def compute_Q(p: int, gens: Optional[GenSet] = None) -> set[int]:
 def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
     """Decompose an element of Gamma0(p) into a word over the generating set.
 
-    Pipeline: decompose_sl2 -> the Schreier walk of its letters from the
-    identity coset -> rewriting-log substitutions.  The result evaluates to
-    +-gamma; the sign is recovered by exact re-multiplication.  The word
-    holds one wrap word per crossing of the walk from coset p - 1 to 0, so
-    the tokens the expansion would write are counted first, from the raw
-    word: |n| times the length of the word of a raw token (symbol, n), or
-    one for a one-token word.  More than MAX_WORD_TOKENS raise ValueError.
+    Pipeline: the Schreier walk of gamma (:meth:`GenSet._walk`) ->
+    rewriting-log substitutions.  The result evaluates to +-gamma; the sign
+    is recovered, and the word certified, by exact re-multiplication.  The
+    word holds one wrap word per crossing of the walk from coset p - 1 to
+    0, so the tokens the expansion would write are counted first, from the
+    raw word: |n| times the length of the word of a raw token (symbol, n),
+    or one for a one-token word.  More than MAX_WORD_TOKENS raise ValueError.
     """
     p = gens.p
-    if gamma.det() != 1:
-        raise ValueError("gamma must have determinant 1")
-    if gamma.c % p != 0:
-        raise ValueError(f"matrix {gamma} is not in Gamma0({p})")
-    raw = gens._walk(decompose_sl2(gamma).tokens)
+    raw = gens._walk(gamma)
     words, size = gens._raw_words, 0
     for symbol, n in raw:
         length = len(words[symbol])

@@ -23,7 +23,7 @@ import cmath
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -212,20 +212,8 @@ class CoeffSeries:
         return self.a0 + np.sum(inner * giant, axis=1)
 
     def copy_with(self, **kwargs) -> "CoeffSeries":
-        data = dict(
-            coeffs=list(self.coeffs),
-            weight=self.weight,
-            level=self.level,
-            sigma=self.sigma,
-            label=self.label,
-            a0=self.a0,
-            exact=None if self.exact is None else list(self.exact),
-            error_bound=self.error_bound,
-            per_coeff_error=None if self.per_coeff_error is None else list(self.per_coeff_error),
-            c_max=self.c_max,
-        )
-        data.update(kwargs)
-        return CoeffSeries(**data)
+        """A copy with the given fields replaced; ``exact`` and ``per_coeff_error`` are shared."""
+        return replace(self, **kwargs)
 
     # -- JSON lines interface ----------------------------------------------
 
@@ -259,7 +247,9 @@ class CoeffSeries:
 
         The header must carry label, weight, level, sigma and M, and the
         records must give each m in 1..M (and optionally m = 0) exactly once.
-        Every header value and record field must have its JSON type.
+        Every header value and record field must have its JSON type; re, im
+        and sigma must be finite, and err and error_bound at least 0 (inf is
+        a bound, NaN is not).
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -274,9 +264,11 @@ class CoeffSeries:
             value = header.get(key)
             if (key in _HEADER_TYPES or value is not None) and not _is(value, kind):
                 raise ValueError(f"coefficient file header has {key} = {value!r}, of the wrong type")
-        M = header["M"]
+        M, sigma, bound = header["M"], header["sigma"], header.get("error_bound") or 0.0
         if M < 0:
             raise ValueError(f"coefficient file header has M = {M!r}, not a count")
+        if not _finite(sigma) or not bound >= 0:  # an inf bound holds; a NaN or negative one does not
+            raise ValueError(f"coefficient file header needs a finite sigma and error_bound >= 0: {sigma!r}, {bound!r}")
         records: dict[int, tuple] = {}
         for ln in lines[1:]:
             rec = json.loads(ln)
@@ -286,6 +278,8 @@ class CoeffSeries:
                 raise ValueError(f"malformed coefficient record {ln.strip()!r}") from exc
             if not (_is(m, int) and _is(re, _NUMBER) and _is(im, _NUMBER) and (err is None or _is(err, _NUMBER))):
                 raise ValueError(f"malformed coefficient record {ln.strip()!r}")
+            if not (_finite(re) and _finite(im) and (err is None or err >= 0)):
+                raise ValueError(f"coefficient record {ln.strip()!r} needs finite re and im and an err >= 0")
             if m in records:
                 raise ValueError(f"duplicate coefficient record for m = {m}")
             if not 0 <= m <= M:
@@ -302,11 +296,11 @@ class CoeffSeries:
             [complex(re, im) for re, im, _ in ordered],
             header["weight"],
             header["level"],
-            header["sigma"],
+            sigma,
             header["label"],
             a0=complex(*records.get(0, (0, 0))[:2]),
             exact=[re for re, _, _ in ordered] if integral else None,
-            error_bound=header.get("error_bound", 0.0),
+            error_bound=bound,
             per_coeff_error=errors if ordered and None not in errors else None,
             c_max=header.get("c_max"),
         )
@@ -321,6 +315,11 @@ _OPTIONAL_HEADER_TYPES = {"error_bound": _NUMBER, "c_max": int}
 def _is(value, kind) -> bool:
     """isinstance, except that a JSON true or false is not a number."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _finite(x) -> bool:
+    """Whether a JSON number is finite; json reads NaN, Infinity and 1e400 as floats."""
+    return not isinstance(x, float) or math.isfinite(x)
 
 
 def _num_json(x: float):

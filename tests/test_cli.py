@@ -309,6 +309,19 @@ def test_run_document_without_multiplier_is_one_line(tmp_path, capsys):
     assert err == f"error: run document {path} has no result.multiplier\n"
 
 
+def test_multiplier_document_with_a_zero_denominator_is_one_line(tmp_path, capsys):
+    ms = tmp_path / "ms.json"
+    assert main(["multiplier", "--p", "29", "--qmax", "1", "--out", str(ms)]) == 0
+    doc = json.loads(ms.read_text())
+    doc["angles"][1]["irrational"] = "1/0"
+    ms.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["series", "--kind", "eis-mult", "--p", "29", "--M", "3", "--multiplier", str(ms)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: malformed multiplier document: ZeroDivisionError")
+
+
 def test_weilgap_threads_caps_blas_before_numpy():
     import os
 

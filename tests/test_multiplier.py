@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,9 @@ from weilgap.multiplier import (
     trivial_multiplier,
 )
 from weilgap.presentation import (
+    COSET_INF,
     ExpVector,
+    _schreier_walk,
     abelianize,
     build_presentation,
     decompose_gamma0,
@@ -359,6 +362,92 @@ def test_evaluate_needs_no_condition_on_upsilon_s(gens13):
     assert ups.evaluate(S**3) == Angle(Fraction(3, 5), 1)
     with pytest.raises(ValueError, match="not in Gamma0"):
         ups.evaluate(Mat2(1, 0, 14, 1))
+
+
+@pytest.mark.parametrize(
+    "gamma", [Mat2(1, 1, 0, 2), Mat2(0, 1, 1, 0), Mat2(1, 0, 14, 1), T], ids=["det-2", "det-minus-1", "c-14", "T"]
+)
+def test_gamma0_checks_are_written_once(gens13, gamma):
+    # class_of, decompose_gamma0 and evaluate refuse with the one message of GenSet._walk
+    calls = (gens13.class_of, lambda g: decompose_gamma0(gens13, g), trivial_multiplier(gens13).evaluate)
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call(gamma)
+        messages.add(str(info.value))
+    expected = "gamma must have determinant 1" if gamma.det() != 1 else f"matrix {gamma} is not in Gamma0(13)"
+    assert messages == {expected}
+
+
+@lru_cache(maxsize=None)
+def _walk_multipliers(p):
+    """upsilon_chi for chi = DirichletChar(p, 2), whose torsion angles are
+    all nonzero at these p, and the solved q_max = 1 upsilon, of infinite
+    order.  At p = 13 S is the only free generator and the kernel is
+    trivial, so the second multiplier is upsilon_chi with sqrt(2)/3 on S."""
+    gens, chi = _gens(p), DirichletChar(p, 2)
+    sol = solve_pretend(pretend_constraints(p, gens, chi, 1, verify_b_dependence=False), chi, gens)
+    upsilon = sol.upsilon
+    if not sol.kernel_dim:
+        upsilon = MultiplierSystem(gens, {**sol.upsilon_chi.angles, "S": Angle(0, Fraction(1, 3))})
+    torsion = (*gens.order2_labels, *gens.order3_labels)
+    assert torsion and all(not sol.upsilon_chi.angles[lbl].is_zero_mod1() for lbl in torsion)
+    assert upsilon.has_infinite_order()
+    return sol.upsilon_chi, upsilon
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([13, 37, 61, 101]), row=bottom_rows, n=st.integers(-10**6, 10**6), solved=st.booleans())
+def test_evaluate_is_the_class_angle_and_the_word_angle(p, row, n, solved):
+    # the one walk of evaluate against the class of class_of and against
+    # the class of the written-out decompose_gamma0 word
+    k, d = row
+    assume(math.gcd(p * k, d) == 1)
+    ups = _walk_multipliers(p)[solved]
+    gens, gamma = ups.gens, S**n * lift_bottom_row(p * k, d)
+    angle = ups.evaluate(gamma)
+    assert angle == ups.angle_of_vector(gens.class_of(gamma))
+    assert angle == ups.angle_of_vector(abelianize(decompose_gamma0(gens, gamma), gens))
+
+
+def dense_walk_tables(gens, *weights):
+    """Oracle: the tables of the row walk from one T-step walk and one
+    dense class per coset, each dotted with each integer weight vector (one
+    weight per coordinate): per weight and coset, with the identity coset
+    at index p, the weight of the symbols its T step emits; per coset the
+    index of the coset that step reaches; and per weight the weight of P.
+    Quadratic in p."""
+    p = gens.p
+    steps, targets = [[0] * (p + 1) for _ in weights], [0] * (p + 1)
+    for coset in (COSET_INF, *range(p)):
+        raw, target = _schreier_walk(gens._steps, [("T", 1)], coset)
+        coords = gens._coords(raw)
+        for table, w in zip(steps, weights):
+            table[coset % (p + 1)] = sum(map(operator.mul, w, coords))  # COSET_INF -> p
+        targets[coset % (p + 1)] = target % (p + 1)
+    wrap = gens._coords([("P", 1)])
+    return steps, targets, [sum(map(operator.mul, w, wrap)) for w in weights]
+
+
+@pytest.mark.parametrize("p", [5, 13, 29, 101, 1009])
+def test_walk_tables_match_the_dense_walk(p):
+    # seeded exact angles on every generator, S included
+    gens, rng = _gens(p), random.Random(p)
+    angles = {}
+    for lbl in gens.labels:
+        order = gens.orders[lbl]
+        if order == "inf":
+            angles[lbl] = Angle(Fraction(rng.randint(1, 99), rng.randint(2, 60)), Fraction(rng.randint(-99, 99), 7))
+        else:
+            angles[lbl] = Angle(Fraction(rng.randint(1, order - 1), order))
+    ups = MultiplierSystem(gens, angles)
+    coordinates = (*gens.free_labels, *gens.order2_labels, *gens.order3_labels)
+    weights = [[int(getattr(ups.angles[lbl], part) * ups._den) for lbl in coordinates] for part in "rs"]
+    (step_r, step_s), targets, wrap = ups._walk_tables
+    assert ([step_r, step_s], targets, list(wrap)) == dense_walk_tables(gens, *weights)
+    # at p = 5 and 13 S is the only free generator and no T step's class
+    # holds it, so only there step_s is all zero
+    assert any(step_r) and all(wrap) and any(step_s) == (p > 13)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weilgap import presentation
 from weilgap.matrices import (
-    IDENTITY, Mat2, S, T, decompose_sl2, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word,
+    IDENTITY, Mat2, S, T, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word,
 )
 from weilgap.presentation import (
     COSET_INF,
@@ -311,7 +311,7 @@ def p_crossings(raw):
 def test_crossings_count_the_wraps_without_a_word(gens13):
     # the row (13 k, 1) crosses coset 12 -> 0 once per unit of k, in one P token
     for k in (1, 2, 7, 10**6, 10**12):
-        raw = gens13._walk(decompose_sl2(Mat2(1, 0, 13 * k, 1)).tokens)
+        raw = gens13._walk(Mat2(1, 0, 13 * k, 1))
         assert p_crossings(raw) == k and sum(symbol == "P" for symbol, _ in raw) == 1
     with pytest.raises(ValueError, match="1000001 times"):
         decompose_gamma0(gens13, Mat2(1, 0, 13 * (10**6 + 1), 1))
@@ -610,7 +610,7 @@ def test_class_of_and_crossings_match_a_separate_walk(p, k, d, n):
     coords = walk_coords(gens, quotients)
     coords[gens.s_index] += leading_s_power(gamma, quotients)
     assert gens.class_of(gamma) == gens._vector(coords)
-    assert p_crossings(gens._walk(decompose_sl2(gamma).tokens)) == crossings(p, quotients)
+    assert p_crossings(gens._walk(gamma)) == crossings(p, quotients)
 
 
 def test_class_of_rejects(gens13):

@@ -1006,14 +1006,33 @@ def _lines(f):
         (lambda lines: lines + [lines[3].replace('"m": 3', '"m": 9')], "outside 0..M"),
         (lambda lines: lines[:2] + ['{"m": 2, "re": "1"}'] + lines[3:], "malformed"),
         (lambda lines: [], "empty"),
+        (lambda lines: lines[:2] + ['{"m": 2, "re": NaN, "im": 0}'] + lines[3:], "m.: 2, .* finite re and im"),
+        (lambda lines: lines[:2] + ['{"m": 2, "re": 1, "im": -Infinity}'] + lines[3:], "finite re and im"),
+        (lambda lines: lines[:2] + ['{"m": 2, "re": 1e400, "im": 0}'] + lines[3:], "finite re and im"),
+        (lambda lines: lines[:2] + ['{"m": 2, "re": 1, "im": 0, "err": NaN}'] + lines[3:], "an err >= 0"),
+        (lambda lines: lines[:2] + ['{"m": 2, "re": 1, "im": 0, "err": -1e-9}'] + lines[3:], "an err >= 0"),
+        (lambda lines: [lines[0].replace('"sigma": 12.0', '"sigma": NaN')] + lines[1:], "finite sigma.*: nan, 0.0"),
+        (lambda lines: [lines[0].replace('"sigma": 12.0', '"sigma": Infinity')] + lines[1:], "finite sigma"),
+        (lambda lines: [lines[0].replace('"error_bound": 0.0', '"error_bound": NaN')] + lines[1:], "12.0, nan"),
+        (lambda lines: [lines[0].replace('"error_bound": 0.0', '"error_bound": -1')] + lines[1:], "12.0, -1"),
     ],
-    ids=["truncated", "missing-key", "duplicate", "out-of-range", "malformed-record", "empty"],
+    ids=["truncated", "missing-key", "duplicate", "out-of-range", "malformed-record", "empty", "re-nan",
+         "im-infinite", "re-overflow", "err-nan", "err-negative", "sigma-nan", "sigma-infinite", "bound-nan",
+         "bound-negative"],
 )
 def test_json_lines_rejects_malformed(mutate, message):
     f, _ = delta_delta_p(5, 5)
     text = "\n".join(mutate(_lines(f))) + "\n"
     with pytest.raises(ValueError, match=message):
         CoeffSeries.from_json_lines(text)
+
+
+def test_json_lines_reads_an_infinite_bound_back():
+    # a bound holds or is inf: to_json_lines writes an inf bound as Infinity
+    f, _ = delta_delta_p(5, 5)
+    f = f.copy_with(error_bound=math.inf, per_coeff_error=[0.0, math.inf, 1e-9, 0.0, 0.0])
+    g = CoeffSeries.from_json_lines(f.to_json_lines())
+    assert g.error_bound == math.inf and g.per_coeff_error == f.per_coeff_error
 
 
 def test_json_lines_refuses_a_large_m_without_listing_it():
