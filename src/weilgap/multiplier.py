@@ -380,8 +380,11 @@ def pretend_constraints(
     plus the cusp rows upsilon(S) = 1 and upsilon(T S^p T^{-1}) = 1.
 
     One row per (a mod q, q); that the constraint only depends on B mod q is
-    re-verified on a second lift of each row rather than assumed.
+    re-verified on a second lift of each row rather than assumed.  q_max = 0
+    gives the cusp rows only; a negative q_max raises ValueError.
     """
+    if q_max < 0:
+        raise ValueError(f"q_max must be >= 0, got {q_max}")
     if not chi.is_even():
         raise ValueError("pretend constraints require an even character")
     rows = [

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import (
-    IDENTITY, Mat2, S, evaluate_word, lift_bottom_row, reduce_word, sign_against, st_letters,
+    CHUNK, IDENTITY, Mat2, S, evaluate_word, lift_bottom_row, reduce_word, sign_against, st_letters,
 )
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
@@ -258,7 +258,9 @@ class GammaWord:
         return word
 
     def evaluate(self, gens: "GenSet") -> Mat2:
-        return evaluate_word(self.tokens, gens._matrices, dict(gens._unit_powers))
+        """The product of the word, without its sign.  Chunks and unit powers
+        are read from ``gens._table``; the others go into a dict for this call."""
+        return evaluate_word(self.tokens, gens._matrices, {}, gens._table)
 
     def to_json(self) -> dict:
         return {"word": [{"gen": g, "exp": e} for g, e in self.tokens], "sign": self.sign}
@@ -313,6 +315,15 @@ class GenSet:
     ``_classes`` holds the class of each of those words once, as sparse
     (coordinate, exponent sum) pairs; the class of P is ``parabolic_class``.
     ``_steps`` is the T-step table of the walk (:func:`_t_steps`).
+
+    ``_table`` is the starting table of :func:`~weilgap.matrices.evaluate_word`
+    for every :meth:`GammaWord.evaluate`, which reads it and never writes
+    it.  It holds the entries of each generator to the power +-1 and the
+    product of every run of CHUNK consecutive tokens of the wrap word P and
+    of its inverse, so every aligned chunk of a copy of P in a decomposed
+    word, at any of the CHUNK offsets it may start at.  It is filled once,
+    here, and holds at most 2|P| chunks plus 2|labels| unit powers (660
+    and 342 at p = 1009).
     """
 
     def __init__(
@@ -328,9 +339,6 @@ class GenSet:
         self._steps = steps
         self.labels = labels
         self._matrices = matrices
-        # the entries of each generator to the power +-1, copied as the
-        # starting cache of each evaluate_word call, so the cache stays bounded
-        self._unit_powers = {(lbl, e): (m**e).entries() for lbl, m in matrices.items() for e in (1, -1)}
         self.orders = orders
         self.rewriting_log = rewriting_log  # raw Schreier symbol -> word over final labels
 
@@ -346,6 +354,15 @@ class GenSet:
         self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
 
         self._raw_words = {**rewriting_log, "P": _substitute(WRAP, rewriting_log)}
+        # a run of P's inverse is a run of P inverted: its product is the
+        # adjugate, as it has det 1; powers other than +-1 stay out
+        self._table = {(lbl, e): (m**e).entries() for lbl, m in matrices.items() for e in (1, -1)}
+        wrap = self._raw_words["P"]
+        inverse, n, powers = _invert_word(wrap), len(wrap), {}
+        for i in range(n - CHUNK + 1):
+            chunk = tuple(wrap[i:i + CHUNK])
+            a, b, c, d = self._table[chunk] = evaluate_word(chunk, matrices, powers, self._table).entries()
+            self._table[tuple(inverse[n - CHUNK - i:n - i])] = (d, -b, -c, a)
         # a final label's class is its own coordinate, and any other symbol's
         # the exponent sums of its word, which free reduction leaves unchanged,
         # summed per label the word holds and sorted by coordinate

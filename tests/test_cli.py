@@ -124,6 +124,12 @@ def test_multiplier_kernel_index_out_of_range_is_invalid_input(capsys):
     assert "kernel index out of range" in capsys.readouterr().err
 
 
+def test_multiplier_negative_qmax_is_one_line(capsys):
+    assert main(["multiplier", "--p", "29", "--qmax", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: q_max must be >= 0, got -3\n"
+
+
 def test_series_certify_pipeline(tmp_path):
     coeffs = tmp_path / "dd5.jsonl"
     proc = run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "900",

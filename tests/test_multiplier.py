@@ -153,6 +153,14 @@ def test_pretend_constraints_qmax1_rows(gens29):
     assert tags[0] == "kappa_I" and tags[1] == "kappa_T"
 
 
+def test_pretend_constraints_reject_a_negative_qmax(gens29):
+    chi = DirichletChar(29, 0)
+    assert [row.tag for row in pretend_constraints(29, gens29, chi, 0).rows] == ["kappa_I", "kappa_T"]
+    for q_max in (-1, -3):
+        with pytest.raises(ValueError, match=f"q_max must be >= 0, got {q_max}"):
+            pretend_constraints(29, gens29, chi, q_max)
+
+
 def test_q1_row_in_kappa_span(gens29):
     chi = DirichletChar(29, 0)
     cs = pretend_constraints(29, gens29, chi, 1)

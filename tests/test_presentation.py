@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from weilgap import presentation
 from weilgap.matrices import (
-    IDENTITY, Mat2, S, T, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word,
+    CHUNK, IDENTITY, Mat2, S, T, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word, sign_against,
 )
 from weilgap.presentation import (
     COSET_INF,
@@ -512,6 +512,43 @@ def test_word_remultiplies_at_random_levels(element):
     p, gamma = element
     word = decompose_gamma0(gens_of(p), gamma)
     assert word.evaluate(gens_of(p)) == (gamma if word.sign == 1 else -gamma)
+
+
+def test_a_changed_token_in_a_wrap_run_fails_the_certificate():
+    gens = gens_of(1009)
+    wrap = gens._raw_words["P"]
+    runs = (wrap[CHUNK:5 * CHUNK], presentation._invert_word(wrap)[CHUNK:5 * CHUNK])
+    rng = random.Random(1009)
+    for _ in range(20):
+        gamma = random_gamma0_element(1009, rng)
+        tokens = decompose_gamma0(gens, gamma).tokens
+        starts = [i for i in range(len(tokens)) if any(tokens[i:i + 4 * CHUNK] == run for run in runs)]
+        if starts:
+            break
+    # the first aligned chunk inside the run is one the table holds
+    j = -(-starts[0] // CHUNK) * CHUNK
+    assert tuple(tokens[j:j + CHUNK]) in gens._table
+    for k in (j, j + 3, j + CHUNK - 1):
+        label, exp = tokens[k]
+        other = next(lbl for lbl in gens.labels if lbl != label)
+        # V^-1 = -V for an elliptic V of order 2: the exponent is doubled, not negated
+        for token in ((label, 2 * exp), (other, exp)):
+            corrupted = GammaWord(tokens[:k] + [token] + tokens[k + 1:])
+            with pytest.raises(AssertionError, match="does not evaluate"):
+                sign_against(corrupted.evaluate(gens), gamma, "Gamma0(p) decomposition")
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_decompositions_leave_the_shared_table_as_built(p):
+    gens = build_presentation(p)
+    built = dict(gens._table)
+    chunks = [key for key in built if len(key) == CHUNK]
+    assert len(chunks) <= 2 * len(gens._raw_words["P"])
+    assert len(built) - len(chunks) == 2 * len(gens.labels)
+    rng = random.Random(p)
+    for _ in range(500):
+        decompose_gamma0(gens, random_gamma0_element(p, rng))
+    assert len(gens._table) == len(built) and gens._table == built
 
 
 @settings(max_examples=30, deadline=None)
