@@ -317,15 +317,15 @@ def check_modular_relation(
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("z must be in the upper half-plane")
-    return _modular_points(f, g, fe, [z], tolerance, gate_truncation=False)[0]
+    return _modular_points(fe, [z], _relation(f, g, fe, np.array([z])), tolerance, gate_truncation=False)[0]
 
 
 def _modular_points(
-    f: CoeffSeries, g: CoeffSeries, fe: FEStatement, zs: list[complex], tolerance: float, gate_truncation: bool
+    fe: FEStatement, zs: list[complex], relation: tuple, tolerance: float, gate_truncation: bool
 ) -> list[ModularRelationResult]:
-    """The relation at each z of zs from one :func:`_relation` call (its kernels
-    work point by point), gated with the truncation as error or with 0."""
-    lhs, rhs, trunc = _relation(f, g, fe, np.array(zs))
+    """The relation at each z of zs from its (lhs, rhs, truncation) arrays
+    out of :func:`_relation`, gated with the truncation as error or with 0."""
+    lhs, rhs, trunc = relation
     points = []
     for z, l, r, t in zip(zs, lhs.tolist(), rhs.tolist(), trunc.tolist()):
         scale, absolute = max(abs(l), abs(r), 1e-300), abs(l - r)
@@ -453,6 +453,24 @@ class FEReport:
         }
 
 
+def _require_gamma_factors(k: int, s: complex) -> None:
+    """A pole or overflow of Gamma(s) or Gamma(k - s) at the sample s is
+    invalid input; the message names s, and k - s where that is the factor."""
+    for name, x in (("s", s), ("k - s", k - s)):
+        at = f"s = {_show(s)}" + ("" if name == "s" else f" ({name} = {_show(x)})")
+        try:
+            cgamma(x)
+        except ValueError:
+            raise ValueError(f"Gamma({name}) has a pole at {at}") from None
+        except OverflowError:
+            raise OverflowError(f"Gamma({name}) overflows double precision at {at}") from None
+
+
+def _show(z: complex) -> str:
+    """12 for 12+0j, 40.5 for 40.5+0j, 12+1j for 12+1j."""
+    return str(z).strip("()") if z.imag else str(int(z.real) if z.real.is_integer() else z.real)
+
+
 def default_s_grid(k: int, sigma: float) -> list[complex]:
     """{k/2, k/2 + i, k/2 + 3/2, sigma + 2} per the tolerance conventions."""
     return [k / 2 + 0j, k / 2 + 1j, k / 2 + 1.5 + 0j, sigma + 2 + 0j]
@@ -475,7 +493,8 @@ def check_fe_additive(
     log y; a sample passes by :func:`_passes` with the window plus
     quadrature error as its estimate.  A sample where Gamma(s) or Gamma(k - s)
     has a pole or overflows is invalid input.  The pointwise modular
-    relation is checked at three heights around the balance point.  With
+    relation is checked at three heights around the balance point, in the
+    one :func:`_relation` call that also gives both rules' nodes.  With
     with_lambda, the one-sided pair lambda_additive(f, a/q, s),
     lambda_additive(g, -B/q, k - s) also gates a sample where both error
     estimates are finite, which needs Re s > sigma_f + 1 and
@@ -485,17 +504,20 @@ def check_fe_additive(
     if s_samples is None:
         s_samples = default_s_grid(k, f.sigma)
     s_samples = [complex(s) for s in s_samples]
-    for s in s_samples:  # a pole or overflow of either Gamma factor raises here
-        cgamma(s)
-        cgamma(k - s)
+    for s in s_samples:
+        _require_gamma_factors(k, s)
     y_lo, y_hi = _auto_window(f, g, fe, cut=min(1e-8, tolerance * 1e-2))
     nodes = min(384, max(96, int(40 * math.log(y_hi / y_lo))))
     ts, ws = _gl_log_nodes(y_lo, y_hi, nodes)
     ts_half, ws_half = _gl_log_nodes(y_lo, y_hi, nodes // 2)
+    y_bal = fe.balance_height
+    zs = [complex(re_frac * y_bal, scale_y * y_bal) for scale_y, re_frac in ((0.8, 0.0), (1.0, 0.21), (1.3, -0.13))]
 
-    # one relation call for both rules; only the full rule's trust is used
-    lhs, rhs, trust = _relation(f, g, fe, 1j * np.exp(np.r_[ts, ts_half]))
-    delta, delta_half = np.split(lhs - rhs, [nodes])
+    # one relation call for both rules and the modular points; of the rules, only the full one's trust is used
+    lhs, rhs, trust = _relation(f, g, fe, np.r_[1j * np.exp(np.r_[ts, ts_half]), zs])
+    end = nodes + nodes // 2
+    points = _modular_points(fe, zs, [x[end:] for x in (lhs, rhs, trust)], tolerance, gate_truncation=True)
+    delta, delta_half = np.split(lhs[:end] - rhs[:end], [nodes])
     mag = 0.5 * (np.abs(lhs[:nodes]) + np.abs(rhs[:nodes]))
     trust = trust[:nodes]
 
@@ -514,10 +536,6 @@ def check_fe_additive(
             residual = abs(lv_l.value - fe.factor(s) * lv_r.value)
             passed = passed and _passes(residual, lv_l.error + lv_r.error, 1.0, tolerance)
         samples.append(DefectSample(s, d_full, rel, scale, win_err, quad_err, passed))
-
-    y_bal = fe.balance_height
-    zs = [complex(re_frac * y_bal, scale_y * y_bal) for scale_y, re_frac in ((0.8, 0.0), (1.0, 0.21), (1.3, -0.13))]
-    points = _modular_points(f, g, fe, zs, tolerance, gate_truncation=True)
 
     verdict = all(s.passed for s in samples) and all(p_.passed for p_ in points)
     return FEReport(fe, (y_lo, y_hi), samples, points, tolerance, verdict)

@@ -24,6 +24,8 @@ import json
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -43,8 +45,14 @@ _BLOCK = 32  # block length of series_evaluator's rectangular splitting
 
 
 def cgamma(s: complex) -> complex:
-    """Euler Gamma on the complex plane (poles at nonpositive integers)."""
-    s = complex(s)
+    """Euler Gamma on the complex plane (poles at nonpositive integers),
+    memoized on complex(s) for the last 1024 values; a pole (ValueError) or
+    an overflow (OverflowError) raises each time and is not kept."""
+    return _cgamma(complex(s))
+
+
+@lru_cache(maxsize=1024)
+def _cgamma(s: complex) -> complex:
     if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
         raise ValueError(f"Gamma pole at s = {s}")
     with mp.workdps(30):
@@ -129,6 +137,10 @@ class CoeffSeries:
     ``per_coeff_error`` holds a per-coefficient error bound when the source
     states one, and ``c_max`` the Kloosterman modulus at which an
     Eisenstein sum was truncated.
+
+    A series is not changed after construction: ``growth_c`` and the
+    coefficient array behind ``as_array`` and ``eval_many`` are built from
+    the coefficients once, and ``copy_with`` makes a new series.
     """
 
     coeffs: list[complex]
@@ -144,10 +156,10 @@ class CoeffSeries:
 
     def __post_init__(self):
         self.coeffs = [complex(c) for c in self.coeffs]
-        self.growth_c = max(
-            (abs(c) / m**self.sigma for m, c in enumerate(self.coeffs, start=1)),
-            default=0.0,
-        )
+        powers = map(pow, range(1, self.M + 1), repeat(self.sigma))
+        ratios = list(map(operator.truediv, map(abs, self.coeffs), powers))
+        # max() passes over a NaN that is not first; a coefficient that is not finite bounds nothing
+        self.growth_c = math.inf if any(map(math.isnan, ratios)) else max(ratios, default=0.0)
 
     @property
     def M(self) -> int:
@@ -161,7 +173,18 @@ class CoeffSeries:
         raise IndexError(f"coefficient a_{m} beyond stored prefix M = {self.M}")
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
+        """a_1..a_M as a read-only complex array, built once per series."""
+        return self._blocks.reshape(-1)[: self.M]
+
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """a_1..a_M and zeros after them as a read-only (blocks x B) matrix,
+        B = isqrt(M) (at least 1), row j holding a_{jB+1}..a_{jB+B}."""
+        B = max(1, math.isqrt(self.M))
+        blocks = np.zeros((-(-self.M // B), B), dtype=complex)
+        blocks.reshape(-1)[: self.M] = self.coeffs
+        blocks.flags.writeable = False
+        return blocks
 
     def tail_bound(self, y):
         """Bound C sum_{m > M} m^sigma e^{-2 pi m y} on the dropped tail,
@@ -172,11 +195,12 @@ class CoeffSeries:
         from r) and max h + Gamma(sigma + 1, t m0)/t^(sigma + 1) (h is
         unimodal), times 1 + 1e-12.  The sum is at least h(m0)/(1 - e^{-t}),
         so where that puts the first within 5% the second is not computed.
+        A growth constant of 0 bounds the tail by 0, and of inf by inf.
         """
         scalar = np.ndim(y) == 0
         ys = np.atleast_1d(np.asarray(y, dtype=float))
-        if self.growth_c == 0:
-            return 0.0 if scalar else np.zeros(ys.shape)
+        if self.growth_c in (0, math.inf):
+            return self.growth_c if scalar else np.full(ys.shape, self.growth_c)
         t, m0, sigma = 2 * np.pi * ys, self.M + 1, self.sigma
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a bound
             r = (1 + 1 / m0) ** sigma * np.exp(-t)
@@ -199,16 +223,15 @@ class CoeffSeries:
         """a0 + sum_{m <= M} a_m q^m, q = e(z), at each z of a 1-d array, as
         sum_j (q^B)^j sum_{i <= B} a_{jB+i} q^i with B = isqrt(M): n (B + M/B)
         complex powers, integer powers below 100 (by repeated squaring) for
-        M < 10^4.  einsum's own loop, not BLAS, does the contraction, so a
-        value does not depend on the other points in the call.
+        M < 10^4.  einsum's own loop, not BLAS, contracts the powers with the
+        series' (blocks x B) coefficient matrix, built once, so a value does
+        not depend on the other points in the call.
         """
         qs = np.exp(2j * np.pi * np.asarray(zs, dtype=complex))
-        B = max(1, math.isqrt(self.M))
-        blocks = -(-self.M // B)
-        coeffs = np.pad(self.as_array(), (0, blocks * B - self.M))
-        baby = qs[:, None] ** np.arange(1, B + 1)
-        giant = baby[:, -1:] ** np.arange(blocks)
-        inner = np.einsum("nb,jb->nj", baby, coeffs.reshape(blocks, B))
+        blocks = self._blocks
+        baby = qs[:, None] ** np.arange(1, blocks.shape[1] + 1)
+        giant = baby[:, -1:] ** np.arange(len(blocks))
+        inner = np.einsum("nb,jb->nj", baby, blocks)
         return self.a0 + np.sum(inner * giant, axis=1)
 
     def copy_with(self, **kwargs) -> "CoeffSeries":
@@ -439,9 +462,9 @@ def delta_delta_p(p: int, M: int) -> tuple[CoeffSeries, CoeffSeries]:
     off multiples of p, so with m = r + p v and i = r + p u this is one
     product of two series of length about M/p per residue r mod p.
     """
-    tau = delta_coeffs(M).exact
-    assert tau is not None
-    tau = [0, *tau]  # tau(0) = 0
+    if M < 1:
+        raise ValueError("need M >= 1")
+    tau = [0, *eta_product_coeffs(M)]  # tau(0) = 0, tau(m) = coefficient of q^{m-1} in eta^24
     c = [0] * (M + 1)
     for r in range(p):
         c[r::p] = _kronecker_mul(tau[r::p], tau[: M // p + 1], len(tau[r::p]))
@@ -464,13 +487,16 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
     Two exact factors give an exact product.  Otherwise the product is one
     complex convolution a * b of a = [a_0..a_M] and b = [b_0..b_M]; its
     coefficient m carries the bound (1 + 2 gamma) times
-    (|a| * (e_b + gamma |b|) + e_a * (|b| + e_b))_m, with e the factors'
-    bounds (:func:`_coeff_errors`) and gamma = (M + 3) u / (1 - (M + 3) u),
-    u = 2^-53.  The e terms cover any true factors within their bounds,
-    gamma |a| * |b| the rounding of a complex inner product of length M + 1
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    §3.6), 1 + 2 gamma the rounding of the bound itself, and (M + 1) 2^-1072
-    the underflow, at most 2^-1075 a product, of both convolutions.
+    (|a| * e_b + gamma (|a| * |b|) + e_a * (|b| + e_b))_m, with e the
+    factors' bounds (:func:`_coeff_errors`) and
+    gamma = (M + 3) u / (1 - (M + 3) u), u = 2^-53.  The e terms cover any
+    true factors within their bounds, gamma (|a| * |b|) the rounding of a
+    complex inner product of length M + 1 (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., §3.6), 1 + 2 gamma the rounding of
+    the bound itself, and (M + 1) 2^-1072 the underflow, at most 2^-1075 a
+    product, of the convolutions.  gamma multiplies |a| * |b| after the
+    convolution: gamma |b_j| would flush to 0 for a subnormal b_j whose
+    product with a large a_i is a normal number.
     """
     M = min(f.M, g.M)
     exact: Optional[list[int]] = None
@@ -484,7 +510,7 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
         out = np.convolve(a, b)[1 : M + 1].tolist()
         ea, eb = _coeff_errors(f, M), _coeff_errors(g, M)
         gamma = (M + 3) * 2.0**-53 / (1 - (M + 3) * 2.0**-53)
-        bound = np.convolve(abs(a), eb + gamma * abs(b)) + np.convolve(ea, abs(b) + eb)
+        bound = np.convolve(abs(a), eb) + gamma * np.convolve(abs(a), abs(b)) + np.convolve(ea, abs(b) + eb)
         per_coeff = ((1 + 2 * gamma) * bound[1 : M + 1] + (M + 1) * 2.0**-1072).tolist()
     return CoeffSeries(
         out,

@@ -14,7 +14,7 @@ import weilgap.analytic as analytic
 from weilgap.matrices import Mat2, S, T
 from weilgap.characters import ResidueChar, all_characters, primitive_characters
 from weilgap.presentation import compute_Q
-from weilgap.series import delta_coeffs, delta_delta_p, eisenstein_level1, series_evaluator
+from weilgap.series import _cgamma, delta_coeffs, delta_delta_p, eisenstein_level1, series_evaluator
 from weilgap.analytic import (
     _auto_window,
     _leggauss,
@@ -104,6 +104,49 @@ def auto_window_loop(f, g, fe, cut):
     return y_lo, y_hi
 
 
+def eval_many_padded_per_call(series, zs):
+    """Oracle: CoeffSeries.eval_many as it was before the coefficient
+    matrix was kept, padding a fresh array of the coefficients per call."""
+    qs = np.exp(2j * np.pi * np.asarray(zs, dtype=complex))
+    B = max(1, math.isqrt(series.M))
+    blocks = -(-series.M // B)
+    coeffs = np.pad(np.asarray(series.coeffs, dtype=complex), (0, blocks * B - series.M))
+    baby = qs[:, None] ** np.arange(1, B + 1)
+    giant = baby[:, -1:] ** np.arange(blocks)
+    inner = np.einsum("nb,jb->nj", baby, coeffs.reshape(blocks, B))
+    return series.a0 + np.sum(inner * giant, axis=1)
+
+
+def fe_report_from_separate_calls(f, g, fe, s_samples, tolerance):
+    """Oracle: check_fe_additive (with_lambda off) from separate relation
+    calls for the window, the full rule, the half rule and each modular
+    point."""
+    y_lo, y_hi = _auto_window(f, g, fe, cut=min(1e-8, tolerance * 1e-2))
+    nodes = min(384, max(96, int(40 * math.log(y_hi / y_lo))))
+    ts, ws = analytic._gl_log_nodes(y_lo, y_hi, nodes)
+    ts_half, ws_half = analytic._gl_log_nodes(y_lo, y_hi, nodes // 2)
+    lhs, rhs, trust = _relation(f, g, fe, 1j * np.exp(ts))
+    lhs_half, rhs_half, _ = _relation(f, g, fe, 1j * np.exp(ts_half))
+    mag = 0.5 * (np.abs(lhs) + np.abs(rhs))
+    samples = []
+    for s in map(complex, s_samples):
+        d_full = complex(np.sum(ws * (lhs - rhs) * np.exp(ts * s)))
+        d_half = complex(np.sum(ws_half * (lhs_half - rhs_half) * np.exp(ts_half * s)))
+        win_err = float(np.sum(ws * trust * np.exp(ts * s.real)))
+        scale = float(np.sum(ws * mag * np.exp(ts * s.real))) + 1e-300
+        quad_err = abs(d_full - d_half)
+        passed = analytic._passes(abs(d_full), win_err + quad_err, scale, tolerance)
+        samples.append(analytic.DefectSample(s, d_full, abs(d_full) / scale, scale, win_err, quad_err, passed))
+    y_bal = fe.balance_height
+    points = []
+    for scale_y, re_frac in ((0.8, 0.0), (1.0, 0.21), (1.3, -0.13)):
+        pt = check_modular_relation(f, g, fe.p, fe.k, fe, complex(re_frac * y_bal, scale_y * y_bal), tolerance)
+        pt.passed = analytic._passes(pt.absolute, pt.truncation, max(abs(pt.lhs), abs(pt.rhs), 1e-300), tolerance)
+        points.append(pt)
+    verdict = all(s.passed for s in samples) and all(pt.passed for pt in points)
+    return analytic.FEReport(fe, (y_lo, y_hi), samples, points, tolerance, verdict)
+
+
 def relation_on_axis(f, g, fe, ys):
     """Oracle: the imaginary-axis formulas that _relation replaced (the f
     side, ghat and the trust of ghat), at z = iy."""
@@ -174,6 +217,21 @@ def test_gamma_pole_rejected():
         cgamma(0)
     with pytest.raises(ValueError):
         cgamma(-3)
+
+
+def test_gamma_memo_keeps_values_not_errors():
+    s = 7.25 + 0.5j
+    with mp.workdps(30):
+        want = complex(mp.gamma(mp.mpc(s)))
+    assert cgamma(s) == want
+    hits = _cgamma.cache_info().hits
+    assert cgamma(s) == want and _cgamma.cache_info().hits == hits + 1
+    size = _cgamma.cache_info().currsize
+    for bad, error in ((0, ValueError), (-3 + 0j, ValueError), (200, OverflowError), (180.5 + 1j, OverflowError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                cgamma(bad)
+    assert _cgamma.cache_info().currsize == size
 
 
 def test_gamma_recurrence_on_strip():
@@ -444,6 +502,31 @@ def test_fe_modular_points_are_the_one_point_relation(p, qs):
             one = check_modular_relation(f, g, p, 24, fe, pt.z, tolerance=1e-6)
             one.passed = analytic._passes(one.absolute, one.truncation, max(abs(one.lhs), abs(one.rhs), 1e-300), 1e-6)
             assert repr(dataclasses.astuple(pt)) == repr(dataclasses.astuple(one))
+
+
+@pytest.mark.parametrize("p, q, phase", [(5, 2, 1.0), (11, 1, 1.0), (11, 6, cmath.exp(0.7j))])
+def test_check_fe_additive_is_the_separate_calls_bit_for_bit(monkeypatch, p, q, phase):
+    # one relation call for both rules and the modular points, on the
+    # coefficient matrix built once, gives the report of the separate calls
+    # on a freshly padded one, bit for bit
+    f, g = delta_delta_p(p, 900)
+    fe = fe_for_q(p, 24, q, phase)
+    s_samples = [*analytic.default_s_grid(24, f.sigma), 9.5 - 2j]
+    report = check_fe_additive(f, g, p, 24, fe, s_samples, tolerance=1e-6)
+    monkeypatch.setattr(analytic.CoeffSeries, "eval_many", eval_many_padded_per_call)
+    assert repr(report) == repr(fe_report_from_separate_calls(f, g, fe, s_samples, 1e-6))
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_certify_modularity_is_the_padded_evaluation_bit_for_bit(monkeypatch, p):
+    # the certificates of a series and of a corrupted copy_with of it, made
+    # after the series built its matrix, are those of a fresh pad per call
+    f, g = delta_delta_p(p, 900)
+    bad = f.copy_with(coeffs=[c + (m == p + 2) for m, c in enumerate(f.coeffs, start=1)], exact=None)
+    certificates = [certify_modularity(x, g, p, 24, None, tolerance=1e-6) for x in (f, bad)]
+    monkeypatch.setattr(analytic.CoeffSeries, "eval_many", eval_many_padded_per_call)
+    assert repr(certificates) == repr([certify_modularity(x, g, p, 24, None, tolerance=1e-6) for x in (f, bad)])
+    assert certificates[0].verdict and not certificates[1].verdict
 
 
 def test_level_and_weight_must_match_the_statement(dd5):

@@ -185,11 +185,13 @@ def test_check_fe_rejects_q_divisible_by_p(tmp_path, twist):
 @pytest.mark.parametrize(
     "s, message",
     [
-        ("-3,0", "error: Gamma pole at s = (-3+0j)\n"),
-        ("30,0", "error: Gamma pole at s = (-6+0j)\n"),  # k - s = -6
-        ("400,0", "error: Gamma((400+0j)) overflows double precision\n"),
+        ("-3,0", "error: Gamma(s) has a pole at s = -3\n"),
+        ("30,0", "error: Gamma(k - s) has a pole at s = 30 (k - s = -6)\n"),
+        ("24,0", "error: Gamma(k - s) has a pole at s = 24 (k - s = 0)\n"),
+        ("400,0", "error: Gamma(s) overflows double precision at s = 400\n"),
+        ("-160.5,1", "error: Gamma(k - s) overflows double precision at s = -160.5+1j (k - s = 184.5-1j)\n"),
     ],
-    ids=["pole-at-s", "pole-at-k-minus-s", "overflow"],
+    ids=["pole-at-s", "pole-at-k-minus-s", "pole-at-k-minus-s-zero", "overflow", "overflow-at-k-minus-s"],
 )
 def test_check_fe_gamma_pole_or_overflow_is_invalid_input(tmp_path, s, message):
     coeffs = tmp_path / "dd5.jsonl"

@@ -1176,6 +1176,17 @@ def test_multiply_bounds_cover_underflow():
     assert all(Fraction(e) >= Fraction(0.5) * Fraction(5e-324) for e in prod.per_coeff_error)
 
 
+def test_multiply_bounds_cover_a_subnormal_factor():
+    # gamma |b_0| flushes to 0 for the subnormal b_0, but a_1 b_0 is a
+    # normal number whose rounding, 7e-323, the bound must cover
+    f = CoeffSeries([41157j, 0j, 0j, 0j, 0j], 4, 1, 4.0, "f")
+    g = CoeffSeries([0j], 6, 1, 6.0, "g", a0=2.225073858507e-311j)
+    prod = multiply(f, g)
+    value, true = prod.a(1), -41157 * Fraction(2.225073858507e-311)
+    assert value.imag == 0
+    assert abs(Fraction(value.real) - true) <= Fraction(prod.per_coeff_error[0])
+
+
 def test_eta_product_matches_schoolbook_squaring():
     M = 120
     eta3 = [0] * M
@@ -1275,6 +1286,39 @@ def test_eval_many_rounds_each_point_alone(tau200):
     batch = tau200.eval_many(zs)
     assert all(tau200.eval_many(zs[i : i + 1])[0] == batch[i] for i in range(len(zs)))
     assert tau200.copy_with(coeffs=[]).eval_many(zs).tolist() == [0j] * len(zs)
+
+
+def test_coefficient_array_is_built_once_and_read_only(tau200):
+    array = tau200.as_array()
+    assert array.tolist() == tau200.coeffs
+    assert np.shares_memory(array, tau200.as_array())
+    with pytest.raises(ValueError):
+        array[0] = 5
+    assert tau200.as_array()[0] == 1
+
+
+def test_copy_with_evaluates_its_own_coefficients(tau200):
+    # the copy builds its own array, even after the original has built one
+    zs = 0.1 + 1j * np.geomspace(1e-2, 1, 5)
+    before = tau200.eval_many(zs).tolist()
+    for coeffs in ([2 * c for c in tau200.coeffs], tau200.coeffs[:50]):
+        copy = tau200.copy_with(coeffs=coeffs, exact=None)
+        assert copy.as_array().tolist() == coeffs
+        assert copy.eval_many(zs).tolist() == CoeffSeries(coeffs, 12, 1, 6.0, "fresh").eval_many(zs).tolist()
+    assert tau200.eval_many(zs).tolist() == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 1.0), math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_growth_constant_is_inf_with_a_coefficient_that_is_not_finite(bad, at):
+    # max() over the ratios used to pass over a NaN that was not first, and
+    # the tail bound came out finite
+    coeffs = [1, 2, 3]
+    coeffs[at] = bad
+    series = CoeffSeries(coeffs, 12, 1, 6.0, "x")
+    assert series.growth_c == math.inf
+    assert series.tail_bound(0.1) == math.inf
+    assert series.tail_bound(np.array([0.1, 1e3])).tolist() == [math.inf, math.inf]
 
 
 @pytest.mark.parametrize("sigma", [0.5, 3.0, 6.0, 12.0, 21.0])
