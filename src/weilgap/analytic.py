@@ -185,6 +185,9 @@ def lambda_additive(f: CoeffSeries, twist: AdditiveTwist, s: complex) -> LambdaV
     terms = _dirichlet_terms(f, twist, s)[::-1]
     value = gamma_s * complex(np.cumsum(terms)[-1])
     if not cmath.isfinite(value):
+        bad = next((m for m, a in enumerate(f.coeffs, start=1) if not cmath.isfinite(a)), None)
+        if bad is not None:
+            raise ValueError(f"Lambda at s = {s} is {value}: coefficient a_{bad} = {f.coeffs[bad - 1]} is not finite")
         raise OverflowError(f"Lambda at s = {s} overflows double precision")
     ms = np.arange(f.M, 0, -1)
     n_u = (ms + 40 + 4 * abs(s) * (1 + np.log(2 * np.pi * ms))) * 2.0**-53

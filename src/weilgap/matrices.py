@@ -113,7 +113,8 @@ def slash_evaluator(f: Callable, k: int, gamma: Union[Mat2, FrickeMat]) -> Calla
         if not z.imag > 0:
             raise ValueError(f"point {z} is not in the upper half-plane")
         if isinstance(gamma, FrickeMat):
-            return (gamma.p * z * z) ** (-k // 2) * f(-1 / (gamma.p * z))
+            pz = gamma.p * z
+            return (pz * z) ** (-k // 2) * f(-1 / pz)
         a, b, c, d = gamma.entries()
         return (c * z + d) ** -k * f((a * z + b) / (c * z + d))
 

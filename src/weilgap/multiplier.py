@@ -24,11 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .characters import DirichletChar
+from .characters import DirichletChar, _factorize
 from .linalg import nullspace
 from .matrices import Mat2, S, T, lift_bottom_row
 from .presentation import ExpVector, GenSet, constraint_matrix
@@ -36,9 +37,12 @@ from .presentation import ExpVector, GenSet, constraint_matrix
 SQRT2 = math.sqrt(2)
 
 
-# the array walk of MultiplierSystem.row_angles keeps its numerators, and the
+# the array walk of MultiplierSystem.rows_angles keeps its numerators, and the
 # denominator, below this, so int64 cannot wrap and each float of them is exact
 ROW_WALK_LIMIT = 2**53
+# the most walked lanes in one batch of that walk (its quotient array is about
+# 8 bytes per lane and Euclid step)
+_WALK_LANES = 1 << 15
 
 
 def circle_value(r, s):
@@ -156,40 +160,73 @@ class MultiplierSystem:
     def row_angles(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """bottom_row_angle(c, d) for every d in (0, c) prime to c, for a
         positive multiple c of p: the d, and the angle numerators r (mod the
-        denominator) and s over ``_den``, in three arrays.
+        denominator) and s over ``_den``, in three arrays: the one row of
+        :meth:`rows_angles` ``([c])``."""
+        return next(self.rows_angles([c]))
 
-        The walk of :meth:`GenSet._walk` runs on every d at once: the
-        nearest-integer Euclid quotients of all rows (:func:`_euclid_rows`),
-        then the steps in reverse on lanes, each adding the numerators of
-        the symbols its T step emits and wraps times those of P, with the
-        wraps and next coset from one ``np.divmod`` on int64.  A lane gains
-        at most the largest table entry per step plus that times |t|/p + 1
-        per quotient t.  The numerator lanes are int64 while that bound,
-        taken over every lane, and the denominator stay below
-        ROW_WALK_LIMIT, and Python integers in object arrays otherwise.
-        When upsilon is :attr:`reflection_symmetric`, the walk takes only
-        the d < c/2 and mirrors the rest exactly: r(c - d) = -r(d) mod the
-        denominator and s(c - d) = -s(d).  The lane bound is still taken over
-        every d of the row.
+    def rows_angles(self, moduli) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """:meth:`row_angles` of each c of moduli in turn, from one lane walk
+        per batch of moduli.  Every modulus is checked before any is walked.
+
+        The walk of :meth:`GenSet._walk` runs on every lane of a batch at
+        once: the nearest-integer Euclid quotients of all of its bottom rows
+        (c, d) (:func:`_euclid_rows`), then the steps in reverse, each adding
+        the numerators of the symbols its T step emits and wraps times those
+        of P, with the wraps and next coset from one ``np.divmod`` on int64.
+        When upsilon is :attr:`reflection_symmetric`, a row walks only its
+        d < c/2, quotients included, and mirrors the rest exactly:
+        r(c - d) = -r(d) mod the denominator and s(c - d) = -s(d).
+
+        A lane gains at most the largest table entry per step plus that
+        times |t|/p + 1 per quotient t.  The numerator lanes of a batch are
+        int64 while that bound, taken over its walked lanes (a mirrored
+        value is the negation of a walked one), and the denominator stay
+        below ROW_WALK_LIMIT, and Python integers in object arrays
+        otherwise.  Consecutive moduli share a batch while it holds at most
+        _WALK_LANES walked lanes, or one modulus with more.
         """
-        p, den = self.p, self._den
+        p = self.p
         self._require_trivial_s()
-        if c <= 0 or c % p != 0:
-            raise ValueError(f"modulus c = {c} must be a positive multiple of p = {p}")
-        ds = np.arange(1, c, dtype=np.int64)
-        ds = ds[np.gcd(ds, c) == 1]
-        quotients, lengths = _euclid_rows(c, ds)
+        moduli = list(moduli)
+        for c in moduli:
+            if c <= 0 or c % p != 0:
+                raise ValueError(f"modulus c = {c} must be a positive multiple of p = {p}")
+        return chain.from_iterable(map(self._walk_batch, self._batches(moduli)))
+
+    def _batches(self, moduli: list[int]) -> Iterator[list[tuple[int, np.ndarray, int]]]:
+        """Consecutive moduli as (c, units of c, walked count) in batches of
+        at most _WALK_LANES walked lanes, or one modulus."""
+        batch, lanes = [], 0
+        for c in moduli:
+            units = np.ones(c, dtype=bool)
+            for q, _ in _factorize(c):
+                units[::q] = False  # 0 goes too: c > 1
+            ds = np.flatnonzero(units)
+            # the units pair off as d and c - d; ds[:walked] holds one of each pair
+            walked = (len(ds) + 1) // 2 if self.reflection_symmetric else len(ds)
+            if batch and lanes + walked > _WALK_LANES:
+                yield batch
+                batch, lanes = [], 0
+            batch.append((c, ds, walked))
+            lanes += walked
+        if batch:
+            yield batch
+
+    def _walk_batch(self, batch: list[tuple[int, np.ndarray, int]]):
+        """The rows of a batch of :meth:`_batches`, from one lane walk."""
+        p, den = self.p, self._den
+        counts = [walked for _, _, walked in batch]
+        quotients, lengths = _euclid_rows(
+            np.repeat([c for c, _, _ in batch], counts), np.concatenate([ds[:walked] for _, ds, walked in batch])
+        )
         (step_r, step_s), target, (wrap_r, wrap_s) = self._walk_tables
         largest = max(map(abs, (*step_r, *step_s, wrap_r, wrap_s)))
         steps = len(quotients)
         reach = largest * (2 * steps + int(np.abs(quotients).sum(axis=0).max(initial=0)) // p + 1)
         lane = np.int64 if max(reach, den) < ROW_WALK_LIMIT else object
         step_r, step_s, target = np.array(step_r, dtype=lane), np.array(step_s, dtype=lane), np.array(target)
-        # the units of the row pair off as d and c - d; ds[:walked] holds one of each pair
-        walked = (len(ds) + 1) // 2 if self.reflection_symmetric else len(ds)
-        lengths = lengths[:walked]
-        coset = np.full(walked, p)  # p indexes the identity coset
-        r, s = np.zeros(walked, dtype=lane), np.zeros(walked, dtype=lane)
+        coset = np.full(len(lengths), p)  # p indexes the identity coset
+        r, s = np.zeros(len(lengths), dtype=lane), np.zeros(len(lengths), dtype=lane)
         for j in range(steps):
             live = np.flatnonzero(lengths > j)
             at = coset[live]
@@ -206,17 +243,28 @@ class MultiplierSystem:
             coset[live] = at
         if np.any(coset != p):
             raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
-        mirrored = len(ds) - walked  # ds[-1 - i] = c - ds[i]
-        r, s = np.concatenate([r, -r[:mirrored][::-1]]), np.concatenate([s, -s[:mirrored][::-1]])
-        return ds, r % den, s
+        cuts = np.cumsum(counts)[:-1]
+        for (c, ds, walked), r, s in zip(batch, np.split(r, cuts), np.split(s, cuts)):
+            mirrored = len(ds) - walked  # ds[-1 - i] = c - ds[i]
+            r, s = np.concatenate([r, -r[:mirrored][::-1]]), np.concatenate([s, -s[:mirrored][::-1]])
+            yield ds, r % den, s
 
     def row_values(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """The d of :meth:`row_angles` and upsilon(gamma_{c,d}) for each: each
-        part of the exponent is one int / int division, correctly rounded as
-        the float of a Fraction is, so the values equal those of
-        ``bottom_row_angle(c, d).value()`` bit for bit."""
-        ds, r, s = self.row_angles(c)
-        return ds, circle_value((r / self._den).astype(float), (s / self._den).astype(float))
+        """The d of :meth:`row_angles` and upsilon(gamma_{c,d}) for each: the
+        one row of :meth:`rows_values` ``([c])``."""
+        return next(self.rows_values([c]))
+
+    def rows_values(self, moduli) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`row_values` of each c of moduli in turn, from
+        :meth:`rows_angles`: each part of the exponent is one int / int
+        division, correctly rounded as the float of a Fraction is, so the
+        values equal those of ``bottom_row_angle(c, d).value()`` bit for
+        bit."""
+        den = self._den
+        return (
+            (ds, circle_value((r / den).astype(float), (s / den).astype(float)))
+            for ds, r, s in self.rows_angles(moduli)
+        )
 
     @cached_property
     def reflection_symmetric(self) -> bool:
@@ -239,7 +287,7 @@ class MultiplierSystem:
 
     @cached_property
     def _walk_tables(self) -> tuple[tuple[list[int], list[int]], list[int], tuple[int, int]]:
-        """The tables of :meth:`row_angles`, from ``_symbol_num`` and
+        """The tables of :meth:`rows_angles`, from ``_symbol_num`` and
         GenSet._steps: per coset (the identity coset at index p) the r and s
         of the symbol its T step emits and the coset it reaches; P's (r, s)."""
         table, p = self._symbol_num, self.p
@@ -284,14 +332,15 @@ def _num_sum(table, tokens) -> tuple[int, int]:
     return r, s
 
 
-def _euclid_rows(c: int, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """euclid_quotients(c, d) for every d of an int64 array at once, for
-    |c|, |d| < 2^62: a (steps, len(ds)) array whose column j starts with the
-    quotients of ds[j] and is zero past them, and the number of each."""
+def _euclid_rows(cs: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """euclid_quotients(c, d) for every pair of two int64 arrays at once,
+    for |c|, |d| < 2^62: a (steps, len(ds)) array whose column j starts with
+    the quotients of (cs[j], ds[j]) and is zero past them, and the number of
+    each."""
     lengths = np.zeros(len(ds), dtype=np.int64)
     rows = []
     live = np.arange(len(ds))
-    c_, d_ = np.full(len(ds), c, dtype=np.int64), ds
+    c_, d_ = np.asarray(cs, dtype=np.int64), ds
     while live.size:
         t, r = np.divmod(d_, c_)  # r has the sign of c, as in euclid_quotients
         far = 2 * np.abs(r) > np.abs(c_)

@@ -11,10 +11,10 @@ Gamma_infinity \\ Gamma0(p):
 
 where S_ups(m, c) = sum_{d mod c, (d, c) = 1} conj(upsilon(gamma_{c,d}))
 e(m d / c) is a multiplier-twisted Kloosterman-type sum; every coefficient
-carries the tail bound of the truncated c-sum.  For each c the multiplier
-values of every d come from one array walk (MultiplierSystem.row_values),
-and one inverse FFT of length c gives S_ups(m, c) for every residue of m at
-once.
+carries the tail bound of the truncated c-sum.  The multiplier values of
+every d of every modulus c come from one lane walk across the moduli
+(MultiplierSystem.rows_values), and for each c one inverse FFT of length c
+gives S_ups(m, c) for every residue of m at once.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import cmath
 import json
 import math
 import operator
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -140,7 +141,8 @@ class CoeffSeries:
 
     A series is not changed after construction: ``growth_c`` and the
     coefficient array behind ``as_array`` and ``eval_many`` are built from
-    the coefficients once, and ``copy_with`` makes a new series.
+    the coefficients once, and ``copy_with`` makes a new series, which
+    shares them while it keeps the coefficients.
     """
 
     coeffs: list[complex]
@@ -156,6 +158,9 @@ class CoeffSeries:
 
     def __post_init__(self):
         self.coeffs = [complex(c) for c in self.coeffs]
+        self._set_growth_c()
+
+    def _set_growth_c(self) -> None:
         powers = map(pow, range(1, self.M + 1), repeat(self.sigma))
         ratios = list(map(operator.truediv, map(abs, self.coeffs), powers))
         # max() passes over a NaN that is not first; a coefficient that is not finite bounds nothing
@@ -235,8 +240,21 @@ class CoeffSeries:
         return self.a0 + np.sum(inner * giant, axis=1)
 
     def copy_with(self, **kwargs) -> "CoeffSeries":
-        """A copy with the given fields replaced; ``exact`` and ``per_coeff_error`` are shared."""
-        return replace(self, **kwargs)
+        """A copy with the given fields replaced; ``exact`` and ``per_coeff_error`` are shared.
+
+        A copy that keeps the coefficients shares their list and the
+        coefficient matrix (built here if it was not yet), and ``growth_c``
+        unless sigma is replaced.  One that replaces them is built afresh.
+        """
+        # new coefficients are built afresh, and replace names an unknown field
+        if "coeffs" in kwargs or not kwargs.keys() <= self.__dataclass_fields__.keys():
+            return replace(self, **kwargs)
+        self._blocks
+        clone = copy(self)
+        vars(clone).update(kwargs)
+        if "sigma" in kwargs:
+            clone._set_growth_c()
+        return clone
 
     # -- JSON lines interface ----------------------------------------------
 
@@ -572,23 +590,30 @@ def _ramanujan_sum(m: int, c: int) -> int:
     return total
 
 
-def _kloosterman_row(upsilon: MultiplierSystem, c: int) -> np.ndarray:
-    """S_ups(k, c) for k = 0..c-1 at once, for c > 1.
+def _kloosterman_rows(upsilon: MultiplierSystem, moduli):
+    """S_ups(k, c) for k = 0..c-1 at once, for each c > 1 of moduli in turn.
 
-    v_d = conj(upsilon(gamma_{c,d})) for d coprime to c, else 0, with every
-    value from one array walk (MultiplierSystem.row_values).  numpy's
-    inverse FFT is (1/c) sum_d v_d e(k d / c), so c times it gives every
-    frequency in O(c log c).  A reflection-symmetric upsilon has
-    v_{c-d} = conj v_d, so every sum is real: the row is then the real part
-    of the same FFT, float, and its imaginary part, FFT rounding, is
-    dropped.  (An ``irfft`` of half the spectrum would move the real parts
-    themselves, criterion 10's coefficients by up to 5e-14 relative.)
+    v_d = conj(upsilon(gamma_{c,d})) for d coprime to c, else 0, with the
+    values of every row from one lane walk across the moduli
+    (MultiplierSystem.rows_values).  numpy's inverse FFT is
+    (1/c) sum_d v_d e(k d / c), so c times it gives every frequency in
+    O(c log c).  A reflection-symmetric upsilon has v_{c-d} = conj v_d, so
+    every sum is real: the row is then the real part of the same FFT,
+    float, and its imaginary part, FFT rounding, is dropped.  (An ``irfft``
+    of half the spectrum would move the real parts themselves, criterion
+    10's coefficients by up to 5e-14 relative.)
     """
-    ds, values = upsilon.row_values(c)
-    row = np.zeros(c, dtype=complex)
-    row[ds] = values.conjugate()
-    sums = c * np.fft.ifft(row)
-    return sums.real if upsilon.reflection_symmetric else sums
+    moduli = list(moduli)
+    for c, (ds, values) in zip(moduli, upsilon.rows_values(moduli)):
+        row = np.zeros(c, dtype=complex)
+        row[ds] = values.conjugate()
+        sums = c * np.fft.ifft(row)
+        yield sums.real if upsilon.reflection_symmetric else sums
+
+
+def _kloosterman_row(upsilon: MultiplierSystem, c: int) -> np.ndarray:
+    """The row of :func:`_kloosterman_rows` at the one modulus c."""
+    return next(_kloosterman_rows(upsilon, [c]))
 
 
 def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int) -> KloostermanSum:
@@ -638,12 +663,13 @@ def eisenstein_multiplier_coeffs(
     if c_max is None:
         c_max = 200 * p
     ms = np.arange(1, M + 1)
+    per_coeff_bound = eisenstein_tail_bound(p, weight, ms, c_max)  # rejects c_max < p before any walk
     sums = np.zeros(M, dtype=complex)
-    for c in range(p, c_max + 1, p):
-        sums += _kloosterman_row(upsilon, c)[ms % c] * float(c) ** (-weight)
+    moduli = range(p, c_max + 1, p)
+    for c, row in zip(moduli, _kloosterman_rows(upsilon, moduli)):
+        sums += row[ms % c] * float(c) ** (-weight)
     front = (-2j * np.pi) ** weight / math.factorial(weight - 1)
     coeffs = front * _float_powers(ms, weight - 1) * sums
-    per_coeff_bound = eisenstein_tail_bound(p, weight, ms, c_max)
     return CoeffSeries(
         list(coeffs),
         weight=weight,
@@ -780,10 +806,11 @@ def _node_sums(values: list, M: int) -> list:
         return [v[n] + sign * v[N - n] if 0 < n < N - n else v[n] for n in range(half + 1)]
 
     ar, ai, dr, di = fold(vr, 1), fold(vi, 1), fold(vr, -1), fold(vi, -1)
+    nodes = np.arange(half + 1)
     sums = []
     for m in range(1, M + 1):
-        turn = [m * n % N for n in range(half + 1)]
-        cr, ci = [rr[i] for i in turn], [ri[i] for i in turn]
+        turn = (m * nodes % N).tolist()
+        cr, ci = list(map(rr.__getitem__, turn)), list(map(ri.__getitem__, turn))
         re = sum(map(operator.mul, ar, cr)) - sum(map(operator.mul, di, ci))
         im = sum(map(operator.mul, ai, cr)) + sum(map(operator.mul, dr, ci))
         sums.append(mp.make_mpc((from_man_exp(re, ev + er, prec, "n"), from_man_exp(im, ev + er, prec, "n"))))
@@ -816,11 +843,21 @@ def series_evaluator(series: CoeffSeries):
     integers over the least binary exponent in the block.  Per point, q is
     rounded to the scale Q = P + max(0, ceil(-log2 |q|)) and its powers
     q^0..q^B are taken at the finer scale Qb = Q + max(0, ceil(top)) +
-    ceil(-(B - 1) log2 |q|) + 2 bitlen(K') + 2.  Each block sum is three
-    exact dot products (Gauss's three-multiplication complex product), or
-    two, sum a_m Re q^m and sum a_m Im q^m, when a0 and every a_m have
-    imaginary part exactly 0; the same integers either way.  It is rounded
-    once to 2^-P, and an outer Horner in q^B joins the K'/B blocks.
+    ceil(-(B - 1) log2 |q|) + 2 bitlen(K') + 2.  Each block sum is exact,
+    with its real and imaginary parts as two lanes of one integer
+    (Kronecker packing; Harvey, arXiv:0712.4046): each power is packed once
+    per point as (Re q^i) 2^S + Im q^i, and i q^i as (-Im q^i) 2^S + Re q^i,
+    and the block sum is one dot product of the Re a_m with the first, plus,
+    unless a0 and every a_m have imaginary part exactly 0, one of the
+    Im a_m with the second.  Every block integer is below 2^width in
+    absolute value, and every part of a power below 2^(Qb + 1) (the
+    rounded q has |q| <= 1, and each of the B - 1 products adds under one
+    unit), so each part of the sum is below 2 B 2^(width + Qb + 1) <=
+    2^(S - 1) with S = Qb + width + bitlen(B) + 2, and the two parts are
+    read back exactly (``_unpacked``).  They are the integers of a Gauss
+    three-product block sum, so the value does not depend on the packing.
+    It is rounded once to 2^-P, and an outer Horner in q^B joins the K'/B
+    blocks.
     Rounding to nearest at those two places costs at most sqrt(2)/2 units
     at 2^-P each, and the rounded powers at most one unit in all, so the
     value is within sqrt(2) K'/B + 3/2 units at 2^-P of the sum over the
@@ -853,12 +890,13 @@ def series_evaluator(series: CoeffSeries):
     # a_m = (mant_re + i mant_im) 2^(exp - 53) exactly; zeros pad the last block
     mant = np.pad((frac * 2.0**53).astype(np.int64), ((0, 0), (0, pad))).tolist()
     exp = np.pad(exp - 53, ((0, 0), (0, pad))).tolist()
-    blocks = []  # per block: its exponent E and the integers re + im, re, im over 2^E
+    blocks = []  # per block: its exponent E and the integers re and im over 2^E
     for start in range(0, len(c) + pad, B):
         span = range(start, start + B)
         E = min((exp[k][m] for k in (0, 1) for m in span if mant[k][m]), default=0)
-        re, im = ([mant[k][m] << (exp[k][m] - E) if mant[k][m] else 0 for m in span] for k in (0, 1))
-        blocks.append((E, list(map(operator.add, re, im)), re, im))
+        blocks.append((E, *([mant[k][m] << (exp[k][m] - E) if mant[k][m] else 0 for m in span] for k in (0, 1))))
+    # every block integer is below 2^width in absolute value
+    width = max((abs(x).bit_length() for _, re, im in blocks for x in (*re, *im)), default=0)
 
     mirror = None  # a real series: (Re, Im, prec) of the previous call's mirror point, and its value
 
@@ -898,15 +936,16 @@ def series_evaluator(series: CoeffSeries):
             pr.append(r)
             pi.append(i)
         qbr, qbi = pr.pop(), pi.pop()
-        diff, total = list(map(operator.sub, pi, pr)), list(map(operator.add, pr, pi))
+        S = Qb + width + B.bit_length() + 2  # each part of a block sum is below 2^(S - 1)
+        packed = [(r << S) + i for r, i in zip(pr, pi)]  # q^i
+        turned = None if real else [(-i << S) + r for r, i in zip(pr, pi)]  # i q^i
         re = im = 0
-        for E, both, cr, ci in reversed(blocks[:n]):
+        for E, cr, ci in reversed(blocks[:n]):
             re, im = _times(re, im, qbr, qbi, Qb)
-            if real:  # ci is all zeros
-                sr, si = sum(map(operator.mul, cr, pr)), sum(map(operator.mul, cr, pi))
-            else:
-                k1 = sum(map(operator.mul, both, pr))
-                sr, si = k1 - sum(map(operator.mul, ci, total)), k1 + sum(map(operator.mul, cr, diff))
+            both = sum(map(operator.mul, cr, packed))
+            if not real:  # else ci is all zeros
+                both += sum(map(operator.mul, ci, turned))
+            sr, si = _unpacked(both, S)
             re, im = re + _rounded(sr, Qb - P - E), im + _rounded(si, Qb - P - E)
         return from_man_exp(re, -P), from_man_exp(im, -P)
 
@@ -918,6 +957,14 @@ def _times(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:
     nearest, by Gauss's three multiplications."""
     k1 = br * (ar + ai)
     return _rounded(k1 - ai * (br + bi), scale), _rounded(k1 + ar * (bi - br), scale)
+
+
+def _unpacked(x: int, shift: int) -> tuple[int, int]:
+    """The two integers (hi, lo) with x = hi 2^shift + lo and
+    |lo| < 2^(shift - 1): two lanes of one integer, read back exactly."""
+    half = 1 << (shift - 1)
+    lo = ((x + half) & ((1 << shift) - 1)) - half
+    return (x - lo) >> shift, lo
 
 
 def _rounded(x: int, shift: int) -> int:

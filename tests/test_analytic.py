@@ -407,6 +407,16 @@ def test_lambda_additive_rejects_empty():
         lambda_additive(empty, AdditiveTwist(0, 1), 14 + 0j)
 
 
+def test_lambda_additive_tells_a_nan_coefficient_from_an_overflow():
+    # a NaN coefficient used to be reported as an overflow
+    nan = analytic.CoeffSeries([1, math.nan, 3], 12, 1, 6.0, "x")
+    with pytest.raises(ValueError, match=r"a_2 = \(nan\+0j\) is not finite"):
+        lambda_additive(nan, AdditiveTwist(0, 1), 10)
+    huge = analytic.CoeffSeries([1e308, 1e308], 12, 1, 6.0, "x")
+    with pytest.raises(OverflowError, match="overflows double precision"):
+        lambda_additive(huge, AdditiveTwist(0, 1), -0.5)
+
+
 def test_hecke_functional_equation_residuals(delta2000):
     fe = fe_for_q(1, 12, 1)
     rep = check_fe_additive(delta2000, delta2000, 1, 12, fe, s_samples=[6 + 0j, 7 + 1j],

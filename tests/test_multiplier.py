@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilgap.characters import DirichletChar
-from weilgap.matrices import IDENTITY, Mat2, S, T
+from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients
 from weilgap.multiplier import (
     Angle,
     MultiplierSystem,
@@ -751,3 +751,116 @@ def test_half_walk_on_object_lanes(gens29):
         assert r.dtype == object and max(abs(x) for x in s) >= 2**53
         assert all(np.array_equal(a, b) for a, b in zip((ds, r, s), _full_walk(big).row_angles(c)))
         assert _row_angle_list(big, c) == _row_oracle(big, c)
+
+
+# The lane walk across moduli: rows_angles
+
+
+def _units(c):
+    return [d for d in range(1, c) if math.gcd(c, d) == 1]
+
+
+def _lane_bound(ups, c, ds):
+    """Oracle: the walk's bound on a lane, taken over the rows (c, d) of ds."""
+    (step_r, step_s), _, (wrap_r, wrap_s) = ups._walk_tables
+    largest = max(map(abs, (*step_r, *step_s, wrap_r, wrap_s)))
+    quotients = [euclid_quotients(c, d) for d in ds]
+    return largest * (2 * max(map(len, quotients)) + max(sum(map(abs, q)) for q in quotients) // ups.p + 1)
+
+
+def _lane_reach(ups, c, d):
+    """The largest |numerator| the lane of (c, d) holds, or adds, during
+    the walk, from a scalar copy of the lane walk in Python integers."""
+    (step_r, step_s), target, (wrap_r, wrap_s) = ups._walk_tables
+    p = coset = ups.p
+    r = s = top = 0
+    for t in reversed(euclid_quotients(c, d)):
+        r, s = r + step_r[coset], s + step_s[coset]
+        top = max(top, abs(r), abs(s))
+        coset = target[coset]
+        if coset != p:
+            wraps, coset = divmod(coset + t, p)
+            r, s = r + wraps * wrap_r, s + wraps * wrap_s
+            top = max(top, abs(r), abs(s), abs(wraps * wrap_r), abs(wraps * wrap_s))
+    assert coset == p
+    return top
+
+
+def _same_rows(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) for row, other in zip(got, want) for a, b in zip(row, other)
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.sampled_from(PRIMES), ts=st.lists(st.integers(1, 8), max_size=4),
+       kind=st.sampled_from(["trivial", "solved", "random"]), data=st.data())
+def test_rows_angles_match_bottom_row_angle(p, ts, kind, data):
+    # moduli in any order, repeats among them; one walk for all of them
+    gens = _gens(p)
+    ups = {"trivial": lambda: trivial_multiplier(gens), "solved": lambda: _pretend(p),
+           "random": lambda: _random_multiplier(gens, data)}[kind]()
+    moduli = [p * t for t in ts]
+    rows = list(ups.rows_angles(moduli))
+    assert len(rows) == len(moduli)
+    den = ups._den
+    for c, (ds, r, s) in zip(moduli, rows):
+        got = [(int(d), Angle(Fraction(int(x), den), Fraction(int(y), den))) for d, x, y in zip(ds, r, s)]
+        assert got == _row_oracle(ups, c)
+
+
+@pytest.mark.parametrize("cap, batches", [(1, [1, 1, 1, 1]), (27, [1, 1, 1, 1]), (28, [2, 1, 1]),
+                                          (56, [3, 1]), (84, [4]), (1 << 15, [4])])
+def test_rows_angles_batch_at_the_lane_cap(monkeypatch, cap, batches):
+    # the solved upsilon at p = 29 walks 14, 14, 28 and 28 lanes of these rows
+    ups, moduli = _pretend(29), [29, 58, 87, 116]
+    want = [ups.row_angles(c) for c in moduli]
+    monkeypatch.setattr("weilgap.multiplier._WALK_LANES", cap)
+    assert [len(batch) for batch in ups._batches(moduli)] == batches
+    assert _same_rows(list(ups.rows_angles(moduli)), want)
+
+
+def test_rows_angles_pick_lanes_per_batch(monkeypatch):
+    # a limit between the two batches' bounds: int64 lanes for the first,
+    # Python integers for the second, with the same angles
+    ups, moduli = _pretend(29), [29, 58, 29 * 40]
+    want = [ups.row_angles(c) for c in moduli]
+    walked = [_units(c)[: (len(_units(c)) + 1) // 2] for c in moduli]
+    first = max(_lane_bound(ups, c, ds) for c, ds in zip(moduli[:2], walked))
+    second = _lane_bound(ups, moduli[2], walked[2])
+    assert max(first, ups._den) < second
+    monkeypatch.setattr("weilgap.multiplier._WALK_LANES", 28)
+    monkeypatch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", second)
+    rows = list(ups.rows_angles(moduli))
+    assert [r.dtype for _, r, _ in rows] == [np.int64, np.int64, object]
+    assert _same_rows(rows, want)
+
+
+@pytest.mark.parametrize("p, q_max, index", [(29, 1, 0), (29, 1, 1), (53, 5, 0)])
+def test_walked_half_bound_covers_every_value_it_computes(monkeypatch, p, q_max, index):
+    # a symmetric upsilon takes its quotients, and its lane bound, from the
+    # walked half of each row; every value a walked lane holds is within
+    # that bound, which is never above the bound over the whole row
+    ups = _kernel_multipliers(p, q_max)[index]
+    assert ups.reflection_symmetric
+    for c in (p, 2 * p, 7 * p, 40 * p):
+        ds = _units(c)
+        walked = ds[: (len(ds) + 1) // 2]
+        half, full = _lane_bound(ups, c, walked), _lane_bound(ups, c, ds)
+        assert max(_lane_reach(ups, c, d) for d in walked) <= half <= full
+        # at a limit just past the walked bound the lanes stay int64 and
+        # agree with the walk in Python integers
+        with monkeypatch.context() as patch:
+            patch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", max(half, ups._den) + 1)
+            on_int64 = ups.row_angles(c)
+            patch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", 0)
+            on_objects = ups.row_angles(c)
+        assert on_int64[1].dtype == np.int64 and on_objects[1].dtype == object
+        assert _same_rows([on_int64], [on_objects])
+
+
+def test_rows_angles_check_every_modulus_first(gens13):
+    ups = trivial_multiplier(gens13)
+    assert list(ups.rows_angles([])) == []
+    with pytest.raises(ValueError, match="c = 14 must be a positive multiple"):
+        ups.rows_angles([13, 26, 14])  # raised on the call, before any row is walked

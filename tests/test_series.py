@@ -114,6 +114,20 @@ def test_delta_delta_p_structure():
     assert g.exact == f.exact  # Fricke eigenvalue +1
 
 
+def test_fricke_partner_shares_the_coefficients_of_f():
+    # g = f is a relabelled copy: one coefficient list, growth constant and matrix
+    f, g = delta_delta_p(5, 300)
+    assert g.label == "delta_delta_5_fricke" and f.label == "delta_delta_5"
+    assert g.coeffs is f.coeffs and g.growth_c == f.growth_c
+    assert g._blocks is f._blocks
+    # a new sigma shares the matrix and has its own growth constant
+    wider = f.copy_with(sigma=13.0)
+    assert wider._blocks is f._blocks
+    assert wider.growth_c == CoeffSeries(f.coeffs, 24, 5, 13.0, "fresh").growth_c < f.growth_c
+    with pytest.raises(TypeError):
+        f.copy_with(colour="red")
+
+
 def test_sigma_series_values():
     from weilgap.series import sigma_coeffs
 
@@ -612,12 +626,14 @@ def test_blocked_evaluator_matches_per_term_horner_and_mpmath(M, seed, log10_q, 
         assert abs(value - full) * mp.mpf(2) ** P <= blocked_units(M) + horner_units(M, y)
 
 
-def three_product_evaluator(series):
+def three_product_evaluator(series, two_when_real=False):
     """Oracle: ``series_evaluator``'s blocked sum with three dot products per
     block (Gauss's complex product) whatever the coefficients, as it was
-    before real series took two."""
+    before real series took two; with two_when_real, two for a real series,
+    as it was before the block sums were packed two lanes to an integer."""
     c = np.array([series.a0, *series.coeffs], dtype=complex)
     parts = np.stack([c.real, c.imag])
+    real = two_when_real and not parts[1].any()
     frac, exp = np.frexp(parts)
     log2_bound = np.where(parts == 0, -np.inf, exp).max(axis=0) + 0.5
     ms, guard, B = np.arange(len(c)), len(c).bit_length() + 16, 32
@@ -656,9 +672,12 @@ def three_product_evaluator(series):
         re = im = 0
         for E, both, cr, ci in reversed(blocks[:n]):
             re, im = _times(re, im, qbr, qbi, Qb)
-            k1 = sum(a * b for a, b in zip(both, pr))
-            sr = k1 - sum(a * b for a, b in zip(ci, total))
-            si = k1 + sum(a * b for a, b in zip(cr, diff))
+            if real:
+                sr, si = sum(a * b for a, b in zip(cr, pr)), sum(a * b for a, b in zip(cr, pi))
+            else:
+                k1 = sum(a * b for a, b in zip(both, pr))
+                sr = k1 - sum(a * b for a, b in zip(ci, total))
+                si = k1 + sum(a * b for a, b in zip(cr, diff))
             re, im = re + _rounded(sr, Qb - P - E), im + _rounded(si, Qb - P - E)
         return mp.make_mpc((mp.libmp.from_man_exp(re, -P), mp.libmp.from_man_exp(im, -P)))
 
@@ -690,6 +709,39 @@ def test_two_product_path_equals_the_three_product_loop(M, seed, log10_q, x, dps
     with mp.workdps(dps):
         z = mp.mpc(x, y)
         assert series_evaluator(series)(z) == three_product_evaluator(series)(z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 200),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0, 60, 1000, 2045]),
+    st.floats(-0.5, -1e-3),
+    st.floats(-6, -1),
+    st.sampled_from([15, 59]),
+)
+def test_packed_block_sums_equal_the_unpacked_dots(M, seed, real, aligned, spread, x, log10_y, dps):
+    # 53-bit mantissas, of one sign or mixed, at the top exponent but for
+    # about one in 32 at `spread` bits below it (2045: from 2^1022, where
+    # |a_m| stays a double, down past the least normal exponent), so a
+    # block's integers are up to 2098 bits wide; Re z < 0 and
+    # |q| = e^(-2 pi y) near 1, so each part of a block sum comes within a
+    # few bits of the lane bound
+    rng = np.random.default_rng(seed)
+    top = 1022 - int(rng.integers(0, 40)) if spread == 2045 else int(rng.integers(-60, 60))
+
+    def doubles():
+        mant = rng.integers(2**52, 2**53, M + 1) * (1 if aligned else rng.choice([-1, 1], M + 1))
+        exps = np.where(rng.random(M + 1) < 1 / 32, top - spread, top) - 52
+        return np.ldexp(mant.astype(float), exps)
+
+    coeffs = doubles() + (0 if real else 1j * doubles())
+    series = CoeffSeries(list(coeffs[1:]), 4, 1, 4.0, "k", a0=complex(coeffs[0]))
+    with mp.workdps(dps):
+        z = mp.mpc(x, 10.0**log10_y)
+        assert series_evaluator(series)(z) == three_product_evaluator(series, two_when_real=True)(z)
 
 
 def conjugate(value):
