@@ -7,15 +7,16 @@ where (Z/pZ)* is cyclic: it is parametrized by the single exponent t, the
 exact angle t/(p-1) at the smallest primitive root.  These are the
 characters chi that multiplier systems imitate.
 
-Character values are exact angles (Fractions mod 1); complex values are
-derived views.
+Character values are exact angles (Fractions mod 1), kept as integer
+numerators over one denominator per character; complex values are derived
+views.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -55,8 +56,8 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def e_of(angle: Fraction) -> complex:
-    """e(x) = exp(2 pi i x)."""
+def e_of(angle) -> complex:
+    """e(x) = exp(2 pi i x), for x a Fraction or a float."""
     return cmath.exp(2j * cmath.pi * float(angle))
 
 
@@ -75,25 +76,27 @@ class ResidueChar:
         if len(exponents) != len(self._orders):
             raise ValueError("wrong number of exponents for the unit group of q")
         self.exponents = tuple(e % o for e, o in zip(exponents, self._orders))
-        self._angles = self._value_table()
+        self._nums, self._den = self._value_table()
 
-    def _value_table(self) -> dict[int, Fraction]:
-        # enumerate the group as products of generator powers
-        values = {1: Fraction(0)}
+    def _value_table(self) -> tuple[dict[int, int], int]:
+        """The angle of every unit as an integer numerator over the lcm of
+        the factor orders, from one walk of the group as products of
+        generator powers."""
+        den = lcm(*self._orders)
+        nums = {1: 0}
         elements = [1]
         for g, order, exp in zip(self._gens, self._orders, self.exponents):
             new_elements = []
-            step = Fraction(exp, order)
+            step = exp * (den // order)
             for x in elements:
-                acc = x
-                ang = values[x]
+                acc, num = x, nums[x]
                 for _ in range(1, order):
-                    acc = (acc * g) % self.q
-                    ang = (ang + step) % 1
-                    values[acc] = ang
+                    acc = acc * g % self.q
+                    num = (num + step) % den
+                    nums[acc] = num
                     new_elements.append(acc)
             elements.extend(new_elements)
-        return values
+        return nums, den
 
     def angle(self, x: int) -> Fraction:
         x %= self.q
@@ -101,17 +104,17 @@ class ResidueChar:
             return Fraction(0)
         if gcd(x, self.q) != 1:
             raise ZeroDivisionError(f"psi({x}) = 0 has no angle")
-        return self._angles[x]
+        return Fraction(self._nums[x], self._den)
 
     def __call__(self, x: int) -> complex:
         if self.q == 1:
             return 1 + 0j
         if gcd(x, self.q) != 1:
             return 0j
-        return e_of(self._angles[x % self.q])
+        return e_of(self._nums[x % self.q] / self._den)
 
     def is_even(self) -> bool:
-        return self.q <= 2 or self._angles[self.q - 1] == 0
+        return self.q <= 2 or self._nums[self.q - 1] == 0
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
@@ -133,7 +136,7 @@ class ResidueChar:
         # (Z/q)* -> (Z/f)*
         for x in range(1, self.q):
             if gcd(x, self.q) == 1 and x % f == 1 % f:
-                if self._angles[x] != 0:
+                if self._nums[x] != 0:
                     return False
         return True
 
@@ -141,7 +144,7 @@ class ResidueChar:
         return self.conductor() == self.q
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ResidueChar) and self.q == other.q and self._angles == other._angles
+        return isinstance(other, ResidueChar) and self.q == other.q and self._nums == other._nums
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(q={self.q}, exponents={self.exponents})"

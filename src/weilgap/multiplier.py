@@ -116,28 +116,33 @@ class MultiplierSystem:
         self._den = math.lcm(*(x.denominator for a in self.angles.values() for x in (a.r, a.s)))
 
     @cached_property
+    def _label_num(self) -> list[tuple[int, int]]:
+        """The angle of every generator as integer numerators (r, s) over
+        ``_den``, in class coordinate order (GenSet._index)."""
+        den = self._den
+        return [(int(a.r * den), int(a.s * den)) for a in map(self.angles.get, self.gens._index)]
+
+    @cached_property
     def _symbol_num(self) -> dict[str, tuple[int, int]]:
         """The angle of every raw Schreier symbol, final labels among them,
         as integer numerators (r, s) over ``_den``: the generators'
         numerators summed over its sparse class (GenSet._classes)."""
-        den = self._den
-        nums = [(int(a.r * den), int(a.s * den)) for a in map(self.angles.get, self.gens._index)]
+        nums = self._label_num
         return {symbol: _num_sum(nums, pairs) for symbol, pairs in self.gens._classes.items()}
 
-    def _angle(self, tokens) -> Angle:
-        """The angle of (symbol, n) pairs: n times each ``_symbol_num``, summed."""
-        (r, s), den = _num_sum(self._symbol_num, tokens), self._den
+    def _angle(self, table, tokens) -> Angle:
+        """The angle of (key, n) pairs: n times each table[key], summed."""
+        (r, s), den = _num_sum(table, tokens), self._den
         return Angle(Fraction(r % den, den), Fraction(s, den))
 
     def angle_of_vector(self, vec: ExpVector) -> Angle:
-        """The angle of a class: each generator's angle times its coordinate
-        (GenSet._index lists the labels in coordinate order)."""
-        return self._angle(zip(self.gens._index, (*vec.free, *vec.tor2, *vec.tor3)))
+        """The angle of a class: each generator's angle times its coordinate."""
+        return self._angle(self._label_num, enumerate((*vec.free, *vec.tor2, *vec.tor3)))
 
     def evaluate(self, gamma: Mat2) -> Angle:
         """Exact angle of upsilon(gamma) for gamma in Gamma0(p): the angles of
         the raw symbols of its walk (:meth:`GenSet._walk`), summed."""
-        return self._angle(self.gens._walk(gamma))
+        return self._angle(self._symbol_num, self.gens._walk(gamma))
 
     def value(self, gamma: Mat2) -> complex:
         return self.evaluate(gamma).value()
@@ -497,12 +502,13 @@ def solve_pretend(
     """Solve the pretend system exactly and build upsilon = upsilon' * upsilon_chi.
 
     upsilon_chi is a particular solution (asserted, not assumed); the
-    homogeneous kernel is computed on the free coordinates by exact
-    fraction-free elimination, torsion coordinates stay pinned to the
-    upsilon_chi values, and upsilon' places the chosen reduced-echelon
-    kernel vector in the sqrt(2) slot, so upsilon has infinite order
-    whenever the kernel is nonzero.  On a trivial kernel upsilon is
-    upsilon_chi, of finite order, and kernel_index is not used.
+    homogeneous kernel is computed on the free coordinates by exact sparse
+    integer elimination (:func:`~weilgap.linalg.nullspace`), torsion
+    coordinates stay pinned to the upsilon_chi values, and upsilon' places
+    the chosen reduced-echelon kernel vector in the sqrt(2) slot, so
+    upsilon has infinite order whenever the kernel is nonzero.  On a
+    trivial kernel upsilon is upsilon_chi, of finite order, and
+    kernel_index is not used.
     """
     ups_chi = char_multiplier(chi, gens)
     for row in cs.rows:
@@ -513,7 +519,7 @@ def solve_pretend(
             )
 
     n_free = len(gens.free_labels)
-    basis = nullspace([list(row.vector.free) for row in cs.rows], n_free)
+    basis = nullspace([row.vector.free for row in cs.rows], n_free)
     kernel_dim = len(basis)
 
     upsilon = ups_chi

@@ -161,8 +161,15 @@ class CoeffSeries:
         self._set_growth_c()
 
     def _set_growth_c(self) -> None:
+        try:
+            moduli = list(map(abs, self.coeffs))
+        except OverflowError:
+            # abs raises on a finite coefficient whose modulus passes the
+            # double range; hypot gives inf there, which the maximum keeps
+            # (elsewhere hypot may round one ulp off abs, so abs comes first)
+            moduli = [math.hypot(c.real, c.imag) for c in self.coeffs]
         powers = map(pow, range(1, self.M + 1), repeat(self.sigma))
-        ratios = list(map(operator.truediv, map(abs, self.coeffs), powers))
+        ratios = list(map(operator.truediv, moduli, powers))
         # max() passes over a NaN that is not first; a coefficient that is not finite bounds nothing
         self.growth_c = math.inf if any(map(math.isnan, ratios)) else max(ratios, default=0.0)
 

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from weilgap.characters import (
     DirichletChar,
+    _divisors,
+    _unit_group,
     all_characters,
+    e_of,
     euler_phi,
     primitive_characters,
 )
@@ -119,3 +122,49 @@ def test_dirichlet_char_is_exponent_t_at_the_primitive_root(p, t):
     # chi(-1) = e(t / 2)
     assert chi.is_even() == (t % 2 == 0)
     assert chi.is_trivial() == (t % (p - 1) == 0)
+
+
+def fraction_value_table(chi) -> dict[int, Fraction]:
+    """Oracle: the angle of every unit mod chi.q, from a walk of the group as
+    products of generator powers in Fraction arithmetic mod 1."""
+    gens, orders = _unit_group(chi.q)
+    values, elements = {1: Fraction(0)}, [1]
+    for g, order, exp in zip(gens, orders, chi.exponents):
+        new_elements, step = [], Fraction(exp, order)
+        for x in elements:
+            acc, ang = x, values[x]
+            for _ in range(1, order):
+                acc = (acc * g) % chi.q
+                ang = (ang + step) % 1
+                values[acc] = ang
+                new_elements.append(acc)
+        elements.extend(new_elements)
+    return values
+
+
+def conductor_by_fraction_table(q: int, table: dict[int, Fraction]) -> int:
+    """Oracle: the least f | q with every angle zero on units that are 1 mod f."""
+    return next(
+        f for f in _divisors(q) if all(table[x] == 0 for x in table if x % f == 1 % f)
+    )
+
+
+@pytest.mark.parametrize("q", [8, 15, 16, 24, 35])
+def test_integer_table_matches_the_fraction_walk(q):
+    chars = all_characters(q)
+    tables = [fraction_value_table(chi) for chi in chars]
+    for chi, table in zip(chars, tables):
+        for x in range(-q, 2 * q):
+            if x % q in table:
+                assert chi.angle(x) == table[x % q]
+                assert type(chi.angle(x)) is Fraction
+                assert chi(x) == e_of(table[x % q])
+            else:
+                assert chi(x) == 0
+                with pytest.raises(ZeroDivisionError):
+                    chi.angle(x)
+        assert chi.is_even() == (table[q - 1] == 0)
+        assert chi.conductor() == conductor_by_fraction_table(q, table)
+    for chi, table in zip(chars, tables):
+        for other, other_table in zip(chars, tables):
+            assert (chi == other) == (table == other_table)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +118,25 @@ def test_nullspace_properties(matrix):
     for i, vec in enumerate(basis):
         assert [vec[f] for f in free_cols] == [int(k == i) for k in range(len(free_cols))]
     assert basis == nullspace_by_back_substitution(rows, n_cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_bareiss(matrix):
+    rows, _ = matrix
+    assert rank(rows) == bareiss_echelon(rows)[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: nullspace([[1, 2], [1]]),
+        lambda: nullspace([[1, 2]], 3),
+        lambda: nullspace([[1, 2, 3]], 2),
+        lambda: rank([[1, 2], [3]]),
+    ],
+    ids=["ragged-nullspace", "narrow-row", "wide-row", "ragged-rank"],
+)
+def test_row_width_mismatch_raises(call):
+    with pytest.raises(ValueError, match=r"^row \d+ has \d+ entries, expected \d+$"):
+        call()

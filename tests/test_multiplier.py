@@ -545,6 +545,19 @@ def test_solve_pretend_matches_fraction_oracles():
     assert solved == 220
 
 
+@pytest.mark.parametrize("p, q_star", [(199, 13), (401, 18), (601, 22), (809, 27), (1009, 29)])
+def test_sharpness_threshold_pins(p, q_star):
+    """q*(p), the least q_max at which the free parts of the pretend rows
+    have full rank: the rank falls short of the free count at q* - 1 and
+    reaches it at q*."""
+    gens = build_presentation(p)
+    cs = pretend_constraints(p, gens, DirichletChar(p, 0), q_star, verify_b_dependence=False)
+    below = [row.vector.free for row in cs.rows if row.q is None or row.q < q_star]
+    n_free = len(gens.free_labels)
+    assert rank(below) < n_free
+    assert rank([row.vector.free for row in cs.rows]) == n_free
+
+
 def in_kappa_subgroup_by_solving(gens, vec):
     """Oracle: membership in <[S], [P]> by solving vec = alpha [S] + beta [P],
     with a branch for a [P] whose free part is not a multiple of [S]."""

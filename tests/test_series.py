@@ -1373,6 +1373,18 @@ def test_growth_constant_is_inf_with_a_coefficient_that_is_not_finite(bad, at):
     assert series.tail_bound(np.array([0.1, 1e3])).tolist() == [math.inf, math.inf]
 
 
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_growth_constant_is_inf_with_a_finite_coefficient_of_overflowing_modulus(at):
+    # both parts are finite, but abs() of the coefficient raised OverflowError
+    big = 1.6791459998451628e308 + 1.7637646895201292e308j
+    assert CoeffSeries([big], 4, 1, 4.0, "k").growth_c == math.inf
+    coeffs = [1, 2, 3]
+    coeffs[at] = big
+    series = CoeffSeries(coeffs, 12, 1, 6.0, "x")
+    assert series.growth_c == math.inf
+    assert series.tail_bound(0.1) == math.inf
+
+
 @pytest.mark.parametrize("sigma", [0.5, 3.0, 6.0, 12.0, 21.0])
 @pytest.mark.parametrize("M", [10, 300, 3000])
 def test_tail_bound_closed_form_against_the_loop(sigma, M):
