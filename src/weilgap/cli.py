@@ -16,6 +16,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -371,6 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as -1,5,0,-1 for an option: join it to its --matrix or --s
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--matrix", "--s") and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         result, passed = args.func(args)

@@ -61,8 +61,10 @@ class Angle:
     s: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "s", Fraction(self.s))
+        if not isinstance(self.r, Fraction):
+            object.__setattr__(self, "r", Fraction(self.r))
+        if not isinstance(self.s, Fraction):
+            object.__setattr__(self, "s", Fraction(self.s))
 
     def __add__(self, other: "Angle") -> "Angle":
         return Angle(self.r + other.r, self.s + other.s)
@@ -74,9 +76,10 @@ class Angle:
         """Canonical representative with rational part in [0, 1).
 
         Two exponents give the same circle value iff they differ by an
-        integer, which can only move the rational part.
+        integer, which can only move the rational part.  An angle already
+        in that range is its own representative: it is frozen.
         """
-        return Angle(self.r % 1, self.s)
+        return self if 0 <= self.r < 1 else Angle(self.r % 1, self.s)
 
     def is_zero_mod1(self) -> bool:
         return self.s == 0 and self.r % 1 == 0

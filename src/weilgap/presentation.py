@@ -43,8 +43,8 @@ WRAP = [("V_1", -1), ("S", -1)]
 # the most tokens a decompose_gamma0 word may write out: 10^6 crossings of
 # coset p - 1 -> 0 at p = 13, whose wrap word has 5 tokens
 MAX_WORD_TOKENS = 5 * 10**6
-# PSL2(Z) = <T, TS | T^2, (TS)^3>, in the T^{+1} and S^t letters of the walk
-DEFINING_RELATORS = ([("T", 1), ("T", 1)], [("T", 1), ("S", 1)] * 3)
+# PSL2(Z) = <T, TS | T^2, (TS)^3>, each u^k as (u, k) in the T^{+1} and S^t letters of the walk
+DEFINING_RELATORS = (([("T", 1)], 2), ([("T", 1), ("S", 1)], 3))
 
 Token = tuple[str, int]
 Word = list[Token]
@@ -126,18 +126,20 @@ def _append(out: Word, piece: Word) -> None:
     out.extend(piece[i:] if i else piece)
 
 
-def _substitute(tokens: Word, words: dict[str, Word]) -> Word:
+def _substitute(tokens: Word, words: dict[str, Word], inverses: Optional[dict[str, Word]] = None) -> Word:
     """The reduced word with each token (label, e) replaced by words[label]^e;
     labels not in words stay as they are.  The words must be reduced: each
     piece is, so the output is reduced at the seams only, and a one-token
-    piece merges with or cancels the last token written."""
+    piece merges with or cancels the last token written.  A longer word's
+    inverse is read from ``inverses`` (label -> word), entered there on a miss."""
     out: Word = []
+    inverses = {} if inverses is None else inverses
     for token in tokens:
         label, exp = token
         word = words.get(label)
         if word is not None:
             if len(word) > 1:
-                piece = word if exp > 0 else _invert_word(word)
+                piece = word if exp >= 0 else inverses.get(label) or inverses.setdefault(label, _invert_word(word))
                 for _ in range(abs(exp)):
                     _append(out, piece)
                 continue
@@ -214,24 +216,34 @@ def _schreier_walk(steps: Steps, letters: Word, coset: int = COSET_INF) -> tuple
 
 
 def _schreier_relators(steps: Steps, matrices: dict[str, Mat2]) -> list[Word]:
-    """The Reidemeister-Schreier relators of Gamma0(p)/{+-I}, cyclically reduced.
+    """The Reidemeister-Schreier relators of Gamma0(p)/{+-I}, cyclically
+    reduced: one relator per cycle of a defining relator's period on the cosets.
 
-    Each defining relator w is walked from its own coset, I first and then
-    T S^0, ..., T S^{p-1}.  The transversal is a Schreier transversal, and
-    S^j from coset 0 never crosses p - 1 -> 0, so the conjugating prefix
-    T S^j and suffix S^{-j} T^{-1} of T S^j w S^{-j} T^{-1} emit no symbol:
-    the walk of w alone is the rewritten conjugate.  Each walk must return
-    to its coset, and each relator, with P written out as WRAP, must
-    evaluate to +-I.
+    Each defining relator u^k is walked from the cosets I, T S^0, ...,
+    T S^{p-1} in order.  The transversal is a Schreier transversal, and S^j
+    from coset 0 never crosses p - 1 -> 0, so the conjugating prefix T S^j
+    and suffix S^{-j} T^{-1} of T S^j u^k S^{-j} T^{-1} emit no symbol: the
+    walk of u^k alone is the rewritten conjugate.  The cosets a walk passes
+    at its period boundaries, its cycle under u, would give rotations of its
+    relator and are skipped.  Each walk must return to its coset, and each
+    relator, with P written out as WRAP, must evaluate to +-I.
     """
     relators: list[Word] = []
     powers: dict = {}
-    for w in DEFINING_RELATORS:
+    wrap, inverses = {"P": WRAP}, {}
+    for period, power in DEFINING_RELATORS:
+        passed = set()
         for coset in (COSET_INF, *range(len(steps) - 1)):
-            word, end = _schreier_walk(steps, w, coset)
+            if coset in passed:
+                continue
+            word, end = [], coset
+            for _ in range(power):
+                passed.add(end)
+                piece, end = _schreier_walk(steps, period, end)
+                _append(word, piece)
             if end != coset:
-                raise AssertionError(f"walk of relator {w} from coset {coset} did not return to it")
-            word = _substitute(word, {"P": WRAP})
+                raise AssertionError(f"walk of relator {period}^{power} from coset {coset} did not return to it")
+            word = _substitute(word, wrap, inverses)
             sign_against(evaluate_word(word, matrices, powers), IDENTITY, "rewritten relator")
             word = _cyclic_reduce(word)
             if word:
@@ -323,7 +335,7 @@ class GenSet:
     of its inverse, so every aligned chunk of a copy of P in a decomposed
     word, at any of the CHUNK offsets it may start at.  It is filled once,
     here, and holds at most 2|P| chunks plus 2|labels| unit powers (660
-    and 342 at p = 1009).
+    and 342 at p = 1009).  ``_inverses`` holds the inverse of P's word.
     """
 
     def __init__(
@@ -358,7 +370,8 @@ class GenSet:
         # adjugate, as it has det 1; powers other than +-1 stay out
         self._table = {(lbl, e): (m**e).entries() for lbl, m in matrices.items() for e in (1, -1)}
         wrap = self._raw_words["P"]
-        inverse, n, powers = _invert_word(wrap), len(wrap), {}
+        self._inverses = {"P": _invert_word(wrap)}  # copied per rewrite_st_word call, which may add to it
+        inverse, n, powers = self._inverses["P"], len(wrap), {}
         for i in range(n - CHUNK + 1):
             chunk = tuple(wrap[i:i + CHUNK])
             a, b, c, d = self._table[chunk] = evaluate_word(chunk, matrices, powers, self._table).entries()
@@ -405,8 +418,8 @@ class GenSet:
     def rewrite_st_word(self, raw: Word) -> Word:
         """The Schreier rewriting of an S/T word, from the raw word of its
         walk (:meth:`_walk`): every raw symbol expanded through
-        ``_raw_words``, P through its wrap word."""
-        return _substitute(raw, self._raw_words)
+        ``_raw_words``, P through its wrap word, P^-1 read from ``_inverses``."""
+        return _substitute(raw, self._raw_words, dict(self._inverses))
 
     # -- abelianization -----------------------------------------------------
 
@@ -509,11 +522,11 @@ def _rewrite(live: dict[int, Word], holders: dict[str, set[int]], label: str, re
     cyclically reduced and re-indexed in place, and dropped if trivial.
     Returns the positions of the rewritten relators that survive.
     """
-    subst = {label: replacement}
+    subst, inverses = {label: replacement}, {}
     kept = []
     for pos in holders.pop(label):
         old = live.pop(pos)
-        new = _cyclic_reduce(_substitute(old, subst))
+        new = _cyclic_reduce(_substitute(old, subst, inverses))
         for gen, _ in old:
             holders[gen].discard(pos)
         for gen, _ in new:
@@ -606,8 +619,9 @@ def build_presentation(p: int) -> GenSet:
 
     # Expand the elimination log into final words for every raw symbol.
     final_words: dict[str, Word] = {lbl: [(lbl, 1)] for lbl in labels}
+    inverses: dict[str, Word] = {}
     for label, replacement in reversed(log):
-        final_words[label] = _substitute(replacement, final_words)
+        final_words[label] = _substitute(replacement, final_words, inverses)
 
     # Certificate: every raw Schreier generator is reproduced, up to sign,
     # by its final word.

@@ -488,6 +488,28 @@ def test_failed_check_exits_1(tmp_path):
     assert json.loads(proc.stdout)["result"]["verdict"].startswith("fail at V_")
 
 
+def test_negative_values_take_the_space_separated_form(tmp_path, capsys):
+    # argparse alone reads a value with a leading "-" as an option
+    assert main(["word", "--p", "13", "--matrix", "-1,5,0,-1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["matrix"] == [-1, 5, 0, -1]
+    assert doc["result"] == {"word": [{"gen": "S", "exp": -5}], "sign": -1}
+    dd5 = tmp_path / "dd5.jsonl"
+    dd5.write_text(delta_delta_p(5, 200)[0].to_json_lines())
+    for s in ("-2.5,1", "-.5,0"):
+        assert main(["lambda", "--coeffs", str(dd5), "--s", s]) == 0
+        spaced = json.loads(capsys.readouterr().out)
+        assert main(["lambda", "--coeffs", str(dd5), f"--s={s}"]) == 0
+        assert strip_timestamp(json.loads(capsys.readouterr().out)) == strip_timestamp(spaced)
+        assert spaced["config"]["s"] == s
+    assert main(["check-fe", "--p", "5", "--k", "24", "--q", "2", "--coeffs", str(dd5), "--s", "-2.5,1;14,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["s"] == "-2.5,1;14,0"
+    # s = -3 is a pole of Gamma: the value is parsed, and refused in one line
+    assert main(["lambda", "--coeffs", str(dd5), "--s", "-3,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Gamma pole at s = (-3+0j)\n"
+
+
 @pytest.mark.parametrize("matrix", ["1,0,x,1", "1,0,1"])
 def test_word_malformed_matrix_is_one_line(matrix):
     proc = run_cli("word", "--p", "13", "--matrix", matrix)

@@ -65,6 +65,17 @@ def test_angle_arithmetic():
     assert a.scale(6).s == 3
 
 
+def test_angle_converts_its_input_and_mod1_keeps_its_value():
+    for r, s in ((2, -3), ("1/3", "-5/7"), (0.25, -1.5), (Fraction(7, 3), Fraction(-1, 2))):
+        angle = Angle(r, s)
+        assert type(angle.r) is Fraction and type(angle.s) is Fraction
+        assert (angle.r, angle.s) == (Fraction(r), Fraction(s))
+        canonical = angle.mod1()
+        assert canonical == Angle(Fraction(r) % 1, Fraction(s)) and 0 <= canonical.r < 1
+        assert canonical.mod1() is canonical and (canonical + Angle(1)).mod1() == canonical
+        assert (angle + Angle(-3)).mod1() == canonical
+
+
 def test_angle_value_on_circle():
     a = Angle(Fraction(1, 4))
     assert abs(a.value() - 1j) < 1e-14

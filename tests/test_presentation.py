@@ -178,10 +178,51 @@ def _conjugate_walk_relators(p):
     return relators
 
 
+def _rotation_class(rel):
+    """The least token rotation of a relator, shared by its cyclic rotations."""
+    return min(tuple(rel[i:] + rel[:i]) for i in range(len(rel)))
+
+
+def _first_of_each_rotation_class(relators):
+    seen, first = set(), []
+    for rel in relators:
+        if (key := _rotation_class(rel)) not in seen:
+            seen.add(key)
+            first.append(rel)
+    return first
+
+
 def test_relators_walked_from_their_coset_match_conjugate_walk():
+    # one walk per cycle: the all-coset list with each later rotation dropped
     for p in filter(is_prime, range(5, 200)):
         matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
-        assert _schreier_relators(_t_steps(p), matrices) == _conjugate_walk_relators(p)
+        kept, oracle = _schreier_relators(_t_steps(p), matrices), _conjugate_walk_relators(p)
+        assert kept == _first_of_each_rotation_class(oracle)
+        kept_classes = {_rotation_class(rel) for rel in kept}
+        assert len(kept_classes) == len(kept) < len(oracle)
+        assert all(_rotation_class(rel) in kept_classes for rel in oracle)
+
+
+def test_tietze_of_one_relator_per_cycle_matches_all_cosets():
+    # the dropped rotations change neither the elimination log nor the survivors
+    for p in [*filter(is_prime, range(5, 200)), 409, 1009]:
+        matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
+        kept = _schreier_relators(_t_steps(p), matrices)
+        assert _tietze(kept, matrices) == _tietze(_conjugate_walk_relators(p), matrices)
+
+
+# SHA-256 of json.dumps(list(gens.rewriting_log.items())), in log order,
+# computed with every relator walked from every coset
+PINNED_REWRITING_LOGS = {
+    101: "dfd2610fc3954761e907536b306a04d6d1138cfd4aa7e10f6e3a2273543806e2",
+    1009: "ef023888290f3efa5e5943ddfec31e33e64b76541915d51169d385f6b203d68d",
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_REWRITING_LOGS))
+def test_rewriting_log_is_pinned(p):
+    text = json.dumps(list(gens_of(p).rewriting_log.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REWRITING_LOGS[p]
 
 
 def _rescanning_tietze(relators, matrices):
@@ -545,10 +586,32 @@ def test_decompositions_leave_the_shared_table_as_built(p):
     chunks = [key for key in built if len(key) == CHUNK]
     assert len(chunks) <= 2 * len(gens._raw_words["P"])
     assert len(built) - len(chunks) == 2 * len(gens.labels)
+    assert gens._inverses == {"P": _inverse(gens._raw_words["P"])}
+    inverse = gens._inverses["P"]
     rng = random.Random(p)
     for _ in range(500):
         decompose_gamma0(gens, random_gamma0_element(p, rng))
+    # a raw word that inverts another long word builds that inverse for itself
+    symbol = next(s for s, word in gens._raw_words.items() if len(word) > 1 and s != "P")
+    raw = [(symbol, -2), ("P", -1)]
+    assert gens.rewrite_st_word(raw) == _literal_substitute(raw, gens._raw_words)
     assert len(gens._table) == len(built) and gens._table == built
+    assert gens._inverses == {"P": inverse} and gens._inverses["P"] == _inverse(gens._raw_words["P"])
+
+
+def test_negative_crossings_read_the_inverse_wrap_word():
+    p = 1009
+    gens = gens_of(p)
+    rng, found = random.Random(p), 0
+    while found < 10:
+        gamma = random_gamma0_element(p, rng)
+        raw = gens._walk(gamma)
+        if not any(symbol == "P" and n < 0 for symbol, n in raw):
+            continue
+        found += 1
+        word = decompose_gamma0(gens, gamma)
+        assert word.tokens == _literal_substitute(raw, gens._raw_words)
+        assert word.evaluate(gens) == (gamma if word.sign == 1 else -gamma)
 
 
 @settings(max_examples=30, deadline=None)
@@ -729,12 +792,19 @@ def substitution_maps(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(reduced_words, raw_words), substitution_maps())
-def test_substitute_matches_the_literal_expansion(tokens, words):
-    # raw input words hold zero exponents and unmerged neighbours
-    out = _substitute(tokens, words)
-    assert out == _literal_substitute(tokens, words)
-    assert reduce_word(out) == out
+@given(st.lists(st.one_of(reduced_words, raw_words), min_size=1, max_size=3), substitution_maps())
+def test_substitute_matches_the_literal_expansion(token_lists, words):
+    # raw input words hold zero exponents and unmerged neighbours; the calls
+    # with a shared inverse table read what the earlier ones entered
+    inverses = {}
+    for tokens in token_lists:
+        out = _substitute(tokens, words)
+        assert out == _literal_substitute(tokens, words)
+        assert reduce_word(out) == out
+        assert _substitute(tokens, words, inverses) == out
+    long_words = {label for label, word in words.items() if len(word) > 1}
+    inverted = {label for tokens in token_lists for label, e in tokens if e < 0 and label in long_words}
+    assert inverses == {label: _inverse(words[label]) for label in inverted}
 
 
 def test_substitute_cancels_through_pieces_and_keeps_one_tokens():
