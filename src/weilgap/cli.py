@@ -61,8 +61,10 @@ def _require_prime(p: int) -> int:
 
 
 def _parse_complex(text: str) -> complex:
-    re, im = text.split(",") if "," in text else (text, 0.0)
-    value = complex(float(re), float(im))
+    try:
+        value = complex(*map(float, text.split(",", 1)))
+    except ValueError:
+        raise CliError(f"--s expects re or re,im, got {text!r}") from None
     if not cmath.isfinite(value):
         raise CliError(f"--s expects finite values, got {text!r}")
     return value

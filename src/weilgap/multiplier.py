@@ -40,8 +40,8 @@ SQRT2 = math.sqrt(2)
 # the array walk of MultiplierSystem.rows_angles keeps its numerators, and the
 # denominator, below this, so int64 cannot wrap and each float of them is exact
 ROW_WALK_LIMIT = 2**53
-# the most walked lanes in one batch of that walk (its quotient array is about
-# 8 bytes per lane and Euclid step)
+# the most walked lanes in one batch of that walk, which bounds the memory of
+# its dozen or so arrays of one entry per lane
 _WALK_LANES = 1 << 15
 
 
@@ -177,21 +177,27 @@ class MultiplierSystem:
         per batch of moduli.  Every modulus is checked before any is walked.
 
         The walk of :meth:`GenSet._walk` runs on every lane of a batch at
-        once: the nearest-integer Euclid quotients of all of its bottom rows
-        (c, d) (:func:`_euclid_rows`), then the steps in reverse, each adding
-        the numerators of the symbols its T step emits and wraps times those
-        of P, with the wraps and next coset from one ``np.divmod`` on int64.
-        When upsilon is :attr:`reflection_symmetric`, a row walks only its
-        d < c/2, quotients included, and mirrors the rest exactly:
-        r(c - d) = -r(d) mod the denominator and s(c - d) = -s(d).
+        once, forward along gamma^-1 = S^-t_1 T S^-t_2 T ... S^-t_k T S^-e
+        (T^-1 = T in PSL2(Z)): each step takes the next nearest-integer
+        Euclid quotient t of the lane's (c, d) and, as upsilon(gamma) =
+        -upsilon(gamma^-1), subtracts wraps times the numerators of P for
+        S^-t (nothing at the identity coset, as upsilon(S) = 1) and those of
+        the symbol the T step emits; the wraps and next coset come from one
+        ``np.divmod`` on int64.  A lane leaves the walk at remainder 0,
+        where it must be at the identity coset.  When upsilon is
+        :attr:`reflection_symmetric`, a row walks only its d < c/2 and
+        mirrors the rest exactly: r(c - d) = -r(d) mod the denominator and
+        s(c - d) = -s(d).
 
         A lane gains at most the largest table entry per step plus that
-        times |t|/p + 1 per quotient t.  The numerator lanes of a batch are
-        int64 while that bound, taken over its walked lanes (a mirrored
-        value is the negation of a walked one), and the denominator stay
-        below ROW_WALK_LIMIT, and Python integers in object arrays
-        otherwise.  Consecutive moduli share a batch while it holds at most
-        _WALK_LANES walked lanes, or one modulus with more.
+        times |t|/p + 1 per quotient t.  As 0 < d < c, there are at most
+        bitlen(c) quotients (|c| at least halves) and sum |t| <=
+        c + 1 + bitlen(c)/2 (|t_{i+1}| <= |c_{i-1}/c_i| + 1/2, and those
+        ratios, each at least 2, multiply to c).  The numerator lanes of a
+        batch are int64 while that bound at its largest c and the
+        denominator stay below ROW_WALK_LIMIT, and Python integers in object
+        arrays otherwise.  Consecutive moduli share a batch while it holds
+        at most _WALK_LANES walked lanes, or one modulus with more.
         """
         p = self.p
         self._require_trivial_s()
@@ -224,35 +230,39 @@ class MultiplierSystem:
         """The rows of a batch of :meth:`_batches`, from one lane walk."""
         p, den = self.p, self._den
         counts = [walked for _, _, walked in batch]
-        quotients, lengths = _euclid_rows(
-            np.repeat([c for c, _, _ in batch], counts), np.concatenate([ds[:walked] for _, ds, walked in batch])
-        )
         (step_r, step_s), target, (wrap_r, wrap_s) = self._walk_tables
         largest = max(map(abs, (*step_r, *step_s, wrap_r, wrap_s)))
-        steps = len(quotients)
-        reach = largest * (2 * steps + int(np.abs(quotients).sum(axis=0).max(initial=0)) // p + 1)
+        c_max = max(c for c, _, _ in batch)
+        steps = c_max.bit_length()
+        reach = largest * (2 * steps + (c_max + 1 + steps // 2) // p + 1)
         lane = np.int64 if max(reach, den) < ROW_WALK_LIMIT else object
         step_r, step_s, target = np.array(step_r, dtype=lane), np.array(step_s, dtype=lane), np.array(target)
-        coset = np.full(len(lengths), p)  # p indexes the identity coset
-        r, s = np.zeros(len(lengths), dtype=lane), np.zeros(len(lengths), dtype=lane)
-        for j in range(steps):
-            live = np.flatnonzero(lengths > j)
-            at = coset[live]
-            r[live] += step_r[at]
-            s[live] += step_s[at]
-            at = target[at]
-            # an S power at the identity coset adds nothing, as upsilon(S) = 1
-            away = np.flatnonzero(at != p)
-            lanes = live[away]
-            wraps, at[away] = np.divmod(at[away] + quotients[lengths[lanes] - 1 - j, lanes], p)
-            wraps = wraps.astype(lane, copy=False)
-            r[lanes] += wraps * wrap_r
-            s[lanes] += wraps * wrap_s
-            coset[live] = at
-        if np.any(coset != p):
-            raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
+        c_ = np.repeat(np.array([c for c, _, _ in batch], dtype=np.int64), counts)
+        d_ = np.concatenate([ds[:walked] for _, ds, walked in batch])
+        live = np.arange(len(d_))
+        coset = np.full(len(d_), p)  # p indexes the identity coset
+        r, s = np.zeros(len(d_), dtype=lane), np.zeros(len(d_), dtype=lane)
+        out_r, out_s = r.copy(), s.copy()
+        while live.size:
+            t, rest = np.divmod(d_, c_)  # rest has the sign of c, as in euclid_quotients
+            far = 2 * np.abs(rest) > np.abs(c_)
+            t, rest = t + far, rest - far * c_
+            # S^-t, nothing at the identity coset, then T
+            home = coset == p
+            wraps, coset = np.divmod(coset - t, p)
+            wraps = np.where(home, 0, wraps).astype(lane, copy=False)
+            coset[home] = p
+            r -= wraps * wrap_r + step_r[coset]
+            s -= wraps * wrap_s + step_s[coset]
+            coset = target[coset]
+            done = rest == 0
+            if np.any(coset[done] != p):
+                raise AssertionError("walk of a Gamma0(p) bottom row did not return to the identity coset")
+            out_r[live[done]], out_s[live[done]] = r[done], s[done]
+            keep = ~done
+            live, coset, r, s, c_, d_ = live[keep], coset[keep], r[keep], s[keep], rest[keep], -c_[keep]
         cuts = np.cumsum(counts)[:-1]
-        for (c, ds, walked), r, s in zip(batch, np.split(r, cuts), np.split(s, cuts)):
+        for (c, ds, walked), r, s in zip(batch, np.split(out_r, cuts), np.split(out_s, cuts)):
             mirrored = len(ds) - walked  # ds[-1 - i] = c - ds[i]
             r, s = np.concatenate([r, -r[:mirrored][::-1]]), np.concatenate([s, -s[:mirrored][::-1]])
             yield ds, r % den, s
@@ -338,28 +348,6 @@ def _num_sum(table, tokens) -> tuple[int, int]:
         r += n * x
         s += n * y
     return r, s
-
-
-def _euclid_rows(cs: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """euclid_quotients(c, d) for every pair of two int64 arrays at once,
-    for |c|, |d| < 2^62: a (steps, len(ds)) array whose column j starts with
-    the quotients of (cs[j], ds[j]) and is zero past them, and the number of
-    each."""
-    lengths = np.zeros(len(ds), dtype=np.int64)
-    rows = []
-    live = np.arange(len(ds))
-    c_, d_ = np.asarray(cs, dtype=np.int64), ds
-    while live.size:
-        t, r = np.divmod(d_, c_)  # r has the sign of c, as in euclid_quotients
-        far = 2 * np.abs(r) > np.abs(c_)
-        t, r = t + far, r - far * c_
-        row = np.zeros(len(ds), dtype=np.int64)
-        row[live] = t
-        rows.append(row)
-        lengths[live] += 1
-        keep = r != 0
-        live, c_, d_ = live[keep], r[keep], -c_[keep]
-    return np.array(rows, dtype=np.int64).reshape(-1, len(ds)), lengths
 
 
 def trivial_multiplier(gens: GenSet) -> MultiplierSystem:

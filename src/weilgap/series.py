@@ -618,20 +618,14 @@ def _kloosterman_rows(upsilon: MultiplierSystem, moduli):
         yield sums.real if upsilon.reflection_symmetric else sums
 
 
-def _kloosterman_row(upsilon: MultiplierSystem, c: int) -> np.ndarray:
-    """The row of :func:`_kloosterman_rows` at the one modulus c."""
-    return next(_kloosterman_rows(upsilon, [c]))
-
-
 def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int) -> KloostermanSum:
     """The multiplier-twisted sum S_ups(m, c) for p | c, c > 0.
 
     Well-defined because upsilon(S) = 1 makes the value independent of the
-    choice of lift gamma_{c,d}; this is rejected otherwise.
+    choice of lift gamma_{c,d}; this is rejected otherwise, and so is a c
+    that is not a positive multiple of p (MultiplierSystem.rows_angles).
     """
-    if c <= 0 or c % p != 0:
-        raise ValueError(f"modulus c = {c} must be a positive multiple of p = {p}")
-    value = complex(_kloosterman_row(upsilon, c)[m % c])
+    value = complex(next(_kloosterman_rows(upsilon, [c]))[m % c])
     if upsilon.is_trivial():
         exact = _ramanujan_sum(m, c)
         assert abs(value - exact) < 1e-6 * max(1.0, abs(exact)), (m, c, value, exact)

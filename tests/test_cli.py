@@ -391,6 +391,17 @@ def test_non_finite_or_nonpositive_numbers_are_invalid_input(tmp_path, command, 
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command, value, bad", [("lambda", "1,2,3", "1,2,3"), ("check-fe", "12,0;", "")])
+def test_malformed_s_names_the_flag_and_the_value(tmp_path, capsys, command, value, bad):
+    f, _ = delta_delta_p(5, 40)
+    path = tmp_path / "dd5.jsonl"
+    path.write_text(f.to_json_lines())
+    args = {"lambda": [], "check-fe": ["--p", "5", "--k", "24"]}[command]
+    assert main([command, *args, "--coeffs", str(path), "--s", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --s expects re or re,im, got {bad!r}\n"
+
+
 def test_certify_reports_the_character_it_checked(tmp_path):
     coeffs = tmp_path / "dd5.jsonl"
     run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "200", "--out", str(coeffs))

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weilgap.characters import DirichletChar
@@ -784,30 +784,46 @@ def _units(c):
     return [d for d in range(1, c) if math.gcd(c, d) == 1]
 
 
-def _lane_bound(ups, c, ds):
-    """Oracle: the walk's bound on a lane, taken over the rows (c, d) of ds."""
+def _lane_bound(ups, c):
+    """Oracle: the walk's bound on a lane of modulus c, from c alone: a row
+    with 0 < d < c has at most bitlen(c) quotients, whose |t| sum to at
+    most c + 1 + bitlen(c)/2."""
     (step_r, step_s), _, (wrap_r, wrap_s) = ups._walk_tables
     largest = max(map(abs, (*step_r, *step_s, wrap_r, wrap_s)))
-    quotients = [euclid_quotients(c, d) for d in ds]
-    return largest * (2 * max(map(len, quotients)) + max(sum(map(abs, q)) for q in quotients) // ups.p + 1)
+    steps = c.bit_length()
+    return largest * (2 * steps + (c + 1 + steps // 2) // ups.p + 1)
 
 
-def _lane_reach(ups, c, d):
-    """The largest |numerator| the lane of (c, d) holds, or adds, during
-    the walk, from a scalar copy of the lane walk in Python integers."""
+def _lane_walk(ups, c, d):
+    """Oracle: a scalar copy, in Python integers, of the lane walk of (c, d)
+    forward along gamma^-1: the numerators (r, s) of upsilon(gamma), r not
+    yet reduced, and the largest |numerator| the lane holds or adds."""
     (step_r, step_s), target, (wrap_r, wrap_s) = ups._walk_tables
     p = coset = ups.p
     r = s = top = 0
-    for t in reversed(euclid_quotients(c, d)):
-        r, s = r + step_r[coset], s + step_s[coset]
-        top = max(top, abs(r), abs(s))
-        coset = target[coset]
+    for t in euclid_quotients(c, d):
+        wraps = 0
         if coset != p:
-            wraps, coset = divmod(coset + t, p)
-            r, s = r + wraps * wrap_r, s + wraps * wrap_s
-            top = max(top, abs(r), abs(s), abs(wraps * wrap_r), abs(wraps * wrap_s))
+            wraps, coset = divmod(coset - t, p)
+        add_r, add_s = wraps * wrap_r + step_r[coset], wraps * wrap_s + step_s[coset]
+        r, s = r - add_r, s - add_s
+        top = max(top, abs(wraps * wrap_r), abs(wraps * wrap_s), abs(add_r), abs(add_s), abs(r), abs(s))
+        coset = target[coset]
     assert coset == p
-    return top
+    return r, s, top
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.integers(2, 2**62 - 1).flatmap(lambda c: st.tuples(st.just(c), st.integers(1, c - 1))))
+@example(row=(317811, 196418))  # consecutive Fibonacci numbers
+@example(row=(2**62 - 1, 1))
+def test_euclid_quotients_within_the_lane_bound(row):
+    # the premise of the walk's bound: a row with 0 < d < c has at most
+    # bitlen(c) quotients, and sum |t| <= c + 1 + bitlen(c)/2
+    c, d = row
+    quotients = euclid_quotients(c, d)
+    assert len(quotients) <= c.bit_length()
+    assert 2 * sum(map(abs, quotients)) <= 2 * (c + 1) + c.bit_length()
 
 
 def _same_rows(got, want):
@@ -845,42 +861,63 @@ def test_rows_angles_batch_at_the_lane_cap(monkeypatch, cap, batches):
 
 
 def test_rows_angles_pick_lanes_per_batch(monkeypatch):
-    # a limit between the two batches' bounds: int64 lanes for the first,
-    # Python integers for the second, with the same angles
+    # a limit between the two batches' bounds, each from its largest c:
+    # int64 lanes for the first, Python integers for the second, with the
+    # same angles; in one batch the largest c puts every row in Python integers
     ups, moduli = _pretend(29), [29, 58, 29 * 40]
     want = [ups.row_angles(c) for c in moduli]
-    walked = [_units(c)[: (len(_units(c)) + 1) // 2] for c in moduli]
-    first = max(_lane_bound(ups, c, ds) for c, ds in zip(moduli[:2], walked))
-    second = _lane_bound(ups, moduli[2], walked[2])
+    first, second = _lane_bound(ups, 58), _lane_bound(ups, 29 * 40)
     assert max(first, ups._den) < second
     monkeypatch.setattr("weilgap.multiplier._WALK_LANES", 28)
     monkeypatch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", second)
     rows = list(ups.rows_angles(moduli))
     assert [r.dtype for _, r, _ in rows] == [np.int64, np.int64, object]
     assert _same_rows(rows, want)
+    monkeypatch.setattr("weilgap.multiplier._WALK_LANES", 1 << 15)
+    rows = list(ups.rows_angles(moduli))
+    assert [r.dtype for _, r, _ in rows] == [object] * 3
+    assert _same_rows(rows, want)
 
 
 @pytest.mark.parametrize("p, q_max, index", [(29, 1, 0), (29, 1, 1), (53, 5, 0)])
 def test_walked_half_bound_covers_every_value_it_computes(monkeypatch, p, q_max, index):
-    # a symmetric upsilon takes its quotients, and its lane bound, from the
-    # walked half of each row; every value a walked lane holds is within
-    # that bound, which is never above the bound over the whole row
+    # a symmetric upsilon walks half of each row; every value the scalar
+    # copy of the walk holds, on every d of the row, is within the bound
+    # from c, and its angles are the row's, the mirrored half included
     ups = _kernel_multipliers(p, q_max)[index]
     assert ups.reflection_symmetric
+    den = ups._den
     for c in (p, 2 * p, 7 * p, 40 * p):
         ds = _units(c)
-        walked = ds[: (len(ds) + 1) // 2]
-        half, full = _lane_bound(ups, c, walked), _lane_bound(ups, c, ds)
-        assert max(_lane_reach(ups, c, d) for d in walked) <= half <= full
-        # at a limit just past the walked bound the lanes stay int64 and
-        # agree with the walk in Python integers
+        bound = _lane_bound(ups, c)
+        lanes = [_lane_walk(ups, c, d) for d in ds]
+        assert max(top for _, _, top in lanes) <= bound
+        # at a limit just past the bound the lanes stay int64 and agree
+        # with the walk in Python integers
         with monkeypatch.context() as patch:
-            patch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", max(half, ups._den) + 1)
+            patch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", max(bound, den) + 1)
             on_int64 = ups.row_angles(c)
             patch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", 0)
             on_objects = ups.row_angles(c)
         assert on_int64[1].dtype == np.int64 and on_objects[1].dtype == object
         assert _same_rows([on_int64], [on_objects])
+        assert on_int64[0].tolist() == ds
+        assert [(r % den, s) for r, s, _ in lanes] == list(zip(on_int64[1].tolist(), on_int64[2].tolist()))
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_rows_angles_batch_short_and_long_lanes(data):
+    # one batch of the moduli F_7 = 13, F_14 = 377 and F_21 = 10946 at
+    # p = 13: lanes of two Euclid steps, d = 1 with its quotient -c among
+    # them, beside the long consecutive-Fibonacci rows (F_{n+1}, F_n)
+    ups, moduli = _random_multiplier(_gens(13), data), [13, 377, 10946]
+    assert len(list(ups._batches(moduli))) == 1
+    assert euclid_quotients(10946, 1) == [0, -10946] and len(euclid_quotients(10946, 6765)) == 11
+    den = ups._den
+    for c, (ds, r, s) in zip(moduli, ups.rows_angles(moduli)):
+        got = {int(d): Angle(Fraction(int(x), den), Fraction(int(y), den)) for d, x, y in zip(ds, r, s)}
+        assert got == dict(_row_oracle(ups, c))
 
 
 def test_rows_angles_check_every_modulus_first(gens13):
