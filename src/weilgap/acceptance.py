@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .characters import DirichletChar, primitive_characters
+from .characters import DirichletChar, _units, primitive_characters
 from .matrices import IDENTITY, FrickeMat, S, T
 from .presentation import (
     build_presentation,
@@ -274,7 +274,7 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
             q = rng.randint(1, 9)
             while q % p == 0:
                 q = rng.randint(1, 9)
-            a = rng.choice([x for x in range(q)] if q == 1 else [x for x in range(1, q) if math.gcd(x, q) == 1])
+            a = rng.choice(_units(q))
             m1, B, _ = constraint_matrix(p, a, q)
             t = rng.randint(1, 5)
             m2, _, _ = constraint_matrix(p, a, q, B + t * q)
@@ -383,11 +383,7 @@ def criterion_10() -> tuple[bool, dict]:
     for c in range(p, 3 * p + 1, p):
         for m in range(0, 2 * c, max(1, c // 3)):
             ks = twisted_kloosterman(p, ups, m, c)
-            brute = sum(
-                cmath.exp(2j * cmath.pi * m * d / c)
-                for d in range(1, c + 1)
-                if math.gcd(d, c) == 1
-            )
+            brute = sum(cmath.exp(2j * cmath.pi * m * d / c) for d in _units(c))
             worst_kloosterman = max(worst_kloosterman, abs(ks.value - brute))
     details["kloosterman_worst"] = worst_kloosterman
     ok = worst_kloosterman < 1e-9

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .characters import ResidueChar, e_of
+from .characters import ResidueChar, _units, e_of
 from .matrices import Mat2, S, T
 from .presentation import GenSet, compute_Q, constraint_matrix, v_matrix
 from .series import CoeffSeries, cgamma, upper_incomplete_gamma
@@ -548,11 +548,6 @@ def check_fe_additive(
 # Gauss sums and multiplicative twists
 
 
-def _units(q: int) -> list[int]:
-    """The residues a mod q with gcd(a, q) = 1; [0] for q = 1."""
-    return [a for a in range(q) if math.gcd(a, q) == 1]
-
-
 def gauss_sum(psi: ResidueChar) -> complex:
     """tau(psi) = sum_{a mod q} psi(a) e(a/q)."""
     return complex(sum(psi(a) * e_of(Fraction(a, psi.q)) for a in range(psi.q)))
@@ -795,12 +790,12 @@ def certify_modularity(
         fe = fe_for_q(p, k, q, phase)
         i = np.arange(3)
         zs = fe.balance_height * (0.17 * (i - 1) + 1j * (0.75 + 0.25 * i))
-        lhs, rhs, trunc = _relation(f, g, fe, zs)
-        sides = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-        worst = float(np.max(np.abs(lhs - rhs) / sides))
-        worst_trunc = float(np.max(trunc))
+        points = _modular_points(fe, zs.tolist(), _relation(f, g, fe, zs), tolerance, gate_truncation=False)
+        # np.max, as max() would skip a NaN that is not first
+        worst = float(np.max([pt.residual for pt in points]))
+        worst_trunc = float(np.max([pt.truncation for pt in points]))
+        passed = all(pt.passed for pt in points)
         label = "W_p" if q == 1 else f"V_{q}"
-        passed = _passes(worst, 0.0, 1.0, tolerance)
         if not passed and failing is None:
             failing = label
         checks.append(GeneratorCheck(q, label, worst, worst_trunc, passed))

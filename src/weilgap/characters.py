@@ -35,6 +35,17 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _mobius(n: int) -> int:
+    """mu(n): 0 if a square divides n, else (-1)^(number of prime factors)."""
+    factors = _factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+
+
+def _units(q: int) -> list[int]:
+    """The residues a mod q with gcd(a, q) = 1; [0] for q = 1."""
+    return [a for a in range(q) if gcd(a, q) == 1]
+
+
 def primitive_root(q: int) -> int:
     """Smallest primitive root modulo q (q = 1, 2, 4, p^k or 2p^k)."""
     if q in (1, 2):
@@ -126,7 +137,7 @@ class ResidueChar:
         """Smallest modulus f | q through which the character factors."""
         if self.q == 1:
             return 1
-        for f in sorted(_divisors(self.q)):
+        for f in _divisors(self.q):
             if self._factors_through(f):
                 return f
         return self.q
@@ -134,11 +145,7 @@ class ResidueChar:
     def _factors_through(self, f: int) -> bool:
         # chi factors through f iff chi is trivial on the kernel of
         # (Z/q)* -> (Z/f)*
-        for x in range(1, self.q):
-            if gcd(x, self.q) == 1 and x % f == 1 % f:
-                if self._nums[x] != 0:
-                    return False
-        return True
+        return all(self._nums[x] == 0 for x in _units(self.q) if x % f == 1 % f)
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.q

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .characters import DirichletChar, primitive_characters
 from .matrices import Mat2
-from .presentation import build_presentation, compute_Q, constraint_matrix, decompose_gamma0, is_prime
+from .presentation import _check_level, build_presentation, compute_Q, constraint_matrix, decompose_gamma0
 from .multiplier import (
     MultiplierSystem,
     pretend_constraints,
@@ -50,14 +50,6 @@ from .analytic import (
 
 class CliError(Exception):
     pass
-
-
-def _require_prime(p: int) -> int:
-    if not is_prime(p):
-        raise CliError(f"{p} is not prime")
-    if p <= 3:
-        raise CliError(f"level must be a prime > 3, got {p}")
-    return p
 
 
 def _parse_complex(text: str) -> complex:
@@ -123,11 +115,11 @@ def _chi_from_arg(arg: str, p: int) -> DirichletChar:
 
 
 def cmd_gens(args):
-    return build_presentation(_require_prime(args.p)).to_json(), True
+    return build_presentation(args.p).to_json(), True
 
 
 def cmd_word(args):
-    p = _require_prime(args.p)
+    p = _check_level(args.p)
     try:
         a, b, c, d = (int(x) for x in args.matrix.split(","))
     except ValueError as exc:
@@ -142,12 +134,12 @@ def cmd_word(args):
 
 
 def cmd_q(args):
-    qs = sorted(compute_Q(_require_prime(args.p)))
+    qs = sorted(compute_Q(args.p))
     return {"p": args.p, "Q": qs, "size": len(qs)}, True
 
 
 def cmd_multiplier(args):
-    p = _require_prime(args.p)
+    p = _check_level(args.p)
     gens = build_presentation(p)
     chi = _chi_from_arg(args.chi, p)
     cs = pretend_constraints(p, gens, chi, args.qmax)
@@ -182,7 +174,7 @@ def cmd_multiplier(args):
 
 
 def cmd_sixth_root(args):
-    p = _require_prime(args.p)
+    p = _check_level(args.p)
     report = sixth_root_check(p, build_presentation(p))
     return report, report["free_ok"]
 
@@ -192,9 +184,9 @@ def cmd_series(args):
     if args.kind == "delta":
         series = delta_coeffs(args.M)
     elif args.kind == "delta-delta-p":
-        series, _ = delta_delta_p(_require_prime(args.p), args.M)
+        series, _ = delta_delta_p(_check_level(args.p), args.M)
     else:  # eis-mult
-        p = _require_prime(args.p)
+        p = _check_level(args.p)
         gens = build_presentation(p)
         if args.multiplier:
             with open(args.multiplier) as handle:
@@ -235,7 +227,7 @@ def cmd_check_fe(args):
     if args.q < 1:
         raise CliError(f"modulus q = {args.q} must be a positive integer")
     f, g = _load_pair(args)
-    p = args.p if args.p == 1 else _require_prime(args.p)
+    p = args.p if args.p == 1 else _check_level(args.p)
     chi = _chi_from_arg(args.chi, p) if p > 1 else None
     phase = complex(chi(args.q)) if (chi is not None and args.q % p != 0) else 1.0 + 0j
     if args.a is None:
@@ -252,7 +244,7 @@ def cmd_check_fe(args):
 
 def cmd_check_fe_mult(args):
     f, g = _load_pair(args)
-    p = _require_prime(args.p)
+    p = _check_level(args.p)
     chi = _chi_from_arg(args.chi, p)
     candidates = primitive_characters(args.q)
     if not candidates:
@@ -277,7 +269,7 @@ def cmd_check_fe_mult(args):
 
 def cmd_certify(args):
     f, g = _load_pair(args)
-    p = _require_prime(args.p)
+    p = _check_level(args.p)
     chi = _chi_from_arg(args.chi, p)
     cert = certify_modularity(f, g, p, args.k, (lambda q: chi(q)), tolerance=args.tol, chi_label=args.chi)
     return cert.to_json(), cert.verdict

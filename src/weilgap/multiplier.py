@@ -29,10 +29,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .characters import DirichletChar, _factorize
+from .characters import DirichletChar, _factorize, _units
 from .linalg import nullspace
 from .matrices import Mat2, S, T, lift_bottom_row
-from .presentation import ExpVector, GenSet, constraint_matrix
+from .presentation import ExpVector, GenSet, _require_level, constraint_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -156,7 +156,7 @@ class MultiplierSystem:
 
         Two such gamma differ by a power of S on the left, so upsilon(S) = 1
         makes the angle a function of (c, d): the angle of any lift.  This is
-        the scalar reference for :meth:`row_angles`.
+        the scalar reference for :meth:`rows_angles`.
         """
         self._require_trivial_s()
         return self.evaluate(lift_bottom_row(c, d))
@@ -165,16 +165,12 @@ class MultiplierSystem:
         if not self.angles["S"].is_zero_mod1():
             raise ValueError("the bottom-row angle requires upsilon(S) = 1")
 
-    def row_angles(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """bottom_row_angle(c, d) for every d in (0, c) prime to c, for a
-        positive multiple c of p: the d, and the angle numerators r (mod the
-        denominator) and s over ``_den``, in three arrays: the one row of
-        :meth:`rows_angles` ``([c])``."""
-        return next(self.rows_angles([c]))
-
     def rows_angles(self, moduli) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """:meth:`row_angles` of each c of moduli in turn, from one lane walk
-        per batch of moduli.  Every modulus is checked before any is walked.
+        """bottom_row_angle(c, d) for every d in (0, c) prime to c, for each
+        positive multiple c of p in moduli in turn: the d, and the angle
+        numerators r (mod the denominator) and s over ``_den``, in three
+        arrays, from one lane walk per batch of moduli.  Every modulus is
+        checked before any is walked.
 
         The walk of :meth:`GenSet._walk` runs on every lane of a batch at
         once, forward along gamma^-1 = S^-t_1 T S^-t_2 T ... S^-t_k T S^-e
@@ -267,17 +263,11 @@ class MultiplierSystem:
             r, s = np.concatenate([r, -r[:mirrored][::-1]]), np.concatenate([s, -s[:mirrored][::-1]])
             yield ds, r % den, s
 
-    def row_values(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """The d of :meth:`row_angles` and upsilon(gamma_{c,d}) for each: the
-        one row of :meth:`rows_values` ``([c])``."""
-        return next(self.rows_values([c]))
-
     def rows_values(self, moduli) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`row_values` of each c of moduli in turn, from
-        :meth:`rows_angles`: each part of the exponent is one int / int
-        division, correctly rounded as the float of a Fraction is, so the
-        values equal those of ``bottom_row_angle(c, d).value()`` bit for
-        bit."""
+        """The d of each row of :meth:`rows_angles` and upsilon(gamma_{c,d})
+        for each: each part of the exponent is one int / int division,
+        correctly rounded as the float of a Fraction is, so the values equal
+        those of ``bottom_row_angle(c, d).value()`` bit for bit."""
         den = self._den
         return (
             (ds, circle_value((r / den).astype(float), (s / den).astype(float)))
@@ -293,12 +283,10 @@ class MultiplierSystem:
         characters of Gamma0(p), and their agreeing on every generator is a
         proof.  With upsilon(S) = 1 it gives bottom_row_angle(c, c - d) =
         -bottom_row_angle(c, d), so every S_ups(m, c) is real.  Computed on
-        first use, by the row walk; a trivial or real character multiplier
+        first use, one walk per generator; a trivial or real character multiplier
         has it, a complex character's does not.
         """
-        if not self.evaluate(S).is_zero_mod1():
-            return False
-        return all(
+        return self.angles["S"].is_zero_mod1() and all(
             (self.evaluate(Mat2(m.a, -m.b, -m.c, m.d)) + self.angles[lbl]).is_zero_mod1()
             for lbl, m in self.gens.generators
         )
@@ -335,8 +323,7 @@ class MultiplierSystem:
             angles = {entry["label"]: Angle.from_json(entry) for entry in data["angles"]}
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed multiplier document: {type(exc).__name__} {exc}") from exc
-        if p != gens.p:
-            raise ValueError("level mismatch between generators and serialized multiplier")
+        _require_level(p, gens)
         return cls(gens, angles)
 
 
@@ -359,8 +346,7 @@ def char_multiplier(chi: DirichletChar, gens: GenSet) -> MultiplierSystem:
 
     Only even characters descend to the projective group.
     """
-    if chi.p != gens.p:
-        raise ValueError("character modulus must equal the level")
+    _require_level(chi.p, gens)
     if not chi.is_even():
         raise ValueError("upsilon_chi requires an even character")
     angles = {}
@@ -428,6 +414,7 @@ def pretend_constraints(
     re-verified on a second lift of each row rather than assumed.  q_max = 0
     gives the cusp rows only; a negative q_max raises ValueError.
     """
+    _require_level(p, gens)
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
     if not chi.is_even():
@@ -439,9 +426,7 @@ def pretend_constraints(
     for q in range(1, q_max + 1):
         if q % p == 0:
             continue
-        for a in range(q):
-            if math.gcd(a, q) != 1:
-                continue
+        for a in _units(q):
             m, B, D = constraint_matrix(p, a, q)
             vec = gens.class_of(m)
             if verify_b_dependence:
@@ -539,6 +524,7 @@ def sixth_root_check(p: int, gens: GenSet) -> dict:
     value into the torsion subgroup, a 6th root of unity), and reports the
     torsion component; it must vanish exactly when p = 11 (mod 12).
     """
+    _require_level(p, gens)
     vec = gens.parabolic_class
     s_idx = gens.s_index
     free_ok = all(x == 0 for i, x in enumerate(vec.free) if i != s_idx)

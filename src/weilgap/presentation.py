@@ -32,6 +32,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
+from .characters import _factorize
 from .matrices import (
     CHUNK, IDENTITY, Mat2, S, evaluate_word, lift_bottom_row, reduce_word, sign_against, st_letters,
 )
@@ -53,21 +54,22 @@ Steps = list[tuple[Optional[Token], int]]
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and _factorize(n) == [(n, 1)]
 
 
-def _check_level(p: int) -> None:
-    if not is_prime(p) or p <= 3:
+def _check_level(p: int) -> int:
+    """p itself, if it is a level this package works at: a prime > 3."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p <= 3:
         raise ValueError(f"level must be a prime > 3, got {p}")
+    return p
+
+
+def _require_level(p: int, obj) -> None:
+    """Refuse a level p passed beside an object of another level (obj.p)."""
+    if p != obj.p:
+        raise ValueError(f"p = {p} differs from the level {obj.p} of the {type(obj).__name__}")
 
 
 def v_matrix(p: int, q: int) -> Mat2:
@@ -325,7 +327,8 @@ class GenSet:
     ``_raw_words`` is the rewriting log together with the word of the wrap
     P = T S^p T^{-1}, so it expands every raw symbol of :func:`_schreier_walk`.
     ``_classes`` holds the class of each of those words once, as sparse
-    (coordinate, exponent sum) pairs; the class of P is ``parabolic_class``.
+    (coordinate, exponent sum) pairs, summed from the elimination ``log`` of
+    :func:`_tietze`; the class of P is ``parabolic_class``.
     ``_steps`` is the T-step table of the walk (:func:`_t_steps`).
 
     ``_table`` is the starting table of :func:`~weilgap.matrices.evaluate_word`
@@ -346,6 +349,7 @@ class GenSet:
         orders: dict[str, object],
         rewriting_log: dict[str, Word],
         steps: Steps,
+        log: list[tuple[str, Word]],
     ):
         self.p = p
         self._steps = steps
@@ -376,16 +380,17 @@ class GenSet:
             chunk = tuple(wrap[i:i + CHUNK])
             a, b, c, d = self._table[chunk] = evaluate_word(chunk, matrices, powers, self._table).entries()
             self._table[tuple(inverse[n - CHUNK - i:n - i])] = (d, -b, -c, a)
-        # a final label's class is its own coordinate, and any other symbol's
-        # the exponent sums of its word, which free reduction leaves unchanged,
-        # summed per label the word holds and sorted by coordinate
-        index = self._index
-        self._classes = {lbl: [(i, 1)] for lbl, i in index.items()}
-        for symbol, word in self._raw_words.items():
-            sums: dict[str, int] = {}
-            for lbl, e in word:
-                sums[lbl] = sums.get(lbl, 0) + e
-            self._classes[symbol] = sorted([(index[lbl], e) for lbl, e in sums.items() if e])
+        # a final label's class is its own coordinate, an eliminated label's the
+        # sum of its Tietze replacement's token classes in reversed log order
+        # (the order its word is substituted in), and P's the sum over WRAP:
+        # free reduction leaves exponent sums unchanged
+        self._classes = {lbl: [(i, 1)] for lbl, i in self._index.items()}
+        for symbol, replacement in [*reversed(log), ("P", WRAP)]:
+            sums: dict[int, int] = {}
+            for label, n in replacement:
+                for i, e in self._classes[label]:
+                    sums[i] = sums.get(i, 0) + n * e
+            self._classes[symbol] = sorted((i, e) for i, e in sums.items() if e)
         self.parabolic_class = self._vector(self._coords([("P", 1)]))
 
     @property
@@ -462,7 +467,7 @@ class GenSet:
                 {
                     "label": lbl,
                     "matrix": self._matrices[lbl].to_json(),
-                    "order": self.orders[lbl] if self.orders[lbl] != "inf" else "inf",
+                    "order": self.orders[lbl],
                 }
                 for lbl in self.labels
             ],
@@ -629,13 +634,14 @@ def build_presentation(p: int) -> GenSet:
     for raw, word in final_words.items():
         sign_against(evaluate_word(word, matrices, powers), matrices[raw], f"rewriting-log word of {raw}")
 
-    return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words, steps)
+    return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words, steps, log)
 
 
 def compute_Q(p: int, gens: Optional[GenSet] = None) -> set[int]:
     """The additive-twist moduli Q = {1} u {q : V_q in the generating set}."""
     if gens is None:
         gens = build_presentation(p)
+    _require_level(p, gens)
     return gens.q_set()
 
 

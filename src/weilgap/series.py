@@ -33,8 +33,10 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_man_exp, fzero, mpf_neg
 
+from .characters import _divisors, _mobius
 from .matrices import lift_bottom_row, slash_evaluator  # kept importable from series
 from .multiplier import MultiplierSystem
+from .presentation import _require_level
 
 _EPS = 4 * np.finfo(float).eps
 _MAX_TERMS = 2000
@@ -575,26 +577,7 @@ class KloostermanSum:
 
 def _ramanujan_sum(m: int, c: int) -> int:
     """c_c(m) = sum_{d | gcd(m, c)} d * mu(c / d)."""
-    def mu(n: int) -> int:
-        result = 1
-        x = 2
-        while x * x <= n:
-            if n % x == 0:
-                n //= x
-                if n % x == 0:
-                    return 0
-                result = -result
-            x += 1
-        if n > 1:
-            result = -result
-        return result
-
-    g = math.gcd(m, c) if m != 0 else c
-    total = 0
-    for d in range(1, g + 1):
-        if g % d == 0:
-            total += d * mu(c // d)
-    return total
+    return sum(d * _mobius(c // d) for d in _divisors(math.gcd(m, c)))
 
 
 def _kloosterman_rows(upsilon: MultiplierSystem, moduli):
@@ -622,9 +605,11 @@ def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int) -> Kl
     """The multiplier-twisted sum S_ups(m, c) for p | c, c > 0.
 
     Well-defined because upsilon(S) = 1 makes the value independent of the
-    choice of lift gamma_{c,d}; this is rejected otherwise, and so is a c
-    that is not a positive multiple of p (MultiplierSystem.rows_angles).
+    choice of lift gamma_{c,d}; this is rejected otherwise, and so are a p
+    other than upsilon's level and a c that is not a positive multiple of p
+    (MultiplierSystem.rows_angles).
     """
+    _require_level(p, upsilon)
     value = complex(next(_kloosterman_rows(upsilon, [c]))[m % c])
     if upsilon.is_trivial():
         exact = _ramanujan_sum(m, c)
@@ -655,6 +640,7 @@ def eisenstein_multiplier_coeffs(
     bound from truncating the c-sum at c_max.  When upsilon is reflection
     symmetric every Kloosterman row is real, and so is every coefficient:
     its imaginary part is exactly 0."""
+    _require_level(p, upsilon)
     if weight < 3:
         raise ValueError("the Eisenstein expansion diverges for weight < 3")
     if weight % 2 != 0:

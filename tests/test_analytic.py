@@ -539,6 +539,41 @@ def test_certify_modularity_is_the_padded_evaluation_bit_for_bit(monkeypatch, p)
     assert certificates[0].verdict and not certificates[1].verdict
 
 
+@pytest.mark.parametrize("p", [5, 11])
+def test_certificate_residual_is_the_worst_one_point_residual(p):
+    # each generator's residual, truncation and pass are those of the
+    # one-point check at its three points, bit for bit, on an honest pair
+    # and on a corrupted one
+    f, g = delta_delta_p(p, 900)
+    bad = f.copy_with(coeffs=[c + (m == p + 2) for m, c in enumerate(f.coeffs, start=1)], exact=None)
+    for x in (f, bad):
+        cert = certify_modularity(x, g, p, 24, None, tolerance=1e-6)
+        for check in cert.checks[1:]:
+            fe = fe_for_q(p, 24, check.q, 1.0 + 0j)
+            zs = [fe.balance_height * (0.17 * (i - 1) + 1j * (0.75 + 0.25 * i)) for i in range(3)]
+            points = [check_modular_relation(x, g, p, 24, fe, z, tolerance=1e-6) for z in zs]
+            assert check.residual == max(pt.residual for pt in points)
+            assert check.truncation == max(pt.truncation for pt in points)
+            assert check.passed == all(pt.passed for pt in points)
+    assert not certify_modularity(bad, g, p, 24, None, tolerance=1e-6).verdict
+
+
+def test_certificate_residual_reads_nan(monkeypatch, dd5):
+    # a NaN at a generator's middle point is its residual, not skipped
+    relation = analytic._relation
+
+    def nan_in_the_middle(f, g, fe, zs):
+        lhs, rhs, trunc = relation(f, g, fe, zs)
+        lhs = lhs.copy()
+        lhs[1] = complex("nan")
+        return lhs, rhs, trunc
+
+    monkeypatch.setattr(analytic, "_relation", nan_in_the_middle)
+    cert = certify_modularity(*dd5, 5, 24, None, tolerance=1e-6)
+    assert all(math.isnan(c.residual) and not c.passed for c in cert.checks[1:])
+    assert not cert.verdict and cert.failing == "W_p"
+
+
 def test_level_and_weight_must_match_the_statement(dd5):
     # a level-5 statement checked at (11, 24) used to run its defect
     # integrals at level 5 and its modular points at level 11

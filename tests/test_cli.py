@@ -43,6 +43,15 @@ def test_gens_rejects_composite():
     assert "not prime" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["gens"], ["Q"], ["sixth-root"], ["multiplier", "--qmax", "1"]])
+def test_level_messages_are_one_line(capsys, command):
+    # one check for every command: a composite level is not prime, and the
+    # primes 2 and 3 are below the levels the presentation covers
+    for p, message in (("9", "9 is not prime"), ("1", "1 is not prime"), ("3", "level must be a prime > 3, got 3")):
+        assert main([command[0], "--p", p, *command[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_word_roundtrip():
     proc = run_cli("word", "--p", "13", "--matrix", "1,0,-13,1")
     assert proc.returncode == 0

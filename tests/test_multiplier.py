@@ -228,6 +228,28 @@ def test_solve_pretend_kernel_index(gens29):
         solve_pretend(cs, chi, gens29, kernel_index=sol0.kernel_dim)
 
 
+def test_pretend_constraints_reject_another_level(gens29):
+    # the row matrix T S^13 T^-1 was paired with the class [P] of level 29
+    with pytest.raises(ValueError, match="^p = 13 differs from the level 29 of the GenSet$"):
+        pretend_constraints(13, gens29, DirichletChar(29, 0), 0)
+
+
+def test_multiplier_of_another_level_is_refused(gens13, gens29):
+    # a serialized multiplier and a character are held to the level of the
+    # generating set by the same check
+    with pytest.raises(ValueError, match="^p = 29 differs from the level 13 of the GenSet$"):
+        MultiplierSystem.from_json(gens13, trivial_multiplier(gens29).to_json())
+    with pytest.raises(ValueError, match="^p = 13 differs from the level 29 of the GenSet$"):
+        char_multiplier(DirichletChar(13, 0), gens29)
+
+
+def test_sixth_root_check_rejects_another_level(gens29):
+    # it reported p = 13, p_mod_12 = 1 for the data of level 29
+    with pytest.raises(ValueError, match="^p = 13 differs from the level 29 of the GenSet$"):
+        sixth_root_check(13, gens29)
+    assert sixth_root_check(29, gens29)["p_mod_12"] == 5
+
+
 def test_sixth_root_examples(gens13):
     rep11 = sixth_root_check(11, build_presentation(11))
     assert rep11["free_ok"] and rep11["torsion_zero"]
@@ -620,7 +642,7 @@ def test_in_kappa_subgroup_matches_solving(p, data):
     assert in_kappa_subgroup(gens, vec + (-noise))
 
 
-# The array walk of row_angles against the scalar bottom_row_angle
+# The array walk of rows_angles against the scalar bottom_row_angle
 
 
 def _row_oracle(ups, c):
@@ -629,7 +651,7 @@ def _row_oracle(ups, c):
 
 
 def _row_angle_list(ups, c):
-    ds, r, s = ups.row_angles(c)
+    ds, r, s = next(ups.rows_angles([c]))
     den = ups._den
     return [(int(d), Angle(Fraction(int(x), den), Fraction(int(y), den))) for d, x, y in zip(ds, r, s)]
 
@@ -656,10 +678,10 @@ def test_row_angles_fall_back_past_the_int64_bound(gens29):
     angles[label] = Angle(angles[label].r, Fraction(2**60 + 1, 3))
     big = MultiplierSystem(gens29, angles)
     for c in (29, 58, 29 * 37):
-        ds, r, s = big.row_angles(c)
+        ds, r, s = next(big.rows_angles([c]))
         assert r.dtype == object and max(abs(x) for x in s) >= 2**53
         assert _row_angle_list(big, c) == _row_oracle(big, c)
-        assert ups.row_angles(c)[1].dtype == np.int64
+        assert next(ups.rows_angles([c]))[1].dtype == np.int64
 
 
 @settings(max_examples=30, deadline=None)
@@ -669,7 +691,7 @@ def test_row_values_are_the_bottom_row_values(p, t, solved, data):
     # rounded; numpy's complex exp then gives the same doubles as cmath's
     ups = _pretend(p) if solved else _random_multiplier(_gens(p), data)
     c = p * t
-    ds, values = ups.row_values(c)
+    ds, values = next(ups.rows_values([c]))
     assert [complex(v) for v in values] == [ups.bottom_row_angle(c, int(d)).value() for d in ds]
 
 
@@ -677,10 +699,10 @@ def test_row_angles_reject(gens13):
     angles = {lbl: Angle() for lbl in gens13.labels}
     angles["S"] = Angle(Fraction(1, 5))
     with pytest.raises(ValueError, match="upsilon\\(S\\) = 1"):
-        MultiplierSystem(gens13, angles).row_angles(13)
+        next(MultiplierSystem(gens13, angles).rows_angles([13]))
     for c in (0, -13, 14):
         with pytest.raises(ValueError, match="positive multiple"):
-            trivial_multiplier(gens13).row_angles(c)
+            next(trivial_multiplier(gens13).rows_angles([c]))
 
 
 # Reflection symmetry: upsilon(eps gamma eps) = conj upsilon(gamma), eps = diag(1, -1)
@@ -747,7 +769,7 @@ def test_reflection_symmetry_needs_trivial_upsilon_s(gens13):
 
 
 def _full_walk(ups):
-    """The same multiplier with the half walk turned off: its row_angles
+    """The same multiplier with the half walk turned off: its rows_angles
     walks every d of the row."""
     full = MultiplierSystem(ups.gens, ups.angles)
     full.__dict__["reflection_symmetric"] = False
@@ -760,7 +782,7 @@ def test_half_walk_equals_the_full_walk(p, q_max, index):
     assert ups.reflection_symmetric
     full = _full_walk(ups)
     for c in range(p, 40 * p + 1, p):
-        half, whole = ups.row_angles(c), full.row_angles(c)
+        half, whole = next(ups.rows_angles([c])), next(full.rows_angles([c]))
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(half, whole))
 
 
@@ -771,9 +793,9 @@ def test_half_walk_on_object_lanes(gens29):
     big = MultiplierSystem(gens29, {lbl: Angle(a.r, a.s * (2**60 + 1)) for lbl, a in ups.angles.items()})
     assert big.reflection_symmetric
     for c in (29, 58, 29 * 37):
-        ds, r, s = big.row_angles(c)
+        ds, r, s = next(big.rows_angles([c]))
         assert r.dtype == object and max(abs(x) for x in s) >= 2**53
-        assert all(np.array_equal(a, b) for a, b in zip((ds, r, s), _full_walk(big).row_angles(c)))
+        assert all(np.array_equal(a, b) for a, b in zip((ds, r, s), next(_full_walk(big).rows_angles([c]))))
         assert _row_angle_list(big, c) == _row_oracle(big, c)
 
 
@@ -854,7 +876,7 @@ def test_rows_angles_match_bottom_row_angle(p, ts, kind, data):
 def test_rows_angles_batch_at_the_lane_cap(monkeypatch, cap, batches):
     # the solved upsilon at p = 29 walks 14, 14, 28 and 28 lanes of these rows
     ups, moduli = _pretend(29), [29, 58, 87, 116]
-    want = [ups.row_angles(c) for c in moduli]
+    want = [next(ups.rows_angles([c])) for c in moduli]
     monkeypatch.setattr("weilgap.multiplier._WALK_LANES", cap)
     assert [len(batch) for batch in ups._batches(moduli)] == batches
     assert _same_rows(list(ups.rows_angles(moduli)), want)
@@ -865,7 +887,7 @@ def test_rows_angles_pick_lanes_per_batch(monkeypatch):
     # int64 lanes for the first, Python integers for the second, with the
     # same angles; in one batch the largest c puts every row in Python integers
     ups, moduli = _pretend(29), [29, 58, 29 * 40]
-    want = [ups.row_angles(c) for c in moduli]
+    want = [next(ups.rows_angles([c])) for c in moduli]
     first, second = _lane_bound(ups, 58), _lane_bound(ups, 29 * 40)
     assert max(first, ups._den) < second
     monkeypatch.setattr("weilgap.multiplier._WALK_LANES", 28)
@@ -896,9 +918,9 @@ def test_walked_half_bound_covers_every_value_it_computes(monkeypatch, p, q_max,
         # with the walk in Python integers
         with monkeypatch.context() as patch:
             patch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", max(bound, den) + 1)
-            on_int64 = ups.row_angles(c)
+            on_int64 = next(ups.rows_angles([c]))
             patch.setattr("weilgap.multiplier.ROW_WALK_LIMIT", 0)
-            on_objects = ups.row_angles(c)
+            on_objects = next(ups.rows_angles([c]))
         assert on_int64[1].dtype == np.int64 and on_objects[1].dtype == object
         assert _same_rows([on_int64], [on_objects])
         assert on_int64[0].tolist() == ds

@@ -497,6 +497,32 @@ def test_is_prime_helper():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def _trial_division(n):
+    """Oracle: odd trial division up to sqrt(n)."""
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    return all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_is_prime_is_trial_division():
+    assert [n for n in range(-3, 10**4) if is_prime(n)] == [n for n in range(-3, 10**4) if _trial_division(n)]
+
+
+def test_level_messages():
+    # a composite level is named as such; 2 and 3 are primes below the range
+    for p, message in ((9, "9 is not prime"), (1, "1 is not prime"), (3, "level must be a prime > 3, got 3")):
+        for call in (build_presentation, rademacher_signature):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(p)
+
+
+def test_compute_q_rejects_a_presentation_of_another_level():
+    # it returned the Q of level 29 for p = 13
+    with pytest.raises(ValueError, match="^p = 13 differs from the level 29 of the GenSet$"):
+        compute_Q(13, gens_of(29))
+    assert compute_Q(29, gens_of(29)) == gens_of(29).q_set()
+
+
 PRIMES = [n for n in range(5, 500) if all(n % f for f in range(2, n))]
 
 
@@ -833,6 +859,26 @@ def _dense_classes(gens):
             coords[gens._index[label]] += n
         classes[symbol] = [(i, e) for i, e in enumerate(coords) if e]
     return classes
+
+
+def _token_classes(gens):
+    """Oracle: the class of every raw symbol as the exponent sums of every
+    token of its word, summed per label and sorted by coordinate."""
+    classes = {lbl: [(i, 1)] for lbl, i in gens._index.items()}
+    for symbol, word in gens._raw_words.items():
+        sums = {}
+        for lbl, e in word:
+            sums[lbl] = sums.get(lbl, 0) + e
+        classes[symbol] = sorted([(gens._index[lbl], e) for lbl, e in sums.items() if e])
+    return classes
+
+
+def test_classes_from_the_log_match_the_token_pass():
+    # each eliminated label's class is summed from its Tietze replacement,
+    # and P's from WRAP, not from the tokens of their words
+    for p in [*filter(is_prime, range(5, 200)), 1009, 2003]:
+        gens = gens_of(p)
+        assert gens._classes == _token_classes(gens)
 
 
 def test_sparse_classes_match_the_dense_sum():

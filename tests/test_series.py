@@ -16,6 +16,7 @@ from weilgap.multiplier import char_multiplier, pretend_constraints, solve_prete
 from weilgap.presentation import build_presentation
 from weilgap.series import (
     _kloosterman_rows,
+    _ramanujan_sum,
     _kronecker_mul,
     _node_sums,
     _rounded,
@@ -216,6 +217,29 @@ def test_kloosterman_character_twist_factorization():
                 if math.gcd(d, c) == 1
             )
             assert abs(ks.value - brute) < 1e-9
+
+
+def test_ramanujan_sum_is_the_cosine_sum():
+    # c_c(m) = sum over the units d of cos(2 pi m d / c), an integer
+    for c in range(1, 61):
+        units = [d for d in range(c) if math.gcd(d, c) == 1]
+        for m in range(-c, 2 * c):
+            assert _ramanujan_sum(m, c) == round(sum(math.cos(2 * math.pi * m * d / c) for d in units))
+
+
+def test_kloosterman_and_eisenstein_reject_another_level():
+    # twisted_kloosterman ignored p; the level-58 series summed only the
+    # moduli c = 0 mod 58 of the level-29 multiplier
+    ups29 = trivial_multiplier(build_presentation(29))
+    with pytest.raises(ValueError, match="^p = 5 differs from the level 29 of the MultiplierSystem$"):
+        twisted_kloosterman(5, ups29, 1, 29)
+    assert twisted_kloosterman(29, ups29, 1, 29).exact_value == -1
+
+
+def test_eisenstein_multiplier_coeffs_rejects_another_level():
+    ups29 = trivial_multiplier(build_presentation(29))
+    with pytest.raises(ValueError, match="^p = 58 differs from the level 29 of the MultiplierSystem$"):
+        eisenstein_multiplier_coeffs(58, ups29, 4, M=5, c_max=116)
 
 
 def test_kloosterman_rejects_bad_modulus():
@@ -901,7 +925,7 @@ def _kernel_upsilon(p, q_max, index):
 
 def complex_fft_row(ups, c):
     """Oracle: c times the inverse FFT of the conjugated row values, complex."""
-    ds, values = ups.row_values(c)
+    ds, values = next(ups.rows_values([c]))
     row = np.zeros(c, dtype=complex)
     row[ds] = values.conjugate()
     return c * np.fft.ifft(row)
