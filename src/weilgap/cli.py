@@ -19,7 +19,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .characters import DirichletChar, primitive_characters
 from .matrices import Mat2
@@ -76,10 +75,6 @@ def _emit(config: dict, result: dict, out_path: str | None) -> None:
 def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, set):
-        return sorted(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

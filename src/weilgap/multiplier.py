@@ -31,7 +31,7 @@ import numpy as np
 
 from .characters import DirichletChar, _factorize, _units
 from .linalg import nullspace
-from .matrices import Mat2, S, T, lift_bottom_row
+from .matrices import Mat2, S, lift_bottom_row
 from .presentation import ExpVector, GenSet, _require_level, constraint_matrix
 
 SQRT2 = math.sqrt(2)
@@ -381,7 +381,6 @@ class ConstraintRow:
     vector: ExpVector
     target: Angle
     tag: str
-    matrix: Mat2
     a: Optional[int] = None
     q: Optional[int] = None
 
@@ -412,16 +411,18 @@ def pretend_constraints(
 
     One row per (a mod q, q); that the constraint only depends on B mod q is
     re-verified on a second lift of each row rather than assumed.  q_max = 0
-    gives the cusp rows only; a negative q_max raises ValueError.
+    gives the cusp rows only; a negative q_max, or a gens or chi of a level
+    other than p, raises ValueError.
     """
     _require_level(p, gens)
+    _require_level(p, chi)
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
     if not chi.is_even():
         raise ValueError("pretend constraints require an even character")
     rows = [
-        ConstraintRow(gens.class_of(S), ZERO_ANGLE, "kappa_I", S),
-        ConstraintRow(gens.parabolic_class, ZERO_ANGLE, "kappa_T", T * S**p * T.inv()),
+        ConstraintRow(gens.class_of(S), ZERO_ANGLE, "kappa_I"),
+        ConstraintRow(gens.parabolic_class, ZERO_ANGLE, "kappa_T"),
     ]
     for q in range(1, q_max + 1):
         if q % p == 0:
@@ -435,7 +436,7 @@ def pretend_constraints(
                     raise AssertionError(
                         f"constraint for (a, q) = ({a}, {q}) depends on more than B mod q"
                     )
-            rows.append(ConstraintRow(vec, Angle(chi.angle(q)), f"pretend({a},{q})", m, a=a, q=q))
+            rows.append(ConstraintRow(vec, Angle(chi.angle(q)), f"pretend({a},{q})", a=a, q=q))
     return ConstraintSystem(p, rows, q_max)
 
 

@@ -75,13 +75,11 @@ def _require_level(p: int, obj) -> None:
 def v_matrix(p: int, q: int) -> Mat2:
     """The Rademacher matrix V_q = [[-q*, -1], [q q* + 1, q]].
 
-    q* is the unique solution of q q* = -1 (mod p) with 1 <= q* <= p.
+    q* is the unique solution of q q* = -1 (mod p) with 1 <= q* < p.
     """
     if q % p == 0:
         raise ValueError(f"q = {q} is divisible by p = {p}")
     qs = (-pow(q, -1, p)) % p
-    if qs == 0:
-        qs = p
     m = Mat2(-qs, -1, q * qs + 1, q)
     assert m.det() == 1
     return m

@@ -567,12 +567,9 @@ def _coeff_errors(f: CoeffSeries, M: int) -> np.ndarray:
 class KloostermanSum:
     """S_ups(m, c) = sum_{d mod c, (d,c)=1} conj(ups(gamma_{c,d})) e(m d / c)."""
 
-    modulus: int
-    frequency: int
     value: complex
     is_exact: bool = False
     exact_value: Optional[int] = None
-    upsilon: Optional[MultiplierSystem] = None
 
 
 def _ramanujan_sum(m: int, c: int) -> int:
@@ -614,8 +611,8 @@ def twisted_kloosterman(p: int, upsilon: MultiplierSystem, m: int, c: int) -> Kl
     if upsilon.is_trivial():
         exact = _ramanujan_sum(m, c)
         assert abs(value - exact) < 1e-6 * max(1.0, abs(exact)), (m, c, value, exact)
-        return KloostermanSum(c, m, complex(exact), True, exact, upsilon)
-    return KloostermanSum(c, m, value, False, None, upsilon)
+        return KloostermanSum(complex(exact), True, exact)
+    return KloostermanSum(value)
 
 
 def _eis_tail_sum(p: int, w: int, c_max: int) -> float:

@@ -1,9 +1,14 @@
 import argparse
+import contextlib
+import io
 import json
+import os
 import shlex
 import subprocess
 import sys
+import traceback
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,13 +17,26 @@ from weilgap.series import delta_delta_p, eisenstein_level1
 
 
 def run_cli(*args, cwd=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "weilgap.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
-    return proc
+    """main(args) in this process, read back like a finished subprocess:
+    returncode, stdout and stderr.  argparse's SystemExit gives its code;
+    an uncaught exception gives 1 and its traceback, as the interpreter
+    would."""
+    out, err = io.StringIO(), io.StringIO()
+    before = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)  # no contextlib.chdir before Python 3.11
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                returncode = main(list(args))
+            except SystemExit as exc:
+                returncode = exc.code
+            except Exception:
+                traceback.print_exc()
+                returncode = 1
+    finally:
+        os.chdir(before)
+    return SimpleNamespace(returncode=returncode, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def strip_timestamp(doc):
@@ -339,29 +357,28 @@ def test_multiplier_document_with_a_zero_denominator_is_one_line(tmp_path, capsy
     assert err.startswith("error: malformed multiplier document: ZeroDivisionError")
 
 
-def test_weilgap_threads_caps_blas_before_numpy():
-    import os
-
-    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    # record the variables at the moment numpy is first looked up
-    probe = f"""
-import json, os, sys
-seen = {{}}
-class Probe:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.update({{v: os.environ.get(v) for v in {variables!r}}})
-sys.meta_path.insert(0, Probe())
-import weilgap
-print(json.dumps([seen, {{v: os.environ.get(v) for v in {variables!r}}}]))
-"""
-    env = {k: v for k, v in os.environ.items() if k not in variables}
-    env["WEILGAP_THREADS"] = "3"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+def test_module_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "weilgap.cli", "gens", "--p", "13"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    at_numpy_import, after = json.loads(proc.stdout)
-    assert at_numpy_import == {v: "3" for v in variables}
-    assert after == {v: "3" for v in variables}
+    assert json.loads(proc.stdout)["result"]["l"] == 5
+
+
+def _modules_after(statement):
+    """The names in sys.modules after statement runs in a fresh interpreter."""
+    probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_import_weilgap_loads_no_submodule():
+    assert not {name for name in _modules_after("import weilgap") if name.startswith("weilgap.")}
+
+
+def test_exact_layers_load_neither_numpy_nor_mpmath():
+    loaded = _modules_after("import weilgap.presentation, weilgap.matrices, weilgap.characters, weilgap.linalg")
+    assert {"weilgap.presentation", "weilgap.linalg"} <= loaded
+    assert not {name.split(".")[0] for name in loaded} & {"numpy", "mpmath"}
 
 
 def test_lambda_overflow_is_invalid_input(tmp_path):

@@ -229,9 +229,15 @@ def test_solve_pretend_kernel_index(gens29):
 
 
 def test_pretend_constraints_reject_another_level(gens29):
-    # the row matrix T S^13 T^-1 was paired with the class [P] of level 29
+    # the cusp rows of a level-13 request came back with the class [P] of level 29
     with pytest.raises(ValueError, match="^p = 13 differs from the level 29 of the GenSet$"):
         pretend_constraints(13, gens29, DirichletChar(29, 0), 0)
+
+
+def test_pretend_constraints_reject_a_character_of_another_level(gens29):
+    # the rows took their targets from the angles of the character mod 13
+    with pytest.raises(ValueError, match="^p = 29 differs from the level 13 of the DirichletChar$"):
+        pretend_constraints(29, gens29, DirichletChar(13, 2), 3)
 
 
 def test_multiplier_of_another_level_is_refused(gens13, gens29):
