@@ -14,12 +14,11 @@ import weilgap.analytic as analytic
 from weilgap.matrices import Mat2, S, T
 from weilgap.characters import ResidueChar, all_characters, primitive_characters
 from weilgap.presentation import compute_Q
-from weilgap.series import _cgamma, delta_coeffs, delta_delta_p, eisenstein_level1, series_evaluator
+from weilgap.series import _cgamma, delta_coeffs, delta_delta_p, eisenstein_level1, series_evaluator, upper_incomplete_gamma
 from weilgap.analytic import (
     _auto_window,
     _leggauss,
     _relation,
-    _tail_upper_gamma,
     AdditiveTwist,
     FEStatement,
     additive_statements_for_psi,
@@ -33,7 +32,6 @@ from weilgap.analytic import (
     gauss_sum,
     lambda_additive,
     lambda_multiplicative,
-    upper_incomplete_gamma,
 )
 
 # [[D, a], [-pB, q]] for (a, q, B, D) = (-1, 1, -1, -4): V_1 at p = 5
@@ -63,28 +61,6 @@ def mp_gammainc(s, a, b):
 
 def lower_incomplete_gamma(s, x):
     return mp_gammainc(s, 0, x)
-
-
-def tail_upper_gamma_loop(f, re_s, y0):
-    """Oracle: the scalar loop that _tail_upper_gamma replaced."""
-    gamma_re = abs(cgamma(re_s)) if re_s > 1 else math.inf
-    total = 0.0
-    m = f.M + 1
-    while True:
-        x = 2 * math.pi * m * y0
-        if re_s <= 1:
-            g = x ** (re_s - 1) * math.exp(-x)
-        elif x <= abs(re_s) + 1:
-            g = gamma_re
-        else:
-            g = x**re_s * math.exp(-x) / (x - re_s)
-        term = f.growth_c * m**f.sigma * (2 * math.pi * m) ** (-re_s) * g
-        total += term
-        if term < 1e-20 * (1 + total):
-            return total
-        if m > f.M + 100000:
-            return math.inf
-        m += 1
 
 
 def auto_window_loop(f, g, fe, cut):
@@ -364,41 +340,15 @@ def test_lambda_error_monotone_in_M(delta2000):
     assert 0 <= e_long <= e_short
 
 
-def test_tail_upper_gamma_capped_sum_is_infinite():
-    # at y0 = 1e-5 the terms still matter after 100000 of them; the partial
-    # sum (0.017) would under-report.  The q-expansion tail bound is a closed
-    # form, finite there and not below C int_11^inf x^sigma e^{-t x} dx
+def test_tail_bound_is_finite_at_a_small_height():
+    # at y0 = 1e-5 the tail terms m^sigma e^{-2 pi m y0} grow up to m near
+    # 95,000; the closed form is finite there and not below
+    # C int_11^inf x^sigma e^{-t x} dx
     d = delta_coeffs(10)
     t = 2 * math.pi * 1e-5
     with mp.workdps(30):
         integral = d.growth_c * mp.quad(lambda x: x**d.sigma * mp.exp(-t * x), [11, mp.inf])
     assert integral <= d.tail_bound(1e-5) < math.inf
-    assert _tail_upper_gamma(d, 7.0, 1e-5) == math.inf
-
-
-@pytest.mark.parametrize("M", [10, 600, 2000])
-@pytest.mark.parametrize("re_s", [0.5, 1.0, 6.0, 7.0, 10.0, 14.0])
-def test_tail_upper_gamma_matches_the_loop(M, re_s):
-    d = delta_coeffs(M)
-    for y0 in (2e-4, 1e-3, 1e-2, 0.1, 1.0):
-        want = tail_upper_gamma_loop(d, re_s, y0)
-        got = _tail_upper_gamma(d, re_s, y0)
-        if want == math.inf:
-            assert got == math.inf
-        else:
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
-
-
-def test_tail_upper_gamma_bounds_the_tail():
-    # Gamma(7, x) = 6! e^{-x} sum_{j < 7} x^j / j! in closed form
-    d = delta_coeffs(10)
-    y0, s = 1e-3, 7.0
-    total = 0.0
-    for m in range(11, 20000):
-        x = 2 * math.pi * m * y0
-        upper = 720 * math.exp(-x) * sum(x**j / math.factorial(j) for j in range(7))
-        total += d.growth_c * m**d.sigma * (2 * math.pi * m) ** (-s) * upper
-    assert total <= _tail_upper_gamma(d, s, y0) < math.inf
 
 
 def test_lambda_additive_rejects_empty():
@@ -816,15 +766,51 @@ def test_check_fe_multiplicative_q1_specialization(dd5):
 
 
 def test_check_fe_multiplicative_sign_sensitivity(dd11):
+    # the declared constant is chi(q) psi(p) tau(psi)^2/q, so chi(q) = -1 flips it
     f, g = dd11
     psi = next(c for c in primitive_characters(3))
-    flipped = -psi(11) * gauss_sum(psi) ** 2 / 3
-    rep = check_fe_multiplicative(
-        f, g, 11, 24, 1.0, psi, s_samples=[12 + 0j], tolerance=1e-6,
-        constant_override=flipped,
-    )
+    rep = check_fe_multiplicative(f, g, 11, 24, -1.0, psi, s_samples=[12 + 0j], tolerance=1e-6)
     assert not rep.verdict
     assert rep.samples[0]["residual"] > 1e-2
+
+
+def test_check_fe_multiplicative_samples_read_g(dd11):
+    # every 7th coefficient of g off by 30%: the samples themselves fail,
+    # not only the per-residue reports
+    f, g = dd11
+    bad = g.copy_with(coeffs=[c * 1.3 if m % 7 == 0 else c for m, c in enumerate(g.coeffs, start=1)], exact=None)
+    psi = next(c for c in primitive_characters(3))
+    rep = check_fe_multiplicative(f, bad, 11, 24, 1.0, psi, s_samples=[12 + 0j, 13 + 0j], tolerance=1e-6)
+    assert not rep.verdict
+    for smp in rep.samples:
+        assert not smp["pass"]
+        assert smp["residual"] > 1e-2
+
+
+def test_check_fe_multiplicative_q1_is_the_additive_sample(dd11):
+    f, g = dd11
+    rep = check_fe_multiplicative(f, g, 11, 24, 1.0, all_characters(1)[0])
+    (additive,) = rep.additive_reports
+    assert len(rep.samples) == len(additive.samples) == 4
+    for smp, one in zip(rep.samples, additive.samples):
+        assert smp["s"] == one.s
+        assert smp["defect"] == one.defect_integral
+        assert smp["scale"] == one.scale
+        assert smp["error"] == one.window_error + one.quadrature_error
+        assert smp["residual"] == one.relative
+        assert smp["pass"] == one.passed
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_check_fe_multiplicative_relative_defect_within_the_residues(dd11, q):
+    # |conj psi(a)| = 1 and |tau| = sqrt q, so the combined relative defect
+    # is at most the largest per-residue one
+    f, g = dd11
+    for psi in primitive_characters(q):
+        rep = check_fe_multiplicative(f, g, 11, 24, 1.0, psi)
+        assert rep.verdict
+        for i, smp in enumerate(rep.samples):
+            assert smp["residual"] <= max(r.samples[i].relative for r in rep.additive_reports)
 
 
 def test_dual_statements_cover_units():
