@@ -19,32 +19,16 @@ import os
 import re
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from .characters import DirichletChar, primitive_characters
 from .matrices import Mat2
 from .presentation import _check_level, build_presentation, compute_Q, constraint_matrix, decompose_gamma0
-from .multiplier import (
-    MultiplierSystem,
-    pretend_constraints,
-    sixth_root_check,
-    solve_pretend,
-    trivial_multiplier,
-)
-from .series import (
-    CoeffSeries,
-    delta_coeffs,
-    delta_delta_p,
-    eisenstein_multiplier_coeffs,
-)
-from .analytic import (
-    AdditiveTwist,
-    FEStatement,
-    certify_modularity,
-    check_fe_additive,
-    check_fe_multiplicative,
-    fe_for_q,
-    lambda_additive,
-)
+
+# the multiplier, series and analytic layers load numpy and mpmath, so each
+# handler imports the ones it uses: gens, word and Q start without them
+if TYPE_CHECKING:
+    from .series import CoeffSeries
 
 
 class CliError(Exception):
@@ -79,6 +63,8 @@ def _json_default(obj):
 
 
 def _load_series(path: str) -> CoeffSeries:
+    from .series import CoeffSeries
+
     if not os.path.exists(path):
         raise CliError(f"coefficient file not found: {path}")
     with open(path) as handle:
@@ -134,6 +120,8 @@ def cmd_q(args):
 
 
 def cmd_multiplier(args):
+    from .multiplier import pretend_constraints, solve_pretend
+
     p = _check_level(args.p)
     gens = build_presentation(p)
     chi = _chi_from_arg(args.chi, p)
@@ -169,6 +157,8 @@ def cmd_multiplier(args):
 
 
 def cmd_sixth_root(args):
+    from .multiplier import sixth_root_check
+
     p = _check_level(args.p)
     report = sixth_root_check(p, build_presentation(p))
     return report, report["free_ok"]
@@ -176,6 +166,9 @@ def cmd_sixth_root(args):
 
 def cmd_series(args):
     """Writes JSON lines itself; returns no result."""
+    from .multiplier import MultiplierSystem, trivial_multiplier
+    from .series import delta_coeffs, delta_delta_p, eisenstein_multiplier_coeffs
+
     if args.kind == "delta":
         series = delta_coeffs(args.M)
     elif args.kind == "delta-delta-p":
@@ -205,6 +198,8 @@ def cmd_series(args):
 
 
 def cmd_lambda(args):
+    from .analytic import AdditiveTwist, lambda_additive
+
     s = _parse_complex(args.s)
     f = _load_series(args.coeffs)
     twist = AdditiveTwist(args.a, args.q)
@@ -219,6 +214,8 @@ def cmd_lambda(args):
 
 
 def cmd_check_fe(args):
+    from .analytic import FEStatement, check_fe_additive, fe_for_q
+
     if args.q < 1:
         raise CliError(f"modulus q = {args.q} must be a positive integer")
     f, g = _load_pair(args)
@@ -238,6 +235,8 @@ def cmd_check_fe(args):
 
 
 def cmd_check_fe_mult(args):
+    from .analytic import check_fe_multiplicative
+
     f, g = _load_pair(args)
     p = _check_level(args.p)
     chi = _chi_from_arg(args.chi, p)
@@ -263,6 +262,8 @@ def cmd_check_fe_mult(args):
 
 
 def cmd_certify(args):
+    from .analytic import certify_modularity
+
     f, g = _load_pair(args)
     p = _check_level(args.p)
     chi = _chi_from_arg(args.chi, p)

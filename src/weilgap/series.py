@@ -1,8 +1,10 @@
 """Fourier coefficient prefixes: Delta, Delta(z)Delta(pz), products, and
 Eisenstein series attached to a general multiplier system.
 
-Integral sources (Ramanujan tau and its convolutions) are computed with
-exact integer arithmetic.  The Eisenstein coefficients use the expansion
+Integral sources are exact: tau and Delta(z)Delta(pz) are eta products,
+built by sparse multiplications with Jacobi's series for eta^3 on int64
+limbs, and the exact branch of ``multiply`` is one Kronecker-substitution
+product of Python integers.  The Eisenstein coefficients use the expansion
 of the infinity-cusp series sum conj(upsilon(gamma)) j(gamma, z)^{-w} over
 Gamma_infinity \\ Gamma0(p):
 
@@ -387,26 +389,61 @@ def _num_parse(x):
 
 
 def eta_product_coeffs(M: int) -> list[int]:
-    """Coefficients of prod_{n >= 1} (1 - q^n)^24 up to q^{M-1}, exactly.
+    """Coefficients of prod_{n >= 1} (1 - q^n)^24 up to q^{M-1}, exactly:
+    :func:`_eta_power_product` with the one dilation 1."""
+    return _eta_power_product(M, (1,))
 
-    Jacobi: (prod (1 - q^n))^3 = sum_{k >= 0} (-1)^k (2k+1) q^{k(k+1)/2},
-    then three squarings.  The first squares the about sqrt(2M) terms of
-    eta^3 pair by pair; the other two are dense Kronecker products.
+
+def _eta_power_product(M: int, dilations: tuple[int, ...]) -> list[int]:
+    """Coefficients of prod_{d in dilations} prod_{n >= 1} (1 - q^{dn})^24
+    up to q^{M-1}, exactly, in sparse Jacobi steps on int64 limbs.
+
+    Jacobi: prod (1 - q^n)^3 = sum_{k >= 0} (-1)^k (2k+1) q^{k(k+1)/2}, so
+    each dilation d is eight multiplications by a series of the K terms
+    with d k(k+1)/2 < M.  The running product is signed base-2^31 limbs,
+    one int64 column each, carried into [-2^30, 2^30) after every step
+    (:func:`_carried`).  The K coefficients sum to K^2 in absolute value,
+    so no partial sum of a step reaches 2^62 while K^2 < 2^32.  The limbs
+    become Python ints once, at the end.
     """
-    size = M  # need exponents 0..M-1
-    eta3 = []  # (exponent, coefficient) of each term
-    k = 0
-    while k * (k + 1) // 2 < size:
-        eta3.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
-        k += 1
-    eta6 = [0] * size
-    for i, (ei, ci) in enumerate(eta3):
-        for ej, cj in eta3[i:]:
-            if ei + ej >= size:
-                break
-            eta6[ei + ej] += ci * cj if ej == ei else 2 * ci * cj
-    eta12 = _kronecker_mul(eta6, eta6, size)
-    return _kronecker_mul(eta12, eta12, size)
+    if M < 0 or min(dilations) < 1:
+        raise ValueError(f"need M >= 0 and dilations >= 1, got M = {M}, dilations {dilations}")
+    jacobi = []
+    for d in dilations:
+        terms, k = [], 0
+        while d * k * (k + 1) // 2 < M:
+            terms.append((d * k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+            k += 1
+        if len(terms) ** 2 >= 2**32:
+            raise ValueError(f"M = {M} needs {len(terms)} Jacobi terms; the int64 limbs allow at most 65535")
+        jacobi.append(terms)
+    limbs = np.zeros((M, 1), dtype=np.int64)
+    limbs[:1] = 1
+    for terms in jacobi:
+        for _ in range(8):
+            step = np.zeros_like(limbs)
+            for e, c in terms:
+                step[e:] += c * limbs[: M - e]
+            limbs = _carried(step)
+    out = limbs[:, -1].tolist()
+    for column in limbs.T[-2::-1]:
+        out = [(x << 31) + y for x, y in zip(out, column.tolist())]
+    return out
+
+
+def _carried(limbs: np.ndarray) -> np.ndarray:
+    """The same integers with every base-2^31 limb in [-2^30, 2^30), limb
+    columns added at the top while a carry is left."""
+    i = 0
+    while i < limbs.shape[1]:
+        carry = (limbs[:, i] + (1 << 30)) >> 31
+        limbs[:, i] -= carry << 31
+        if i + 1 < limbs.shape[1]:
+            limbs[:, i + 1] += carry
+        elif carry.any():
+            limbs = np.column_stack([limbs, carry])
+        i += 1
+    return limbs
 
 
 def _kronecker_mul(a: list[int], b: list[int], size: int) -> list[int]:
@@ -439,16 +476,8 @@ def delta_coeffs(M: int) -> CoeffSeries:
     """Ramanujan tau(1..M): Delta = q * prod (1 - q^n)^24, exact integers."""
     if M < 1:
         raise ValueError("need M >= 1")
-    eta24 = eta_product_coeffs(M)
-    tau = eta24[:M]  # tau(m) = coefficient of q^{m-1} in eta24
-    return CoeffSeries(
-        [complex(t) for t in tau],
-        weight=12,
-        level=1,
-        sigma=6.0,
-        label="delta",
-        exact=list(tau),
-    )
+    tau = eta_product_coeffs(M)  # tau(m) = coefficient of q^{m-1} in eta^24
+    return CoeffSeries(tau, weight=12, level=1, sigma=6.0, label="delta", exact=tau)
 
 
 def sigma_coeffs(k: int, M: int) -> list[int]:
@@ -472,7 +501,7 @@ def eisenstein_level1(k: int, M: int) -> CoeffSeries:
     factor = _EISENSTEIN_LEVEL1_FACTOR[k]
     coeffs = [factor * s for s in sigma_coeffs(k - 1, M)]
     return CoeffSeries(
-        [complex(c) for c in coeffs],
+        coeffs,
         weight=k,
         level=1,
         sigma=float(k),
@@ -485,19 +514,17 @@ def eisenstein_level1(k: int, M: int) -> CoeffSeries:
 def delta_delta_p(p: int, M: int) -> tuple[CoeffSeries, CoeffSeries]:
     """f(z) = Delta(z) Delta(pz) of weight 24 on Gamma0(p); g = f|W_p = f.
 
-    c_m = sum_{i + p j = m, i, j >= 1} tau(i) tau(j).  Delta(pz) is zero
-    off multiples of p, so with m = r + p v and i = r + p u this is one
-    product of two series of length about M/p per residue r mod p.
+    f = q^{1+p} prod (1 - q^n)^24 (1 - q^{pn})^24, so c_m, which is
+    sum_{i + p j = m, i, j >= 1} tau(i) tau(j), is coefficient m - 1 - p of
+    :func:`_eta_power_product` with the dilations (1, p).
     """
     if M < 1:
         raise ValueError("need M >= 1")
-    tau = [0, *eta_product_coeffs(M)]  # tau(0) = 0, tau(m) = coefficient of q^{m-1} in eta^24
-    c = [0] * (M + 1)
-    for r in range(p):
-        c[r::p] = _kronecker_mul(tau[r::p], tau[: M // p + 1], len(tau[r::p]))
-    c = c[1:]
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
+    c = [0] * min(p, M) + _eta_power_product(max(M - p, 0), (1, p))
     f = CoeffSeries(
-        [complex(x) for x in c],
+        c,
         weight=24,
         level=p,
         sigma=12.0,
@@ -531,7 +558,7 @@ def multiply(f: CoeffSeries, g: CoeffSeries) -> CoeffSeries:
         exact = _kronecker_mul([int(f.a0.real), *f.exact[:M]], [int(g.a0.real), *g.exact[:M]], M + 1)[1:]
     per_coeff: Optional[list[float]] = None
     if exact is not None:
-        out = [complex(x) for x in exact]
+        out = exact
     else:
         a, b = np.array([f.a0, *f.coeffs[:M]]), np.array([g.a0, *g.coeffs[:M]])
         out = np.convolve(a, b)[1 : M + 1].tolist()

@@ -381,6 +381,14 @@ def test_exact_layers_load_neither_numpy_nor_mpmath():
     assert not {name.split(".")[0] for name in loaded} & {"numpy", "mpmath"}
 
 
+@pytest.mark.parametrize("argv", [["gens", "--p", "13"], ["word", "--p", "13", "--matrix", "1,0,13,1"], ["Q", "--p", "13"]])
+def test_exact_commands_load_neither_numpy_nor_mpmath(argv):
+    run = f"import contextlib, io\nfrom weilgap.cli import main\nwith contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0"
+    loaded = _modules_after(run)
+    assert "weilgap.presentation" in loaded and not {"weilgap.series", "weilgap.analytic", "weilgap.multiplier"} & loaded
+    assert not {name.split(".")[0] for name in loaded} & {"numpy", "mpmath"}
+
+
 def test_lambda_overflow_is_invalid_input(tmp_path):
     coeffs = tmp_path / "delta.jsonl"
     run_cli("series", "--kind", "delta", "--M", "50", "--out", str(coeffs))

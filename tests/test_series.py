@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weilgap import series
 from weilgap.characters import DirichletChar
 from weilgap.matrices import T, FrickeMat
 from weilgap.multiplier import char_multiplier, pretend_constraints, solve_pretend, trivial_multiplier
@@ -1306,6 +1307,78 @@ def test_delta_delta_p_matches_convolution_oracle(p):
         for i in range(1, M - p * j + 1):
             c[p * j + i - 1] += tau[i - 1] * tau[j - 1]
     assert delta_delta_p(p, M)[0].exact == c
+
+
+def eta_product_oracle(M):
+    """Oracle: prod (1 - q^n)^24 up to q^{M-1} as Jacobi's eta^3 squared
+    pair by pair, then squared twice by Kronecker substitution."""
+    eta3 = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(math.isqrt(2 * M) + 2) if k * (k + 1) // 2 < M]
+    eta6 = [0] * M
+    for i, (ei, ci) in enumerate(eta3):
+        for ej, cj in eta3[i:]:
+            if ei + ej < M:
+                eta6[ei + ej] += ci * cj if ej == ei else 2 * ci * cj
+    eta12 = _kronecker_mul(eta6, eta6, M)
+    return _kronecker_mul(eta12, eta12, M)
+
+
+def delta_delta_p_oracle(p, M):
+    """Oracle: c_m = sum_{i + p j = m} tau(i) tau(j) as one Kronecker
+    product per residue r of m mod p, m = r + p v and i = r + p u."""
+    tau = [0, *eta_product_oracle(M)]
+    c = [0] * (M + 1)
+    for r in range(p):
+        c[r::p] = _kronecker_mul(tau[r::p], tau[: M // p + 1], len(tau[r::p]))
+    return c[1:]
+
+
+PRIMES_BELOW_300 = [n for n in range(2, 300) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, *PRIMES_BELOW_300]), st.integers(0, 4000))
+@example(11, 3000)
+@example(5, 2000)
+def test_jacobi_kernel_matches_kronecker_oracles(p, M):
+    assert eta_product_coeffs(M) == eta_product_oracle(M)
+    if M >= 1:
+        f, _ = delta_delta_p(p, M)
+        assert f.exact == delta_delta_p_oracle(p, M)
+        assert f.coeffs == [complex(x) for x in f.exact]
+
+
+def test_tau_at_three_limbs_matches_oracle_with_every_limb_carried(monkeypatch):
+    carried, widths = series._carried, []
+
+    def checked(limbs):
+        out = carried(limbs)
+        assert out.dtype == np.int64 and np.all(out >= -(2**30)) and np.all(out < 2**30)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(series, "_carried", checked)
+    assert eta_product_coeffs(20000) == eta_product_oracle(20000)
+    assert len(widths) == 8 and widths[-1] >= 3
+    widths.clear()
+    assert delta_delta_p(7, 1500)[0].exact == delta_delta_p_oracle(7, 1500)
+    assert len(widths) == 16
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_delta_delta_p_refuses_p_below_one(p):
+    with pytest.raises(ValueError, match="p >= 1"):
+        delta_delta_p(p, 10)
+    with pytest.raises(ValueError, match="dilations >= 1"):
+        series._eta_power_product(10, (1, p))
+
+
+def test_jacobi_kernel_refuses_a_negative_length_and_one_past_the_int64_limb_bound():
+    with pytest.raises(ValueError, match="M >= 0"):
+        eta_product_coeffs(-1)
+    # 65536 Jacobi terms once M passes 65535 * 65536 / 2; the check comes
+    # before any limb is allocated
+    with pytest.raises(ValueError, match="M = 2147450881"):
+        series._eta_power_product(65535 * 65536 // 2 + 1, (1,))
 
 
 @settings(max_examples=60, deadline=None)
