@@ -47,7 +47,7 @@ from .matrices import Mat2, S, T
 from .presentation import GenSet, compute_Q, constraint_matrix, v_matrix
 # upper_incomplete_gamma is not called here; benchmark/tracing.py looks it up
 # as analytic.upper_incomplete_gamma, so it stays importable from this module
-from .series import CoeffSeries, cgamma, upper_incomplete_gamma  # noqa: F401
+from .series import CoeffSeries, cgamma, tail_bounds, upper_incomplete_gamma  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,8 @@ def _relation(
         rhs = (-1)^k phase (p q^2)^{-k/2} z^{-k} g(-B/q + w),   w = -1/(p q^2 z),
 
     and the bound f.tail_bound(Im z) + |(p q^2)^{-k/2} z^{-k}| g.tail_bound(Im w)
-    on what the truncation of both series costs lhs - rhs.
+    on what the truncation of both series costs lhs - rhs, both tails from
+    one :func:`~weilgap.series.tail_bounds` call.
     """
     zs = np.asarray(zs, dtype=complex)
     pq2 = fe.p * fe.q * fe.q
@@ -235,7 +236,8 @@ def _relation(
     jacobian = pq2 ** (-fe.k / 2) * zs ** (-fe.k)
     lhs = f.eval_many(fe.twist().a / fe.q + zs)
     rhs = (-1) ** fe.k * fe.phase * jacobian * g.eval_many(fe.dual_twist().a / fe.q + ws)
-    truncation = f.tail_bound(zs.imag) + np.abs(jacobian) * g.tail_bound(ws.imag)
+    f_tail, g_tail = tail_bounds([(f, zs.imag), (g, ws.imag)])
+    truncation = f_tail + np.abs(jacobian) * g_tail
     return lhs, rhs, truncation
 
 
@@ -302,6 +304,9 @@ def _modular_points(
     return points
 
 
+_WINDOW_ROUND = 20  # ladder rungs a side that one _auto_window round probes
+
+
 def _auto_window(
     f: CoeffSeries, g: CoeffSeries, fe: FEStatement, cut: float = 1e-8
 ) -> tuple[float, float]:
@@ -312,24 +317,30 @@ def _auto_window(
     truncation bound of the relation at iy and signal the sum of magnitudes
     of its sides; this keeps the Mellin weights from amplifying edge noise
     of the truncated series into the defect integrals.  The ends are rungs
-    of the ladder y_bal 1.25^{+-j} inside (y_bal / 4096, 4096 y_bal), all
-    probed at once.
+    of the ladder y_bal 1.25^{+-j} inside (y_bal / 4096, 4096 y_bal).  The
+    ladder is probed outwards from y_bal in rounds of ``_WINDOW_ROUND``
+    rungs a side, both sides of a round in one :func:`_relation` call, and
+    a side takes another round only while every rung it probed was
+    reliable.  A value does not depend on the other points of its call, so
+    the window is the one that probing every rung at once would give.
     """
     y_bal = fe.balance_height
     steps = np.r_[y_bal, np.full(40, 1.25)]  # 1.25^40 > 4096
     down, up = np.divide.accumulate(steps), np.multiply.accumulate(steps)
     down, up = down[down > y_bal / 4096], up[up < y_bal * 4096]
-    ys = np.r_[down, up[1:]]
-    lhs, rhs, trust = _relation(f, g, fe, 1j * ys)
-    reliable = trust <= cut * (np.abs(lhs) + np.abs(rhs))
-    if not reliable[0]:
-        raise ValueError(
-            "insufficient coefficients: truncated sides are unreliable at the balance height"
-        )
-    # the reliable run from y_bal outwards ends before the first unreliable rung
-    run_down = np.logical_and.accumulate(reliable[: len(down)]).sum()
-    run_up = np.logical_and.accumulate(np.r_[True, reliable[len(down) :]]).sum()
-    return float(down[run_down - 1]), float(up[run_up - 1])
+    sides, runs, start = (down, up[1:]), [0, 0], 0  # y_bal is down[0]; runs count reliable rungs from it
+    while any(run == start < len(side) for side, run in zip(sides, runs)):
+        probes = [side[start : start + _WINDOW_ROUND] if run == start else side[:0] for side, run in zip(sides, runs)]
+        lhs, rhs, trust = _relation(f, g, fe, 1j * np.r_[probes[0], probes[1]])
+        reliable = trust <= cut * (np.abs(lhs) + np.abs(rhs))
+        if start == 0 and not reliable[0]:
+            raise ValueError(
+                "insufficient coefficients: truncated sides are unreliable at the balance height"
+            )
+        for i, part in enumerate(np.split(reliable, [len(probes[0])])):
+            runs[i] += int(np.logical_and.accumulate(part).sum())
+        start += _WINDOW_ROUND
+    return float(down[runs[0] - 1]), float(up[runs[1]])
 
 
 @lru_cache(maxsize=None)

@@ -204,36 +204,22 @@ class CoeffSeries:
 
     def tail_bound(self, y):
         """Bound C sum_{m > M} m^sigma e^{-2 pi m y} on the dropped tail,
-        elementwise over y > 0 (a scalar y gives a float).
-
-        With h(x) = x^sigma e^{-t x}, t = 2 pi y, m0 = M + 1: the smaller of
-        h(m0)/(1 - r) if r = ((m0 + 1)/m0)^sigma e^{-t} < 1 (term ratios fall
-        from r) and max h + Gamma(sigma + 1, t m0)/t^(sigma + 1) (h is
-        unimodal), times 1 + 1e-12.  The sum is at least h(m0)/(1 - e^{-t}),
-        so where that puts the first within 5% the second is not computed.
-        A growth constant of 0 bounds the tail by 0, and of inf by inf.
-        """
-        scalar = np.ndim(y) == 0
-        ys = np.atleast_1d(np.asarray(y, dtype=float))
-        if self.growth_c in (0, math.inf):
-            return self.growth_c if scalar else np.full(ys.shape, self.growth_c)
-        t, m0, sigma = 2 * np.pi * ys, self.M + 1, self.sigma
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a bound
-            r = (1 + 1 / m0) ** sigma * np.exp(-t)
-            bound = np.where(r < 1, np.exp(sigma * math.log(m0) - t * m0) / (1 - r), np.inf)
-            loose = -np.expm1(-t) > 1.05 * (1 - r)
-            if loose.any():
-                tl = t[loose]
-                peak = np.maximum(m0, sigma / tl)
-                top = np.exp(sigma * np.log(peak) - tl * peak)
-                integral = upper_incomplete_gamma(sigma + 1, tl * m0).real / tl ** (sigma + 1)
-                bound[loose] = np.minimum(bound[loose], top + integral)
-            out = self.growth_c * bound * (1 + 1e-12)
-        return float(out[0]) if scalar else out
+        elementwise over y > 0 (a scalar y gives a float): the one-pair view
+        of :func:`tail_bounds`."""
+        return tail_bounds([(self, y)])[0]
 
     def eval_truncated(self, z: complex) -> complex:
         """f(z) = a0 + sum_{m <= M} a_m e(m z), the entire truncation."""
         return complex(self.eval_many(np.array([z]))[0])
+
+    @cached_property
+    def _skippable(self) -> bool:
+        """Whether every row of the coefficient matrix has sum |Re a| + |Im a|
+        below 2^1000: its contraction with powers of modulus at most 1 is
+        then finite, so a giant power of exactly 0 makes its term exactly 0."""
+        blocks = self._blocks
+        with np.errstate(over="ignore"):  # an inf sum is not below the bound
+            return bool(np.all(np.abs(blocks.real).sum(axis=1) + np.abs(blocks.imag).sum(axis=1) < 2.0**1000))
 
     def eval_many(self, zs: np.ndarray) -> np.ndarray:
         """a0 + sum_{m <= M} a_m q^m, q = e(z), at each z of a 1-d array, as
@@ -242,25 +228,42 @@ class CoeffSeries:
         M < 10^4.  einsum's own loop, not BLAS, contracts the powers with the
         series' (blocks x B) coefficient matrix, built once, so a value does
         not depend on the other points in the call.
+
+        A block whose giant power is exactly 0 adds exactly 0 to the sum
+        unless its contraction overflows (``_skippable``), so each point is
+        contracted only against the blocks before :func:`_giant_reach`,
+        rounded up to a multiple of 8, the points of one cut in one einsum.
+        The sum still runs over the whole row, zeros included, so it adds in
+        the order of the full contraction.
         """
         qs = np.exp(2j * np.pi * np.asarray(zs, dtype=complex))
         blocks = self._blocks
+        J = len(blocks)
         baby = qs[:, None] ** np.arange(1, blocks.shape[1] + 1)
-        giant = baby[:, -1:] ** np.arange(len(blocks))
-        inner = np.einsum("nb,jb->nj", baby, blocks)
-        return self.a0 + np.sum(inner * giant, axis=1)
+        cuts = np.full(len(qs), J)
+        if self._skippable:
+            cuts = np.minimum(-(-_giant_reach(baby[:, -1], J) // 8) * 8, J)
+        terms = np.zeros((len(qs), J), dtype=complex)
+        for cut in set(cuts.tolist()):
+            rows = cuts == cut
+            some = baby[rows]
+            inner = np.einsum("nb,jb->nj", some, blocks[:cut])
+            inner *= some[:, -1:] ** np.arange(cut)
+            terms[rows, :cut] = inner
+        return self.a0 + np.sum(terms, axis=1)
 
     def copy_with(self, **kwargs) -> "CoeffSeries":
         """A copy with the given fields replaced; ``exact`` and ``per_coeff_error`` are shared.
 
         A copy that keeps the coefficients shares their list and the
-        coefficient matrix (built here if it was not yet), and ``growth_c``
-        unless sigma is replaced.  One that replaces them is built afresh.
+        coefficient matrix with its ``_skippable`` flag (built here if they
+        were not yet), and ``growth_c`` unless sigma is replaced.  One that
+        replaces them is built afresh.
         """
         # new coefficients are built afresh, and replace names an unknown field
         if "coeffs" in kwargs or not kwargs.keys() <= self.__dataclass_fields__.keys():
             return replace(self, **kwargs)
-        self._blocks
+        self._skippable
         clone = copy(self)
         vars(clone).update(kwargs)
         if "sigma" in kwargs:
@@ -358,6 +361,55 @@ class CoeffSeries:
         )
 
 
+def _giant_reach(qb: np.ndarray, J: int) -> np.ndarray:
+    """For each q^B of a 1-d array, the least j <= J with
+    j log2 |q^B| < -1100, or J: from there on the true (q^B)^j is below
+    2^-1100, and numpy's power rounds it to exactly 0 (each factor of its
+    binary power is at most |q^B|, and past j = 99 it takes exp of
+    j log q).  The tests check this, not assume it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_qb = np.log2(np.abs(qb))
+        return np.minimum(np.where(log2_qb < 0, np.floor(-1100 / log2_qb) + 1, J), J).astype(int)
+
+
+def tail_bounds(pairs) -> list:
+    """``CoeffSeries.tail_bound(y)`` of each (series, y) pair, with one
+    ``upper_incomplete_gamma`` call per distinct sigma across the pairs.
+
+    The bound on C sum_{m > M} m^sigma e^{-2 pi m y}: with
+    h(x) = x^sigma e^{-t x}, t = 2 pi y, m0 = M + 1, the smaller of
+    h(m0)/(1 - r) if r = ((m0 + 1)/m0)^sigma e^{-t} < 1 (term ratios fall
+    from r) and max h + Gamma(sigma + 1, t m0)/t^(sigma + 1) (h is
+    unimodal), times 1 + 1e-12.  The sum is at least h(m0)/(1 - e^{-t}), so
+    where that puts the first within 5% the second is not computed.  A
+    growth constant of 0 bounds the tail by 0, and of inf by inf.  Every
+    step is elementwise, so a bound does not depend on the other pairs.
+    """
+    bounds, pending = [], {}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a bound
+        for series, y in pairs:
+            ys = np.atleast_1d(np.asarray(y, dtype=float))
+            if series.growth_c in (0, math.inf):  # C = 0 or inf, whatever the sum
+                bounds.append(np.ones(ys.shape))
+                continue
+            t, m0, sigma = 2 * np.pi * ys, series.M + 1, series.sigma
+            r = (1 + 1 / m0) ** sigma * np.exp(-t)
+            bound = np.where(r < 1, np.exp(sigma * math.log(m0) - t * m0) / (1 - r), np.inf)
+            loose = -np.expm1(-t) > 1.05 * (1 - r)
+            if loose.any():
+                pending.setdefault(float(sigma), []).append((bound, loose, t[loose], m0))
+            bounds.append(bound)
+        for sigma, parts in pending.items():
+            xs = np.concatenate([tl * m0 for _, _, tl, m0 in parts])
+            ends = np.cumsum([len(tl) for _, _, tl, _ in parts])[:-1]
+            for (bound, loose, tl, m0), gamma in zip(parts, np.split(upper_incomplete_gamma(sigma + 1, xs).real, ends)):
+                peak = np.maximum(m0, sigma / tl)
+                top = np.exp(sigma * np.log(peak) - tl * peak)
+                bound[loose] = np.minimum(bound[loose], top + gamma / tl ** (sigma + 1))
+        out = [series.growth_c * bound * (1 + 1e-12) for (series, _), bound in zip(pairs, bounds)]
+    return [float(b[0]) if np.ndim(y) == 0 else b for (_, y), b in zip(pairs, out)]
+
+
 _NUMBER = (int, float)
 # the JSON types of the header keys a file must carry, and of the others
 _HEADER_TYPES = {"label": str, "weight": int, "level": int, "sigma": _NUMBER, "M": int}
@@ -404,7 +456,8 @@ def _eta_power_product(M: int, dilations: tuple[int, ...]) -> list[int]:
     one int64 column each, carried into [-2^30, 2^30) after every step
     (:func:`_carried`).  The K coefficients sum to K^2 in absolute value,
     so no partial sum of a step reaches 2^62 while K^2 < 2^32.  The limbs
-    become Python ints once, at the end.
+    become Python ints once, at the end, two at a time as int64 digits in
+    base 2^62.
     """
     if M < 0 or min(dilations) < 1:
         raise ValueError(f"need M >= 0 and dilations >= 1, got M = {M}, dilations {dilations}")
@@ -425,9 +478,12 @@ def _eta_power_product(M: int, dilations: tuple[int, ...]) -> list[int]:
             for e, c in terms:
                 step[e:] += c * limbs[: M - e]
             limbs = _carried(step)
-    out = limbs[:, -1].tolist()
-    for column in limbs.T[-2::-1]:
-        out = [(x << 31) + y for x, y in zip(out, column.tolist())]
+    # limb pairs as base-2^62 digits, each below 2^61 + 2^30 in absolute value
+    limbs = np.pad(limbs, ((0, 0), (0, limbs.shape[1] % 2)))
+    digits = limbs[:, 0::2] + (limbs[:, 1::2] << 31)
+    out = digits[:, -1].tolist()
+    for column in digits.T[-2::-1]:
+        out = [(x << 62) + y for x, y in zip(out, column.tolist())]
     return out
 
 

@@ -622,6 +622,58 @@ def test_auto_window_matches_single_point_ladder(dd5, dd11, q):
         assert _auto_window(f, g, fe, cut=1e-8) == auto_window_loop(f, g, fe, 1e-8)
 
 
+def counting_relation(monkeypatch):
+    """Count the _relation calls, and the points of each."""
+    sizes = []
+    relation = analytic._relation
+
+    def counting(f, g, fe, zs):
+        sizes.append(len(zs))
+        return relation(f, g, fe, zs)
+
+    monkeypatch.setattr(analytic, "_relation", counting)
+    return sizes
+
+
+def test_auto_window_rounds_on_runs_the_honest_ladders_miss(monkeypatch):
+    # against a zero series, one side's trust is that of f alone: its run
+    # takes a second round and reaches 4096 y_bal, while a cut just above
+    # the balance height's ratio leaves the other side's run empty (M = 100
+    # keeps that ratio, 3.6e-100, from underflowing)
+    f, _ = delta_delta_p(5, 100)
+    zero = f.copy_with(coeffs=[0.0] * f.M, exact=None)
+    fe = fe_for_q(5, 24, 1)
+    y_bal = fe.balance_height
+    lhs, rhs, trust = _relation(f, zero, fe, np.array([1j * y_bal]))
+    at_balance = float(trust[0] / (abs(lhs[0]) + abs(rhs[0])))
+    sizes = counting_relation(monkeypatch)
+    for pair, cut in (((f, zero), 1e-8), ((zero, f), 1e-8), ((f, zero), 1.01 * at_balance)):
+        sizes.clear()
+        window = _auto_window(*pair, fe, cut=cut)
+        assert window == auto_window_loop(*pair, fe, cut)
+        rungs = [round(math.log(y_bal / window[0], 1.25)), round(math.log(window[1] / y_bal, 1.25))]
+        wide = 0 if pair[0] is zero else 1  # the side that reaches the ladder's end
+        assert rungs[wide] == 37 and window[wide] == pytest.approx(y_bal * 1.25 ** (37 if wide else -37))
+        # both sides' first round (rung 0 once), then the wide side's other 18 or 17 rungs
+        assert sizes == [40, 17 if wide else 18]
+        if cut != 1e-8:
+            assert rungs[0] == 0 and window[0] == y_bal
+    with pytest.raises(ValueError, match="unreliable at the balance height"):
+        _auto_window(f, zero, fe, cut=0.99 * at_balance)
+
+
+@pytest.mark.parametrize("p, M", [(5, 2000), (11, 3000)])
+def test_a_converse_desk_statement_makes_two_relation_calls(monkeypatch, p, M):
+    # one ladder round for the window, then the rules' nodes and the
+    # modular points; each run ends inside the first round
+    f, g = delta_delta_p(p, M)
+    sizes = counting_relation(monkeypatch)
+    for q in sorted(compute_Q(p)):
+        sizes.clear()
+        check_fe_additive(f, g, p, 24, fe_for_q(p, 24, q))
+        assert len(sizes) == 2 and sizes[0] == 2 * analytic._WINDOW_ROUND
+
+
 def test_lambda_pairs_only_where_they_can_gate(monkeypatch, dd5, delta2000):
     calls = []
     one_sided = analytic.lambda_additive

@@ -16,6 +16,7 @@ from weilgap.matrices import T, FrickeMat
 from weilgap.multiplier import char_multiplier, pretend_constraints, solve_pretend, trivial_multiplier
 from weilgap.presentation import build_presentation
 from weilgap.series import (
+    _giant_reach,
     _kloosterman_rows,
     _ramanujan_sum,
     _kronecker_mul,
@@ -33,9 +34,11 @@ from weilgap.series import (
     multiply,
     series_evaluator,
     slash_evaluator,
+    tail_bounds,
     twisted_kloosterman,
 )
 
+from test_analytic import eval_many_padded_per_call
 from test_characters import quadratic_char
 
 
@@ -69,6 +72,28 @@ def tail_bound_loop(series, y):
         if m > start + 200000:
             return math.inf
     return series.growth_c * total
+
+
+def tail_bound_alone(cs, y):
+    """Oracle: CoeffSeries.tail_bound as it was before it became the
+    one-pair view of tail_bounds, with its own incomplete-gamma call."""
+    scalar = np.ndim(y) == 0
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    if cs.growth_c in (0, math.inf):
+        return cs.growth_c if scalar else np.full(ys.shape, cs.growth_c)
+    t, m0, sigma = 2 * np.pi * ys, cs.M + 1, cs.sigma
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = (1 + 1 / m0) ** sigma * np.exp(-t)
+        bound = np.where(r < 1, np.exp(sigma * math.log(m0) - t * m0) / (1 - r), np.inf)
+        loose = -np.expm1(-t) > 1.05 * (1 - r)
+        if loose.any():
+            tl = t[loose]
+            peak = np.maximum(m0, sigma / tl)
+            top = np.exp(sigma * np.log(peak) - tl * peak)
+            integral = series.upper_incomplete_gamma(sigma + 1, tl * m0).real / tl ** (sigma + 1)
+            bound[loose] = np.minimum(bound[loose], top + integral)
+        out = cs.growth_c * bound * (1 + 1e-12)
+    return float(out[0]) if scalar else out
 
 
 def naive_delta_prefix(M):
@@ -1437,6 +1462,71 @@ def test_eval_many_rounds_each_point_alone(tau200):
     assert tau200.copy_with(coeffs=[]).eval_many(zs).tolist() == [0j] * len(zs)
 
 
+def random_series(M, seed, real, a0):
+    """M complex (or, if real, real) coefficients over ten decades, and a
+    constant term a0 that is 0 or of normal size."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-5, 5, M)
+    coeffs = scale * (rng.standard_normal(M) + (0 if real else 1j) * rng.standard_normal(M))
+    return CoeffSeries(list(coeffs), 12, 1, 6.0, "random", a0=complex(rng.standard_normal(), rng.standard_normal()) if a0 else 0j)
+
+
+def one_live_block_height(M):
+    """A height just past the one where (q^B)^1 falls below 2^-1100, so that
+    only the first block of a point there is live."""
+    return 1101 / (2 * math.pi * max(1, math.isqrt(M)) * math.log2(math.e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0, 1, 2, 200, 3000]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.tuples(st.floats(-1, 1), st.floats(1e-4, 3)), min_size=1, max_size=12),
+)
+def test_eval_many_is_the_full_contraction_bit_for_bit(M, seed, real, a0, points):
+    # the live-block cut gives the full contraction's doubles, each point
+    # alone gives its value in the batch, and a point may have one live block
+    cs = random_series(M, seed, real, a0)
+    y1 = one_live_block_height(M)
+    zs = np.array([complex(x, y) for x, y in points] + [0.3 + 1j * y1, 1j * y1])
+    J = len(cs._blocks)
+    assert _giant_reach(np.exp(2j * np.pi * zs[-1:] * max(1, math.isqrt(M))), J).tolist() == [min(J, 1)]
+    values = cs.eval_many(zs)
+    assert values.tobytes() == eval_many_padded_per_call(cs, zs).tobytes()
+    assert all(cs.eval_many(zs[i : i + 1]).tobytes() == values[i : i + 1].tobytes() for i in range(len(zs)))
+
+
+def test_eval_many_contracts_a_block_that_could_overflow():
+    # B = J = 200 and |q| = 2^-0.05: blocks from j = 111 on have a giant
+    # power of 0, and those from j = 150 on, of coefficients 1e307, sum to
+    # inf, so the full contraction is inf * 0 = NaN there; so is a NaN
+    # coefficient times 0.  The cut must not turn either into a number.
+    zs = np.array([0.05 * math.log(2) / (2 * math.pi) * 1j, 0.1 + 1j * one_live_block_height(40000)])
+    huge = CoeffSeries([1.0] * 30000 + [1e307] * 10000, 12, 1, 6.0, "huge")
+    with_nan = CoeffSeries([1.0] * 39999 + [math.nan], 12, 1, 6.0, "nan")
+    assert not huge._skippable and not with_nan._skippable
+    assert CoeffSeries([1.0] * 40000, 12, 1, 6.0, "ones")._skippable
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(huge.eval_many(zs[:1])).all() and np.isnan(with_nan.eval_many(zs)).all()
+        for cs in (huge, with_nan):
+            assert cs.eval_many(zs).tobytes() == eval_many_padded_per_call(cs, zs).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.floats(0.5, 1300), st.floats(0, 1))
+def test_giant_powers_past_the_reach_are_exactly_zero(J, bits, turn):
+    # (q^B)^j with |q^B| = 2^(-bits/J) .. 2^-1300: numpy's power gives
+    # exactly 0 at every j the cut skips, by binary powers below j = 100 and
+    # by exp(j log q) above
+    log2_qb = -max(bits / J, 1e-3)
+    qb = np.array([2.0**log2_qb * cmath.exp(2j * math.pi * turn)])
+    reach = int(_giant_reach(qb, J)[0])
+    assert 1 <= reach <= J and (reach == J or (reach - 1) * log2_qb >= -1100 - 1e-6)
+    assert not np.any(qb[0] ** np.arange(reach, J))
+
+
 def test_coefficient_array_is_built_once_and_read_only(tau200):
     array = tau200.as_array()
     assert array.tolist() == tau200.coeffs
@@ -1497,6 +1587,43 @@ def test_tail_bound_closed_form_against_the_loop(sigma, M):
             assert loop <= bound <= 1.25 * loop + 1e-300, (y, loop, bound)
         else:
             assert math.isfinite(bound)
+
+
+@pytest.mark.parametrize("ys", [0.05, np.array([]), np.geomspace(2e-4, 20, 17)])
+def test_tail_bounds_are_the_separate_calls_bit_for_bit(monkeypatch, ys):
+    # mixed sigma (12 as an int and as a float) and M, growth constants 0
+    # and inf, a scalar y and an empty array: each pair is the old one-series
+    # bound, and one incomplete-gamma call serves each distinct sigma
+    pairs = [
+        (CoeffSeries([1.0] * 3000, 12, 1, 12.0, "ones"), ys),
+        (CoeffSeries([2.0] * 300, 12, 1, 12, "twos"), ys),
+        (CoeffSeries([1.0] * 10, 12, 1, 6.0, "short"), ys / 3),
+        (CoeffSeries([0.0] * 40, 12, 1, 6.0, "zero"), ys),
+        (CoeffSeries([1.0, math.nan], 12, 1, 6.0, "nan"), ys),
+        (delta_coeffs(200), 2 * ys),
+    ]
+    assert [cs.growth_c for cs, _ in pairs][3:5] == [0.0, math.inf]
+    calls = []
+    gamma = series.upper_incomplete_gamma
+
+    def counting(s, x):
+        calls.append(s)
+        return gamma(s, x)
+
+    monkeypatch.setattr(series, "upper_incomplete_gamma", counting)
+    alone = [tail_bound_alone(cs, y) for cs, y in pairs]
+    separate = list(calls)
+    calls.clear()
+    together = tail_bounds(pairs)
+    assert sorted(calls) == sorted(set(separate))
+    if np.size(ys) > 1:
+        assert len(calls) < len(separate)
+
+    def bits(bound):
+        return type(bound), np.asarray(bound).tobytes()
+
+    for (cs, y), one, both in zip(pairs, alone, together):
+        assert bits(cs.tail_bound(y)) == bits(one) == bits(both)
 
 
 def test_tail_bound_edges():
