@@ -172,7 +172,7 @@ def reduce_word(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
 
 ST_MATRICES = {"S": S, "T": T}
 # evaluate_word multiplies a word of at least 4 * CHUNK tokens in aligned
-# runs of CHUNK tokens, each product kept in its table
+# runs of CHUNK tokens, each product kept in its memo
 CHUNK = 8
 
 Entries = tuple[int, int, int, int]
@@ -182,7 +182,6 @@ def evaluate_word(
     tokens: Sequence[tuple[str, int]],
     matrices: Mapping[str, Mat2],
     powers: Optional[dict[tuple, Entries]] = None,
-    frozen: Optional[Mapping[tuple, Entries]] = None,
 ) -> Mat2:
     """The product, left to right, of matrices[label] ** exp over the tokens.
 
@@ -196,31 +195,37 @@ def evaluate_word(
     entries of the powers and chunk products are kept in ``powers``, keyed
     by the token or the chunk, so a changed token changes its key; callers
     that evaluate many words over the same matrices may share one dict.
-    ``frozen`` is a table of the same keys that is read first and never
-    written.
     """
     if powers is None:
         powers = {}
     items: Iterable[tuple] = tokens
     if len(tokens) >= 4 * CHUNK:
         items = chain(zip(*[iter(tokens)] * CHUNK), tokens[len(tokens) - len(tokens) % CHUNK:])
-    return Mat2(*_product(items, matrices, powers, frozen or powers))
+    return Mat2(*_product(items, matrices, powers))
 
 
-def _product(items: Iterable[tuple], matrices: Mapping[str, Mat2], powers: dict, frozen: Mapping) -> Entries:
+def _product(items: Iterable[tuple], matrices: Mapping[str, Mat2], powers: dict) -> Entries:
     """The entries of the product of items, each a token or a chunk of CHUNK
-    tokens, read from frozen or powers and entered in powers on a miss."""
+    tokens, read from powers and entered there on a miss."""
     a, b, c, d = 1, 0, 0, 1
     for item in items:
-        m = frozen.get(item) or powers.get(item)
+        m = powers.get(item)
         if m is None:
             if len(item) == CHUNK:
-                m = _product(item, matrices, powers, frozen)
+                m = _product(item, matrices, powers)
             else:
                 label, exp = item
                 m = (matrices[label] ** exp).entries()
             powers[item] = m
         x, y, z, w = m
+        a, b, c, d = a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w
+    return a, b, c, d
+
+
+def _fold(factors: Iterable[Entries]) -> Entries:
+    """The entries of the product, left to right, of the entries of factors."""
+    a, b, c, d = 1, 0, 0, 1
+    for x, y, z, w in factors:
         a, b, c, d = a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w
     return a, b, c, d
 

@@ -30,11 +30,13 @@ import heapq
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain, repeat
+from typing import Optional, Sequence
 
 from .characters import _factorize
 from .matrices import (
-    CHUNK, IDENTITY, Mat2, S, evaluate_word, lift_bottom_row, reduce_word, sign_against, st_letters,
+    IDENTITY, Entries, Mat2, S, T, _fold, _product, evaluate_word, lift_bottom_row, reduce_word, sign_against,
+    st_letters,
 )
 
 COSET_INF = -1  # label for the identity coset (the cusp at infinity)
@@ -105,14 +107,36 @@ def constraint_matrix(p: int, a: int, q: int, B: Optional[int] = None) -> tuple[
     return Mat2.sl2(D, a, -p * B, q), B, D
 
 
-def _invert_word(tokens: Word) -> Word:
-    return [(gen, -exp) for gen, exp in reversed(tokens)]
+class CertifiedWord(tuple):
+    """A reduced word as an immutable tuple of tokens, held together with
+    ``product``, the exact product of those tokens left to right.
+
+    The product is taken from the tokens when the word is made, by
+    :func:`_splice` or from a generator's own matrix, so a word changed
+    afterwards is another tuple, without a product."""
+
+    def __new__(cls, tokens: Sequence[Token], product: Mat2):
+        word = super().__new__(cls, tokens)
+        word.product = product
+        return word
 
 
-def _append(out: Word, piece: Word) -> None:
+def _invert_word(tokens: Sequence[Token]) -> Sequence[Token]:
+    """The inverse word; a CertifiedWord's is certified by the adjugate of
+    its product, its inverse as the det is 1.  ([::-1] is a plain sequence,
+    which reads faster than a reversed tuple subclass.)"""
+    inverse = [(gen, -exp) for gen, exp in tokens[::-1]]
+    if isinstance(tokens, CertifiedWord):
+        return CertifiedWord(inverse, tokens.product.inv())
+    return inverse
+
+
+def _append(out: Word, piece: Sequence[Token]) -> int:
     """Append the reduced word piece to the reduced word out, reducing only at
     the seam: cancellation may reach back through out, and then at most one
-    token merges; the rest of piece is copied as it is."""
+    token merges; the rest of piece is copied as it is.  Returns the number
+    i of piece's tokens taken up at the seam: each removed or changed one
+    token of out, so out[:len(out) - i] before the call is left as it was."""
     i = 0
     for gen, exp in piece:
         if not out or out[-1][0] != gen:
@@ -124,14 +148,35 @@ def _append(out: Word, piece: Word) -> None:
             break
         out.pop()
     out.extend(piece[i:] if i else piece)
+    return i
 
 
-def _substitute(tokens: Word, words: dict[str, Word], inverses: Optional[dict[str, Word]] = None) -> Word:
+def _cut(runs: list, size: int) -> None:
+    """Cut the runs of :func:`_substitute` back to the first size tokens."""
+    while runs and runs[-1][0] >= size:
+        runs.pop()
+    if runs and runs[-1][1] > size:
+        start, _, piece, lo = runs[-1]
+        runs[-1] = (start, size, piece, lo)
+
+
+def _substitute(
+    tokens: Word, words: dict[str, Word], inverses: Optional[dict[str, Word]] = None, runs: Optional[list] = None,
+) -> Word:
     """The reduced word with each token (label, e) replaced by words[label]^e;
     labels not in words stay as they are.  The words must be reduced: each
     piece is, so the output is reduced at the seams only, and a one-token
     piece merges with or cancels the last token written.  A longer word's
-    inverse is read from ``inverses`` (label -> word), entered there on a miss."""
+    inverse is read from ``inverses`` (label -> word), entered there on a miss.
+
+    A power of a longer word whose end tokens differ reduces only at the
+    seam of its first copy: the other copies are written at once.
+
+    Given a list ``runs``, the copies of a longer word (or of its inverse)
+    written are entered there as (start, end, piece, lo): out[start:end] is
+    piece repeated, from its token lo on, cut back as later seams reduce
+    through it.  The tokens between runs are the ones written one at a time,
+    bare or merged."""
     out: Word = []
     inverses = {} if inverses is None else inverses
     for token in tokens:
@@ -140,8 +185,18 @@ def _substitute(tokens: Word, words: dict[str, Word], inverses: Optional[dict[st
         if word is not None:
             if len(word) > 1:
                 piece = word if exp >= 0 else inverses.get(label) or inverses.setdefault(label, _invert_word(word))
-                for _ in range(abs(exp)):
-                    _append(out, piece)
+                copies = abs(exp)
+                while copies:
+                    size, i = len(out), _append(out, piece)
+                    start, copies = len(out) - len(piece) + i, copies - 1
+                    if copies and i < len(piece) and piece[0][0] != piece[-1][0]:
+                        out.extend(chain.from_iterable(repeat(piece, copies)))
+                        copies = 0
+                    if runs is not None:
+                        if i:
+                            _cut(runs, size - i)
+                        if i < len(piece):
+                            runs.append((start, len(out), piece, i))
                 continue
             if not word:
                 continue
@@ -156,9 +211,85 @@ def _substitute(tokens: Word, words: dict[str, Word], inverses: Optional[dict[st
                 out[-1] = (label, merged)
             else:
                 out.pop()
+            if runs is not None:
+                _cut(runs, len(out) - bool(merged))
         else:
             out.append(token)
     return out
+
+
+def _repeats(out: Word, start: int, end: int, piece: Sequence[Token], lo: int) -> bool:
+    """Whether out[start:end] is piece repeated from its token lo on, token
+    for token: its first copy by a slice, and the copies after it in blocks
+    of whole copies of about 4096 tokens, so memory stays bounded."""
+    n = len(piece)
+    head = min(end, start + n - lo)
+    if out[start:head] != list(piece[lo:lo + head - start]):
+        return False
+    if head == end:
+        return True
+    block = list(piece) * (4096 // n + 1)
+    return all(out[i:min(end, i + len(block))] == block[:end - i] for i in range(head, end, len(block)))
+
+
+def _slice_product(piece: CertifiedWord, lo: int, hi: int, matrices: dict[str, Mat2], powers: dict) -> Entries:
+    """The entries of the product of piece[lo:hi]: the piece's product if it
+    is whole; the product of its tokens if they are at most half of it; else
+    the piece's product between the inverses of the trimmed head and tail,
+    their adjugates, as every generator has det 1."""
+    n = len(piece)
+    if hi - lo == n:
+        return piece.product.entries()
+    if 2 * (hi - lo) <= n:
+        return _product(piece[lo:hi], matrices, powers)
+    a, b, c, d = _product(piece[:lo], matrices, powers)
+    w, x, y, z = _product(piece[hi:], matrices, powers)
+    return _fold([(d, -b, -c, a), piece.product.entries(), (z, -x, -y, w)])
+
+
+def _spliced_product(out: Word, runs: list, matrices: dict[str, Mat2], powers: dict) -> Mat2:
+    """The product of the word out from the runs :func:`_substitute` entered
+    while writing it, each piece a CertifiedWord.
+
+    Each run is compared token for token with its piece (:func:`_repeats`),
+    and the runs must lie in order inside out; otherwise AssertionError.  A
+    run from token lo to token hi of piece repeated, n = len(piece), is
+    piece[lo:n] piece^q piece[:r] with q, r = divmod(hi - n, n) if hi > n:
+    each part's product comes from the piece's (:func:`_slice_product`, and
+    binary powering for piece^q), and the tokens between runs are multiplied
+    out, so the product is exactly that of out's tokens.  ``powers`` is the
+    memo of :func:`~weilgap.matrices.evaluate_word`.
+    """
+    pos, factors = 0, []
+    for start, end, piece, lo in runs:
+        if not pos <= start < end <= len(out):
+            raise AssertionError(f"the runs of a spliced word do not tile it at token {start}")
+        if not isinstance(piece, CertifiedWord) or not _repeats(out, start, end, piece, lo):
+            raise AssertionError(f"tokens {start} to {end} of a spliced word are not their certified piece's")
+        if pos < start:
+            factors.append(_product(out[pos:start], matrices, powers))
+        n, hi = len(piece), lo + end - start
+        factors.append(_slice_product(piece, lo, min(hi, n), matrices, powers))
+        if hi > n:
+            q, r = divmod(hi - n, n)
+            if q:
+                factors.append((piece.product ** q).entries())
+            if r:
+                factors.append(_slice_product(piece, 0, r, matrices, powers))
+        pos = end
+    if pos < len(out):
+        factors.append(_product(out[pos:], matrices, powers))
+    return Mat2(*_fold(factors))
+
+
+def _splice(
+    tokens: Word, words: dict[str, Word], inverses: dict[str, Word], matrices: dict[str, Mat2], powers: dict,
+) -> tuple[Word, Mat2]:
+    """The word of :func:`_substitute` over CertifiedWords, and its product
+    from the pieces' products (:func:`_spliced_product`)."""
+    runs: list = []
+    out = _substitute(tokens, words, inverses, runs)
+    return out, _spliced_product(out, runs, matrices, powers)
 
 
 def _cyclic_reduce(tokens: Word) -> Word:
@@ -270,9 +401,9 @@ class GammaWord:
         return word
 
     def evaluate(self, gens: "GenSet") -> Mat2:
-        """The product of the word, without its sign.  Chunks and unit powers
-        are read from ``gens._table``; the others go into a dict for this call."""
-        return evaluate_word(self.tokens, gens._matrices, {}, gens._table)
+        """The product of the word, without its sign, multiplied out from its
+        tokens alone: the oracle a decomposition's spliced product is tested against."""
+        return evaluate_word(self.tokens, gens._matrices)
 
     def to_json(self) -> dict:
         return {"word": [{"gen": g, "exp": e} for g, e in self.tokens], "sign": self.sign}
@@ -324,19 +455,15 @@ class GenSet:
 
     ``_raw_words`` is the rewriting log together with the word of the wrap
     P = T S^p T^{-1}, so it expands every raw symbol of :func:`_schreier_walk`.
+    Its words are CertifiedWords: each holds its exact product, which the
+    splice of a decomposition (:meth:`rewrite_st_word`) reads, and a
+    decomposition writes its tokens from those tuples.  P's word and
+    product are spliced here, once, from the rewriting log, and P's product
+    must be +-T S^p T^{-1}; ``_inverses`` holds the inverse of P's word.
     ``_classes`` holds the class of each of those words once, as sparse
     (coordinate, exponent sum) pairs, summed from the elimination ``log`` of
     :func:`_tietze`; the class of P is ``parabolic_class``.
     ``_steps`` is the T-step table of the walk (:func:`_t_steps`).
-
-    ``_table`` is the starting table of :func:`~weilgap.matrices.evaluate_word`
-    for every :meth:`GammaWord.evaluate`, which reads it and never writes
-    it.  It holds the entries of each generator to the power +-1 and the
-    product of every run of CHUNK consecutive tokens of the wrap word P and
-    of its inverse, so every aligned chunk of a copy of P in a decomposed
-    word, at any of the CHUNK offsets it may start at.  It is filled once,
-    here, and holds at most 2|P| chunks plus 2|labels| unit powers (660
-    and 342 at p = 1009).  ``_inverses`` holds the inverse of P's word.
     """
 
     def __init__(
@@ -345,7 +472,7 @@ class GenSet:
         labels: list[str],
         matrices: dict[str, Mat2],
         orders: dict[str, object],
-        rewriting_log: dict[str, Word],
+        rewriting_log: dict[str, CertifiedWord],
         steps: Steps,
         log: list[tuple[str, Word]],
     ):
@@ -367,17 +494,11 @@ class GenSet:
         self._index = {lbl: i for i, lbl in enumerate(self.free_labels + self.order2_labels + self.order3_labels)}
         self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
 
-        self._raw_words = {**rewriting_log, "P": _substitute(WRAP, rewriting_log)}
-        # a run of P's inverse is a run of P inverted: its product is the
-        # adjugate, as it has det 1; powers other than +-1 stay out
-        self._table = {(lbl, e): (m**e).entries() for lbl, m in matrices.items() for e in (1, -1)}
-        wrap = self._raw_words["P"]
+        tokens, product = _splice(WRAP, rewriting_log, {}, matrices, {})
+        sign_against(product, T * S**p * T.inv(), "wrap word")
+        wrap = CertifiedWord(tokens, product)
+        self._raw_words = {**rewriting_log, "P": wrap}
         self._inverses = {"P": _invert_word(wrap)}  # copied per rewrite_st_word call, which may add to it
-        inverse, n, powers = self._inverses["P"], len(wrap), {}
-        for i in range(n - CHUNK + 1):
-            chunk = tuple(wrap[i:i + CHUNK])
-            a, b, c, d = self._table[chunk] = evaluate_word(chunk, matrices, powers, self._table).entries()
-            self._table[tuple(inverse[n - CHUNK - i:n - i])] = (d, -b, -c, a)
         # a final label's class is its own coordinate, an eliminated label's the
         # sum of its Tietze replacement's token classes in reversed log order
         # (the order its word is substituted in), and P's the sum over WRAP:
@@ -418,11 +539,12 @@ class GenSet:
             raise AssertionError("walk of a Gamma0(p) element did not return to the identity coset")
         return raw
 
-    def rewrite_st_word(self, raw: Word) -> Word:
-        """The Schreier rewriting of an S/T word, from the raw word of its
-        walk (:meth:`_walk`): every raw symbol expanded through
-        ``_raw_words``, P through its wrap word, P^-1 read from ``_inverses``."""
-        return _substitute(raw, self._raw_words, dict(self._inverses))
+    def rewrite_st_word(self, raw: Word) -> tuple[Word, Mat2]:
+        """The Schreier rewriting of an S/T word and its product, from the
+        raw word of its walk (:meth:`_walk`): every raw symbol expanded
+        through ``_raw_words``, P through its wrap word, P^-1 read from
+        ``_inverses``, and the product spliced from theirs (:func:`_splice`)."""
+        return _splice(raw, self._raw_words, dict(self._inverses), self._matrices, {})
 
     # -- abelianization -----------------------------------------------------
 
@@ -620,17 +742,16 @@ def build_presentation(p: int) -> GenSet:
         if order != "inf" and power_of.get(lbl) != order:
             raise AssertionError(f"elliptic generator {lbl} lacks its power relator")
 
-    # Expand the elimination log into final words for every raw symbol.
-    final_words: dict[str, Word] = {lbl: [(lbl, 1)] for lbl in labels}
+    # Expand the elimination log into final words for every raw symbol, in
+    # reversed log order.  Certificate: each word's product, spliced from the
+    # products of the words it is written from, is +-its raw generator.
+    final_words = {lbl: CertifiedWord([(lbl, 1)], matrices[lbl]) for lbl in labels}
     inverses: dict[str, Word] = {}
-    for label, replacement in reversed(log):
-        final_words[label] = _substitute(replacement, final_words, inverses)
-
-    # Certificate: every raw Schreier generator is reproduced, up to sign,
-    # by its final word.
     powers: dict = {}
-    for raw, word in final_words.items():
-        sign_against(evaluate_word(word, matrices, powers), matrices[raw], f"rewriting-log word of {raw}")
+    for label, replacement in reversed(log):
+        word, product = _splice(replacement, final_words, inverses, matrices, powers)
+        sign_against(product, matrices[label], f"rewriting-log word of {label}")
+        final_words[label] = CertifiedWord(word, product)
 
     return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words, steps, log)
 
@@ -648,7 +769,8 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
 
     Pipeline: the Schreier walk of gamma (:meth:`GenSet._walk`) ->
     rewriting-log substitutions.  The result evaluates to +-gamma; the sign
-    is recovered, and the word certified, by exact re-multiplication.  The
+    is recovered, and the word certified, by its exact product, spliced
+    from the certified products of its pieces (:meth:`GenSet.rewrite_st_word`).  The
     word holds one wrap word per crossing of the walk from coset p - 1 to
     0, so the tokens the expansion would write are counted first, from the
     raw word: |n| times the length of the word of a raw token (symbol, n),
@@ -668,8 +790,9 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
             f" words are written out up to {MAX_WORD_TOKENS} tokens, at most"
             f" {MAX_WORD_TOKENS // wrap} crossings of the {wrap}-token wrap word at p = {p}"
         )
-    word = GammaWord._of_reduced(gens.rewrite_st_word(raw))  # _substitute reduced it
-    word.sign = sign_against(word.evaluate(gens), gamma, "Gamma0(p) decomposition")
+    tokens, product = gens.rewrite_st_word(raw)
+    word = GammaWord._of_reduced(tokens)  # _substitute reduced it
+    word.sign = sign_against(product, gamma, "Gamma0(p) decomposition")
     return word
 
 

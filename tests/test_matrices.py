@@ -365,17 +365,17 @@ def test_evaluate_word_memo_is_the_token_by_token_product(case):
     shared = {}
     assert evaluate_word(tokens[1:], matrices, shared) == _token_by_token(tokens[1:], matrices)
     assert evaluate_word(tokens, matrices, shared) == expected  # a table shared with an offset word
-    # a pre-seeded table of unit powers and the aligned chunks of the word
+    # a memo seeded with unit powers and the aligned chunks of the word
     seeded = {(lbl, e): (m**e).entries() for lbl, m in matrices.items() for e in (1, -1)}
     for i in range(0, len(tokens) - CHUNK + 1, CHUNK):
         chunk = tuple(tokens[i:i + CHUNK])
         seeded[chunk] = _token_by_token(chunk, matrices).entries()
     before = dict(seeded)
-    powers = {}
-    assert evaluate_word(tokens, matrices, powers, seeded) == expected
-    assert seeded == before
+    assert evaluate_word(tokens, matrices, seeded) == expected
+    assert {key: seeded[key] for key in before} == before
     if len(tokens) >= 4 * CHUNK:
-        assert not any(len(key) == CHUNK for key in powers)  # every chunk was read from the seed
+        chunks = {key for key in seeded if len(key) == CHUNK}
+        assert chunks == {key for key in before if len(key) == CHUNK}  # every chunk was read from the seed
 
 
 def test_evaluate_word_negative_power_raises_inside_a_chunk():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from weilgap import presentation
 from weilgap.matrices import (
-    CHUNK, IDENTITY, Mat2, S, T, euclid_quotients, leading_s_power, lift_bottom_row, reduce_word, sign_against,
+    IDENTITY, Mat2, S, T, euclid_quotients, evaluate_word, leading_s_power, lift_bottom_row, reduce_word, sign_against,
 )
 from weilgap.presentation import (
     COSET_INF,
@@ -20,6 +21,8 @@ from weilgap.presentation import (
     _cyclic_reduce,
     _pair_eliminations,
     _schreier_relators,
+    _splice,
+    _spliced_product,
     _substitute,
     _t_steps,
     _tietze,
@@ -581,48 +584,113 @@ def test_word_remultiplies_at_random_levels(element):
     assert word.evaluate(gens_of(p)) == (gamma if word.sign == 1 else -gamma)
 
 
+def _runs_of(gens, gamma):
+    """The rewritten word of gamma and the runs its splice records."""
+    runs = []
+    tokens = _substitute(gens._walk(gamma), gens._raw_words, dict(gens._inverses), runs)
+    return tokens, runs
+
+
 def test_a_changed_token_in_a_wrap_run_fails_the_certificate():
     gens = gens_of(1009)
-    wrap = gens._raw_words["P"]
-    runs = (wrap[CHUNK:5 * CHUNK], presentation._invert_word(wrap)[CHUNK:5 * CHUNK])
+    wraps = (gens._raw_words["P"], gens._inverses["P"])
     rng = random.Random(1009)
-    for _ in range(20):
+    for _ in range(50):
         gamma = random_gamma0_element(1009, rng)
-        tokens = decompose_gamma0(gens, gamma).tokens
-        starts = [i for i in range(len(tokens)) if any(tokens[i:i + 4 * CHUNK] == run for run in runs)]
-        if starts:
+        tokens, runs = _runs_of(gens, gamma)
+        intact = [(start, end) for start, end, piece, _ in runs
+                  if end - start == len(piece) and any(piece is wrap for wrap in wraps)]
+        if intact:
             break
-    # the first aligned chunk inside the run is one the table holds
-    j = -(-starts[0] // CHUNK) * CHUNK
-    assert tuple(tokens[j:j + CHUNK]) in gens._table
-    for k in (j, j + 3, j + CHUNK - 1):
+    sign_against(_spliced_product(tokens, runs, gens._matrices, {}), gamma, "Gamma0(p) decomposition")
+    start, end = intact[0]
+    # the first, a middle and the last token of an intact copy of P or P^-1, whose product is P's
+    for k in (start, (start + end) // 2, end - 1):
         label, exp = tokens[k]
         other = next(lbl for lbl in gens.labels if lbl != label)
         # V^-1 = -V for an elliptic V of order 2: the exponent is doubled, not negated
         for token in ((label, 2 * exp), (other, exp)):
-            corrupted = GammaWord(tokens[:k] + [token] + tokens[k + 1:])
+            corrupted = tokens[:k] + [token] + tokens[k + 1:]
+            with pytest.raises(AssertionError, match="certified piece"):
+                _spliced_product(corrupted, runs, gens._matrices, {})
             with pytest.raises(AssertionError, match="does not evaluate"):
-                sign_against(corrupted.evaluate(gens), gamma, "Gamma0(p) decomposition")
+                sign_against(GammaWord(corrupted).evaluate(gens), gamma, "Gamma0(p) decomposition")
+
+
+def test_runs_that_do_not_tile_the_word_are_refused():
+    gens = gens_of(1009)
+    rng = random.Random(1010)
+    while True:
+        tokens, runs = _runs_of(gens, random_gamma0_element(1009, rng))
+        if len(runs) >= 2:
+            break
+    first, second = runs[0], runs[1]
+    start, end, piece, lo = first
+    cases = {
+        "a run entered twice": [first, *runs],
+        "runs out of order": [second, first, *runs[2:]],
+        "a run past the end": [*runs, (len(tokens), len(tokens) + 1, piece, lo)],
+        "an empty run": [(start, start, piece, lo), *runs],
+    }
+    for name, bad in cases.items():
+        with pytest.raises(AssertionError, match="do not tile"):
+            _spliced_product(tokens, bad, gens._matrices, {})
 
 
 @pytest.mark.parametrize("p", [101, 1009])
-def test_decompositions_leave_the_shared_table_as_built(p):
+def test_decompositions_leave_the_certified_words_as_built(p):
     gens = build_presentation(p)
-    built = dict(gens._table)
-    chunks = [key for key in built if len(key) == CHUNK]
-    assert len(chunks) <= 2 * len(gens._raw_words["P"])
-    assert len(built) - len(chunks) == 2 * len(gens.labels)
-    assert gens._inverses == {"P": _inverse(gens._raw_words["P"])}
+    built = {symbol: (word, tuple(word), word.product) for symbol, word in gens._raw_words.items()}
     inverse = gens._inverses["P"]
+    assert gens._inverses == {"P": tuple(_inverse(gens._raw_words["P"]))}
+    assert inverse.product == gens._raw_words["P"].product.inv()
     rng = random.Random(p)
     for _ in range(500):
         decompose_gamma0(gens, random_gamma0_element(p, rng))
     # a raw word that inverts another long word builds that inverse for itself
     symbol = next(s for s, word in gens._raw_words.items() if len(word) > 1 and s != "P")
     raw = [(symbol, -2), ("P", -1)]
-    assert gens.rewrite_st_word(raw) == _literal_substitute(raw, gens._raw_words)
-    assert len(gens._table) == len(built) and gens._table == built
-    assert gens._inverses == {"P": inverse} and gens._inverses["P"] == _inverse(gens._raw_words["P"])
+    tokens, product = gens.rewrite_st_word(raw)
+    assert tokens == _literal_substitute(raw, gens._raw_words)
+    assert product == evaluate_word(tokens, gens._matrices)
+    assert gens._raw_words.keys() == built.keys()
+    for symbol, (word, tokens, product) in built.items():
+        assert gens._raw_words[symbol] is word and word == tokens and word.product == product
+    assert gens._inverses == {"P": inverse} and gens._inverses["P"] is inverse
+    assert inverse == tuple(_inverse(gens._raw_words["P"])) and inverse.product == gens._raw_words["P"].product.inv()
+
+
+@pytest.mark.parametrize("change", ["in place", "rebound"])
+def test_a_rewriting_log_word_changed_after_the_build_passes_no_decomposition(change):
+    # a decomposition through the changed word either raises or writes the
+    # word of the log as built
+    p = 101
+    gens = build_presentation(p)
+    words = {symbol: list(word) for symbol, word in gens._raw_words.items()}
+    rng, elements = random.Random(p), []
+    while len(elements) < 7:
+        gamma = random_gamma0_element(p, rng)
+        long = [symbol for symbol, _ in gens._walk(gamma) if symbol != "P" and len(words[symbol]) > 2]
+        if long:
+            elements.append((gamma, long[0]))
+    for gamma, symbol in elements:
+        raw = gens._walk(gamma)
+        word = gens._raw_words[symbol]
+        k = len(word) // 2
+        label, exp = word[k]
+        token = (next(lbl for lbl in gens.labels if lbl not in (label, word[k - 1][0], word[k + 1][0])), exp)
+        if change == "in place":
+            with contextlib.suppress(TypeError):  # an immutable word cannot be changed
+                word[k] = token
+        else:
+            changed = [*word[:k], token, *word[k + 1:]]
+            gens.rewriting_log[symbol] = gens._raw_words[symbol] = changed
+        try:
+            decomposed = decompose_gamma0(gens, gamma)
+        except AssertionError:
+            continue
+        assert decomposed.tokens == _literal_substitute(raw, words)
+        assert decomposed.evaluate(gens) == (gamma if decomposed.sign == 1 else -gamma)
 
 
 def test_negative_crossings_read_the_inverse_wrap_word():
@@ -840,6 +908,107 @@ def test_substitute_cancels_through_pieces_and_keeps_one_tokens():
     conjugate = {"w": [("a", 1), ("b", 1), ("a", -1)]}
     assert _substitute([("w", 3)], conjugate) == [("a", 1), ("b", 3), ("a", -1)]
     assert _substitute([("z", 7), ("a", 0), ("w", 0)], {**words, **conjugate}) == [("a", 7 * 10**12)]
+
+
+# parabolic and elliptic matrices for the letters: any power of one has small entries
+LETTER_MATRICES = dict(zip(LETTERS, (S, T, Mat2(1, 0, 1, 1), Mat2(1, -1, 1, 0), Mat2(0, -1, 1, 1), Mat2(2, -1, 1, 0))))
+
+
+def _fold(tokens, matrices):
+    """Oracle: the product of matrices[label] ** exp, one token at a time."""
+    value = IDENTITY
+    for label, exp in tokens:
+        value = value * matrices[label] ** exp
+    return value
+
+
+def _certified(words):
+    return {label: presentation.CertifiedWord(word, _fold(word, LETTER_MATRICES)) for label, word in words.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(reduced_words, raw_words), min_size=1, max_size=3), substitution_maps())
+def test_splice_matches_the_literal_product(token_lists, words):
+    # the words of substitution_maps cancel at their own seams and through earlier pieces
+    certified, inverses = _certified(words), {}
+    for tokens in token_lists:
+        out, product = _splice(tokens, certified, inverses, LETTER_MATRICES, {})
+        assert out == _literal_substitute(tokens, words)
+        assert product == _fold(out, LETTER_MATRICES)
+    for label, inverse in inverses.items():
+        assert inverse.product == _fold(inverse, LETTER_MATRICES)
+
+
+SPLICE_CASES = {
+    # x^-2: two copies of the inverse, which the det-1 adjugate certifies
+    "negative exponent": ([("e", 1), ("x", -2), ("e", 1)], "intact"),
+    # y opens with x's tail inverted: the seam cancels back into x
+    "seam cancels into the previous piece": ([("x", 1), ("y", 1)], "trimmed"),
+    # x ends in c and z opens with c^2: the two merge into c^3
+    "seam merge": ([("x", 1), ("z", 1)], "trimmed"),
+    # the one-token word a^5, to the power 3, merges with x's leading a
+    "one-token piece with exponent": ([("w", 3), ("x", 1)], "trimmed"),
+    # x's ends differ, so x^3 is one run of three copies, which y cuts back
+    "power cut back by the next piece": ([("x", 3), ("y", 1)], "trimmed"),
+    # the copies of the conjugate u = a b a^-1 cancel and merge at each seam: u^3 = a b^3 a^-1
+    "power reduced at its own seams": ([("u", 3)], "trimmed"),
+}
+SPLICE_WORDS = {
+    "x": [("a", 1), ("b", 2), ("c", 1), ("d", -1), ("c", 1)],
+    "y": [("c", -1), ("d", 1), ("c", -1), ("e", 2)],
+    "z": [("c", 2), ("f", 1), ("a", -1)],
+    "w": [("a", 5)],
+    "u": [("a", 1), ("b", 1), ("a", -1)],
+}
+
+
+@pytest.mark.parametrize("tokens, kind", SPLICE_CASES.values(), ids=SPLICE_CASES)
+def test_splice_cases(tokens, kind):
+    certified = _certified(SPLICE_WORDS)
+    runs = []
+    out = _substitute(tokens, certified, {}, runs)
+    assert out == _literal_substitute(tokens, SPLICE_WORDS)
+    assert _spliced_product(out, runs, LETTER_MATRICES, {}) == _fold(out, LETTER_MATRICES)
+    trimmed = [(start, end) for start, end, piece, lo in runs if lo or (end - start) % len(piece)]
+    assert bool(trimmed) == (kind == "trimmed") and runs
+
+
+@settings(max_examples=30, deadline=None)
+@given(gamma0_elements())
+def test_rewrite_st_word_product_is_the_literal_product(element):
+    p, gamma = element
+    gens = gens_of(p)
+    raw = gens._walk(gamma)
+    tokens, product = gens.rewrite_st_word(raw)
+    assert tokens == _literal_substitute(raw, gens._raw_words)
+    assert product == evaluate_word(tokens, gens._matrices)
+
+
+@pytest.mark.parametrize("k", [1000, -1000])
+def test_a_power_of_the_wrap_word_is_one_run(k):
+    # the copies of P meet at seams that do not reduce, so P^k is written and certified at once
+    gens = gens_of(13)
+    wrap = gens._raw_words["P"]
+    assert wrap[0][0] != wrap[-1][0]
+    gamma = Mat2(1, 0, 13 * k, 1)
+    tokens, runs = _runs_of(gens, gamma)
+    assert gens._walk(gamma) == [("P", -k)]
+    assert tokens == _literal_substitute([("P", -k)], gens._raw_words)
+    assert [(start, end, lo) for start, end, _, lo in runs] == [(0, 1000 * len(wrap), 0)]
+    sign_against(_spliced_product(tokens, runs, gens._matrices, {}), gamma, "Gamma0(p) decomposition")
+    # a changed token in the first, a middle or the last copy fails the run's compare
+    for k in (1, 500 * len(wrap) + 2, len(tokens) - 1):
+        label, exp = tokens[k]
+        corrupted = tokens[:k] + [(label, 2 * exp)] + tokens[k + 1:]
+        with pytest.raises(AssertionError, match="certified piece"):
+            _spliced_product(corrupted, runs, gens._matrices, {})
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_every_certified_word_holds_its_literal_product(p):
+    gens = gens_of(p)
+    for symbol, word in [*gens._raw_words.items(), ("P^-1", gens._inverses["P"])]:
+        assert word.product == evaluate_word(word, gens._matrices), symbol
 
 
 @settings(max_examples=300, deadline=None)
