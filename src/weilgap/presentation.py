@@ -31,6 +31,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .characters import _factorize
@@ -463,7 +464,9 @@ class GenSet:
     ``_classes`` holds the class of each of those words once, as sparse
     (coordinate, exponent sum) pairs, summed from the elimination ``log`` of
     :func:`_tietze`; the class of P is ``parabolic_class``.
-    ``_steps`` is the T-step table of the walk (:func:`_t_steps`).
+    ``_steps`` is the T-step table of the walk (:func:`_t_steps`), and
+    ``_unit_powers`` the read-only entries of every generator and its
+    inverse, keyed by the tokens (label, 1) and (label, -1).
     """
 
     def __init__(
@@ -494,7 +497,14 @@ class GenSet:
         self._index = {lbl: i for i, lbl in enumerate(self.free_labels + self.order2_labels + self.order3_labels)}
         self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
 
-        tokens, product = _splice(WRAP, rewriting_log, {}, matrices, {})
+        # read-only: each splice copies it into its own memo of powers; an
+        # inverse is the adjugate, as every generator has det 1
+        units = {}
+        for lbl in labels:
+            a, b, c, d = units[lbl, 1] = matrices[lbl].entries()
+            units[lbl, -1] = (d, -b, -c, a)
+        self._unit_powers = MappingProxyType(units)
+        tokens, product = _splice(WRAP, rewriting_log, {}, matrices, self._unit_powers.copy())
         sign_against(product, T * S**p * T.inv(), "wrap word")
         wrap = CertifiedWord(tokens, product)
         self._raw_words = {**rewriting_log, "P": wrap}
@@ -543,8 +553,9 @@ class GenSet:
         """The Schreier rewriting of an S/T word and its product, from the
         raw word of its walk (:meth:`_walk`): every raw symbol expanded
         through ``_raw_words``, P through its wrap word, P^-1 read from
-        ``_inverses``, and the product spliced from theirs (:func:`_splice`)."""
-        return _splice(raw, self._raw_words, dict(self._inverses), self._matrices, {})
+        ``_inverses``, and the product spliced from theirs (:func:`_splice`),
+        with a memo of powers that starts from ``_unit_powers``."""
+        return _splice(raw, self._raw_words, dict(self._inverses), self._matrices, self._unit_powers.copy())
 
     # -- abelianization -----------------------------------------------------
 

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, fzero, mpf_neg
+from mpmath.libmp import from_man_exp, fzero, mpc_expjpi, mpf_abs, mpf_neg, mpf_pos, mpf_shift, to_float, to_int
 
 from .characters import _divisors, _mobius
 from .matrices import lift_bottom_row, slash_evaluator  # kept importable from series
@@ -853,10 +853,20 @@ def _node_sums(values: list, M: int) -> list:
     N - n, since r_{m(N-n)} = conj r_{mn}: with A_n = v_n + v_{N-n} and
     D_n = v_n - v_{N-n}, Re S = sum Re A Re r - sum Im D Im r and
     Im S = sum Im A Re r + sum Re D Im r over n <= N/2.  Each is taken
-    exactly in Python integers and rounded once to nearest: the correctly
-    rounded sum over the symmetric root table, which ``mp.fdot`` also gives
-    whenever the exponents of its products span under twice the precision.
-    A non-finite value raises ValueError.
+    exactly and rounded once to nearest: the correctly rounded sum over the
+    symmetric root table, which ``mp.fdot`` also gives whenever the exponents
+    of its products span under twice the precision.  A non-finite value
+    raises ValueError.
+
+    The exact sums are float64 GEMMs of base-2^16 digits (:func:`_exact_matmul`):
+    the digits of (Re A, -Im D) and of (Im A, Re D) against those of
+    (Re r, Im r) at the nodes m n mod N, contracted over the 2 (N/2 + 1)
+    folded terms, so every entry is an integer of magnitude at most
+    2 (N/2 + 1) (2^16 - 1)^2, exact below 2^53; past 2,097,216 terms the
+    contraction is split.  The digit products are added at their limbs in
+    int64, at most min(value digits, root digits) to a limb.  The m range is
+    taken in chunks whose gathered root digits hold at most 2^15 floats, or
+    one m, so no array grows with M N.
     """
     N = len(values)
     bad = next((n for n, v in enumerate(values) if not mp.isfinite(v)), None)
@@ -872,15 +882,29 @@ def _node_sums(values: list, M: int) -> list:
     def fold(v, sign):
         return [v[n] + sign * v[N - n] if 0 < n < N - n else v[n] for n in range(half + 1)]
 
-    ar, ai, dr, di = fold(vr, 1), fold(vi, 1), fold(vr, -1), fold(vi, -1)
-    nodes = np.arange(half + 1)
-    sums = []
-    for m in range(1, M + 1):
-        turn = (m * nodes % N).tolist()
-        cr, ci = list(map(rr.__getitem__, turn)), list(map(ri.__getitem__, turn))
-        re = sum(map(operator.mul, ar, cr)) - sum(map(operator.mul, di, ci))
-        im = sum(map(operator.mul, ai, cr)) + sum(map(operator.mul, dr, ci))
-        sums.append(mp.make_mpc((from_man_exp(re, ev + er, prec, "n"), from_man_exp(im, ev + er, prec, "n"))))
+    folded = [*fold(vr, 1), *fold(vi, 1), *fold(vr, -1), *fold(vi, -1)]
+    vd, rd = _digit_count(folded), _digit_count(rr + ri)
+    terms = 2 * (half + 1)
+    if terms * min(vd, rd) * _DIGIT**2 >= 2**63:
+        raise ValueError(f"{N} nodes of {min(vd, rd)} digits could pass the int64 limbs")
+    ar, ai, dr, di = _digit_rows(folded, vd).reshape(4, half + 1, vd)
+    # row (part of S, value digit), column (part of r, node)
+    by_part = np.stack([[ar, -di], [ai, dr]]).transpose(0, 3, 1, 2).reshape(2 * vd, terms)
+    roots = _digit_rows(rr + ri, rd).reshape(2, N, rd)
+    nodes, sums = np.arange(half + 1), []
+    chunk = max(1, 2**15 // (terms * rd))
+    for lo in range(1, M + 1, chunk):
+        ms = np.arange(lo, min(lo + chunk, M + 1))
+        # column (m, root digit): the root digits at the nodes m n mod N
+        turned = roots[:, np.outer(nodes, ms) % N].reshape(terms, len(ms) * rd)
+        products = _exact_matmul(by_part, turned).reshape(2, vd, len(ms), rd)
+        # a value digit b times a root digit a lands at limb a + b
+        limbs = np.zeros((2, len(ms), vd + rd - 1), dtype=np.int64)
+        for b in range(vd):
+            limbs[:, :, b : b + rd] += products[:, b]
+        parts = _limb_ints(limbs.reshape(2 * len(ms), -1))
+        for re, im in zip(parts[: len(ms)], parts[len(ms) :]):
+            sums.append(mp.make_mpc((from_man_exp(re, ev + er, prec, "n"), from_man_exp(im, ev + er, prec, "n"))))
     return sums
 
 
@@ -891,6 +915,71 @@ def _exact_parts(zs: list) -> tuple[list[int], list[int], int]:
     e = min((exp for _, man, exp, _ in parts if man), default=0)
     ints = [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in parts]
     return ints[0::2], ints[1::2], e
+
+
+_DIGIT = 2**16 - 1  # the largest magnitude of a base-2^16 digit of _digit_rows
+_RUN = 2**53 // _DIGIT**2  # 2,097,216 digit products sum to an integer below 2^53
+
+
+def _digit_count(xs: list[int]) -> int:
+    """The number of base-2^16 digits :func:`_digit_rows` needs for every x
+    of xs: the least count with |x| < 2^(16 count - 1), at least 1."""
+    return max(map(int.bit_length, xs), default=0) // 16 + 1
+
+
+def _digit_rows(xs: list[int], count: int) -> np.ndarray:
+    """Each signed integer x of xs as a float64 row of ``count`` base-2^16
+    digits d_k, least significant first, with x = sum_k d_k 2^(16 k): its
+    two's complement digits, each in [0, 2^16) but the top one, in
+    [-2^15, 2^15), read as the digits of x + 2^(16 count - 1) with 2^15 taken
+    off the top one.  An x outside [-2^(16 count - 1), 2^(16 count - 1))
+    raises OverflowError."""
+    half = 1 << (16 * count - 1)
+    data = b"".join(map(int.to_bytes, [x + half for x in xs], repeat(2 * count), repeat("little")))
+    digits = np.frombuffer(data, dtype="<u2").reshape(len(xs), count).astype(float)
+    digits[:, -1] -= 2.0**15
+    return digits
+
+
+def _exact_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right as int64, exactly, for float64 matrices of integers of
+    magnitude at most 2^16 - 1 (base-2^16 digits, :func:`_digit_rows`).
+
+    Each float64 GEMM contracts at most _RUN terms, whose sum is an integer
+    below 2^53 in magnitude in any order of addition, so it is exact (Ozaki,
+    Ogita, Oishi and Rump, Numer. Algorithms 59, 2012); a longer contraction
+    is split there and its parts added in int64.  A contraction that could
+    pass 2^63 raises ValueError.
+    """
+    T = left.shape[1]
+    if T * _DIGIT**2 >= 2**63:
+        raise ValueError(f"a contraction of {T} digit products could pass the int64 range")
+    out = (left[:, :_RUN] @ right[:_RUN]).astype(np.int64)
+    for i in range(_RUN, T, _RUN):
+        out += (left[:, i : i + _RUN] @ right[i : i + _RUN]).astype(np.int64)
+    return out
+
+
+def _limb_ints(limbs: np.ndarray) -> list[int]:
+    """sum_k limbs[r, k] 2^(16 k) for each row r of an int64 matrix, exactly.
+
+    Each limb is biased by 2^63 into [0, 2^64), and limbs k = 4t + s, for
+    s = 0..3, lie 64 bits apart: the biased limbs of stream s of every row
+    are the 64-bit words of one integer, row r at word r T, with T words a
+    row, enough that a row's biased sum stays below 2^(64 T).  Four
+    ``from_bytes`` reads and three shifts add the streams into one integer,
+    which holds each row's biased sum in its own 64 T bits; each row is then
+    read out and its bias taken off."""
+    R, K = limbs.shape
+    T = (16 * K + 112) // 64  # the biased sum of a row is below 2^(16 K + 49)
+    words = np.zeros((R, 4 * T), dtype=np.uint64)
+    words[:, :K] = limbs.view(np.uint64) ^ np.uint64(2**63)  # l + 2^63 for every int64 l
+    data = words.reshape(R, T, 4).transpose(2, 0, 1).astype("<u8").tobytes()
+    size = 8 * T * R
+    total = sum(int.from_bytes(data[s * size : (s + 1) * size], "little") << 16 * s for s in range(4))
+    data, step = total.to_bytes(size, "little"), 8 * T
+    bias = 2**63 * ((1 << 16 * K) - 1) // _DIGIT  # 2^63 sum_{k < K} 2^(16 k)
+    return [int.from_bytes(data[o : o + step], "little") - bias for o in range(0, size, step)]
 
 
 def series_evaluator(series: CoeffSeries):
@@ -910,35 +999,39 @@ def series_evaluator(series: CoeffSeries):
     integers over the least binary exponent in the block.  Per point, q is
     rounded to the scale Q = P + max(0, ceil(-log2 |q|)) and its powers
     q^0..q^B are taken at the finer scale Qb = Q + max(0, ceil(top)) +
-    ceil(-(B - 1) log2 |q|) + 2 bitlen(K') + 2.  Each block sum is exact,
-    with its real and imaginary parts as two lanes of one integer
-    (Kronecker packing; Harvey, arXiv:0712.4046): each power is packed once
-    per point as (Re q^i) 2^S + Im q^i, and i q^i as (-Im q^i) 2^S + Re q^i,
-    and the block sum is one dot product of the Re a_m with the first, plus,
-    unless a0 and every a_m have imaginary part exactly 0, one of the
-    Im a_m with the second.  Every block integer is below 2^width in
-    absolute value, and every part of a power below 2^(Qb + 1) (the
-    rounded q has |q| <= 1, and each of the B - 1 products adds under one
-    unit), so each part of the sum is below 2 B 2^(width + Qb + 1) <=
-    2^(S - 1) with S = Qb + width + bitlen(B) + 2, and the two parts are
-    read back exactly (``_unpacked``).  They are the integers of a Gauss
-    three-product block sum, so the value does not depend on the packing.
-    It is rounded once to 2^-P, and an outer Horner in q^B joins the K'/B
-    blocks.
+    ceil(-(B - 1) log2 |q|) + 2 bitlen(K') + 2.
+
+    Each block sum is exact.  The n = K'/B block sums of a point come from
+    one float64 GEMM of base-2^16 digits (:func:`_exact_matmul`): the
+    series' coefficient-digit matrix, built once, whose row j holds the d
+    digits of each of block j's integers, the Re a_m and, unless a0 and
+    every a_m have imaginary part exactly 0, the Im a_m; against the digits
+    of Re q^i and Im q^i for i < B (and of -Im q^i and Re q^i, the parts of
+    i q^i, for the Im a_m), moved up by each coefficient digit's place, so
+    that the GEMM adds every digit product at its 16-bit limb.  Every part
+    of a power is below 2^(Qb + 1) (the rounded q has |q| <= 1, and each of
+    the B - 1 products adds under one unit), every digit has magnitude at
+    most 2^16 - 1, and an entry sums at most 2B d digit products (d <= 132
+    for doubles), so each is an integer below 2^53 and exact.  The limbs
+    give the block sums as Python integers (:func:`_limb_ints`): the
+    integers of a Gauss three-product block sum, so the value does not
+    depend on the GEMM.  Each is rounded once to 2^-P, and an outer Horner
+    in q^B joins the blocks.
     Rounding to nearest at those two places costs at most sqrt(2)/2 units
     at 2^-P each, and the rounded powers at most one unit in all, so the
     value is within sqrt(2) K'/B + 3/2 units at 2^-P of the sum over the
     rounded q.
 
-    q is taken as e(|Re z| + i Im z), conjugated when Re z < 0, and every
-    rounding to nearest breaks ties away from zero (``_rounded``).  Each
-    step is then odd in the imaginary parts, so for a real series (a0 and
-    every a_m of imaginary part exactly 0) the value at -conj z is the
-    conjugate of the value at z, bit for bit.  The evaluator keeps the
-    previous call of a real series: when the next point is its exact mirror
-    at the same precision, it returns that value with the imaginary mpf
-    negated exactly.  (``mp.conj`` would round the unrounded value to the
-    working precision.)  A complex series is always evaluated afresh.
+    q is taken as e(|Re z| + i Im z) by libmp's ``mpc_expjpi``, conjugated
+    when Re z < 0, and every rounding to nearest breaks ties away from zero
+    (``_rounded``).  Each step is then odd in the imaginary parts, so for a
+    real series (a0 and every a_m of imaginary part exactly 0) the value at
+    -conj z is the conjugate of the value at z, bit for bit.  The evaluator
+    keeps the previous call of a real series: when the next point is its
+    exact mirror at the same precision, it returns that value with the
+    imaginary mpf negated exactly.  (``mp.conj`` would round the unrounded
+    value to the working precision.)  A complex series is always evaluated
+    afresh.
     """
     c = np.array([series.a0, *series.coeffs], dtype=complex)
     parts = np.stack([c.real, c.imag])
@@ -957,31 +1050,33 @@ def series_evaluator(series: CoeffSeries):
     # a_m = (mant_re + i mant_im) 2^(exp - 53) exactly; zeros pad the last block
     mant = np.pad((frac * 2.0**53).astype(np.int64), ((0, 0), (0, pad))).tolist()
     exp = np.pad(exp - 53, ((0, 0), (0, pad))).tolist()
-    blocks = []  # per block: its exponent E and the integers re and im over 2^E
+    block_exps, ints = [], []  # per block: its exponent E, and its integers over 2^E, Re then Im
     for start in range(0, len(c) + pad, B):
         span = range(start, start + B)
         E = min((exp[k][m] for k in (0, 1) for m in span if mant[k][m]), default=0)
-        blocks.append((E, *([mant[k][m] << (exp[k][m] - E) if mant[k][m] else 0 for m in span] for k in (0, 1))))
-    # every block integer is below 2^width in absolute value
-    width = max((abs(x).bit_length() for _, re, im in blocks for x in (*re, *im)), default=0)
+        block_exps.append(E)
+        for k in (0,) if real else (0, 1):  # the Im parts of a real series are all 0
+            ints += [mant[k][m] << (exp[k][m] - E) if mant[k][m] else 0 for m in span]
+    per_block, digits = len(ints) // len(block_exps), _digit_count(ints)
+    # row block, column (term, digit)
+    coeff_digits = _digit_rows(ints, digits).reshape(len(block_exps), per_block * digits)
 
     mirror = None  # a real series: (Re, Im, prec) of the previous call's mirror point, and its value
 
     def evaluate(z):
         nonlocal mirror
-        z = mp.mpc(z)
-        (x, y), prec = z._mpc_, mp.mp.prec
+        (x, y), prec = mp.mpc(z)._mpc_, mp.mp.prec
         if mirror is not None and mirror[0] == (x, y, prec):
             re, im = mirror[1]
             value = (re, mpf_neg(im))  # exact: mp.conj would round the unrounded value
         else:
-            value = fresh(z, prec)
+            value = fresh(x, y, prec)
         if real:
             mirror = ((mpf_neg(x), y, prec), value)
         return mp.make_mpc(value)
 
-    def fresh(z, prec):
-        log2_q = -2 * math.pi * float(z.imag) / math.log(2)
+    def fresh(x, y, prec):
+        log2_q = -2 * math.pi * to_float(y, rnd="n") / math.log(2)
         terms = log2_bound + ms * log2_q
         top = float(np.max(terms, initial=-np.inf))
         if top == -np.inf:
@@ -992,10 +1087,11 @@ def series_evaluator(series: CoeffSeries):
         n = int(np.flatnonzero(terms >= -P - drop_below)[-1]) // B + 1
         # powers at a scale where their roundings cost under one unit at 2^-P in all
         Qb = Q + max(0, math.ceil(top)) + max(0, math.ceil(-(B - 1) * log2_q)) + 2 * (n * B).bit_length() + 2
-        with mp.workprec(prec + guard):  # q at -conj z is exactly conj q
-            q = mp.expjpi(2 * mp.mpc(abs(z.real), z.imag))
-        qr, qi = (int(mp.ldexp(x, Q)) << (Qb - Q) for x in (q.real, q.imag))
-        if z.real < 0:
+        # e(|Re z| + i Im z) as mp.expjpi gives it at prec + guard bits: q at -conj z is exactly conj q
+        wp = prec + guard
+        arg = (mpf_shift(mpf_abs(x, wp, "n"), 1), mpf_shift(mpf_pos(y, wp, "n"), 1))
+        qr, qi = (to_int(mpf_shift(part, Q)) << (Qb - Q) for part in mpc_expjpi(arg, wp, "n"))
+        if x[0]:  # Re z < 0
             qi = -qi
         pr, pi = [1 << Qb, qr], [0, qi]  # q^0..q^B at 2^-Qb
         for _ in range(B - 1):
@@ -1003,35 +1099,39 @@ def series_evaluator(series: CoeffSeries):
             pr.append(r)
             pi.append(i)
         qbr, qbi = pr.pop(), pi.pop()
-        S = Qb + width + B.bit_length() + 2  # each part of a block sum is below 2^(S - 1)
-        packed = [(r << S) + i for r, i in zip(pr, pi)]  # q^i
-        turned = None if real else [(-i << S) + r for r, i in zip(pr, pi)]  # i q^i
+        count = (Qb + 1) // 16 + 1  # digits of a part of a power, below 2^(Qb + 1)
+        pre, pim = _digit_rows(pr + pi, count).reshape(2, B, count)
+        parts = np.stack([pre, pim], axis=1)  # row i: Re and Im of q^i
+        if not real:  # row B + i: Re and Im of i q^i
+            parts = np.concatenate([parts, np.stack([-pim, pre], axis=1)])
+        # row (term, coefficient digit a), column (part, limb): the power digits
+        # moved up a limbs, so that the GEMM adds each digit product at its limb
+        shifted = np.zeros((per_block, digits, 2, digits + count - 1))
+        for a in range(digits):
+            shifted[:, a, :, a : a + count] = parts
+        limbs = _exact_matmul(coeff_digits[:n], shifted.reshape(per_block * digits, -1))
+        sums = _limb_ints(limbs.reshape(2 * n, -1))  # Re and Im of each block sum
         re = im = 0
-        for E, cr, ci in reversed(blocks[:n]):
+        for j in reversed(range(n)):
             re, im = _times(re, im, qbr, qbi, Qb)
-            both = sum(map(operator.mul, cr, packed))
-            if not real:  # else ci is all zeros
-                both += sum(map(operator.mul, ci, turned))
-            sr, si = _unpacked(both, S)
-            re, im = re + _rounded(sr, Qb - P - E), im + _rounded(si, Qb - P - E)
+            shift = Qb - P - block_exps[j]
+            re, im = re + _rounded(sums[2 * j], shift), im + _rounded(sums[2 * j + 1], shift)
         return from_man_exp(re, -P), from_man_exp(im, -P)
 
     return evaluate
 
 
 def _times(ar: int, ai: int, br: int, bi: int, scale: int) -> tuple[int, int]:
-    """(ar + i ai)(br + i bi) / 2^scale in fixed point, each part rounded to
-    nearest, by Gauss's three multiplications."""
+    """(ar + i ai)(br + i bi) / 2^scale in fixed point, scale >= 1, each part
+    rounded to nearest with ties away from zero as by :func:`_rounded`, by
+    Gauss's three multiplications."""
     k1 = br * (ar + ai)
-    return _rounded(k1 - ai * (br + bi), scale), _rounded(k1 + ar * (bi - br), scale)
-
-
-def _unpacked(x: int, shift: int) -> tuple[int, int]:
-    """The two integers (hi, lo) with x = hi 2^shift + lo and
-    |lo| < 2^(shift - 1): two lanes of one integer, read back exactly."""
-    half = 1 << (shift - 1)
-    lo = ((x + half) & ((1 << shift) - 1)) - half
-    return (x - lo) >> shift, lo
+    re, im = k1 - ai * (br + bi), k1 + ar * (bi - br)
+    half = 1 << (scale - 1)
+    return (
+        (re + half) >> scale if re >= 0 else -((half - re) >> scale),
+        (im + half) >> scale if im >= 0 else -((half - im) >> scale),
+    )
 
 
 def _rounded(x: int, shift: int) -> int:

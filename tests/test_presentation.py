@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from functools import lru_cache
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -658,6 +659,40 @@ def test_decompositions_leave_the_certified_words_as_built(p):
         assert gens._raw_words[symbol] is word and word == tokens and word.product == product
     assert gens._inverses == {"P": inverse} and gens._inverses["P"] is inverse
     assert inverse == tuple(_inverse(gens._raw_words["P"])) and inverse.product == gens._raw_words["P"].product.inv()
+
+
+def test_decompositions_take_only_the_powers_the_unit_table_lacks(monkeypatch):
+    # at p = 1009 a decomposition takes Mat2.__pow__ of a generator only at
+    # tokens whose exponent is not +-1, each distinct one once; the words,
+    # signs and products are those of an empty table, and the table stays
+    # as built and read-only
+    gens = gens_of(1009)
+    table = dict(gens._unit_powers)
+    assert table.keys() == {(label, e) for label in gens.labels for e in (1, -1)}
+    with pytest.raises(TypeError):
+        gens._unit_powers[("S", 2)] = (1, 0, 0, 1)
+    rng = random.Random(1009)
+    elements = [random_gamma0_element(1009, rng) for _ in range(200)]
+    generators, calls, power = {id(m) for m in gens._matrices.values()}, [], Mat2.__pow__
+
+    def counted(self, n):
+        if id(self) in generators:
+            calls.append((id(self), n))
+        return power(self, n)
+
+    monkeypatch.setattr(Mat2, "__pow__", counted)
+    results = []
+    for gamma in elements:
+        del calls[:]
+        word = decompose_gamma0(gens, gamma)
+        assert all(abs(n) != 1 for _, n in calls)
+        assert len(calls) == len(set(calls)) <= len({token for token in word.tokens if abs(token[1]) != 1})
+        results.append((word.tokens, word.sign, gens.rewrite_st_word(gens._walk(gamma))))
+    assert dict(gens._unit_powers) == table
+    monkeypatch.setattr(gens, "_unit_powers", MappingProxyType({}))
+    for gamma, (tokens, sign, rewritten) in zip(elements, results):
+        word = decompose_gamma0(gens, gamma)
+        assert (word.tokens, word.sign, gens.rewrite_st_word(gens._walk(gamma))) == (tokens, sign, rewritten)
 
 
 @pytest.mark.parametrize("change", ["in place", "rebound"])

@@ -1,6 +1,8 @@
 import cmath
+import hashlib
 import json
 import math
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weilgap import series
+from weilgap import acceptance, series
 from weilgap.characters import DirichletChar
 from weilgap.matrices import T, FrickeMat
 from weilgap.multiplier import char_multiplier, pretend_constraints, solve_pretend, trivial_multiplier
@@ -20,6 +22,11 @@ from weilgap.series import (
     _kloosterman_rows,
     _ramanujan_sum,
     _kronecker_mul,
+    _RUN,
+    _digit_count,
+    _digit_rows,
+    _exact_matmul,
+    _limb_ints,
     _node_sums,
     _rounded,
     _times,
@@ -677,10 +684,10 @@ def test_blocked_evaluator_matches_per_term_horner_and_mpmath(M, seed, log10_q, 
 
 
 def three_product_evaluator(series, two_when_real=False):
-    """Oracle: ``series_evaluator``'s blocked sum with three dot products per
-    block (Gauss's complex product) whatever the coefficients, as it was
-    before real series took two; with two_when_real, two for a real series,
-    as it was before the block sums were packed two lanes to an integer."""
+    """Oracle: ``series_evaluator``'s blocked sum with three Python-int dot
+    products per block (Gauss's complex product) whatever the coefficients,
+    as it was before real series took two; with two_when_real, two for a
+    real series, as it was before the block sums were digit GEMMs."""
     c = np.array([series.a0, *series.coeffs], dtype=complex)
     parts = np.stack([c.real, c.imag])
     real = two_when_real and not parts[1].any()
@@ -772,13 +779,12 @@ def test_two_product_path_equals_the_three_product_loop(M, seed, log10_q, x, dps
     st.floats(-6, -1),
     st.sampled_from([15, 59]),
 )
-def test_packed_block_sums_equal_the_unpacked_dots(M, seed, real, aligned, spread, x, log10_y, dps):
+def test_gemm_block_sums_equal_the_python_int_dots(M, seed, real, aligned, spread, x, log10_y, dps):
     # 53-bit mantissas, of one sign or mixed, at the top exponent but for
     # about one in 32 at `spread` bits below it (2045: from 2^1022, where
     # |a_m| stays a double, down past the least normal exponent), so a
-    # block's integers are up to 2098 bits wide; Re z < 0 and
-    # |q| = e^(-2 pi y) near 1, so each part of a block sum comes within a
-    # few bits of the lane bound
+    # block's integers are up to 2098 bits wide, 132 digits; Re z < 0 and
+    # |q| = e^(-2 pi y) near 1, so each power fills its top digit
     rng = np.random.default_rng(seed)
     top = 1022 - int(rng.integers(0, 40)) if spread == 2045 else int(rng.integers(-60, 60))
 
@@ -827,17 +833,16 @@ def test_real_series_evaluate_conjugation_equivariantly(M, seed, log10_q, x, dps
 
 @pytest.fixture
 def fresh_calls(monkeypatch):
-    """Counts series_evaluator's fresh evaluations: each takes one
-    mp.expjpi of a complex point (the extraction's roots take real ones)."""
+    """Counts series_evaluator's fresh evaluations: each takes one libmp
+    mpc_expjpi of its point (the extraction's roots take mp.expjpi)."""
     calls = []
-    expjpi = mp.expjpi
+    expjpi = series.mpc_expjpi
 
-    def counted(x):
-        if isinstance(x, mp.mpc):
-            calls.append(x)
-        return expjpi(x)
+    def counted(z, prec, rnd):
+        calls.append(z)
+        return expjpi(z, prec, rnd)
 
-    monkeypatch.setattr("weilgap.series.mp.expjpi", counted)
+    monkeypatch.setattr("weilgap.series.mpc_expjpi", counted)
     return calls
 
 
@@ -930,6 +935,109 @@ def test_rounded_is_nearest_with_ties_away_from_zero(x, shift):
     want = down + (abs(exact) - down >= Fraction(1, 2))
     assert _rounded(x, shift) == (want if x >= 0 else -want)
     assert _rounded(-x, shift) == -_rounded(x, shift)
+
+
+def test_node_sums_at_four_thousand_nodes_and_100_digits():
+    # one m per chunk of gathered root digits, 4,002 folded terms a GEMM
+    N, M = 4000, 5
+    rng = np.random.default_rng(N)
+    with mp.workdps(100):
+        scramble = mp.exp(mp.mpf(1) / 7)
+        values = [
+            mp.mpc(*(mp.ldexp(mp.mpf(float(a)) * scramble, int(e)) for a, e in zip(rng.standard_normal(2), rng.integers(-60, 60, 2))))
+            for _ in range(N)
+        ]
+        values[7] = mp.mpc(0)
+        assert _node_sums(values, M) == exact_sums(values, M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4000).flatmap(lambda bits: st.integers(1 - 2**bits, 2**bits - 1)), max_size=12))
+def test_digit_rows_and_limb_ints_round_trip(xs):
+    count = _digit_count(xs)
+    digits = _digit_rows(xs, count)
+    assert digits.shape == (len(xs), count) and digits.dtype == np.float64
+    assert np.all(np.abs(digits) <= 2**16 - 1) and np.all(digits == np.trunc(digits))
+    assert _limb_ints(digits.astype(np.int64)) == xs
+    assert [sum(int(d) << 16 * k for k, d in enumerate(row)) for row in digits] == xs
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_digit_rows_hold_exactly_their_range(count):
+    lo, hi = -(2 ** (16 * count - 1)), 2 ** (16 * count - 1)
+    assert _limb_ints(_digit_rows([lo, hi - 1], count).astype(np.int64)) == [lo, hi - 1]
+    for x in (lo - 1, hi):
+        with pytest.raises(OverflowError):
+            _digit_rows([x], count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda K: st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=K, max_size=K), max_size=6)))
+def test_limb_ints_read_any_int64_limbs(rows):
+    K = len(rows[0]) if rows else 1
+    limbs = np.array(rows, dtype=np.int64).reshape(len(rows), K)
+    assert _limb_ints(limbs) == [sum(l << 16 * k for k, l in enumerate(row)) for row in rows]
+
+
+def test_a_contraction_past_2_to_53_is_split_and_exact():
+    # T (2^16 - 1)^2 passes 2^53 and is odd, so no double holds the sum
+    T = _RUN + 1 if _RUN % 2 == 0 else _RUN + 2
+    exact = T * (2**16 - 1) ** 2
+    assert exact > 2**53 and exact % 2 == 1
+    left, right = np.broadcast_to(float(2**16 - 1), (1, T)), np.broadcast_to(float(2**16 - 1), (T, 1))
+    assert int((left @ right)[0, 0]) != exact  # the unsplit float64 contraction rounds
+    assert _exact_matmul(left, right).tolist() == [[exact]]
+    negated = np.broadcast_to(float(1 - 2**16), (T, 2))
+    assert _exact_matmul(left, negated).tolist() == [[-exact, -exact]]
+    with pytest.raises(ValueError, match="int64"):
+        _exact_matmul(np.broadcast_to(0.0, (1, 2**32)), np.broadcast_to(0.0, (2**32, 1)))
+
+
+def float_digest(xs):
+    return hashlib.sha256(b"".join(struct.pack("<d", x) for x in xs)).hexdigest()
+
+
+def mpc_digest(zs):
+    """SHA-256 of each part's (sign, mantissa, exponent, bit count)."""
+    return hashlib.sha256("".join(f"{s},{int(man)},{e},{bc};" for z in zs for s, man, e, bc in z._mpc_).encode()).hexdigest()
+
+
+# criterion 10's extraction (p = 29, M = 2000, c_max = 40p, y = 0.16, 320
+# nodes at 59 digits), recorded with the Python-int block sums and node sums
+CRITERION_10_DIGESTS = {
+    "f": "4920c2ccb31b549b6979b477cd7eabb2322479f2bbb893ebad11bde14ebd9db4",
+    "node values": "489ddc001018307bb8563b2db172a125188586380b37cea766ddc24c7239ac14",
+    "node sums": "103873ede18de8cf1ddd0113af40d0f19bc09746df09988871fd52b2d440a722",
+    "coefficients and errors": "a17be60bcf81281c7b49bd1c70a7625b49446f8ec069ff1f04a5c51480924353",
+}
+
+
+def test_criterion_10_extraction_is_pinned(monkeypatch):
+    # the exact kernels give the same node values, node sums, coefficients
+    # and per_coeff_error bit for bit; f's coefficients come from float FFTs
+    # and convolutions whose last bits a CPU's kernels may change, and the
+    # pins below hold for the f they were recorded from
+    seen = {}
+
+    def recorded(name, call):
+        def wrapper(*args, **kwargs):
+            seen[name] = (args, call(*args, **kwargs))
+            return seen[name][1]
+        return wrapper
+
+    monkeypatch.setattr(acceptance, "series_evaluator", recorded("evaluator", acceptance.series_evaluator))
+    monkeypatch.setattr(acceptance, "coeffs_via_fourier_extraction", recorded("extraction", acceptance.coeffs_via_fourier_extraction))
+    monkeypatch.setattr(series, "_node_sums", recorded("node sums", series._node_sums))
+    report = acceptance._infinite_order_multiplier_experiment()
+    f, g = seen["evaluator"][0][0], seen["extraction"][1]
+    (values, count), sums = seen["node sums"]
+    assert (len(values), count, report["eisenstein_cmax"]) == (320, 80, 40 * 29)
+    if float_digest([x for c in [f.a0, *f.coeffs] for x in (c.real, c.imag)]) != CRITERION_10_DIGESTS["f"]:
+        pytest.skip("criterion 10's float coefficients of f differ from those the digests were recorded from")
+    assert mpc_digest(values) == CRITERION_10_DIGESTS["node values"]
+    assert mpc_digest(sums) == CRITERION_10_DIGESTS["node sums"]
+    coefficients = [x for b in g.coeffs for x in (b.real, b.imag)] + g.per_coeff_error
+    assert float_digest(coefficients) == CRITERION_10_DIGESTS["coefficients and errors"]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 7, 33, 34])
