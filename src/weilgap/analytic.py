@@ -219,7 +219,7 @@ def _dirichlet_tail(f: CoeffSeries, re_s: float, gamma_abs: float) -> float:
 
 
 def _relation(
-    f: CoeffSeries, g: CoeffSeries, fe: FEStatement, zs: np.ndarray
+    f: CoeffSeries, g: CoeffSeries, fe: FEStatement, zs: np.ndarray, bounded: slice | np.ndarray = slice(None)
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both sides of the twisted modular relation at each z of an array in H,
 
@@ -227,8 +227,10 @@ def _relation(
         rhs = (-1)^k phase (p q^2)^{-k/2} z^{-k} g(-B/q + w),   w = -1/(p q^2 z),
 
     and the bound f.tail_bound(Im z) + |(p q^2)^{-k/2} z^{-k}| g.tail_bound(Im w)
-    on what the truncation of both series costs lhs - rhs, both tails from
-    one :func:`~weilgap.series.tail_bounds` call.
+    on what the truncation of both series costs lhs - rhs, at the points
+    zs[bounded] only (all of them by default), both tails from one
+    :func:`~weilgap.series.tail_bounds` call.  A bound is elementwise, so
+    it does not depend on which other points are bounded.
     """
     zs = np.asarray(zs, dtype=complex)
     pq2 = fe.p * fe.q * fe.q
@@ -236,8 +238,8 @@ def _relation(
     jacobian = pq2 ** (-fe.k / 2) * zs ** (-fe.k)
     lhs = f.eval_many(fe.twist().a / fe.q + zs)
     rhs = (-1) ** fe.k * fe.phase * jacobian * g.eval_many(fe.dual_twist().a / fe.q + ws)
-    f_tail, g_tail = tail_bounds([(f, zs.imag), (g, ws.imag)])
-    truncation = f_tail + np.abs(jacobian) * g_tail
+    f_tail, g_tail = tail_bounds([(f, zs.imag[bounded]), (g, ws.imag[bounded])])
+    truncation = f_tail + np.abs(jacobian[bounded]) * g_tail
     return lhs, rhs, truncation
 
 
@@ -323,6 +325,9 @@ def _auto_window(
     a side takes another round only while every rung it probed was
     reliable.  A value does not depend on the other points of its call, so
     the window is the one that probing every rung at once would give.
+    Where y_bal, or every rung beside it, is unreliable, the prefix is too
+    short for any window, and an "insufficient coefficients" ValueError says
+    so.
     """
     y_bal = fe.balance_height
     steps = np.r_[y_bal, np.full(40, 1.25)]  # 1.25^40 > 4096
@@ -340,6 +345,10 @@ def _auto_window(
         for i, part in enumerate(np.split(reliable, [len(probes[0])])):
             runs[i] += int(np.logical_and.accumulate(part).sum())
         start += _WINDOW_ROUND
+    if runs == [1, 0]:  # a window of y_bal alone has no Mellin integral to read
+        raise ValueError(
+            "insufficient coefficients: truncated sides are unreliable at every rung beside the balance height"
+        )
     return float(down[runs[0] - 1]), float(up[runs[1]])
 
 
@@ -491,10 +500,11 @@ def check_fe_additive(
     y_bal = fe.balance_height
     zs = [complex(re_frac * y_bal, scale_y * y_bal) for scale_y, re_frac in ((0.8, 0.0), (1.0, 0.21), (1.3, -0.13))]
 
-    # one relation call for both rules and the modular points; of the rules, only the full one's trust is used
-    lhs, rhs, trust = _relation(f, g, fe, np.r_[1j * np.exp(np.r_[ts, ts_half]), zs])
+    # one relation call for both rules and the modular points; the half rule's trust is never read
     end = nodes + nodes // 2
-    points = _modular_points(fe, zs, [x[end:] for x in (lhs, rhs, trust)], tolerance, gate_truncation=True)
+    zs_all = np.r_[1j * np.exp(np.r_[ts, ts_half]), zs]
+    lhs, rhs, trust = _relation(f, g, fe, zs_all, bounded=np.r_[:nodes, end : end + len(zs)])
+    points = _modular_points(fe, zs, [lhs[end:], rhs[end:], trust[nodes:]], tolerance, gate_truncation=True)
     delta, delta_half = np.split(lhs[:end] - rhs[:end], [nodes])
     mag = 0.5 * (np.abs(lhs[:nodes]) + np.abs(rhs[:nodes]))
     trust = trust[:nodes]

@@ -627,9 +627,9 @@ def counting_relation(monkeypatch):
     sizes = []
     relation = analytic._relation
 
-    def counting(f, g, fe, zs):
+    def counting(f, g, fe, zs, **bounded):
         sizes.append(len(zs))
-        return relation(f, g, fe, zs)
+        return relation(f, g, fe, zs, **bounded)
 
     monkeypatch.setattr(analytic, "_relation", counting)
     return sizes
@@ -672,6 +672,72 @@ def test_a_converse_desk_statement_makes_two_relation_calls(monkeypatch, p, M):
         sizes.clear()
         check_fe_additive(f, g, p, 24, fe_for_q(p, 24, q))
         assert len(sizes) == 2 and sizes[0] == 2 * analytic._WINDOW_ROUND
+
+
+@pytest.mark.parametrize("p, M", [(5, 20), (11, 36)])
+def test_a_window_of_the_balance_height_alone_is_insufficient(p, M):
+    # no rung beside y_bal is reliable: the window would be [y_bal, y_bal],
+    # every sample would read 0 at scale 1e-300, and the verdict would pass
+    f, g = delta_delta_p(p, M)
+    fe = fe_for_q(p, 24, 1)
+    with pytest.raises(ValueError, match="^insufficient coefficients: .* beside the balance height$"):
+        _auto_window(f, g, fe)
+    with pytest.raises(ValueError, match="^insufficient coefficients"):
+        check_fe_additive(f, g, p, 24, fe)
+
+
+@pytest.mark.parametrize("p, q", [(5, 2), (11, 1)])
+def test_check_fe_additive_bounds_only_the_points_it_reads(monkeypatch, p, q):
+    # the full rule's nodes and the modular points are bounded, the half
+    # rule's nodes are not, and the report is that of bounding every point
+    f, g = delta_delta_p(p, 900)
+    fe = fe_for_q(p, 24, q)
+    report = check_fe_additive(f, g, p, 24, fe, tolerance=1e-6)
+    relation, bounded_counts = analytic._relation, []
+
+    def bounding_every_point(f, g, fe, zs, bounded=slice(None)):
+        lhs, rhs, trust = relation(f, g, fe, zs)
+        bounded_counts.append((len(zs), len(trust[bounded])))
+        assert trust[bounded].tobytes() == relation(f, g, fe, zs, bounded)[2].tobytes()
+        return lhs, rhs, trust[bounded]
+
+    monkeypatch.setattr(analytic, "_relation", bounding_every_point)
+    assert repr(check_fe_additive(f, g, p, 24, fe, tolerance=1e-6)) == repr(report)
+    (window_points, window_bounded), (points, bounded) = bounded_counts
+    nodes = bounded - 3
+    assert window_points == window_bounded and points == nodes + nodes // 2 + 3
+
+
+def test_residue_of_psi_mod_3_is_the_v3_report_bit_for_bit(monkeypatch):
+    # at p = 11, residue 2 of psi mod 3 is V_3's statement (twist 2/3, dual
+    # twist 2/3, phase 1) on another matrix, so it reads eval_many's memo
+    # for every array; its report is the standalone V_3 report on fresh
+    # series, apart from the matrix
+    f, g = delta_delta_p(11, 1200)
+    psi = next(c for c in primitive_characters(3) if not c.is_trivial())
+    v3 = check_fe_additive(f, g, 11, 24, fe_for_q(11, 24, 3), tolerance=1e-6)
+    contractions = []
+    block_sums = analytic.CoeffSeries._block_sums
+
+    def counting(series, zs):
+        contractions.append(len(zs))
+        return block_sums(series, zs)
+
+    monkeypatch.setattr(analytic.CoeffSeries, "_block_sums", counting)
+    rep = check_fe_multiplicative(f, g, 11, 24, 1.0, psi, tolerance=1e-6)
+    count = len(contractions)
+    residue = rep.additive_reports[list(additive_statements_for_psi(11, 24, 3)).index(2)]
+    assert (residue.fe.twist(), residue.fe.dual_twist(), residue.fe.phase) == (v3.fe.twist(), v3.fe.dual_twist(), 1)
+    assert residue.fe.gamma != v3.fe.gamma
+    check_fe_additive(f, g, 11, 24, residue.fe, tolerance=1e-6)
+    assert count > 0 and len(contractions) == count
+    monkeypatch.undo()
+    fresh = check_fe_additive(*delta_delta_p(11, 1200), 11, 24, fe_for_q(11, 24, 3), tolerance=1e-6)
+
+    def fields(report):
+        return repr((report.window, report.samples, report.modular_points, report.verdict))
+
+    assert fields(residue) == fields(v3) == fields(fresh)
 
 
 def test_lambda_pairs_only_where_they_can_gate(monkeypatch, dd5, delta2000):

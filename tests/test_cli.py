@@ -229,6 +229,16 @@ def test_check_fe_gamma_pole_or_overflow_is_invalid_input(tmp_path, s, message):
     assert proc.stdout == ""
 
 
+def test_check_fe_without_a_window_is_invalid_input(tmp_path):
+    # at M = 20 no rung beside the balance height is reliable, so there is
+    # no window to integrate over, and no verdict
+    coeffs = tmp_path / "dd5.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "5", "--M", "20", "--out", str(coeffs))
+    proc = run_cli("check-fe", "--p", "5", "--k", "24", "--q", "1", "--coeffs", str(coeffs))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: insufficient coefficients")
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_check_fe_rejects_nonpositive_q(tmp_path, q):
     coeffs = tmp_path / "dd5.jsonl"

@@ -1655,6 +1655,67 @@ def test_copy_with_evaluates_its_own_coefficients(tau200):
     assert tau200.eval_many(zs).tolist() == before
 
 
+def counting_einsum(monkeypatch):
+    """Count the einsum calls of eval_many's contraction."""
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(series.np, "einsum", counting)
+    return calls
+
+
+def test_eval_many_contracts_an_array_once(monkeypatch):
+    # the same points again give the same doubles from the memo, without a
+    # contraction; new points, or the same ones in another order, contract
+    f = delta_coeffs(300)
+    zs = 0.2 + 1j * np.geomspace(1e-3, 2, 40)
+    calls = counting_einsum(monkeypatch)
+    first = f.eval_many(zs)
+    contracted = len(calls)
+    assert contracted >= 1
+    again = f.eval_many(zs.copy())
+    assert again.tobytes() == first.tobytes() and len(calls) == contracted
+    assert again is not first and f.eval_truncated(zs[3]) == first[3]
+    assert f.eval_many(zs[::-1]).tobytes() == first[::-1].tobytes() and len(calls) > contracted
+    monkeypatch.undo()
+    assert first.tobytes() == eval_many_padded_per_call(f, zs).tobytes()
+
+
+def test_eval_many_memo_follows_the_coefficients(monkeypatch):
+    # copies that keep the coefficients share the memo, each adding its own
+    # a0; a copy with new coefficients starts its own
+    f = delta_coeffs(300)
+    zs = -0.1 + 1j * np.geomspace(1e-2, 1, 25)
+    sums = f.eval_many(zs)
+    shifted, wider = f.copy_with(a0=2.5 - 1j), f.copy_with(sigma=13.0)
+    assert shifted._memo is f._memo and wider._memo is f._memo
+    calls = counting_einsum(monkeypatch)
+    assert shifted.eval_many(zs).tobytes() == ((2.5 - 1j) + sums).tobytes()
+    assert wider.eval_many(zs).tobytes() == sums.tobytes() and not calls
+    doubled = f.copy_with(coeffs=[2 * c for c in f.coeffs], exact=None)
+    assert doubled._memo is not f._memo
+    assert doubled.eval_many(zs).tobytes() == (2 * sums).tobytes() and calls
+
+
+def test_eval_many_memo_is_bounded(monkeypatch):
+    # past _MEMO_POINTS points the least recently used arrays go; an array
+    # larger than the bound is evaluated and not kept
+    f = delta_coeffs(100)
+    monkeypatch.setattr(series, "_MEMO_POINTS", 30)
+    arrays = [k * 0.01 + 1j * np.geomspace(1e-2, 1, 10) for k in range(4)]
+    for zs in arrays[:3]:
+        f.eval_many(zs)
+    f.eval_many(arrays[0])  # arrays[1] is now the least recently used
+    f.eval_many(arrays[3])
+    assert list(f._memo) == [zs.tobytes() for zs in (arrays[2], arrays[0], arrays[3])]
+    f.eval_many(1j * np.geomspace(1e-2, 1, 31))
+    assert len(f._memo) == 3 and sum(map(len, f._memo.values())) == 30
+
+
 @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 1.0), math.inf])
 @pytest.mark.parametrize("at", [0, 1, 2])
 def test_growth_constant_is_inf_with_a_coefficient_that_is_not_finite(bad, at):
