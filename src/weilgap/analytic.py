@@ -145,9 +145,11 @@ class FEStatement:
 def fe_for_q(p: int, k: int, q: int, phase: complex = 1.0 + 0j) -> FEStatement:
     """The statement attached to a modulus q: twist -1/q against
     ((q q* + 1)/p)/q, realized by the generator matrix V_q itself (see
-    :func:`~weilgap.presentation.v_matrix`); at level 1, by T S.
+    :func:`~weilgap.presentation.v_matrix`); at level 1, by T S for q = 1
+    and else by the a = -1 matrix of :func:`~weilgap.presentation.constraint_matrix`.
     """
-    return FEStatement(p, k, T * S if p == 1 else v_matrix(p, q), phase)
+    gamma = v_matrix(p, q) if p > 1 else T * S if q == 1 else constraint_matrix(1, -1, q)[0]
+    return FEStatement(p, k, gamma, phase)
 
 
 @dataclass
@@ -567,19 +569,6 @@ def additive_statements_for_psi(
     inverse(a p) mod q, so the dual twist is -inverse(a p)/q as in the
     multiplicative assembly chain."""
     return {a: FEStatement(p, k, constraint_matrix(p, a, q)[0], phase) for a in _units(q)}
-
-
-def lambda_multiplicative(f: CoeffSeries, psi: ResidueChar, s: complex) -> LambdaValue:
-    """Lambda(f, psi, s) = (1/tau(conj psi)) sum'_a conj(psi)(a) Lambda(f, a/q, s),
-    for q prime to the level of f."""
-    q = psi.q
-    if math.gcd(q, max(f.level, 1)) != 1:
-        raise ValueError("gcd(q, p) must be 1")
-    if not psi.is_primitive():
-        raise ValueError("psi must be primitive")
-    twisted = {a: lambda_additive(f, AdditiveTwist(a, q), s) for a in _units(q)}
-    value = _gauss_average(psi.conj(), ((a, lv.value) for a, lv in twisted.items()))
-    return LambdaValue(value, sum(lv.error for lv in twisted.values()) / math.sqrt(q), f.M)
 
 
 @dataclass

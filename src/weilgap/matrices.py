@@ -12,7 +12,6 @@ All entries are Python integers, so group computations never overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -171,9 +170,6 @@ def reduce_word(tokens: list[tuple[str, int]]) -> list[tuple[str, int]]:
 
 
 ST_MATRICES = {"S": S, "T": T}
-# evaluate_word multiplies a word of at least 4 * CHUNK tokens in aligned
-# runs of CHUNK tokens, each product kept in its memo
-CHUNK = 8
 
 Entries = tuple[int, int, int, int]
 
@@ -181,42 +177,29 @@ Entries = tuple[int, int, int, int]
 def evaluate_word(
     tokens: Sequence[tuple[str, int]],
     matrices: Mapping[str, Mat2],
-    powers: Optional[dict[tuple, Entries]] = None,
+    powers: Optional[dict[tuple[str, int], Entries]] = None,
 ) -> Mat2:
     """The product, left to right, of matrices[label] ** exp over the tokens.
 
     The product runs on four local ints and builds one Mat2 at the end.
     Each distinct power is taken once, through Mat2.__pow__, so a matrix of
-    determinant other than 1 under a negative exponent still raises.  A
-    word of at least 4 * CHUNK tokens is multiplied in aligned chunks, the
-    tuples of tokens i*CHUNK to (i+1)*CHUNK - 1, and then token by token
-    over its last len % CHUNK; each chunk's product is taken once, by the
-    same loop over its own tokens.  Shorter words go token by token.  The
-    entries of the powers and chunk products are kept in ``powers``, keyed
-    by the token or the chunk, so a changed token changes its key; callers
-    that evaluate many words over the same matrices may share one dict.
+    determinant other than 1 under a negative exponent still raises.  The
+    entries of the powers are kept in ``powers``, keyed by the token;
+    callers that evaluate many words over the same matrices may share one
+    dict.
     """
-    if powers is None:
-        powers = {}
-    items: Iterable[tuple] = tokens
-    if len(tokens) >= 4 * CHUNK:
-        items = chain(zip(*[iter(tokens)] * CHUNK), tokens[len(tokens) - len(tokens) % CHUNK:])
-    return Mat2(*_product(items, matrices, powers))
+    return Mat2(*_product(tokens, matrices, {} if powers is None else powers))
 
 
-def _product(items: Iterable[tuple], matrices: Mapping[str, Mat2], powers: dict) -> Entries:
-    """The entries of the product of items, each a token or a chunk of CHUNK
-    tokens, read from powers and entered there on a miss."""
+def _product(tokens: Iterable[tuple[str, int]], matrices: Mapping[str, Mat2], powers: dict) -> Entries:
+    """The entries of the product of the tokens' powers, each read from
+    powers and entered there on a miss."""
     a, b, c, d = 1, 0, 0, 1
-    for item in items:
-        m = powers.get(item)
+    for token in tokens:
+        m = powers.get(token)
         if m is None:
-            if len(item) == CHUNK:
-                m = _product(item, matrices, powers)
-            else:
-                label, exp = item
-                m = (matrices[label] ** exp).entries()
-            powers[item] = m
+            label, exp = token
+            m = powers[token] = (matrices[label] ** exp).entries()
         x, y, z, w = m
         a, b, c, d = a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w
     return a, b, c, d

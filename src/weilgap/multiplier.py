@@ -355,23 +355,6 @@ def char_multiplier(chi: DirichletChar, gens: GenSet) -> MultiplierSystem:
     return MultiplierSystem(gens, angles)
 
 
-def cusp_width(p: int, tau: Mat2) -> int:
-    """Smallest n >= 1 with tau S^n tau^{-1} in Gamma0(p) (1 or p here)."""
-    if tau.det() != 1:
-        raise ValueError("tau must lie in SL2(Z)")
-    tau_inv = tau.inv()
-    for n in range(1, p + 1):
-        if (tau * S**n * tau_inv).c % p == 0:
-            return n
-    raise AssertionError("cusp width exceeded p, impossible for Gamma0(p)")
-
-
-def cusp_parameter(upsilon: MultiplierSystem, tau: Mat2) -> Angle:
-    """kappa_tau in [0, 1): e(kappa_tau) = upsilon(tau S^{n_tau} tau^{-1})."""
-    n = cusp_width(upsilon.p, tau)
-    return upsilon.evaluate(tau * S**n * tau.inv()).mod1()
-
-
 # ---------------------------------------------------------------------------
 # The pretend-constraint system
 

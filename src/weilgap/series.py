@@ -572,37 +572,6 @@ def delta_coeffs(M: int) -> CoeffSeries:
     return CoeffSeries(tau, weight=12, level=1, sigma=6.0, label="delta", exact=tau)
 
 
-def sigma_coeffs(k: int, M: int) -> list[int]:
-    """sigma_k(1..M), exact, by sieving over divisors."""
-    out = [0] * (M + 1)
-    for d in range(1, M + 1):
-        dk = d**k
-        for n in range(d, M + 1, d):
-            out[n] += dk
-    return out[1:]
-
-
-_EISENSTEIN_LEVEL1_FACTOR = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
-
-
-def eisenstein_level1(k: int, M: int) -> CoeffSeries:
-    """The classical series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n for
-    the weights with integer normalization (k in {4, 6, 8, 10, 14})."""
-    if k not in _EISENSTEIN_LEVEL1_FACTOR:
-        raise ValueError(f"integer-normalized E_k only for k in {sorted(_EISENSTEIN_LEVEL1_FACTOR)}")
-    factor = _EISENSTEIN_LEVEL1_FACTOR[k]
-    coeffs = [factor * s for s in sigma_coeffs(k - 1, M)]
-    return CoeffSeries(
-        coeffs,
-        weight=k,
-        level=1,
-        sigma=float(k),
-        label=f"E{k}",
-        a0=1 + 0j,
-        exact=coeffs,
-    )
-
-
 def delta_delta_p(p: int, M: int) -> tuple[CoeffSeries, CoeffSeries]:
     """f(z) = Delta(z) Delta(pz) of weight 24 on Gamma0(p); g = f|W_p = f.
 

@@ -14,7 +14,7 @@ import weilgap.analytic as analytic
 from weilgap.matrices import Mat2, S, T
 from weilgap.characters import ResidueChar, all_characters, primitive_characters
 from weilgap.presentation import compute_Q
-from weilgap.series import _cgamma, delta_coeffs, delta_delta_p, eisenstein_level1, series_evaluator, upper_incomplete_gamma
+from weilgap.series import _cgamma, delta_coeffs, delta_delta_p, series_evaluator, upper_incomplete_gamma
 from weilgap.analytic import (
     _auto_window,
     _leggauss,
@@ -31,8 +31,9 @@ from weilgap.analytic import (
     gauss_assembly_residual,
     gauss_sum,
     lambda_additive,
-    lambda_multiplicative,
 )
+
+from oracles import eisenstein_level1, lambda_multiplicative
 
 # [[D, a], [-pB, q]] for (a, q, B, D) = (-1, 1, -1, -4): V_1 at p = 5
 V1_AT_5 = Mat2(-4, -1, 5, 1)
@@ -592,6 +593,17 @@ def test_fe_for_q_at_random_levels(p, q):
     # q q* = -1 mod p with 1 <= q* <= p, by brute force
     qs = next(s for s in range(1, p + 1) if (q * s + 1) % p == 0)
     assert (fe.a, fe.q, fe.B, fe.D) == (-1, q, -(q * qs + 1) // p, -qs)
+
+
+def test_fe_for_q_at_level_1_twists_by_minus_one_over_q():
+    from weilgap.presentation import constraint_matrix
+
+    assert fe_for_q(1, 12, 1).gamma == T * S
+    for q in range(2, 10):
+        fe = fe_for_q(1, 12, q)
+        assert fe.gamma == constraint_matrix(1, -1, q)[0]
+        assert (fe.a, fe.q) == (-1, q)
+        assert fe.twist() == AdditiveTwist(-1, q)
 
 
 def test_additive_twist_reduction():

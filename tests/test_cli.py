@@ -13,7 +13,9 @@ from types import SimpleNamespace
 import pytest
 
 from weilgap.cli import build_parser, main
-from weilgap.series import delta_delta_p, eisenstein_level1
+from weilgap.series import delta_coeffs, delta_delta_p
+
+from oracles import eisenstein_level1
 
 
 def run_cli(*args, cwd=None):
@@ -198,6 +200,17 @@ def test_check_fe_passes_e4_at_level_1(tmp_path):
     proc = run_cli("check-fe", "--p", "1", "--k", "4", "--coeffs", str(coeffs), "--s=2,0;2,1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["verdict"] is True
+
+
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_check_fe_at_level_1_twists_by_the_given_q(tmp_path, q):
+    coeffs = tmp_path / "delta.jsonl"
+    coeffs.write_text(delta_coeffs(600).to_json_lines())
+    proc = run_cli("check-fe", "--p", "1", "--k", "12", "--coeffs", str(coeffs), "--q", str(q))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["twist"] == f"{q - 1}/{q}"  # -1/q
+    assert result["verdict"] is True
 
 
 @pytest.mark.parametrize("twist", [[], ["--a", "3"]])

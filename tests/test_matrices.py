@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weilgap.matrices import (
-    CHUNK,
     ST_MATRICES,
     IDENTITY,
     FrickeMat,
@@ -346,18 +345,17 @@ def _token_by_token(tokens, matrices):
 @st.composite
 def sl2_words(draw):
     """A word of 0-200 tokens with exponents in [-5, 5] over 1-6 random
-    SL2(Z) matrices, about half of them at or above the chunk threshold."""
+    SL2(Z) matrices."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     matrices = {f"A{i}": rand_sl2(rng, 20) for i in range(draw(st.integers(1, 6)))}
-    length = draw(st.one_of(st.integers(0, 4 * CHUNK - 1), st.integers(4 * CHUNK, 200)))
     token = st.tuples(st.sampled_from(sorted(matrices)), st.integers(-5, 5))
-    return draw(st.lists(token, min_size=length, max_size=length)), matrices
+    return draw(st.lists(token, max_size=200)), matrices
 
 
 @settings(max_examples=150, deadline=None)
 @given(sl2_words())
-@example(([("A0", 1)] * (4 * CHUNK - 1), {"A0": S}))
-@example(([("A0", 1), ("A1", -2)] * (2 * CHUNK) + [("A0", 5)] * 3, {"A0": S, "A1": T}))
+@example(([("A0", 1)] * 31, {"A0": S}))
+@example(([("A0", 1), ("A1", -2)] * 16 + [("A0", 5)] * 3, {"A0": S, "A1": T}))
 def test_evaluate_word_memo_is_the_token_by_token_product(case):
     tokens, matrices = case
     expected = _token_by_token(tokens, matrices)
@@ -365,24 +363,18 @@ def test_evaluate_word_memo_is_the_token_by_token_product(case):
     shared = {}
     assert evaluate_word(tokens[1:], matrices, shared) == _token_by_token(tokens[1:], matrices)
     assert evaluate_word(tokens, matrices, shared) == expected  # a table shared with an offset word
-    # a memo seeded with unit powers and the aligned chunks of the word
+    # a memo seeded with unit powers is read, never rewritten
     seeded = {(lbl, e): (m**e).entries() for lbl, m in matrices.items() for e in (1, -1)}
-    for i in range(0, len(tokens) - CHUNK + 1, CHUNK):
-        chunk = tuple(tokens[i:i + CHUNK])
-        seeded[chunk] = _token_by_token(chunk, matrices).entries()
     before = dict(seeded)
     assert evaluate_word(tokens, matrices, seeded) == expected
     assert {key: seeded[key] for key in before} == before
-    if len(tokens) >= 4 * CHUNK:
-        chunks = {key for key in seeded if len(key) == CHUNK}
-        assert chunks == {key for key in before if len(key) == CHUNK}  # every chunk was read from the seed
 
 
-def test_evaluate_word_negative_power_raises_inside_a_chunk():
+def test_evaluate_word_negative_power_raises_at_any_position():
     matrices = {"S": S, "D": Mat2(1, 0, 0, 2)}
-    word = [("S", 1), ("D", 1)] * (2 * CHUNK) + [("S", 2)]
+    word = [("S", 1), ("D", 1)] * 16 + [("S", 2)]
     assert evaluate_word(word, matrices) == _token_by_token(word, matrices)
-    for i in (1, 5, 4 * CHUNK - 1):  # in the first, in an inner and in the last chunk
+    for i in (0, 1, 5, 31, len(word) - 1):  # the first, inner and last tokens
         corrupted = word[:i] + [("D", -1)] + word[i + 1:]
         with pytest.raises(ValueError, match="determinant"):
             evaluate_word(corrupted, matrices)

@@ -16,8 +16,6 @@ from weilgap.multiplier import (
     MultiplierSystem,
     char_multiplier,
     constraint_matrix,
-    cusp_parameter,
-    cusp_width,
     in_kappa_subgroup,
     pretend_constraints,
     sixth_root_check,
@@ -36,6 +34,7 @@ from weilgap.presentation import (
 )
 from weilgap.series import lift_bottom_row
 
+from oracles import cusp_parameter, cusp_width
 from test_characters import quadratic_char
 from test_linalg import nullspace_by_back_substitution
 from weilgap.linalg import rank

