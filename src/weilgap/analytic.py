@@ -487,12 +487,15 @@ def check_fe_additive(
     with_lambda, the one-sided pair lambda_additive(f, a/q, s),
     lambda_additive(g, -B/q, k - s) also gates a sample where both error
     estimates are finite, which needs Re s > sigma_f + 1 and
-    k - Re s > sigma_g + 1; elsewhere it is not computed.
+    k - Re s > sigma_g + 1; elsewhere it is not computed.  An empty
+    s_samples raises ValueError.
     """
     _require_statement_level(p, k, fe)
     if s_samples is None:
         s_samples = default_s_grid(k, f.sigma)
     s_samples = [complex(s) for s in s_samples]
+    if not s_samples:
+        raise ValueError("s_samples is empty: a verdict needs at least one s")
     for s in s_samples:
         _require_gamma_factors(k, s)
     y_lo, y_hi = _auto_window(f, g, fe, cut=min(1e-8, tolerance * 1e-2))

@@ -127,8 +127,8 @@ def cmd_multiplier(args):
     chi = _chi_from_arg(args.chi, p)
     cs = pretend_constraints(p, gens, chi, args.qmax)
     sol = solve_pretend(cs, chi, gens, kernel_index=args.kernel_index)
-    l = gens.signature[0]
-    bound_predicts = cs.majorized_row_bound() + 5 <= l
+    # the kernel lives on the free coordinates: kernel_dim = n_free - rank >= n_free - rows
+    bound_predicts = cs.majorized_row_bound() + 5 <= len(gens.free_labels)
     result = {
         "p": p,
         "q_max": args.qmax,
@@ -140,7 +140,7 @@ def cmd_multiplier(args):
         "reflection_symmetric": sol.upsilon.reflection_symmetric,
         "majorized_rows": cs.majorized_row_bound(),
         "majorization_predicts_kernel_ge_5": bound_predicts,
-        "bound_vs_computed_disagree": bound_predicts != (sol.kernel_dim >= 5),
+        "bound_vs_computed_disagree": bound_predicts and sol.kernel_dim < 5,
         "multiplier": sol.upsilon.to_json(),
     }
     # --out receives the bare MultiplierSystem JSON, ready for series --multiplier,

@@ -1,13 +1,12 @@
-"""Exact rational linear algebra: sparse integer elimination, rank, nullspace.
+"""Exact rational linear algebra: one incremental integer elimination.
 
 Kernel dimensions here are correctness claims, so no floating point is
 involved anywhere.  Rows are {column: int} dicts of their nonzero entries.
-Each is reduced against the pivot row of its leading column by gcd-scaled
-integer combinations, divided by content, until it is zero or leads a new
-column; a fraction-free back pass then clears every pivot column above its
-pivot, and each basis entry is one quotient of two integers of that reduced
-form.  ``bareiss_echelon``, dense Bareiss elimination (Bareiss, Math. Comp.
-22, 1968), is the oracle the tests hold the sparse path to.
+``Echelon`` reduces each added row, together with its record of origin,
+by gcd-scaled integer combinations with its pivot rows; ``rank`` is the
+pivot count and ``nullspace`` the relations among the columns.
+``bareiss_echelon``, dense Bareiss elimination (Bareiss, Math. Comp. 22,
+1968), is the oracle the tests hold the sparse path to.
 """
 
 from __future__ import annotations
@@ -51,24 +50,6 @@ def bareiss_echelon(rows: list[list[int]]) -> tuple[int, list[int], list[list[in
     return len(pivots), pivots, m
 
 
-def _echelon(rows, n_cols: int) -> dict[int, dict[int, int]]:
-    """An echelon basis of the row space of integer rows of width n_cols,
-    as sparse rows keyed by their leading column; a row of another width
-    raises ValueError."""
-    pivots: dict[int, dict[int, int]] = {}
-    for i, dense in enumerate(rows):
-        if len(dense) != n_cols:
-            raise ValueError(f"row {i} has {len(dense)} entries, expected {n_cols}")
-        row = {j: int(dense[j]) for j in compress(count(), dense)}
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                pivots[lead] = row
-                break
-            _eliminate(row, pivots[lead], lead)
-    return pivots
-
-
 def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> None:
     """Replace row, in place, by a row - b pivot over its content, with
     a > 0 and b the least integers that clear column col."""
@@ -91,9 +72,49 @@ def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> None:
             row[j] //= content
 
 
+class Echelon:
+    """An echelon basis of the span of integer rows of width n_cols, added
+    one at a time.  Row i enters with a unit in the extra column n_cols + i,
+    its record of origin, and is reduced against the pivot row of its
+    leading column, row and record divided by their content together, until
+    it leads a new column or only its record is left."""
+
+    def __init__(self, n_cols: int):
+        self.n_cols, self.n_rows = n_cols, 0
+        self.pivots: dict[int, dict[int, int]] = {}  # keyed by leading column; the rank is their count
+
+    def add(self, row) -> dict[int, int] | None:
+        """Add a row of n_cols integers.  None if it raises the rank;
+        otherwise its relation {i: c_i}, of content 1 and with c_i nonzero
+        for this row, such that sum_i c_i row_i = 0 over the rows added so
+        far.  A row of another width raises ValueError."""
+        return self._add(_sparse(row, self.n_rows, self.n_cols))
+
+    def _add(self, row: dict[int, int]) -> dict[int, int] | None:
+        row[self.n_cols + self.n_rows] = 1
+        self.n_rows += 1
+        # the record columns all lie past n_cols, so a row led by one has
+        # cancelled in every real column and what is left is its relation
+        while (lead := min(row)) < self.n_cols:
+            if lead not in self.pivots:
+                self.pivots[lead] = row
+                return None
+            _eliminate(row, self.pivots[lead], lead)
+        return {j - self.n_cols: c for j, c in row.items()}
+
+
+def _sparse(row, i: int, n_cols: int) -> dict[int, int]:
+    """Row i as {column: int} of its nonzero entries; a row whose width is
+    not n_cols raises ValueError."""
+    if len(row) != n_cols:
+        raise ValueError(f"row {i} has {len(row)} entries, expected {n_cols}")
+    return {j: int(row[j]) for j in compress(count(), row)}
+
+
 def rank(rows: list[list[int]]) -> int:
     """Rank over the rationals of an integer matrix given by its rows."""
-    return len(_echelon(rows, len(rows[0]) if rows else 0))
+    echelon = Echelon(len(rows[0]) if rows else 0)
+    return sum(echelon.add(row) is None for row in rows)
 
 
 def nullspace(rows: list[list[int]], n_cols: int | None = None) -> list[list[Fraction]]:
@@ -103,26 +124,26 @@ def nullspace(rows: list[list[int]], n_cols: int | None = None) -> list[list[Fra
     basis vector i has a 1 in the i-th free column and 0 in the others,
     which makes the output deterministic.  Every row must have n_cols
     entries (by default, as many as the first row).
+
+    The kernel is the relations among the columns, added in order to one
+    :class:`Echelon`.  A free column is one that adds nothing to the rank,
+    and a column that does becomes a pivot, so a free column's relation
+    involves only itself and pivot columns before it; divided by its own
+    coefficient, it is the unique reduced-echelon basis vector.
     """
     if n_cols is None:
         if not rows:
             raise ValueError("cannot infer the number of columns from an empty system")
         n_cols = len(rows[0])
-    pivots = _echelon(rows, n_cols)
-    # backward pass, last pivot first: a pivot row's entries in later pivot
-    # columns are cleared by those columns' rows, which are already clear in
-    # every pivot column but their own, so the clearings do not interact
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for col in [j for j in row if j != lead and j in pivots]:
-            _eliminate(row, pivots[col], col)
-    free = {c: i for i, c in enumerate(c for c in range(n_cols) if c not in pivots)}
-    basis = [[Fraction(0)] * n_cols for _ in free]
-    for c, i in free.items():
-        basis[i][c] = Fraction(1)
-    # basis entry (pivot column, free column f) is -R[f] / R[pivot]
-    for lead, row in pivots.items():
-        for col, x in row.items():
-            if col != lead:
-                basis[free[col]][lead] = Fraction(-x, row[lead])
+    columns: list[dict[int, int]] = [{} for _ in range(n_cols)]
+    for i, row in enumerate(rows):
+        for j, x in _sparse(row, i, n_cols).items():
+            columns[j][i] = x
+    echelon, basis, zero = Echelon(len(rows)), [], Fraction(0)
+    for free, column in enumerate(columns):
+        if (relation := echelon._add(column)) is not None:
+            vector = [zero] * n_cols
+            for j, c in relation.items():
+                vector[j] = Fraction(c, relation[free])
+            basis.append(vector)
     return basis

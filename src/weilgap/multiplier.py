@@ -377,9 +377,10 @@ class ConstraintSystem:
     def row_count(self) -> int:
         return len(self.rows)
 
-    def majorized_row_bound(self) -> float:
-        """The crude majorization 2 + Q^2/2 on the number of equations."""
-        return 2 + self.q_max**2 / 2
+    def majorized_row_bound(self) -> int:
+        """The majorization 2 + Q(Q+1)/2 on the number of rows: the two cusp
+        rows and at most phi(q) <= q rows for each modulus q <= Q."""
+        return 2 + self.q_max * (self.q_max + 1) // 2
 
 
 def pretend_constraints(

@@ -917,6 +917,17 @@ def test_check_fe_multiplicative_samples_read_g(dd11):
         assert smp["residual"] > 1e-2
 
 
+def test_fe_checks_refuse_an_empty_sample_list(dd11):
+    # with no s a check would decide on its modular points alone, or, for
+    # the multiplicative check, on nothing
+    f, g = dd11
+    with pytest.raises(ValueError, match="^s_samples is empty"):
+        check_fe_additive(f, g, 11, 24, fe_for_q(11, 24, 1), s_samples=[])
+    psi = next(c for c in primitive_characters(3))
+    with pytest.raises(ValueError, match="^s_samples is empty"):
+        check_fe_multiplicative(f, g, 11, 24, 1.0, psi, s_samples=[])
+
+
 def test_check_fe_multiplicative_q1_is_the_additive_sample(dd11):
     f, g = dd11
     rep = check_fe_multiplicative(f, g, 11, 24, 1.0, all_characters(1)[0])

@@ -136,6 +136,16 @@ def test_multiplier_reports_reflection_symmetry(capsys):
         assert json.loads(capsys.readouterr().out)["result"]["reflection_symmetric"] is symmetric
 
 
+def test_multiplier_majorization_reads_the_free_count(capsys):
+    # 3 rows at p = 37, q_max = 1 leave a kernel of 4 on 5 free labels, so
+    # the bound 2 + Q(Q+1)/2 = 3 predicts no kernel of 5 and nothing disagrees
+    assert main(["multiplier", "--p", "37", "--qmax", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["rows"], result["majorized_rows"], result["kernel_dim"]) == (3, 3, 4)
+    assert result["majorization_predicts_kernel_ge_5"] is False
+    assert result["bound_vs_computed_disagree"] is False
+
+
 @pytest.mark.parametrize("p", [5, 13])
 def test_multiplier_trivial_kernel_is_a_computed_answer(tmp_path, capsys, p):
     # the system is solved; it has no infinite-order solution, so the run

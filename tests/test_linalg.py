@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilgap.linalg import bareiss_echelon, nullspace, rank
+from weilgap.linalg import Echelon, bareiss_echelon, nullspace, rank
 
 
 def in_row_span(rows, vector):
@@ -127,6 +128,29 @@ def test_rank_matches_bareiss(matrix):
     assert rank(rows) == bareiss_echelon(rows)[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_echelon_relations_and_prefix_ranks(matrix):
+    """Each added row either raises the rank or returns a relation of
+    content 1 that sums to zero over the rows added so far and involves the
+    row just added; the rank after each row is Bareiss's rank of the prefix."""
+    rows, n_cols = matrix
+    echelon = Echelon(n_cols)
+    for i, row in enumerate(rows):
+        before = len(echelon.pivots)
+        relation = echelon.add(row)
+        assert len(echelon.pivots) == bareiss_echelon(rows[: i + 1])[0] == before + (relation is None)
+        if relation is None:
+            continue
+        assert relation.get(i, 0) != 0 and set(relation) <= set(range(i + 1))
+        assert all(relation.values()) and math.gcd(*relation.values()) == 1
+        for j in range(n_cols):
+            assert sum(c * rows[r][j] for r, c in relation.items()) == 0
+    with pytest.raises(ValueError, match=rf"^row {len(rows)} has {n_cols + 1} entries, expected {n_cols}$"):
+        echelon.add([1] * (n_cols + 1))
+    assert echelon.n_rows == len(rows)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -134,8 +158,9 @@ def test_rank_matches_bareiss(matrix):
         lambda: nullspace([[1, 2]], 3),
         lambda: nullspace([[1, 2, 3]], 2),
         lambda: rank([[1, 2], [3]]),
+        lambda: Echelon(2).add([1, 2, 3]),
     ],
-    ids=["ragged-nullspace", "narrow-row", "wide-row", "ragged-rank"],
+    ids=["ragged-nullspace", "narrow-row", "wide-row", "ragged-rank", "echelon-row"],
 )
 def test_row_width_mismatch_raises(call):
     with pytest.raises(ValueError, match=r"^row \d+ has \d+ entries, expected \d+$"):

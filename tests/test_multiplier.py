@@ -13,6 +13,7 @@ from weilgap.characters import DirichletChar
 from weilgap.matrices import IDENTITY, Mat2, S, T, euclid_quotients
 from weilgap.multiplier import (
     Angle,
+    ConstraintSystem,
     MultiplierSystem,
     char_multiplier,
     constraint_matrix,
@@ -37,7 +38,7 @@ from weilgap.series import lift_bottom_row
 from oracles import cusp_parameter, cusp_width
 from test_characters import quadratic_char
 from test_linalg import nullspace_by_back_substitution
-from weilgap.linalg import rank
+from weilgap.linalg import Echelon, bareiss_echelon, rank
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +186,31 @@ def test_row_count_bound_p101():
     cs = pretend_constraints(101, gens, chi, 5)
     phi_sum = sum(len([a for a in range(q) if math.gcd(a, q) == 1]) for q in range(1, 6))
     assert cs.row_count() <= 2 + phi_sum == 12
-    # the crude majorization 2 + Q^2/2 = 14.5 is consistent
-    assert cs.row_count() <= 2 + 5**2 / 2
+    assert cs.row_count() <= cs.majorized_row_bound() == 17
+
+
+@pytest.mark.parametrize("p", [29, 37, 101])
+def test_majorized_row_bound_holds(p):
+    """2 + Q(Q+1)/2 bounds the row count for every Q <= 40 (2 + Q^2/2 falls
+    below it at Q = 1)."""
+    cs = pretend_constraints(p, _gens(p), DirichletChar(p, 0), 40, verify_b_dependence=False)
+    for q_max in range(41):
+        prefix = ConstraintSystem(p, [row for row in cs.rows if (row.q or 0) <= q_max], q_max)
+        assert prefix.row_count() <= prefix.majorized_row_bound()
+
+
+def test_majorization_never_contradicts_the_kernel():
+    """Where the bound predicts a kernel of dimension >= 5 on the free
+    coordinates, the kernel has it: every prime 5 <= p < 200, q_max <= 10."""
+    predicted = 0
+    for p in PRIMES:
+        _, n_free, ranks, _, _ = _threshold_pass(p, 10)
+        for q_max in range(11):
+            bound = ConstraintSystem(p, [], q_max).majorized_row_bound()
+            if bound + 5 <= n_free:
+                predicted += 1
+                assert n_free - ranks[q_max] >= 5, (p, q_max)
+    assert predicted > 0
 
 
 def test_solve_pretend_trivial_chi_self_solution(gens29):
@@ -583,17 +607,85 @@ def test_solve_pretend_matches_fraction_oracles():
     assert solved == 220
 
 
+def _threshold_pass(p, q_max):
+    """One incremental pass over the free parts of the trivial-chi pretend
+    rows up to q_max, in pretend_constraints order.  Returns the system, the
+    free count, the rank after each modulus q (q = 0: the cusp rows alone),
+    q*, the least q at which the rank is full (None if it is not full by
+    q_max), and the
+    first row of a modulus q >= 2 that adds nothing, as (q, relation) with
+    the relation keyed by row tag and signed so that row has coefficient 1
+    (None if every such row is independent)."""
+    cs = pretend_constraints(p, _gens(p), DirichletChar(p, 0), q_max, verify_b_dependence=False)
+    n_free = len(_gens(p).free_labels)
+    echelon, ranks, first_dependent = Echelon(n_free), {}, None
+    for i, row in enumerate(cs.rows):
+        relation = echelon.add(row.vector.free)
+        ranks[row.q or 0] = len(echelon.pivots)
+        if relation is not None and first_dependent is None and (row.q or 0) >= 2:
+            sign = 1 if relation[i] > 0 else -1
+            first_dependent = (row.q, {cs.rows[r].tag: sign * c for r, c in relation.items()})
+    q_star = next((q for q in sorted(ranks) if ranks[q] == n_free), None)
+    return cs, n_free, ranks, q_star, first_dependent
+
+
 @pytest.mark.parametrize("p, q_star", [(199, 13), (401, 18), (601, 22), (809, 27), (1009, 29)])
 def test_sharpness_threshold_pins(p, q_star):
     """q*(p), the least q_max at which the free parts of the pretend rows
-    have full rank: the rank falls short of the free count at q* - 1 and
-    reaches it at q*."""
-    gens = build_presentation(p)
-    cs = pretend_constraints(p, gens, DirichletChar(p, 0), q_star, verify_b_dependence=False)
-    below = [row.vector.free for row in cs.rows if row.q is None or row.q < q_star]
-    n_free = len(gens.free_labels)
-    assert rank(below) < n_free
-    assert rank([row.vector.free for row in cs.rows]) == n_free
+    have full rank, read from one incremental pass: the rank falls short of
+    the free count at q* - 1 and reaches it at q*."""
+    _, n_free, ranks, found, _ = _threshold_pass(p, q_star)
+    assert found == q_star
+    assert ranks[q_star - 1] < ranks[q_star] == n_free
+
+
+# q*(p) for every prime 5 <= p < 200; at the genus-0 primes 5, 7 and 13 the
+# free part is [S] alone and the cusp rows have full rank at q_max = 0
+Q_STAR = {5: 0, 7: 0, 13: 0, 11: 3, 17: 3, 19: 4, 23: 4}
+Q_STAR |= {p: 5 for p in (29, 31, 37, 43)} | {p: 6 for p in (41, 47, 53)}
+Q_STAR |= {p: 7 for p in (59, 61, 67, 73, 83)} | {p: 8 for p in (71, 79, 103)}
+Q_STAR |= {p: 9 for p in (89, 97, 101, 107, 113)} | {p: 10 for p in (109, 127, 137)}
+Q_STAR |= {p: 11 for p in (131, 139, 149, 151, 157, 163, 173, 197)} | {p: 12 for p in (167, 179)}
+Q_STAR |= {p: 13 for p in (181, 191, 193, 199)}
+
+
+def test_threshold_pins_below_200():
+    """q*(p) from one incremental pass at every prime 5 <= p < 200, with the
+    ranks at q* - 1 and q* checked against the Bareiss oracle."""
+    assert sorted(Q_STAR) == PRIMES
+    for p, q_star in Q_STAR.items():
+        cs, _, ranks, found, _ = _threshold_pass(p, q_star)
+        assert found == q_star, p
+        for q in {max(q_star - 1, 0), q_star}:
+            prefix = [row.vector.free for row in cs.rows if (row.q or 0) <= q]
+            assert ranks[q] == bareiss_echelon(prefix)[0], (p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q_dep, relation",
+    [
+        (29, 4, {(1, 4): 1, (1, 2): 1, (1, 3): -1, (2, 3): -1}),
+        (101, 5, {(4, 5): 1, (1, 4): 1, (3, 4): -1, (1, 5): -1}),
+        (281, 8, {(7, 8): 1, (1, 7): 1, (6, 7): -1, (1, 8): -1}),
+    ],
+)
+def test_first_dependent_row(p, q_dep, relation):
+    """q_dep(p), the first modulus q >= 2 with a row that adds nothing to the
+    rank, and that row's relation to the earlier rows."""
+    _, _, _, _, (q, found) = _threshold_pass(p, q_dep)
+    assert q == q_dep
+    assert found == {f"pretend({a},{m})": c for (a, m), c in relation.items()}
+
+
+def test_first_dependent_row_p1009():
+    """At p = 1009 every modulus q <= 17 adds phi(q) independent rows; the
+    first relation, at q_dep = 18, has 16 rows, all with coefficients +-1."""
+    cs, n_free, ranks, _, (q, relation) = _threshold_pass(1009, 18)
+    assert q == 18
+    assert all(ranks[m] - ranks[m - 1] == sum(math.gcd(a, m) == 1 for a in range(m)) for m in range(2, 18))
+    assert len(relation) == 16 and set(relation.values()) == {1, -1}
+    free = {row.tag: row.vector.free for row in cs.rows}
+    assert not any(sum(c * free[tag][j] for tag, c in relation.items()) for j in range(n_free))
 
 
 def in_kappa_subgroup_by_solving(gens, vec):
