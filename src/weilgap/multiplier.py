@@ -128,10 +128,13 @@ class MultiplierSystem:
     @cached_property
     def _symbol_num(self) -> dict[str, tuple[int, int]]:
         """The angle of every raw Schreier symbol, final labels among them,
-        as integer numerators (r, s) over ``_den``: the generators'
-        numerators summed over its sparse class (GenSet._classes)."""
-        nums = self._label_num
-        return {symbol: _num_sum(nums, pairs) for symbol, pairs in self.gens._classes.items()}
+        as integer numerators (r, s) over ``_den``: a label's own, and an
+        eliminated label's or P's n times each of its rule's token
+        numerators, summed in rule order (GenSet._rules), as its class is."""
+        nums = dict(zip(self.gens._index, self._label_num))
+        for symbol, rule in self.gens._rules.items():
+            nums[symbol] = _num_sum(nums, rule)
+        return nums
 
     def _angle(self, table, tokens) -> Angle:
         """The angle of (key, n) pairs: n times each table[key], summed."""
@@ -140,7 +143,8 @@ class MultiplierSystem:
 
     def angle_of_vector(self, vec: ExpVector) -> Angle:
         """The angle of a class: each generator's angle times its coordinate."""
-        return self._angle(self._label_num, enumerate((*vec.free, *vec.tor2, *vec.tor3)))
+        coords = enumerate((*vec.free, *vec.tor2, *vec.tor3))
+        return self._angle(self._label_num, [(i, n) for i, n in coords if n])
 
     def evaluate(self, gamma: Mat2) -> Angle:
         """Exact angle of upsilon(gamma) for gamma in Gamma0(p): the angles of
@@ -441,8 +445,11 @@ def in_kappa_subgroup(gens: GenSet, vec: ExpVector) -> bool:
         raise AssertionError(f"[T S^p T^-1] has a free part off [S] at p = {gens.p}")
     if any(vec.free[i] for i in off_s):
         return False
-    multiples = (p_vec.scale(beta) for beta in range(6))
-    return any((m.tor2, m.tor3) == (vec.tor2, vec.tor3) for m in multiples)
+    # only the torsion of beta [P] is compared: the free part is settled above
+    return any(
+        tuple(beta * x % 2 for x in p_vec.tor2) == vec.tor2 and tuple(beta * x % 3 for x in p_vec.tor3) == vec.tor3
+        for beta in range(6)
+    )
 
 
 @dataclass

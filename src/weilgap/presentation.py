@@ -461,9 +461,12 @@ class GenSet:
     decomposition writes its tokens from those tuples.  P's word and
     product are spliced here, once, from the rewriting log, and P's product
     must be +-T S^p T^{-1}; ``_inverses`` holds the inverse of P's word.
-    ``_classes`` holds the class of each of those words once, as sparse
-    (coordinate, exponent sum) pairs, summed from the elimination ``log`` of
-    :func:`_tietze`; the class of P is ``parabolic_class``.
+    ``_rules`` is the elimination ``log`` of :func:`_tietze` as rules,
+    symbol -> replacement, in reversed log order with P's rule WRAP last,
+    so each rule's tokens are final labels or symbols whose rules come
+    before it.  ``_classes`` is the memo of :meth:`_class`: the class of a
+    raw symbol as sparse (coordinate, exponent sum) pairs, summed from the
+    rules when a walk first reads it; the class of P is ``parabolic_class``.
     ``_steps`` is the T-step table of the walk (:func:`_t_steps`), and
     ``_unit_powers`` the read-only entries of every generator and its
     inverse, keyed by the tokens (label, 1) and (label, -1).
@@ -509,17 +512,8 @@ class GenSet:
         wrap = CertifiedWord(tokens, product)
         self._raw_words = {**rewriting_log, "P": wrap}
         self._inverses = {"P": _invert_word(wrap)}  # copied per rewrite_st_word call, which may add to it
-        # a final label's class is its own coordinate, an eliminated label's the
-        # sum of its Tietze replacement's token classes in reversed log order
-        # (the order its word is substituted in), and P's the sum over WRAP:
-        # free reduction leaves exponent sums unchanged
+        self._rules = dict([*reversed(log), ("P", WRAP)])
         self._classes = {lbl: [(i, 1)] for lbl, i in self._index.items()}
-        for symbol, replacement in [*reversed(log), ("P", WRAP)]:
-            sums: dict[int, int] = {}
-            for label, n in replacement:
-                for i, e in self._classes[label]:
-                    sums[i] = sums.get(i, 0) + n * e
-            self._classes[symbol] = sorted((i, e) for i, e in sums.items() if e)
         self.parabolic_class = self._vector(self._coords([("P", 1)]))
 
     @property
@@ -559,12 +553,38 @@ class GenSet:
 
     # -- abelianization -----------------------------------------------------
 
+    def _class(self, symbol: str) -> list[tuple[int, int]]:
+        """The class of a raw symbol: a final label's is its own coordinate,
+        an eliminated label's or P's the sum of its rule's token classes, n
+        times each (free reduction leaves exponent sums unchanged).  Summed
+        once, on first use, with the classes of the rules it reads first,
+        from an explicit stack, so a long chain of rules needs no recursion."""
+        classes, rules = self._classes, self._rules
+        stack = [symbol]
+        while stack:
+            top = stack[-1]
+            if top in classes:
+                stack.pop()
+                continue
+            missing = [label for label, _ in rules[top] if label not in classes]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            sums: dict[int, int] = {}
+            for label, n in rules[top]:
+                for i, e in classes[label]:
+                    sums[i] = sums.get(i, 0) + n * e
+            classes[top] = sorted((i, e) for i, e in sums.items() if e)
+        return classes[symbol]
+
     def _coords(self, raw: Word) -> list[int]:
         """Class coordinates of a word of raw Schreier symbols, final labels
-        among them: its symbols' classes, summed, so none is written out."""
-        coords = [0] * len(self._index)
+        among them: its symbols' classes (:meth:`_class`), summed, so none
+        is written out."""
+        coords, classes = [0] * len(self._index), self._classes
         for symbol, n in raw:
-            for i, e in self._classes[symbol]:
+            for i, e in classes[symbol] if symbol in classes else self._class(symbol):
                 coords[i] += n * e
         return coords
 

@@ -12,7 +12,8 @@ import math
 from weilgap.analytic import AdditiveTwist, LambdaValue, _gauss_average, lambda_additive
 from weilgap.characters import ResidueChar, _units
 from weilgap.matrices import Mat2, S
-from weilgap.multiplier import Angle, MultiplierSystem
+from weilgap.multiplier import Angle, MultiplierSystem, _num_sum
+from weilgap.presentation import ExpVector, GenSet
 from weilgap.series import CoeffSeries
 
 
@@ -75,3 +76,28 @@ def cusp_parameter(upsilon: MultiplierSystem, tau: Mat2) -> Angle:
     """kappa_tau in [0, 1): e(kappa_tau) = upsilon(tau S^{n_tau} tau^{-1})."""
     n = cusp_width(upsilon.p, tau)
     return upsilon.evaluate(tau * S**n * tau.inv()).mod1()
+
+
+def symbol_num_by_classes(upsilon: MultiplierSystem) -> dict[str, tuple[int, int]]:
+    """MultiplierSystem._symbol_num as the generators' numerators summed over
+    each raw symbol's sparse class (GenSet._class)."""
+    gens = upsilon.gens
+    return {symbol: _num_sum(upsilon._label_num, gens._class(symbol)) for symbol in gens._raw_words}
+
+
+def angle_of_vector_dense(upsilon: MultiplierSystem, vec: ExpVector) -> Angle:
+    """MultiplierSystem.angle_of_vector over every coordinate, zeros included."""
+    return upsilon._angle(upsilon._label_num, enumerate((*vec.free, *vec.tor2, *vec.tor3)))
+
+
+def in_kappa_subgroup_by_scaling(gens: GenSet, vec: ExpVector) -> bool:
+    """multiplier.in_kappa_subgroup with each beta [P], beta mod 6, built
+    whole by ExpVector.scale, its free part too, and compared on its torsion."""
+    p_vec = gens.parabolic_class
+    off_s = [i for i in range(len(vec.free)) if i != gens.s_index]
+    if any(p_vec.free[i] for i in off_s):
+        raise AssertionError(f"[T S^p T^-1] has a free part off [S] at p = {gens.p}")
+    if any(vec.free[i] for i in off_s):
+        return False
+    multiples = (p_vec.scale(beta) for beta in range(6))
+    return any((m.tor2, m.tor3) == (vec.tor2, vec.tor3) for m in multiples)

@@ -35,7 +35,9 @@ from weilgap.presentation import (
 )
 from weilgap.series import lift_bottom_row
 
-from oracles import cusp_parameter, cusp_width
+from oracles import (
+    angle_of_vector_dense, cusp_parameter, cusp_width, in_kappa_subgroup_by_scaling, symbol_num_by_classes,
+)
 from test_characters import quadratic_char
 from test_linalg import nullspace_by_back_substitution
 from weilgap.linalg import Echelon, bareiss_echelon, rank
@@ -557,6 +559,7 @@ def test_angle_of_vector_matches_fraction_sum(p, data):
         tuple(data.draw(st.integers(0, 2)) for _ in gens.order3_labels),
     )
     assert ups.angle_of_vector(vec) == angle_by_fraction_sum(ups, vec)
+    assert ups.angle_of_vector(vec) == angle_of_vector_dense(ups, vec)
 
 
 @settings(max_examples=30, deadline=None)
@@ -736,7 +739,68 @@ def test_in_kappa_subgroup_matches_solving(p, data):
     noise = ExpVector(tuple(free), tuple(tor2), tuple(tor3))
     vec = s_vec.scale(data.draw(st.integers(-2, 2))) + p_vec.scale(data.draw(st.integers(-7, 7))) + noise
     assert in_kappa_subgroup(gens, vec) == in_kappa_subgroup_by_solving(gens, vec)
+    assert in_kappa_subgroup(gens, vec) == in_kappa_subgroup_by_scaling(gens, vec)
     assert in_kappa_subgroup(gens, vec + (-noise))
+
+
+# The angle table from the rules and the sparse pretend checks, against the
+# formulas they replace
+
+
+def test_symbol_num_matches_the_class_sum():
+    for p in [*PRIMES, 1009]:
+        gens, chi = _gens(p), DirichletChar(p, 2)
+        cs = pretend_constraints(p, gens, chi, 10 if p == 1009 else 6, verify_b_dependence=False)
+        for ups in (char_multiplier(chi, gens), solve_pretend(cs, chi, gens).upsilon):
+            assert ups._symbol_num == symbol_num_by_classes(ups)
+
+
+def _rule_closure(gens, symbols):
+    """The symbols and every symbol their rules read, transitively."""
+    closure, stack = set(), list(symbols)
+    while stack:
+        symbol = stack.pop()
+        if symbol not in closure:
+            closure.add(symbol)
+            stack += [label for label, _ in gens._rules.get(symbol, ())]
+    return closure
+
+
+def test_classes_are_summed_only_where_a_walk_reads_them():
+    p = 1009
+    gens, chi = build_presentation(p), DirichletChar(p, 2)
+    labels = set(gens.labels)
+    assert set(gens._classes) == labels | _rule_closure(gens, ["P"])
+    cs = pretend_constraints(p, gens, chi, 10)
+    lifts = [S]
+    for row in cs.rows[2:]:
+        m, B, _ = constraint_matrix(p, row.a, row.q)
+        lifts += [m, constraint_matrix(p, row.a, row.q, B + row.q)[0]]
+    walked = {symbol for gamma in lifts for symbol, _ in gens._walk(gamma)}
+    assert set(gens._classes) == labels | _rule_closure(gens, walked | {"P"})
+    assert len(gens._classes) < len(gens._raw_words)
+
+
+def test_pretend_checks_match_their_dense_formulas():
+    # every row of every prime 5 <= p < 200 with q_max = 6, and the class
+    # that separates each row's two lifts, which lies in <[S], [P]>
+    inside = outside = 0
+    for p in PRIMES:
+        gens, chi = _gens(p), DirichletChar(p, 2)
+        cs = pretend_constraints(p, gens, chi, 6)
+        sol = solve_pretend(cs, chi, gens)
+        for row in cs.rows:
+            vecs = [row.vector]
+            if row.a is not None:
+                _, B, _ = constraint_matrix(p, row.a, row.q)
+                vecs.append(gens.class_of(constraint_matrix(p, row.a, row.q, B + row.q)[0]) + (-row.vector))
+            for vec in vecs:
+                member = in_kappa_subgroup(gens, vec)
+                assert member == in_kappa_subgroup_by_scaling(gens, vec)
+                inside, outside = inside + member, outside + (not member)
+                for ups in (sol.upsilon_chi, sol.upsilon):
+                    assert ups.angle_of_vector(vec) == angle_of_vector_dense(ups, vec)
+    assert inside and outside
 
 
 # The array walk of rows_angles against the scalar bottom_row_angle

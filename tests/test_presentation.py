@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from collections import Counter
 from functools import lru_cache
 from types import MappingProxyType
@@ -1077,18 +1078,34 @@ def _token_classes(gens):
     return classes
 
 
+def _every_class(gens):
+    """The class of every raw symbol, final labels among them, read through
+    the on-demand path (GenSet._class)."""
+    return {symbol: gens._class(symbol) for symbol in gens._raw_words}
+
+
 def test_classes_from_the_log_match_the_token_pass():
     # each eliminated label's class is summed from its Tietze replacement,
     # and P's from WRAP, not from the tokens of their words
     for p in [*filter(is_prime, range(5, 200)), 1009, 2003]:
         gens = gens_of(p)
-        assert gens._classes == _token_classes(gens)
+        assert _every_class(gens) == _token_classes(gens)
 
 
 def test_sparse_classes_match_the_dense_sum():
     for p in [*filter(is_prime, range(5, 200)), 1009]:
         gens = gens_of(p)
-        assert {symbol: gens._classes[symbol] for symbol in gens._raw_words} == _dense_classes(gens)
+        assert _every_class(gens) == _dense_classes(gens)
+
+
+def test_a_class_is_summed_without_recursion():
+    # a chain of rules far deeper than the recursion limit, x_k = S^2 x_{k+1}
+    # and x_depth = S^-1, each rule after the rules it reads
+    gens, depth = build_presentation(13), 20 * sys.getrecursionlimit()
+    chain = {f"x_{k}": [("S", 2), (f"x_{k + 1}", 1)] for k in range(depth)}
+    gens._rules = {f"x_{depth}": [("S", -1)], **dict(reversed(chain.items()))}
+    assert gens._class("x_0") == [(gens.s_index, 2 * depth - 1)]
+    assert all(f"x_{k}" in gens._classes for k in range(depth + 1))
 
 
 # SHA-256 of the canonical JSON of each prime's exact outputs, computed with
@@ -1151,7 +1168,7 @@ def exact_outputs_digest(gens):
     value = {
         "gens": gens.to_json(),
         "rewriting_log": gens.rewriting_log,
-        "classes": gens._classes,
+        "classes": _every_class(gens),
         "parabolic_class": dataclasses.asdict(gens.parabolic_class),
         "words": [decompose_gamma0(gens, g).to_json() for g in elements],
         "class_of": [dataclasses.asdict(gens.class_of(g)) for g in elements],
