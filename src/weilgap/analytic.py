@@ -327,9 +327,10 @@ def _auto_window(
     a side takes another round only while every rung it probed was
     reliable.  A value does not depend on the other points of its call, so
     the window is the one that probing every rung at once would give.
-    Where y_bal, or every rung beside it, is unreliable, the prefix is too
-    short for any window, and an "insufficient coefficients" ValueError says
-    so.
+    Where y_bal, or every rung beside it, is unreliable, or both sides are 0
+    at y_bal (an all-zero prefix, whose tail bounds are 0 too), the prefix
+    is too short for any window, and an "insufficient coefficients"
+    ValueError says so.
     """
     y_bal = fe.balance_height
     steps = np.r_[y_bal, np.full(40, 1.25)]  # 1.25^40 > 4096
@@ -339,7 +340,10 @@ def _auto_window(
     while any(run == start < len(side) for side, run in zip(sides, runs)):
         probes = [side[start : start + _WINDOW_ROUND] if run == start else side[:0] for side, run in zip(sides, runs)]
         lhs, rhs, trust = _relation(f, g, fe, 1j * np.r_[probes[0], probes[1]])
-        reliable = trust <= cut * (np.abs(lhs) + np.abs(rhs))
+        signal = np.abs(lhs) + np.abs(rhs)
+        reliable = trust <= cut * signal
+        if start == 0 and not signal[0] > 0:  # a zero bound of zero sides passes 0 <= 0 and tells nothing
+            raise ValueError("insufficient coefficients: both truncated sides are 0 at the balance height")
         if start == 0 and not reliable[0]:
             raise ValueError(
                 "insufficient coefficients: truncated sides are unreliable at the balance height"

@@ -454,40 +454,36 @@ class GenSet:
     """Generating set {S} u {V_q : q in Q'} of Gamma0(p)/{+-I} with orders,
     free-product signature, and the rewriting log of the Tietze eliminations.
 
-    ``_raw_words`` is the rewriting log together with the word of the wrap
-    P = T S^p T^{-1}, so it expands every raw symbol of :func:`_schreier_walk`.
-    Its words are CertifiedWords: each holds its exact product, which the
-    splice of a decomposition (:meth:`rewrite_st_word`) reads, and a
-    decomposition writes its tokens from those tuples.  P's word and
-    product are spliced here, once, from the rewriting log, and P's product
-    must be +-T S^p T^{-1}; ``_inverses`` holds the inverse of P's word.
-    ``_rules`` is the elimination ``log`` of :func:`_tietze` as rules,
-    symbol -> replacement, in reversed log order with P's rule WRAP last,
-    so each rule's tokens are final labels or symbols whose rules come
-    before it.  ``_classes`` is the memo of :meth:`_class`: the class of a
-    raw symbol as sparse (coordinate, exponent sum) pairs, summed from the
-    rules when a walk first reads it; the class of P is ``parabolic_class``.
-    ``_steps`` is the T-step table of the walk (:func:`_t_steps`), and
-    ``_unit_powers`` the read-only entries of every generator and its
-    inverse, keyed by the tokens (label, 1) and (label, -1).
+    Made from the matrix of every raw symbol but P (S and V_1..V_{p-1}),
+    the Tietze rules and the T-step table ``_steps`` of the walk
+    (:func:`_t_steps`).  ``_rules`` is the elimination log of
+    :func:`_tietze` as rules, symbol -> replacement, in reversed log order
+    with P's rule WRAP last, so each rule's tokens are final labels or
+    symbols whose rules come before it.  The final labels are the symbols
+    without a rule, and ``_matrices`` holds their matrices only.
+
+    One pass over the rules writes ``_raw_words``, the word of every raw
+    symbol of :func:`_schreier_walk` over the final labels: each word is
+    spliced from the words its rule reads, as a CertifiedWord, whose
+    product must be +-that symbol's matrix (P's is T S^p T^{-1}).  The
+    splice of a decomposition (:meth:`rewrite_st_word`) reads those
+    products, and a decomposition writes its tokens from those tuples.
+    ``rewriting_log`` is the same words without P's; ``_inverses`` holds
+    the inverse of P's word.  ``_classes`` is the memo of :meth:`_class`:
+    the class of a raw symbol as sparse (coordinate, exponent sum) pairs,
+    summed from the rules when a walk first reads it; the class of P is
+    ``parabolic_class``.  ``_unit_powers`` holds the read-only entries of
+    every generator and its inverse, keyed by the tokens (label, 1) and
+    (label, -1).
     """
 
-    def __init__(
-        self,
-        p: int,
-        labels: list[str],
-        matrices: dict[str, Mat2],
-        orders: dict[str, object],
-        rewriting_log: dict[str, CertifiedWord],
-        steps: Steps,
-        log: list[tuple[str, Word]],
-    ):
+    def __init__(self, p: int, matrices: dict[str, Mat2], rules: dict[str, Word], steps: Steps):
         self.p = p
         self._steps = steps
-        self.labels = labels
-        self._matrices = matrices
-        self.orders = orders
-        self.rewriting_log = rewriting_log  # raw Schreier symbol -> word over final labels
+        self._rules = rules
+        self.labels = labels = sorted(matrices.keys() - rules.keys(), key=_label_sort_key)
+        self._matrices = {lbl: matrices[lbl] for lbl in labels}
+        self.orders = orders = {lbl: _order_of(matrices[lbl]) for lbl in labels}
 
         self.free_labels = [lbl for lbl in labels if orders[lbl] == "inf"]
         self.order2_labels = [lbl for lbl in labels if orders[lbl] == 2]
@@ -507,12 +503,18 @@ class GenSet:
             a, b, c, d = units[lbl, 1] = matrices[lbl].entries()
             units[lbl, -1] = (d, -b, -c, a)
         self._unit_powers = MappingProxyType(units)
-        tokens, product = _splice(WRAP, rewriting_log, {}, matrices, self._unit_powers.copy())
-        sign_against(product, T * S**p * T.inv(), "wrap word")
-        wrap = CertifiedWord(tokens, product)
-        self._raw_words = {**rewriting_log, "P": wrap}
-        self._inverses = {"P": _invert_word(wrap)}  # copied per rewrite_st_word call, which may add to it
-        self._rules = dict([*reversed(log), ("P", WRAP)])
+
+        targets = {**matrices, "P": T * S**p * T.inv()}
+        words = {lbl: CertifiedWord([(lbl, 1)], matrices[lbl]) for lbl in labels}
+        inverses: dict[str, Word] = {}
+        powers = self._unit_powers.copy()
+        for symbol, rule in rules.items():
+            tokens, product = _splice(rule, words, inverses, self._matrices, powers)
+            sign_against(product, targets[symbol], f"rewriting-log word of {symbol}")
+            words[symbol] = CertifiedWord(tokens, product)
+        self._raw_words = words
+        self.rewriting_log = {symbol: word for symbol, word in words.items() if symbol != "P"}
+        self._inverses = {"P": _invert_word(words["P"])}  # copied per rewrite_st_word call, which may add to it
         self._classes = {lbl: [(i, 1)] for lbl, i in self._index.items()}
         self.parabolic_class = self._vector(self._coords([("P", 1)]))
 
@@ -767,24 +769,11 @@ def build_presentation(p: int) -> GenSet:
         if power_of.setdefault(gen, order) != order:
             raise AssertionError(f"conflicting power relators for {gen}")
 
-    labels = sorted(matrices.keys() - {label for label, _ in log}, key=_label_sort_key)
-    orders = {lbl: _order_of(matrices[lbl]) for lbl in labels}
-    for lbl, order in orders.items():
+    gens = GenSet(p, matrices, dict([*reversed(log), ("P", WRAP)]), steps)
+    for lbl, order in gens.orders.items():
         if order != "inf" and power_of.get(lbl) != order:
             raise AssertionError(f"elliptic generator {lbl} lacks its power relator")
-
-    # Expand the elimination log into final words for every raw symbol, in
-    # reversed log order.  Certificate: each word's product, spliced from the
-    # products of the words it is written from, is +-its raw generator.
-    final_words = {lbl: CertifiedWord([(lbl, 1)], matrices[lbl]) for lbl in labels}
-    inverses: dict[str, Word] = {}
-    powers: dict = {}
-    for label, replacement in reversed(log):
-        word, product = _splice(replacement, final_words, inverses, matrices, powers)
-        sign_against(product, matrices[label], f"rewriting-log word of {label}")
-        final_words[label] = CertifiedWord(word, product)
-
-    return GenSet(p, labels, {lbl: matrices[lbl] for lbl in labels}, orders, final_words, steps, log)
+    return gens
 
 
 def compute_Q(p: int, gens: Optional[GenSet] = None) -> set[int]:

@@ -698,6 +698,19 @@ def test_a_window_of_the_balance_height_alone_is_insufficient(p, M):
         check_fe_additive(f, g, p, 24, fe)
 
 
+@pytest.mark.parametrize("p, M", [(11, 10), (5, 5)])
+def test_an_all_zero_prefix_is_insufficient(p, M):
+    # Delta(z)Delta(pz) starts at q^(p + 1): both sides and every tail bound
+    # read 0, so every rung would pass 0 <= 0 and the whole ladder would be
+    # the window
+    f, g = delta_delta_p(p, M)
+    assert not any(f.coeffs) and not any(g.coeffs)
+    message = "^insufficient coefficients: both truncated sides are 0 at the balance height$"
+    for q in sorted(compute_Q(p)):
+        with pytest.raises(ValueError, match=message):
+            check_fe_additive(f, g, p, 24, fe_for_q(p, 24, q))
+
+
 @pytest.mark.parametrize("p, q", [(5, 2), (11, 1)])
 def test_check_fe_additive_bounds_only_the_points_it_reads(monkeypatch, p, q):
     # the full rule's nodes and the modular points are bounded, the half

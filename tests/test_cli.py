@@ -262,6 +262,16 @@ def test_check_fe_without_a_window_is_invalid_input(tmp_path):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: insufficient coefficients")
 
 
+@pytest.mark.parametrize("command, q", [("check-fe", "1"), ("check-fe-mult", "3")])
+def test_check_fe_of_an_all_zero_prefix_is_invalid_input(tmp_path, command, q):
+    # Delta(z)Delta(11z) starts at q^12: ten stored coefficients are all 0
+    coeffs = tmp_path / "dd11.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "11", "--M", "10", "--out", str(coeffs))
+    proc = run_cli(command, "--p", "11", "--k", "24", "--q", q, "--coeffs", str(coeffs))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: insufficient coefficients: both truncated sides are 0 at the balance height\n"
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_check_fe_rejects_nonpositive_q(tmp_path, q):
     coeffs = tmp_path / "dd5.jsonl"

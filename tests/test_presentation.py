@@ -19,7 +19,9 @@ from weilgap.matrices import (
 )
 from weilgap.presentation import (
     COSET_INF,
+    WRAP,
     GammaWord,
+    GenSet,
     _cyclic_reduce,
     _pair_eliminations,
     _schreier_relators,
@@ -660,6 +662,44 @@ def test_decompositions_leave_the_certified_words_as_built(p):
         assert gens._raw_words[symbol] is word and word == tokens and word.product == product
     assert gens._inverses == {"P": inverse} and gens._inverses["P"] is inverse
     assert inverse == tuple(_inverse(gens._raw_words["P"])) and inverse.product == gens._raw_words["P"].product.inv()
+
+
+def _build_inputs(p):
+    """Fresh copies of what build_presentation hands to GenSet: the raw
+    matrices, the Tietze rules (WRAP last) and the T-step table."""
+    matrices = {"S": S, **{f"V_{j}": v_matrix(p, j) for j in range(1, p)}}
+    steps = _t_steps(p)
+    _, log = _tietze(_schreier_relators(steps, matrices), matrices)
+    return matrices, {symbol: list(rule) for symbol, rule in [*reversed(log), ("P", WRAP)]}, steps
+
+
+def _words_and_products(words):
+    return [(symbol, tuple(word), word.product) for symbol, word in words.items()]
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_genset_from_the_rules_certifies_every_word_in_one_pass(p):
+    built = gens_of(p)
+    matrices, rules, steps = _build_inputs(p)
+    assert rules == built._rules
+    gens = GenSet(p, matrices, rules, steps)
+    assert (gens.labels, gens.orders, gens.signature) == (built.labels, built.orders, built.signature)
+    assert gens._matrices == built._matrices and list(gens._matrices) == gens.labels
+    assert _words_and_products(gens.rewriting_log) == _words_and_products(built.rewriting_log)
+    assert _words_and_products(gens._raw_words) == _words_and_products(built._raw_words)
+    assert list(gens._raw_words) == [*gens.rewriting_log, "P"]
+    assert _words_and_products(gens._inverses) == _words_and_products(built._inverses)
+    # flipping a token of an eliminated label's rule changes the product
+    # unless the token's matrix is an involution (V^-1 = -V): the pass names the label
+    eliminated = [symbol for symbol in rules if symbol != "P"]
+    for symbol in (eliminated[0], eliminated[len(eliminated) // 2], eliminated[-1]):
+        i = next(i for i, (label, _) in enumerate(rules[symbol]) if matrices[label].trace() != 0)
+        label, exp = rules[symbol][i]
+        flipped = {**rules, symbol: [*rules[symbol][:i], (label, -exp), *rules[symbol][i + 1:]]}
+        with pytest.raises(AssertionError, match=f"^rewriting-log word of {symbol} does not evaluate"):
+            GenSet(p, matrices, flipped, steps)
+    with pytest.raises(AssertionError, match="^rewriting-log word of P does not evaluate"):
+        GenSet(p, matrices, {**rules, "P": [("V_1", 1), ("S", -1)]}, steps)
 
 
 def test_decompositions_take_only_the_powers_the_unit_table_lacks(monkeypatch):
