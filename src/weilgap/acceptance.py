@@ -278,7 +278,7 @@ def criterion_6(seed: int) -> tuple[bool, dict]:
             m1, B, _ = constraint_matrix(p, a, q)
             t = rng.randint(1, 5)
             m2, _, _ = constraint_matrix(p, a, q, B + t * q)
-            if not in_kappa_subgroup(gens, gens.class_of(m2) + (-gens.class_of(m1))):
+            if not in_kappa_subgroup(gens, gens.class_of(m2 * m1.inv())):  # class(m2) - class(m1)
                 failures.append({"p": p, "a": a, "q": q, "B": B, "t": t, "kind": "subgroup"})
             for ups in explicit:
                 if ups.evaluate(m1) != ups.evaluate(m2):

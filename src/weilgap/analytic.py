@@ -297,8 +297,13 @@ def _modular_points(
     fe: FEStatement, zs: list[complex], relation: tuple, tolerance: float, gate_truncation: bool
 ) -> list[ModularRelationResult]:
     """The relation at each z of zs from its (lhs, rhs, truncation) arrays
-    out of :func:`_relation`, gated with the truncation as error or with 0."""
+    out of :func:`_relation`, gated with the truncation as error or with 0.
+    Both sides 0 at every z (an all-zero prefix, whose truncation bounds
+    are 0 too) would pass 0 <= 0 and tell nothing: that raises the
+    "insufficient coefficients" ValueError."""
     lhs, rhs, trunc = relation
+    if not (np.any(lhs) or np.any(rhs)):
+        raise ValueError("insufficient coefficients: both truncated sides are 0 at every point")
     points = []
     for z, l, r, t in zip(zs, lhs.tolist(), rhs.tolist(), trunc.tolist()):
         scale, absolute = max(abs(l), abs(r), 1e-300), abs(l - r)

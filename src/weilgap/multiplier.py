@@ -32,7 +32,7 @@ import numpy as np
 from .characters import DirichletChar, _factorize, _units
 from .linalg import nullspace
 from .matrices import Mat2, S, lift_bottom_row
-from .presentation import ExpVector, GenSet, _require_level, constraint_matrix
+from .presentation import Class, GenSet, _require_level, constraint_matrix
 
 SQRT2 = math.sqrt(2)
 
@@ -141,10 +141,11 @@ class MultiplierSystem:
         (r, s), den = _num_sum(table, tokens), self._den
         return Angle(Fraction(r % den, den), Fraction(s, den))
 
-    def angle_of_vector(self, vec: ExpVector) -> Angle:
-        """The angle of a class: each generator's angle times its coordinate."""
-        coords = enumerate((*vec.free, *vec.tor2, *vec.tor3))
-        return self._angle(self._label_num, [(i, n) for i, n in coords if n])
+    def angle_of_vector(self, vec: Class) -> Angle:
+        """The angle of a class (a :data:`~weilgap.presentation.Class`):
+        each generator's angle times its exponent, over the coordinates the
+        class holds."""
+        return self._angle(self._label_num, vec.items())
 
     def evaluate(self, gamma: Mat2) -> Angle:
         """Exact angle of upsilon(gamma) for gamma in Gamma0(p): the angles of
@@ -365,7 +366,10 @@ def char_multiplier(chi: DirichletChar, gens: GenSet) -> MultiplierSystem:
 
 @dataclass
 class ConstraintRow:
-    vector: ExpVector
+    """One pretend row: the class of a matrix (``vector``, a
+    :data:`~weilgap.presentation.Class`) and the angle upsilon must take on it."""
+
+    vector: Class
     target: Angle
     tag: str
     a: Optional[int] = None
@@ -420,7 +424,8 @@ def pretend_constraints(
             vec = gens.class_of(m)
             if verify_b_dependence:
                 m2, _, _ = constraint_matrix(p, a, q, B + q)
-                if not in_kappa_subgroup(gens, gens.class_of(m2) + (-vec)):
+                # m2 m^-1 = [[1 - apq, a^2 p], [-pq^2, 1 + apq]]: its class is class(m2) - class(m)
+                if not in_kappa_subgroup(gens, gens.class_of(m2 * m.inv())):
                     raise AssertionError(
                         f"constraint for (a, q) = ({a}, {q}) depends on more than B mod q"
                     )
@@ -428,26 +433,26 @@ def pretend_constraints(
     return ConstraintSystem(p, rows, q_max)
 
 
-def in_kappa_subgroup(gens: GenSet, vec: ExpVector) -> bool:
-    """Whether a class is killed by every multiplier with kappa_I = kappa_T = 0.
+def in_kappa_subgroup(gens: GenSet, vec: Class) -> bool:
+    """Whether a class (a :data:`~weilgap.presentation.Class`) is killed by
+    every multiplier with kappa_I = kappa_T = 0.
 
     Characters of a finitely generated abelian group separate points, so
     vanishing under every solution of the two cusp rows is equivalent to
     membership in the subgroup generated by [S] and [P], P = T S^p T^-1.
     The free part of [P] is a multiple of [S] (asserted; sixth_root_check
-    reports it), so vec lies there exactly when its free part has no
-    coordinate off [S] and its torsion is that of beta [P] for some beta
+    reports it), so vec lies there exactly when it holds no free
+    coordinate but [S]'s and its torsion is that of beta [P] for some beta
     mod 6.
     """
-    p_vec = gens.parabolic_class
-    off_s = [i for i in range(len(vec.free)) if i != gens.s_index]
-    if any(p_vec.free[i] for i in off_s):
+    p_vec, torsion = gens.parabolic_class, gens._torsion
+    if any(i != gens.s_index and i not in torsion for i in p_vec):
         raise AssertionError(f"[T S^p T^-1] has a free part off [S] at p = {gens.p}")
-    if any(vec.free[i] for i in off_s):
+    if any(i != gens.s_index and i not in torsion for i in vec):
         return False
     # only the torsion of beta [P] is compared: the free part is settled above
     return any(
-        tuple(beta * x % 2 for x in p_vec.tor2) == vec.tor2 and tuple(beta * x % 3 for x in p_vec.tor3) == vec.tor3
+        all((beta * p_vec.get(i, 0) - vec.get(i, 0)) % order == 0 for i, order in torsion.items())
         for beta in range(6)
     )
 
@@ -487,7 +492,8 @@ def solve_pretend(
             )
 
     n_free = len(gens.free_labels)
-    basis = nullspace([row.vector.free for row in cs.rows], n_free)
+    # the free coordinates of a class are 0..n_free - 1
+    basis = nullspace([[row.vector.get(i, 0) for i in range(n_free)] for row in cs.rows], n_free)
     kernel_dim = len(basis)
 
     upsilon = ups_chi
@@ -517,21 +523,22 @@ def sixth_root_check(p: int, gens: GenSet) -> dict:
     torsion component; it must vanish exactly when p = 11 (mod 12).
     """
     _require_level(p, gens)
-    vec = gens.parabolic_class
-    s_idx = gens.s_index
-    free_ok = all(x == 0 for i, x in enumerate(vec.free) if i != s_idx)
-    torsion_zero = not any(vec.tor2) and not any(vec.tor3)
+    vec, s_idx = gens.parabolic_class, gens.s_index
+    free_ok = all(i == s_idx or i in gens._torsion for i in vec)
+    tor2 = [vec.get(gens._index[lbl], 0) for lbl in gens.order2_labels]
+    tor3 = [vec.get(gens._index[lbl], 0) for lbl in gens.order3_labels]
+    torsion_zero = not any(tor2) and not any(tor3)
     order = 1
-    if any(vec.tor2):
+    if any(tor2):
         order *= 2
-    if any(x != 0 for x in vec.tor3):
+    if any(tor3):
         order *= 3
     return {
         "p": p,
         "free_ok": free_ok,
-        "s_coefficient": vec.free[s_idx],
-        "tor2": list(vec.tor2),
-        "tor3": list(vec.tor3),
+        "s_coefficient": vec.get(s_idx, 0),
+        "tor2": tor2,
+        "tor3": tor3,
         "torsion_zero": torsion_zero,
         "torsion_order": order,
         "p_mod_12": p % 12,

@@ -29,7 +29,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -54,6 +53,9 @@ Token = tuple[str, int]
 Word = list[Token]
 # per coset, the raw symbol its T step emits (None if none) and the coset it reaches
 Steps = list[tuple[Optional[Token], int]]
+# a class in Gamma0(p)^ab as {coordinate: exponent}, coordinates those of
+# GenSet._index, torsion exponents reduced mod their order and zeros left out
+Class = dict[int, int]
 
 
 def is_prime(n: int) -> bool:
@@ -416,40 +418,6 @@ class GammaWord:
         return f"GammaWord({body}, sign={self.sign})"
 
 
-@dataclass
-class ExpVector:
-    """Image of a word in the abelianization Z^{l-2a-2b} x (Z/2)^{2a} x (Z/3)^{2b}.
-
-    Coordinates are aligned with GenSet.free_labels / order2_labels /
-    order3_labels.
-    """
-
-    free: tuple[int, ...]
-    tor2: tuple[int, ...]
-    tor3: tuple[int, ...]
-
-    def __add__(self, other: "ExpVector") -> "ExpVector":
-        return ExpVector(
-            tuple(x + y for x, y in zip(self.free, other.free)),
-            tuple((x + y) % 2 for x, y in zip(self.tor2, other.tor2)),
-            tuple((x + y) % 3 for x, y in zip(self.tor3, other.tor3)),
-        )
-
-    def __neg__(self) -> "ExpVector":
-        return ExpVector(
-            tuple(-x for x in self.free),
-            tuple((-x) % 2 for x in self.tor2),
-            tuple((-x) % 3 for x in self.tor3),
-        )
-
-    def scale(self, n: int) -> "ExpVector":
-        return ExpVector(
-            tuple(n * x for x in self.free),
-            tuple((n * x) % 2 for x in self.tor2),
-            tuple((n * x) % 3 for x in self.tor3),
-        )
-
-
 class GenSet:
     """Generating set {S} u {V_q : q in Q'} of Gamma0(p)/{+-I} with orders,
     free-product signature, and the rewriting log of the Tietze eliminations.
@@ -471,10 +439,12 @@ class GenSet:
     ``rewriting_log`` is the same words without P's; ``_inverses`` holds
     the inverse of P's word.  ``_classes`` is the memo of :meth:`_class`:
     the class of a raw symbol as sparse (coordinate, exponent sum) pairs,
-    summed from the rules when a walk first reads it; the class of P is
-    ``parabolic_class``.  ``_unit_powers`` holds the read-only entries of
-    every generator and its inverse, keyed by the tokens (label, 1) and
-    (label, -1).
+    summed from the rules when a walk first reads it.  A class
+    (:meth:`class_of`, :func:`abelianize`) is those pairs summed into a
+    :data:`Class` dict; P's is ``parabolic_class``.  ``_torsion`` maps each
+    torsion coordinate to its order.  ``_unit_powers`` holds the read-only
+    entries of every generator and its inverse, keyed by the tokens
+    (label, 1) and (label, -1).
     """
 
     def __init__(self, p: int, matrices: dict[str, Mat2], rules: dict[str, Word], steps: Steps):
@@ -494,7 +464,8 @@ class GenSet:
         self.signature = (l, a2 // 2, b3 // 2)
         # coordinates of a class: free, then order-2, then order-3 labels
         self._index = {lbl: i for i, lbl in enumerate(self.free_labels + self.order2_labels + self.order3_labels)}
-        self.s_index = self._index["S"]  # S is free: also its index in ExpVector.free
+        self.s_index = self._index["S"]  # S is free: its coordinate is also its place among free_labels
+        self._torsion = {self._index[lbl]: orders[lbl] for lbl in self.order2_labels + self.order3_labels}
 
         # read-only: each splice copies it into its own memo of powers; an
         # inverse is the adjugate, as every generator has det 1
@@ -516,7 +487,7 @@ class GenSet:
         self.rewriting_log = {symbol: word for symbol, word in words.items() if symbol != "P"}
         self._inverses = {"P": _invert_word(words["P"])}  # copied per rewrite_st_word call, which may add to it
         self._classes = {lbl: [(i, 1)] for lbl, i in self._index.items()}
-        self.parabolic_class = self._vector(self._coords([("P", 1)]))
+        self.parabolic_class = self._coords([("P", 1)])
 
     @property
     def generators(self) -> list[tuple[str, Mat2]]:
@@ -580,33 +551,30 @@ class GenSet:
             classes[top] = sorted((i, e) for i, e in sums.items() if e)
         return classes[symbol]
 
-    def _coords(self, raw: Word) -> list[int]:
-        """Class coordinates of a word of raw Schreier symbols, final labels
-        among them: its symbols' classes (:meth:`_class`), summed, so none
-        is written out."""
-        coords, classes = [0] * len(self._index), self._classes
+    def _coords(self, raw: Word) -> Class:
+        """The class of a word of raw Schreier symbols, final labels among
+        them: its symbols' classes (:meth:`_class`), summed, so none is
+        written out, with each torsion exponent reduced mod its order."""
+        sums, classes = {}, self._classes
         for symbol, n in raw:
             for i, e in classes[symbol] if symbol in classes else self._class(symbol):
-                coords[i] += n * e
-        return coords
+                sums[i] = sums.get(i, 0) + n * e
+        for i, order in self._torsion.items():
+            if i in sums:
+                sums[i] %= order
+        return {i: e for i, e in sums.items() if e}
 
-    def _vector(self, coords: list[int]) -> ExpVector:
-        n1 = len(self.free_labels)
-        n2 = n1 + len(self.order2_labels)
-        return ExpVector(
-            tuple(coords[:n1]), tuple(x % 2 for x in coords[n1:n2]), tuple(x % 3 for x in coords[n2:])
-        )
-
-    def class_of(self, gamma: Mat2) -> ExpVector:
+    def class_of(self, gamma: Mat2) -> Class:
         """The class of gamma in Gamma0(p)^ab, without building its word.
 
         Equals abelianize(decompose_gamma0(self, gamma), self): the classes
-        of the raw symbols in the walk of gamma's S/T letters, summed.
-        Self-certifying: :func:`~weilgap.matrices.st_letters` reduces the
-        whole matrix along its quotients to +-S^e, and the walk must return
-        to the identity coset (:meth:`_walk`).
+        of the raw symbols in the walk of gamma's S/T letters, summed into a
+        :data:`Class`.  A homomorphism: the class of a product is the sum of
+        the classes.  Self-certifying: :func:`~weilgap.matrices.st_letters`
+        reduces the whole matrix along its quotients to +-S^e, and the walk
+        must return to the identity coset (:meth:`_walk`).
         """
-        return self._vector(self._coords(self._walk(gamma)))
+        return self._coords(self._walk(gamma))
 
     def to_json(self) -> dict:
         l, a, b = self.signature
@@ -816,9 +784,10 @@ def decompose_gamma0(gens: GenSet, gamma: Mat2) -> GammaWord:
     return word
 
 
-def abelianize(word: GammaWord, gens: GenSet) -> ExpVector:
-    """Exponent sums of a word: free part over Z, torsion parts mod 2 and 3."""
-    return gens._vector(gens._coords(word.tokens))
+def abelianize(word: GammaWord, gens: GenSet) -> Class:
+    """The exponent sums of a word as a :data:`Class`: free coordinates over
+    Z, torsion coordinates mod 2 and 3."""
+    return gens._coords(word.tokens)
 
 
 def rademacher_signature(p: int) -> tuple[int, int, int]:

@@ -544,8 +544,8 @@ def _kronecker_mul(a: list[int], b: list[int], size: int) -> list[int]:
     (Harvey, arXiv:0712.4046): each is packed into one integer with k bytes
     per coefficient and CPython's Karatsuba multiplies them.  The product's
     coefficients are below 2^(8k-1) in absolute value, so a bias of 2^(8k-1)
-    per slot lets the bytes be read back in linear time; b is a packs once."""
-    square, a, b = b is a, a[:size], b[:size]
+    per slot lets the bytes be read back in linear time."""
+    a, b = a[:size], b[:size]
     if not a or not b:
         return [0] * max(size, 0)
     bound = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length()
@@ -559,7 +559,7 @@ def _kronecker_mul(a: list[int], b: list[int], size: int) -> list[int]:
 
     half = 1 << (8 * k - 1)
     bias = int.from_bytes((bytes(k - 1) + b"\x80") * size, "little")
-    product = pack(a) ** 2 if square else pack(a) * pack(b)
+    product = pack(a) * pack(b)
     digits = ((product + bias) & ((1 << (8 * k * size)) - 1)).to_bytes(k * size, "little")
     return [int.from_bytes(digits[i : i + k], "little") - half for i in range(0, k * size, k)]
 

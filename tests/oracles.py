@@ -8,12 +8,13 @@ The tests import this module as ``oracles``; ``tests/`` has no
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from weilgap.analytic import AdditiveTwist, LambdaValue, _gauss_average, lambda_additive
 from weilgap.characters import ResidueChar, _units
 from weilgap.matrices import Mat2, S
 from weilgap.multiplier import Angle, MultiplierSystem, _num_sum
-from weilgap.presentation import ExpVector, GenSet
+from weilgap.presentation import Class, GenSet, Word
 from weilgap.series import CoeffSeries
 
 
@@ -85,15 +86,73 @@ def symbol_num_by_classes(upsilon: MultiplierSystem) -> dict[str, tuple[int, int
     return {symbol: _num_sum(upsilon._label_num, gens._class(symbol)) for symbol in gens._raw_words}
 
 
-def angle_of_vector_dense(upsilon: MultiplierSystem, vec: ExpVector) -> Angle:
-    """MultiplierSystem.angle_of_vector over every coordinate, zeros included."""
-    return upsilon._angle(upsilon._label_num, enumerate((*vec.free, *vec.tor2, *vec.tor3)))
+@dataclass
+class DenseClass:
+    """The dense view of a class: every coordinate, zeros included, in three
+    tuples aligned with GenSet.free_labels, order2_labels and order3_labels,
+    with the class arithmetic (sum, negation, multiple) that the package's
+    sparse :data:`~weilgap.presentation.Class` does not need."""
+
+    free: tuple[int, ...]
+    tor2: tuple[int, ...]
+    tor3: tuple[int, ...]
+
+    @classmethod
+    def of(cls, gens: GenSet, coords: list[int]) -> "DenseClass":
+        """The view of dense coordinates in GenSet._index order, torsion reduced."""
+        n1 = len(gens.free_labels)
+        n2 = n1 + len(gens.order2_labels)
+        return cls(tuple(coords[:n1]), tuple(x % 2 for x in coords[n1:n2]), tuple(x % 3 for x in coords[n2:]))
+
+    def sparse(self) -> Class:
+        """The package's format of the same class."""
+        return {i: n for i, n in enumerate((*self.free, *self.tor2, *self.tor3)) if n}
+
+    def __add__(self, other: "DenseClass") -> "DenseClass":
+        return DenseClass(
+            tuple(x + y for x, y in zip(self.free, other.free)),
+            tuple((x + y) % 2 for x, y in zip(self.tor2, other.tor2)),
+            tuple((x + y) % 3 for x, y in zip(self.tor3, other.tor3)),
+        )
+
+    def __neg__(self) -> "DenseClass":
+        return self.scale(-1)
+
+    def scale(self, n: int) -> "DenseClass":
+        return DenseClass(
+            tuple(n * x for x in self.free),
+            tuple((n * x) % 2 for x in self.tor2),
+            tuple((n * x) % 3 for x in self.tor3),
+        )
 
 
-def in_kappa_subgroup_by_scaling(gens: GenSet, vec: ExpVector) -> bool:
-    """multiplier.in_kappa_subgroup with each beta [P], beta mod 6, built
-    whole by ExpVector.scale, its free part too, and compared on its torsion."""
-    p_vec = gens.parabolic_class
+def dense(gens: GenSet, vec: Class) -> DenseClass:
+    """The dense view of a class of gens."""
+    return DenseClass.of(gens, [vec.get(i, 0) for i in range(len(gens._index))])
+
+
+def raw_coords(gens: GenSet, raw: Word) -> list[int]:
+    """The dense class coordinates of a word of raw Schreier symbols, torsion
+    unreduced: n times each symbol's sparse class (GenSet._class), summed."""
+    coords = [0] * len(gens._index)
+    for symbol, n in raw:
+        for i, e in gens._class(symbol):
+            coords[i] += n * e
+    return coords
+
+
+def angle_of_vector_dense(upsilon: MultiplierSystem, vec: Class) -> Angle:
+    """MultiplierSystem.angle_of_vector over every coordinate of the dense
+    view, zeros included."""
+    view = dense(upsilon.gens, vec)
+    return upsilon._angle(upsilon._label_num, enumerate((*view.free, *view.tor2, *view.tor3)))
+
+
+def in_kappa_subgroup_by_scaling(gens: GenSet, vec: Class) -> bool:
+    """multiplier.in_kappa_subgroup on the dense views, with each beta [P],
+    beta mod 6, built whole by DenseClass.scale, its free part too, and
+    compared on its torsion."""
+    p_vec, vec = dense(gens, gens.parabolic_class), dense(gens, vec)
     off_s = [i for i in range(len(vec.free)) if i != gens.s_index]
     if any(p_vec.free[i] for i in off_s):
         raise AssertionError(f"[T S^p T^-1] has a free part off [S] at p = {gens.p}")

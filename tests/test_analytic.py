@@ -711,6 +711,19 @@ def test_an_all_zero_prefix_is_insufficient(p, M):
             check_fe_additive(f, g, p, 24, fe_for_q(p, 24, q))
 
 
+@pytest.mark.parametrize("p, M", [(11, 10), (5, 5)])
+def test_an_all_zero_prefix_certifies_nothing(p, M):
+    # every modular point reads 0 on both sides with truncation 0, so every
+    # generator would pass 0 <= 0
+    f, g = delta_delta_p(p, M)
+    message = "^insufficient coefficients: both truncated sides are 0 at every point$"
+    with pytest.raises(ValueError, match=message):
+        certify_modularity(f, g, p, 24)
+    fe = fe_for_q(p, 24, 1)
+    with pytest.raises(ValueError, match=message):
+        check_modular_relation(f, g, p, 24, fe, 1j * fe.balance_height)
+
+
 @pytest.mark.parametrize("p, q", [(5, 2), (11, 1)])
 def test_check_fe_additive_bounds_only_the_points_it_reads(monkeypatch, p, q):
     # the full rule's nodes and the modular points are bounded, the half

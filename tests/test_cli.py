@@ -272,6 +272,15 @@ def test_check_fe_of_an_all_zero_prefix_is_invalid_input(tmp_path, command, q):
     assert proc.stderr == "error: insufficient coefficients: both truncated sides are 0 at the balance height\n"
 
 
+def test_certify_of_an_all_zero_prefix_is_invalid_input(tmp_path):
+    # Delta(z)Delta(11z) starts at q^12: every modular point reads 0 on both sides
+    coeffs = tmp_path / "dd11.jsonl"
+    run_cli("series", "--kind", "delta-delta-p", "--p", "11", "--M", "10", "--out", str(coeffs))
+    proc = run_cli("certify", "--p", "11", "--k", "24", "--coeffs", str(coeffs))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: insufficient coefficients: both truncated sides are 0 at every point\n"
+
+
 @pytest.mark.parametrize("q", ["0", "-3"])
 def test_check_fe_rejects_nonpositive_q(tmp_path, q):
     coeffs = tmp_path / "dd5.jsonl"

@@ -25,7 +25,6 @@ from weilgap.multiplier import (
 )
 from weilgap.presentation import (
     COSET_INF,
-    ExpVector,
     _schreier_walk,
     abelianize,
     build_presentation,
@@ -36,7 +35,8 @@ from weilgap.presentation import (
 from weilgap.series import lift_bottom_row
 
 from oracles import (
-    angle_of_vector_dense, cusp_parameter, cusp_width, in_kappa_subgroup_by_scaling, symbol_num_by_classes,
+    DenseClass, angle_of_vector_dense, cusp_parameter, cusp_width, dense, in_kappa_subgroup_by_scaling, raw_coords,
+    symbol_num_by_classes,
 )
 from test_characters import quadratic_char
 from test_linalg import nullspace_by_back_substitution
@@ -177,8 +177,8 @@ def test_pretend_constraints_reject_a_negative_qmax(gens29):
 def test_q1_row_in_kappa_span(gens29):
     chi = DirichletChar(29, 0)
     cs = pretend_constraints(29, gens29, chi, 1)
-    kappa_rows = [list(r.vector.free) for r in cs.rows[:2]]
-    all_rows = [list(r.vector.free) for r in cs.rows]
+    kappa_rows = [list(dense(gens29, r.vector).free) for r in cs.rows[:2]]
+    all_rows = [list(dense(gens29, r.vector).free) for r in cs.rows]
     assert rank(kappa_rows) == rank(all_rows)
 
 
@@ -295,17 +295,15 @@ def test_sixth_root_examples(gens13):
 
 
 def test_kappa_subgroup_rejects_outsiders(gens13, gens29):
-    from weilgap.presentation import ExpVector
-
     # p = 13: torsion (1, 0) is not a multiple of the parabolic's (1, 1)
-    vec = ExpVector((0,), (1, 0), (0, 0))
-    assert not in_kappa_subgroup(gens13, vec)
+    vec = DenseClass((0,), (1, 0), (0, 0))
+    assert not in_kappa_subgroup(gens13, vec.sparse())
     # p = 29: a non-S free direction cannot be reached from [S] and [P]
     gens = gens29
     idx = next(i for i, lbl in enumerate(gens.free_labels) if lbl != "S")
     free = tuple(1 if i == idx else 0 for i in range(len(gens.free_labels)))
-    vec = ExpVector(free, (0,) * len(gens.order2_labels), (0,) * len(gens.order3_labels))
-    assert not in_kappa_subgroup(gens, vec)
+    vec = DenseClass(free, (0,) * len(gens.order2_labels), (0,) * len(gens.order3_labels))
+    assert not in_kappa_subgroup(gens, vec.sparse())
     # while [P] itself is inside
     from weilgap.matrices import S as Smat, T as Tmat
 
@@ -320,9 +318,9 @@ def test_b_independence_small(gens13):
         a = 0 if q == 1 else rng.choice([x for x in range(1, q) if math.gcd(x, q) == 1])
         m1, B, _ = constraint_matrix(13, a, q)
         m2, _, _ = constraint_matrix(13, a, q, B + q * rng.randint(1, 4))
-        vec1 = abelianize(decompose_gamma0(gens13, m1), gens13)
-        vec2 = abelianize(decompose_gamma0(gens13, m2), gens13)
-        assert in_kappa_subgroup(gens13, vec2 + (-vec1))
+        vec1 = dense(gens13, abelianize(decompose_gamma0(gens13, m1), gens13))
+        vec2 = dense(gens13, abelianize(decompose_gamma0(gens13, m2), gens13))
+        assert in_kappa_subgroup(gens13, (vec2 + (-vec1)).sparse())
 
 
 def test_multiplier_json_roundtrip(gens5):
@@ -493,11 +491,11 @@ def dense_walk_tables(gens, *weights):
     steps, targets = [[0] * (p + 1) for _ in weights], [0] * (p + 1)
     for coset in (COSET_INF, *range(p)):
         raw, target = _schreier_walk(gens._steps, [("T", 1)], coset)
-        coords = gens._coords(raw)
+        coords = raw_coords(gens, raw)
         for table, w in zip(steps, weights):
             table[coset % (p + 1)] = sum(map(operator.mul, w, coords))  # COSET_INF -> p
         targets[coset % (p + 1)] = target % (p + 1)
-    wrap = gens._coords([("P", 1)])
+    wrap = raw_coords(gens, [("P", 1)])
     return steps, targets, [sum(map(operator.mul, w, wrap)) for w in weights]
 
 
@@ -527,8 +525,10 @@ def test_walk_tables_match_the_dense_walk(p):
 
 
 def angle_by_fraction_sum(ups, vec):
-    """Reference angle_of_vector: a Fraction sum of Angle.scale per coordinate."""
+    """Reference angle_of_vector: a Fraction sum of Angle.scale per
+    coordinate of the class's dense view."""
     gens, total = ups.gens, Angle()
+    vec = dense(gens, vec)
     for labels, coords in (
         (gens.free_labels, vec.free),
         (gens.order2_labels, vec.tor2),
@@ -553,11 +553,11 @@ def test_angle_of_vector_matches_fraction_sum(p, data):
             angles[lbl] = Angle(Fraction(data.draw(st.integers(0, order - 1)), order))
     ups = MultiplierSystem(gens, angles)
     big = st.integers(-(10**12), 10**12)
-    vec = ExpVector(
+    vec = DenseClass(
         tuple(data.draw(big) for _ in gens.free_labels),
         tuple(data.draw(st.integers(0, 1)) for _ in gens.order2_labels),
         tuple(data.draw(st.integers(0, 2)) for _ in gens.order3_labels),
-    )
+    ).sparse()
     assert ups.angle_of_vector(vec) == angle_by_fraction_sum(ups, vec)
     assert ups.angle_of_vector(vec) == angle_of_vector_dense(ups, vec)
 
@@ -585,7 +585,7 @@ def test_solve_pretend_matches_fraction_oracles():
             ups_chi = char_multiplier(chi, gens)
             for q_max in (1, 3, 6):
                 cs = pretend_constraints(p, gens, chi, q_max, verify_b_dependence=False)
-                free_rows = [list(row.vector.free) for row in cs.rows]
+                free_rows = [list(dense(gens, row.vector).free) for row in cs.rows]
                 basis = nullspace_by_back_substitution(free_rows, n_free)
                 sol = solve_pretend(cs, chi, gens)
                 assert (sol.kernel_dim, sol.rank) == (len(basis), rank(free_rows))
@@ -623,7 +623,7 @@ def _threshold_pass(p, q_max):
     n_free = len(_gens(p).free_labels)
     echelon, ranks, first_dependent = Echelon(n_free), {}, None
     for i, row in enumerate(cs.rows):
-        relation = echelon.add(row.vector.free)
+        relation = echelon.add(dense(_gens(p), row.vector).free)
         ranks[row.q or 0] = len(echelon.pivots)
         if relation is not None and first_dependent is None and (row.q or 0) >= 2:
             sign = 1 if relation[i] > 0 else -1
@@ -660,7 +660,7 @@ def test_threshold_pins_below_200():
         cs, _, ranks, found, _ = _threshold_pass(p, q_star)
         assert found == q_star, p
         for q in {max(q_star - 1, 0), q_star}:
-            prefix = [row.vector.free for row in cs.rows if (row.q or 0) <= q]
+            prefix = [dense(_gens(p), row.vector).free for row in cs.rows if (row.q or 0) <= q]
             assert ranks[q] == bareiss_echelon(prefix)[0], (p, q)
 
 
@@ -687,14 +687,15 @@ def test_first_dependent_row_p1009():
     assert q == 18
     assert all(ranks[m] - ranks[m - 1] == sum(math.gcd(a, m) == 1 for a in range(m)) for m in range(2, 18))
     assert len(relation) == 16 and set(relation.values()) == {1, -1}
-    free = {row.tag: row.vector.free for row in cs.rows}
+    free = {row.tag: dense(_gens(1009), row.vector).free for row in cs.rows}
     assert not any(sum(c * free[tag][j] for tag, c in relation.items()) for j in range(n_free))
 
 
 def in_kappa_subgroup_by_solving(gens, vec):
     """Oracle: membership in <[S], [P]> by solving vec = alpha [S] + beta [P],
-    with a branch for a [P] whose free part is not a multiple of [S]."""
-    p_vec = gens.class_of(T * S**gens.p * T.inv())
+    with a branch for a [P] whose free part is not a multiple of [S], on the
+    dense views."""
+    p_vec, vec = dense(gens, gens.class_of(T * S**gens.p * T.inv())), dense(gens, vec)
     s_idx = gens.s_index
     pinned = [(i, px) for i, px in enumerate(p_vec.free) if i != s_idx and px != 0]
     if pinned:
@@ -710,7 +711,7 @@ def in_kappa_subgroup_by_solving(gens, vec):
         if any(vec.free[i] != beta * px for i, px in pinned):
             continue
         alpha = vec.free[s_idx] - beta * p_vec.free[s_idx]
-        combo = p_vec.scale(beta) + ExpVector(
+        combo = p_vec.scale(beta) + DenseClass(
             tuple(alpha if i == s_idx else 0 for i in range(len(vec.free))),
             (0,) * len(vec.tor2),
             (0,) * len(vec.tor3),
@@ -727,8 +728,8 @@ def test_in_kappa_subgroup_matches_solving(p, data):
     # both answers occur: one free coordinate (possibly [S]'s own) and a
     # torsion part
     gens = _gens(p)
-    p_vec = gens.class_of(T * S**p * T.inv())
-    s_vec = gens.class_of(S)
+    p_vec = dense(gens, gens.class_of(T * S**p * T.inv()))
+    s_vec = dense(gens, gens.class_of(S))
     free = [0] * len(gens.free_labels)
     if data.draw(st.booleans()):
         free[data.draw(st.integers(0, len(free) - 1))] = data.draw(st.sampled_from([-1, 1]))
@@ -736,11 +737,12 @@ def test_in_kappa_subgroup_matches_solving(p, data):
     if data.draw(st.booleans()):
         tor2 = data.draw(st.lists(st.integers(0, 1), min_size=len(tor2), max_size=len(tor2)))
         tor3 = data.draw(st.lists(st.integers(0, 2), min_size=len(tor3), max_size=len(tor3)))
-    noise = ExpVector(tuple(free), tuple(tor2), tuple(tor3))
-    vec = s_vec.scale(data.draw(st.integers(-2, 2))) + p_vec.scale(data.draw(st.integers(-7, 7))) + noise
+    noise = DenseClass(tuple(free), tuple(tor2), tuple(tor3))
+    view = s_vec.scale(data.draw(st.integers(-2, 2))) + p_vec.scale(data.draw(st.integers(-7, 7))) + noise
+    vec = view.sparse()
     assert in_kappa_subgroup(gens, vec) == in_kappa_subgroup_by_solving(gens, vec)
     assert in_kappa_subgroup(gens, vec) == in_kappa_subgroup_by_scaling(gens, vec)
-    assert in_kappa_subgroup(gens, vec + (-noise))
+    assert in_kappa_subgroup(gens, (view + (-noise)).sparse())
 
 
 # The angle table from the rules and the sparse pretend checks, against the
@@ -775,7 +777,7 @@ def test_classes_are_summed_only_where_a_walk_reads_them():
     lifts = [S]
     for row in cs.rows[2:]:
         m, B, _ = constraint_matrix(p, row.a, row.q)
-        lifts += [m, constraint_matrix(p, row.a, row.q, B + row.q)[0]]
+        lifts += [m, constraint_matrix(p, row.a, row.q, B + row.q)[0] * m.inv()]  # a row and its B-lift check
     walked = {symbol for gamma in lifts for symbol, _ in gens._walk(gamma)}
     assert set(gens._classes) == labels | _rule_closure(gens, walked | {"P"})
     assert len(gens._classes) < len(gens._raw_words)
@@ -793,7 +795,8 @@ def test_pretend_checks_match_their_dense_formulas():
             vecs = [row.vector]
             if row.a is not None:
                 _, B, _ = constraint_matrix(p, row.a, row.q)
-                vecs.append(gens.class_of(constraint_matrix(p, row.a, row.q, B + row.q)[0]) + (-row.vector))
+                lifted = dense(gens, gens.class_of(constraint_matrix(p, row.a, row.q, B + row.q)[0]))
+                vecs.append((lifted + (-dense(gens, row.vector))).sparse())
             for vec in vecs:
                 member = in_kappa_subgroup(gens, vec)
                 assert member == in_kappa_subgroup_by_scaling(gens, vec)

@@ -41,6 +41,8 @@ from weilgap.presentation import (
     v_matrix,
 )
 
+from oracles import DenseClass, dense, raw_coords
+
 
 @pytest.fixture(scope="module")
 def gens13():
@@ -401,7 +403,7 @@ def test_p13_parabolic_identity_left_to_right():
 
 
 def test_abelianize_power_of_s(gens13):
-    vec = abelianize(GammaWord([("S", 3)]), gens13)
+    vec = dense(gens13, abelianize(GammaWord([("S", 3)]), gens13))
     s_idx = gens13.free_labels.index("S")
     assert vec.free[s_idx] == 3
     assert not any(vec.tor2) and not any(vec.tor3)
@@ -414,9 +416,9 @@ def is_zero(vec) -> bool:
 def test_abelianize_torsion_relators(gens13):
     # the defining relators of the free-product presentation map to zero
     for lbl in gens13.order2_labels:
-        assert is_zero(abelianize(GammaWord([(lbl, 2)]), gens13))
+        assert is_zero(dense(gens13, abelianize(GammaWord([(lbl, 2)]), gens13)))
     for lbl in gens13.order3_labels:
-        assert is_zero(abelianize(GammaWord([(lbl, 3)]), gens13))
+        assert is_zero(dense(gens13, abelianize(GammaWord([(lbl, 3)]), gens13)))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
@@ -427,8 +429,8 @@ def test_pairing_abelianization(p):
         qs = (-pow(q, -1, p)) % p
         if qs == q or qs in (0,):
             continue
-        vec_q = abelianize(decompose_gamma0(gens, v_matrix(p, q)), gens)
-        vec_qs = abelianize(decompose_gamma0(gens, v_matrix(p, qs)), gens)
+        vec_q = dense(gens, abelianize(decompose_gamma0(gens, v_matrix(p, q)), gens))
+        vec_qs = dense(gens, abelianize(decompose_gamma0(gens, v_matrix(p, qs)), gens))
         assert is_zero(vec_q + vec_qs)
         # exact matrix identity backing it
         assert v_matrix(p, qs) == -(v_matrix(p, q).inv())
@@ -815,8 +817,9 @@ far_elements = st.builds(
 @given(far_elements, far_elements)
 def test_class_of_is_homomorphism_beyond_the_oracle(g1, g2):
     gens = gens_of(29)
-    assert gens.class_of(g1 * g2) == gens.class_of(g1) + gens.class_of(g2)
-    assert gens.class_of(g1.inv()) == -gens.class_of(g1)
+    v1, v2 = dense(gens, gens.class_of(g1)), dense(gens, gens.class_of(g2))
+    assert dense(gens, gens.class_of(g1 * g2)) == v1 + v2
+    assert dense(gens, gens.class_of(g1.inv())) == -v1
 
 
 # A class walk and a crossing count written apart from _schreier_walk, each
@@ -837,12 +840,12 @@ def walk_coords(gens, quotients):
     from coset r > 0 adds the class of V_r, an S^t at the identity coset adds
     t[S], and an S^t elsewhere adds one wrap class per crossing."""
     p = gens.p
-    wrap = gens._coords(_substitute([("V_1", -1), ("S", -1)], gens.rewriting_log))
+    wrap = raw_coords(gens, _substitute([("V_1", -1), ("S", -1)], gens.rewriting_log))
     coords = [0] * len(wrap)
     coset = COSET_INF
     for t in reversed(quotients):
         if coset > 0:
-            coords = [x + y for x, y in zip(coords, gens._coords(gens.rewriting_log[f"V_{coset}"]))]
+            coords = [x + y for x, y in zip(coords, raw_coords(gens, gens.rewriting_log[f"V_{coset}"]))]
         coset = _t_target(p, coset)
         if coset == COSET_INF:
             coords[gens.s_index] += t
@@ -879,7 +882,7 @@ def test_class_of_and_crossings_match_a_separate_walk(p, k, d, n):
     quotients = euclid_quotients(c, d)
     coords = walk_coords(gens, quotients)
     coords[gens.s_index] += leading_s_power(gamma, quotients)
-    assert gens.class_of(gamma) == gens._vector(coords)
+    assert dense(gens, gens.class_of(gamma)) == DenseClass.of(gens, coords)
     assert p_crossings(gens._walk(gamma)) == crossings(p, quotients)
 
 
@@ -895,6 +898,38 @@ def test_parabolic_class_is_one_wrap():
     for p in (n for n in PRIMES if n < 200):
         gens = gens_of(p)
         assert gens.parabolic_class == gens.class_of(T * S**p * T.inv())
+
+
+@pytest.mark.parametrize("p", [13, 29, 101, 1009])
+def test_a_class_holds_only_its_nonzero_reduced_exponents(p):
+    # at seeded elements and at P: every key is a coordinate of GenSet._index,
+    # every exponent is nonzero, and a torsion exponent lies in [1, order)
+    gens, rng = gens_of(p), random.Random(p)
+    order_of = {gens._index[lbl]: gens.orders[lbl] for lbl in gens.labels}
+    classes = [gens.parabolic_class, *(gens.class_of(random_gamma0_element(p, rng)) for _ in range(30))]
+    torsion_seen = False
+    for vec in classes:
+        assert set(vec) <= set(gens._index.values())
+        assert all(vec.values())
+        for i, e in vec.items():
+            if order_of[i] != "inf":
+                assert 1 <= e < order_of[i]
+                torsion_seen = True
+    assert torsion_seen == (gens.signature[1:] != (0, 0))
+
+
+@pytest.mark.parametrize("p", [29, 101])
+def test_a_lift_pair_is_one_parabolic_walk(p):
+    # m2 m1^-1 = [[1 - apq, a^2 p], [-pq^2, 1 + apq]] for the lifts B and
+    # B + q of every (a, q <= 8), and its class is class(m2) - class(m1)
+    gens = gens_of(p)
+    for q in range(1, 9):
+        for a in (a for a in range(q) if math.gcd(a, q) == 1):
+            m1, B, _ = constraint_matrix(p, a, q)
+            m2, _, _ = constraint_matrix(p, a, q, B + q)
+            assert m2 * m1.inv() == Mat2(1 - a * p * q, a * a * p, -p * q * q, 1 + a * p * q)
+            difference = dense(gens, gens.class_of(m2)) + (-dense(gens, gens.class_of(m1)))
+            assert dense(gens, gens.class_of(m2 * m1.inv())) == difference
 
 
 # ---------------------------------------------------------------------------
@@ -1209,9 +1244,9 @@ def exact_outputs_digest(gens):
         "gens": gens.to_json(),
         "rewriting_log": gens.rewriting_log,
         "classes": _every_class(gens),
-        "parabolic_class": dataclasses.asdict(gens.parabolic_class),
+        "parabolic_class": dataclasses.asdict(dense(gens, gens.parabolic_class)),
         "words": [decompose_gamma0(gens, g).to_json() for g in elements],
-        "class_of": [dataclasses.asdict(gens.class_of(g)) for g in elements],
+        "class_of": [dataclasses.asdict(dense(gens, gens.class_of(g))) for g in elements],
     }
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 

@@ -1300,8 +1300,8 @@ def test_kronecker_mul_matches_schoolbook(a, b, size):
 
 @settings(max_examples=200, deadline=None)
 @given(signed_polys, st.integers(0, 90))
-def test_kronecker_square_packs_once_and_matches_schoolbook(a, size):
-    # b is a takes the one-pack path; list(a) is an equal but distinct list
+def test_kronecker_square_matches_schoolbook(a, size):
+    # a square is a plain product, whether b is a or an equal but distinct list
     assert _kronecker_mul(a, a, size) == _kronecker_mul(a, list(a), size) == schoolbook(a, a, size)
 
 
